@@ -9,7 +9,10 @@ root of the paired shell spectrum feeds the first-order expansion of the
 operator's own nonnegative eigenvalues.
 
 Verbs: check, sweep, corollary, transverse-table, effective-spectrum,
-dump-clifford.  Exit codes: 0 ok, 1 check failure, 2 config error.
+dump-clifford.  Exit codes: 0 ok, 1 check failure, 2 config error,
+3 partial report (sweep or corollary: an eps point failed to solve or to be
+certified, or too few points solved for the fit; the outputs are still
+written, flagged ``partial``).
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ __all__ = [
 ]
 
 
+EXIT_PARTIAL = 3
+
+
 class ConfigError(ValueError):
     pass
 
@@ -57,7 +63,7 @@ class SweepConfig:
     nt: int | None = None          # None: per-eps rule max(8, ceil(4/sqrt(eps)))
     count: int = 4
     eff_ns: int = 1024
-    seed: int = 0
+    seed: int = 0                  # start vector of each shift-invert solve
 
     @staticmethod
     def from_dict(payload: dict) -> "SweepConfig":
@@ -101,6 +107,7 @@ class AsymptoticsReport:
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
     partial: bool
     failures: dict = field(default_factory=dict)
+    solves: dict = field(default_factory=dict)  # eps -> dof, shift, negative pivots, residual
 
     def verdicts(self) -> list:
         out = []
@@ -136,6 +143,7 @@ class AsymptoticsReport:
             "eps": list(self.eps),
             "partial": self.partial,
             "failures": {repr(k): v for k, v in self.failures.items()},
+            "solves": {repr(k): v for k, v in self.solves.items()},
             "verdicts": self.verdicts(),
         }
 
@@ -150,6 +158,7 @@ class CorollaryReport:
     linear_coeffs: list     # fitted eps-linear coefficient per p
     references: list        # (2/pi) mu_{2p}(Upsilon) + (2/pi) m^2 - (16/pi^3) m^2
     partial: bool
+    failures: dict = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -182,14 +191,23 @@ def _shell_job(fam, curve, cfg: SweepConfig, eps: float):
     nt = cfg.nt if cfg.nt is not None else default_nt(eps)
     asm = assemble_shell(fam, met, cfg.m, cfg.ns, nt)
     pairs = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed)
-    return [v for v, _ in pairs]
+    record = {
+        "dof": asm.dof_count,
+        "shift": pairs.shift,
+        "negative_pivots": pairs.negative_pivots,
+        "residual_max": max(r for _, r in pairs),
+    }
+    return [v for v, _ in pairs], record
 
 
 def run_sweep(config, out_dir=None, threads: int = 1, quadratic: bool = False) -> AsymptoticsReport:
     """Shell spectra over the eps list, residuals, and affine fits per level.
 
-    ``quadratic=True`` additionally records a diagnostic second-order fit
-    per level; verdicts always use the affine model.
+    An eps point whose solve fails or cannot be certified is listed in
+    ``failures``; the report is ``partial`` when any point failed or fewer
+    than 3 points solved (no fit).  ``quadratic=True`` additionally records
+    a diagnostic second-order fit per level; verdicts always use the
+    affine model.
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     fam = build_clifford(2)
@@ -198,21 +216,23 @@ def run_sweep(config, out_dir=None, threads: int = 1, quadratic: bool = False) -
 
     results: dict = {}
     failures: dict = {}
+    solves: dict = {}
 
     def job(eps):
         try:
-            return eps, _shell_job(fam, curve, cfg, eps), None
+            return eps, *_shell_job(fam, curve, cfg, eps), None
         except EigensolveError as exc:
-            return eps, None, str(exc)
+            return eps, None, None, str(exc)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(job, cfg.eps))
     else:
         outcomes = [job(eps) for eps in cfg.eps]
-    for eps, mus, error in outcomes:
+    for eps, mus, record, error in outcomes:
         if error is None:
             results[eps] = mus
+            solves[eps] = record
         else:
             failures[eps] = error
 
@@ -245,8 +265,9 @@ def run_sweep(config, out_dir=None, threads: int = 1, quadratic: bool = False) -
         residuals=residuals,
         mu_effective=mu_eff,
         fits=fits,
-        partial=bool(failures),
+        partial=bool(failures) or not fits,
         failures=failures,
+        solves=solves,
     )
     if out_dir is not None:
         import os
@@ -265,7 +286,9 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
     square root of the 2p-th eigenvalue, and the eps-linear coefficient of
     lambda_p - pi/(4 eps) - (2/pi) m is fitted and compared against
     (2/pi) mu_{2p} + (2/pi) m^2 - (16/pi^3) m^2 built from the effective
-    spectrum.
+    spectrum.  The report is ``partial``, with no coefficients, when fewer
+    than 2 eps points solved, and ``partial`` with coefficients from the
+    solved points when some point failed.
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     if cfg.count % 2:
@@ -283,11 +306,12 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
     coeffs = []
     refs = []
     m = cfg.m
-    for p in range(n_p):
-        ys = np.array([lam[e][p] - math.pi / (4.0 * e) - (2.0 / math.pi) * m for e in fit_eps])
-        coeffs.append(_affine_fit(fit_eps, ys)["slope"])
-        mu2p = base.mu_effective[2 * p + 1]
-        refs.append((2.0 / math.pi) * mu2p + (2.0 / math.pi) * m * m - (16.0 / math.pi**3) * m * m)
+    if fit_eps.size >= 2:
+        for p in range(n_p):
+            ys = np.array([lam[e][p] - math.pi / (4.0 * e) - (2.0 / math.pi) * m for e in fit_eps])
+            coeffs.append(_affine_fit(fit_eps, ys)["slope"])
+            mu2p = base.mu_effective[2 * p + 1]
+            refs.append((2.0 / math.pi) * mu2p + (2.0 / math.pi) * m * m - (16.0 / math.pi**3) * m * m)
     report = CorollaryReport(
         curve_id=base.curve_id,
         m=m,
@@ -296,7 +320,8 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
         pairing_defect=pairing,
         linear_coeffs=coeffs,
         references=refs,
-        partial=base.partial,
+        partial=bool(base.failures) or not coeffs,
+        failures=base.failures,
     )
     if out_dir is not None:
         import os
@@ -312,6 +337,7 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
                     "references": report.references,
                     "pairing_defect": {repr(k): v for k, v in report.pairing_defect.items()},
                     "partial": report.partial,
+                    "failures": {repr(k): v for k, v in report.failures.items()},
                 },
                 fh,
                 indent=2,
@@ -412,12 +438,16 @@ def main(argv=None) -> int:
                 )
             if report.partial:
                 print("warning: report is partial;", report.failures)
+                return EXIT_PARTIAL
             return 0
         if args.verb == "corollary":
             cfg = _build_config(args)
             report = run_corollary(cfg, out_dir=args.out, threads=args.threads)
             for p, (coef, ref) in enumerate(zip(report.linear_coeffs, report.references), start=1):
                 print(f"p={p}: fitted linear coefficient {coef:.6f} vs reference {ref:.6f}")
+            if report.partial:
+                print("warning: report is partial;", report.failures)
+                return EXIT_PARTIAL
             return 0
         if args.verb == "transverse-table":
             ms = [float(v) for v in args.m.split(",")]

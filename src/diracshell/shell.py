@@ -24,6 +24,12 @@ flat-metric bounds with slack constant c:
 
     (1 +- c*eps) |d_s w|^2 + (1/eps^2) |d_t w|^2 - kappa^2/4 |w|^2
     + (m^2 +- c*eps) |w|^2 + (m*eps +- c*eps^3)/eps^2 boundary terms.
+
+The lowest eigenvalues of every pencil sit O(1) above the transverse
+ground level E_1(m eps)^2/eps^2.  ``lowest_eigenvalues`` places a shift
+just below that level (``ladder_shift``) and hands the pencil to the
+certified shift-invert solver in ``eigsolve``, which sees a well-separated
+cluster next to the shift.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .clifford import CliffordFamily, gamma
-from .eigsolve import EigensolveError, HermitianPencil, lobpcg_smallest
+# lobpcg_smallest stays importable here: bench/tracer.py wraps shell.lobpcg_smallest by name
+from .eigsolve import HermitianPencil, lobpcg_smallest, shift_invert_smallest  # noqa: F401
 from .geometry import ShellMetric2D
 from .transverse import solve_k
 
@@ -45,6 +52,8 @@ __all__ = [
     "assemble_shell",
     "assemble_sandwich",
     "lowest_eigenvalues",
+    "Eigenpairs",
+    "ladder_shift",
     "boundary_spinor",
     "default_nt",
     "flat_strip_levels",
@@ -217,8 +226,8 @@ def _constraint_basis(grid: _TensorGalerkin, spinors: dict) -> sp.csr_matrix:
     frame they are the constant vectors (1, -i)/sqrt(2) and (1, i)/sqrt(2).
     Reduced DOFs are grouped by s-column: for each grid index i the block
     [boundary(-1), component-0 interior, component-1 interior, boundary(+1)]
-    is contiguous, which makes the transverse-line preconditioner a plain
-    block-diagonal extraction.
+    is contiguous, so the pencils are periodic block-tridiagonal over the
+    n_s columns, the layout ``eigsolve.ring_inertia`` certifies shifts on.
     """
     n_s, n_tn, dim = grid.n_s, grid.n_tn, grid.dim
     interior = n_tn - 2
@@ -248,40 +257,6 @@ _GAUGED_SPINORS = {
     -1: np.array([1.0, -1.0j]) / math.sqrt(2.0),
     +1: np.array([1.0, +1.0j]) / math.sqrt(2.0),
 }
-
-
-def _line_preconditioner(a: sp.spmatrix, n_s: int, block: int):
-    """Block-Jacobi over transverse columns: exact solves of the s-diagonal blocks.
-
-    The transverse stiffness scales like 1/eps^2 and dominates the pencil;
-    inverting it per column leaves only the O(1/h_s^2) tangential coupling,
-    which cuts LOBPCG iteration counts by more than an order of magnitude
-    compared to the diagonal preconditioner.
-    """
-    import scipy.linalg as sla
-
-    a = a.tocsr()
-    factors = []
-    for i in range(n_s):
-        sl = slice(i * block, (i + 1) * block)
-        blk = a[sl, sl].toarray()
-        try:
-            factors.append(("cho", sla.cho_factor(blk, lower=True)))
-        except sla.LinAlgError:
-            # indefinite block (possible for the lower bracketing form)
-            factors.append(("lu", sla.lu_factor(blk)))
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-        for i, (kind, fac) in enumerate(factors):
-            sl = slice(i * block, (i + 1) * block)
-            if kind == "cho":
-                out[sl] = sla.cho_solve(fac, r[sl])
-            else:
-                out[sl] = sla.lu_solve(fac, r[sl])
-        return out
-
-    return apply
 
 
 def _reduce(z: sp.csr_matrix, a_comp0: sp.csr_matrix, a_comp1: sp.csr_matrix | None = None) -> sp.csr_matrix:
@@ -412,49 +387,72 @@ def assemble_sandwich(
     )
 
 
+class Eigenpairs(list):
+    """Ascending (eigenvalue, residual) pairs of one certified solve.
+
+    ``shift`` is the shift the pencil was factored at and
+    ``negative_pivots`` the number of its eigenvalues below that shift,
+    which a returned solve always has at 0.
+    """
+
+    def __init__(self, pairs, shift: float, negative_pivots: int):
+        super().__init__(pairs)
+        self.shift = shift
+        self.negative_pivots = negative_pivots
+
+
+def ladder_shift(assembly) -> float:
+    """A shift below the lowest eigenvalue of a shell or bracketing pencil.
+
+    The transverse ground level (k^2 + (m eps)^2)/eps^2 with
+    k = solve_k(m eps, 1), lowered by the largest curvature potential
+    kappa_max^2/4 plus one, and for the bracketing pencils also by their
+    slack 2 c eps.  The solver certifies the shift and lowers it further
+    if an eigenvalue lies below.
+    """
+    eps = assembly.metric.eps
+    me = assembly.m * eps
+    k1 = solve_k(me, 1)
+    sigma = (k1 * k1 + me * me) / eps**2 - assembly.metric.curve.kappa_max**2 / 4.0 - 1.0
+    if isinstance(assembly, SandwichFormAssembly):
+        sigma -= 2.0 * assembly.c * eps
+    return sigma
+
+
 def lowest_eigenvalues(
     assembly,
     count: int,
     tol: float = 1e-8,
     seed: int = 0,
-    maxiter: int = 5000,
-    dense_cutoff: int = 2048,
     which: str = "shell",
-) -> list[tuple[float, float]]:
+) -> Eigenpairs:
     """The count smallest (eigenvalue, residual) pairs of an assembled pencil.
 
-    Accepts a ShellFormAssembly, a SandwichFormAssembly (pick the side with
-    ``which="minus"``/``"plus"``) or a bare HermitianPencil.  Dense path
-    below dense_cutoff; above it, LOBPCG with the transverse-line block
-    preconditioner when the assembly structure is available.  Non-
-    convergence raises EigensolveError with the partial result attached.
+    Accepts a ShellFormAssembly (``which="shell"``) or a
+    SandwichFormAssembly (pick the side with ``which="minus"``/``"plus"``);
+    any other ``which`` raises ValueError.  The pencil is solved by
+    ``eigsolve.shift_invert_smallest`` below ``ladder_shift(assembly)``
+    with a start vector from ``seed``.  A solve that cannot be certified
+    or misses ``tol`` raises EigensolveError.
     """
     if count > 12:
         raise ValueError("count capped at 12")
-    precond = "jacobi"
     if isinstance(assembly, ShellFormAssembly):
-        pencil = assembly.pencil
+        pencils = {"shell": assembly.pencil}
     elif isinstance(assembly, SandwichFormAssembly):
-        pencil = assembly.pencil_minus if which == "minus" else assembly.pencil_plus
-    elif isinstance(assembly, HermitianPencil):
-        pencil = assembly
-        assembly = None
+        pencils = {"minus": assembly.pencil_minus, "plus": assembly.pencil_plus}
     else:
-        raise TypeError("expected an assembly or a HermitianPencil")
-    if assembly is not None and pencil.dim > dense_cutoff:
-        precond = _line_preconditioner(pencil.a, assembly.n_s, 4 * assembly.n_t)
-    res = lobpcg_smallest(
-        pencil, count, tol=tol, maxiter=maxiter, preconditioner=precond,
-        seed=seed, dense_cutoff=dense_cutoff,
+        raise TypeError("expected a ShellFormAssembly or a SandwichFormAssembly")
+    if which not in pencils:
+        raise ValueError(f"which must be one of {sorted(pencils)} for this assembly, got {which!r}")
+    res = shift_invert_smallest(
+        pencils[which], count, ladder_shift(assembly), assembly.n_s, tol=tol, seed=seed
     )
-    if not res.converged:
-        err = EigensolveError(
-            f"eigensolver did not reach tol={tol:g} in {res.iterations} iterations "
-            f"(worst residual {res.residuals.max():g})"
-        )
-        err.partial = res
-        raise err
-    return [(float(v), float(r)) for v, r in zip(res.eigenvalues, res.residuals)]
+    return Eigenpairs(
+        [(float(v), float(r)) for v, r in zip(res.eigenvalues, res.residuals)],
+        shift=res.shift,
+        negative_pivots=res.negative_pivots,
+    )
 
 
 def boundary_values(assembly: ShellFormAssembly, reduced: np.ndarray) -> dict:

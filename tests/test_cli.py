@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from diracshell import cli
 from diracshell.cli import (
+    EXIT_PARTIAL,
     ConfigError,
     SweepConfig,
     main,
     run_corollary,
     run_sweep,
 )
+from diracshell.eigsolve import EigensolveError
 
 SMALL = {
     "curve": {"kind": "circle", "r": 1.0},
@@ -49,6 +52,14 @@ def test_run_sweep_small(tmp_path):
     assert len(csv_text.splitlines()) == 1 + 3 * 2
     summary = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert summary["partial"] is False
+    # one certified solve record per eps
+    assert sorted(summary["solves"]) == sorted(repr(e) for e in SMALL["eps"])
+    for eps in SMALL["eps"]:
+        rec = summary["solves"][repr(eps)]
+        assert rec["dof"] == 4 * 48 * max(8, math.ceil(4.0 / math.sqrt(eps)))
+        assert rec["negative_pivots"] == 0
+        assert rec["shift"] < report.mu_shell[eps][0]
+        assert 0.0 < rec["residual_max"] <= 1e-8
 
 
 def test_sweep_reproducible_bytes(tmp_path):
@@ -86,6 +97,50 @@ def test_run_corollary_small(tmp_path):
     # leading term: lambda_1 * eps near pi/4
     lam = report.lam[0.045][0]
     assert abs(lam * 0.045 - math.pi / 4.0) <= 0.02 * (math.pi / 4.0)
+
+
+def _fail_below(monkeypatch, eps_cut):
+    """Make every eps point below eps_cut fail its solve."""
+    solve = cli.lowest_eigenvalues
+
+    def flaky(asm, *args, **kwargs):
+        if asm.metric.eps < eps_cut:
+            raise EigensolveError("forced failure")
+        return solve(asm, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "lowest_eigenvalues", flaky)
+
+
+def test_corollary_partial_when_too_few_points_solve(monkeypatch):
+    _fail_below(monkeypatch, 0.09)
+    report = run_corollary(SMALL)
+    assert report.partial
+    assert report.linear_coeffs == [] and report.references == []
+    assert list(report.lam) == [0.1]
+    assert list(report.failures) == [0.08, 0.06]
+    # a single eps point is a short list, not a crash, and no fit either
+    single = run_corollary({**SMALL, "eps": [0.1]})
+    assert single.partial and single.linear_coeffs == []
+
+
+def test_sweep_partial_report(monkeypatch):
+    _fail_below(monkeypatch, 0.07)
+    report = run_sweep(SMALL)
+    assert report.partial and report.fits == []
+    assert list(report.failures) == [0.06]
+    assert list(report.solves) == [0.1, 0.08]
+
+
+def test_main_partial_exit_code(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(SMALL))
+    _fail_below(monkeypatch, 0.07)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == EXIT_PARTIAL
+    assert json.loads((tmp_path / "s" / "sweep.json").read_text())["partial"] is True
+    assert main(["corollary", "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_PARTIAL
+    corollary = json.loads((tmp_path / "c" / "corollary.json").read_text())
+    assert corollary["partial"] is True and list(corollary["failures"]) == ["0.06"]
+    assert "partial" in capsys.readouterr().out
 
 
 def test_corollary_needs_even_count():

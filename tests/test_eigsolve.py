@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from diracshell import eigsolve
 from diracshell.eigsolve import (
+    EigensolveError,
     HermitianPencil,
     dense_hermitian_eig,
     lobpcg_smallest,
     pencil_from_triplets,
+    ring_inertia,
+    shift_invert_smallest,
 )
 
 
@@ -130,6 +134,77 @@ def test_lobpcg_input_validation():
     with pytest.raises(ValueError):
         lobpcg_smallest(HermitianPencil.make(dirichlet_laplacian(128)), 2,
                         preconditioner="ssor", dense_cutoff=0)
+
+
+def random_ring(rng, blocks, size):
+    """Hermitian matrix whose blocks couple only to their ring neighbours."""
+    dim = blocks * size
+    m = np.zeros((dim, dim), dtype=complex)
+    for i in range(blocks):
+        for j in (i, (i + 1) % blocks):
+            m[i * size:(i + 1) * size, j * size:(j + 1) * size] = (
+                rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            )
+    return m + m.conj().T
+
+
+def test_ring_inertia_matches_eigvalsh(rng):
+    # indefinite random pivots exercise the eigenvalue path of every block
+    for blocks, size in ((3, 4), (7, 5), (12, 3)):
+        m = random_ring(rng, blocks, size)
+        lam = np.linalg.eigvalsh(m)
+        for shift in (lam[0] - 1.0, 0.0, 0.5 * (lam[4] + lam[5]), lam[-1] + 1.0):
+            shifted = sp.csr_matrix(m - shift * np.eye(m.shape[0]))
+            assert ring_inertia(shifted, blocks) == np.count_nonzero(lam < shift)
+
+
+def test_ring_inertia_rejects_other_layouts(rng):
+    m = random_ring(rng, 6, 4)
+    m[0, 10] = m[10, 0] = 1.0  # block 0 to block 2
+    with pytest.raises(ValueError):
+        ring_inertia(sp.csr_matrix(m), 6)
+    with pytest.raises(ValueError):
+        ring_inertia(sp.csr_matrix(random_ring(rng, 6, 4)), 5)
+
+
+def test_shift_invert_laplacian_closed_form():
+    n = 128
+    pen = HermitianPencil.make(dirichlet_laplacian(n))
+    exact = np.array([4.0 * math.sin(math.pi * j / (2 * (n + 1))) ** 2 for j in (1, 2, 3)])
+    res = shift_invert_smallest(pen, 3, -0.01, blocks=8, seed=1)
+    assert res.converged and res.negative_pivots == 0 and res.shift == -0.01
+    assert np.abs(res.eigenvalues - exact).max() < 1e-12
+    assert res.residuals.max() <= 1e-8
+    # a shift above the lowest eigenvalue is lowered until certified
+    raised = shift_invert_smallest(pen, 3, exact[1], blocks=8, seed=1)
+    assert raised.shift < exact[0]
+    assert np.abs(raised.eigenvalues - exact).max() < 1e-12
+
+
+def test_shift_invert_matches_dense_generalized():
+    n = 160
+    a = dirichlet_laplacian(n) + sp.diags(np.linspace(0.0, 1.0, n)).astype(complex)
+    b = sp.diags(np.linspace(1.0, 2.0, n)).tocsr().astype(complex)
+    pen = HermitianPencil.make(a.tocsr(), b)
+    res = shift_invert_smallest(pen, 4, 0.0, blocks=10, seed=0)
+    dense = dense_hermitian_eig(a.toarray(), b.toarray())
+    assert np.abs(res.eigenvalues - dense.eigenvalues[:4]).max() <= 1e-10
+
+
+def test_shift_invert_seed_reproducible():
+    pen = HermitianPencil.make(dirichlet_laplacian(128))
+    r1 = shift_invert_smallest(pen, 2, -0.01, blocks=8, seed=7)
+    r2 = shift_invert_smallest(pen, 2, -0.01, blocks=8, seed=7)
+    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
+
+
+def test_shift_invert_uncertified_raises(monkeypatch):
+    pen = HermitianPencil.make(dirichlet_laplacian(128))
+    monkeypatch.setattr(eigsolve, "MAX_SHIFTS", 1)
+    with pytest.raises(EigensolveError):
+        shift_invert_smallest(pen, 2, 0.01, blocks=8)
+    with pytest.raises(EigensolveError):
+        shift_invert_smallest(pen, 2, -0.01, blocks=8, tol=1e-30)
 
 
 def test_triplet_import_round_trip():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracshell.clifford import gamma
-from diracshell.eigsolve import dense_hermitian_eig, lobpcg_smallest
+from diracshell.eigsolve import dense_hermitian_eig, lobpcg_smallest, ring_inertia
 from diracshell.geometry import flat_strip, shell_metric
 from diracshell.shell import (
     assemble_sandwich,
@@ -13,6 +13,7 @@ from diracshell.shell import (
     default_nt,
     export_pencil_triplets,
     flat_strip_levels,
+    ladder_shift,
     lowest_eigenvalues,
 )
 from diracshell.transverse import solve_k
@@ -106,6 +107,45 @@ def test_dense_vs_iterative_paths(fam2, circle):
     it = lobpcg_smallest(asm.pencil, 6, tol=1e-9, dense_cutoff=0, seed=3)
     assert it.converged
     assert np.abs(it.eigenvalues - dense.eigenvalues[:6]).max() <= 1e-8
+    production = np.array([v for v, _ in lowest_eigenvalues(asm, 6)])
+    assert np.abs(production - dense.eigenvalues[:6]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("curve_name", ["circle", "ellipse"])
+def test_negative_pivots_match_dense_count(fam2, curve_name, request):
+    # spectrum slicing: the inertia of A - sigma B counts the eigenvalues
+    # below sigma, on the shell pencil and both bracketing pencils
+    crv = request.getfixturevalue(curve_name)
+    met = shell_metric(crv, 0.1)
+    asm = assemble_shell(fam2, met, 0.3, 32, 8)
+    sand = assemble_sandwich(fam2, met, 0.3, 3.0 * (1.0 + crv.kappa_max), 32, 8)
+    for pen in (asm.pencil, sand.pencil_minus, sand.pencil_plus):
+        lam = dense_hermitian_eig(pen.a, pen.b, check=False).eigenvalues
+        for sigma, expected in ((lam[0] - 0.5, 0), (0.5 * (lam[1] + lam[2]), 2), (0.5 * (lam[3] + lam[4]), 4)):
+            assert np.count_nonzero(lam < sigma) == expected
+            assert ring_inertia(pen.a - sigma * pen.b, asm.n_s) == expected
+
+
+def test_solve_record_certifies_the_shift(fam2, ellipse):
+    met = shell_metric(ellipse, 0.1)
+    asm = assemble_shell(fam2, met, 0.0, 32, 8)
+    pairs = lowest_eigenvalues(asm, 2)
+    assert pairs.negative_pivots == 0
+    assert pairs.shift == ladder_shift(asm) < pairs[0][0]
+    assert ring_inertia(asm.pencil.a - pairs.shift * asm.pencil.b, asm.n_s) == 0
+
+
+def test_which_must_name_a_pencil(fam2, circle):
+    met = shell_metric(circle, 0.1)
+    asm = assemble_shell(fam2, met, 0.0, 32, 8)
+    sand = assemble_sandwich(fam2, met, 0.0, 6.0, 32, 8)
+    for bad in ("shell", "lower", "Minus"):
+        with pytest.raises(ValueError):
+            lowest_eigenvalues(sand, 1, which=bad)
+    with pytest.raises(ValueError):
+        lowest_eigenvalues(asm, 1, which="plus")
+    with pytest.raises(TypeError):
+        lowest_eigenvalues(asm.pencil, 1)
 
 
 def test_boundary_condition_exact_by_construction(fam2, ellipse):
