@@ -22,10 +22,12 @@ import csv
 import json
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .checks import run_all
 from .clifford import build_clifford, family_to_json
@@ -33,7 +35,7 @@ from .effective import assemble_effective, effective_eigenvalues, effective_spec
 from .eigsolve import EigensolveError
 from .geometry import curve_from_json, shell_metric
 from .shell import assemble_shell, default_nt, lowest_eigenvalues
-from .threads import set_blas_threads
+from .threads import blas_threads, set_blas_threads
 from .transverse import write_transverse_table
 
 __all__ = [
@@ -107,7 +109,10 @@ class AsymptoticsReport:
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
     partial: bool
     failures: dict = field(default_factory=dict)
-    solves: dict = field(default_factory=dict)  # eps -> dof, shift, negative pivots, residual
+    solves: dict = field(default_factory=dict)  # eps -> dof, shift, pivots, residual, seconds
+    effective_s: float = 0.0   # seconds spent on the effective reference
+    versions: dict = field(default_factory=dict)      # numpy and scipy
+    blas_threads: dict = field(default_factory=dict)  # threads.blas_threads()
 
     def verdicts(self) -> list:
         out = []
@@ -144,6 +149,9 @@ class AsymptoticsReport:
             "partial": self.partial,
             "failures": {repr(k): v for k, v in self.failures.items()},
             "solves": {repr(k): v for k, v in self.solves.items()},
+            "effective_s": self.effective_s,
+            "versions": self.versions,
+            "blas_threads": self.blas_threads,
             "verdicts": self.verdicts(),
         }
 
@@ -189,13 +197,17 @@ def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
 def _shell_job(fam, curve, cfg: SweepConfig, eps: float):
     met = shell_metric(curve, eps)
     nt = cfg.nt if cfg.nt is not None else default_nt(eps)
+    t0 = time.perf_counter()
     asm = assemble_shell(fam, met, cfg.m, cfg.ns, nt)
+    t1 = time.perf_counter()
     pairs = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed)
     record = {
         "dof": asm.dof_count,
         "shift": pairs.shift,
         "negative_pivots": pairs.negative_pivots,
         "residual_max": max(r for _, r in pairs),
+        "assemble_s": t1 - t0,
+        "solve_s": time.perf_counter() - t1,
     }
     return [v for v, _ in pairs], record
 
@@ -205,14 +217,21 @@ def run_sweep(config, out_dir=None, threads: int = 1, quadratic: bool = False) -
 
     An eps point whose solve fails or cannot be certified is listed in
     ``failures``; the report is ``partial`` when any point failed or fewer
-    than 3 points solved (no fit).  ``quadratic=True`` additionally records
-    a diagnostic second-order fit per level; verdicts always use the
-    affine model.
+    than 3 points solved (no fit).  With ``out_dir`` it writes ``sweep.csv``
+    and the run record ``sweep.json``: per eps under ``solves`` the dof,
+    shift, negative pivots, largest residual and the assembly and solve
+    seconds, and at the top level ``effective_s`` (seconds spent on the
+    effective reference), the numpy/scipy versions and the BLAS thread
+    settings in effect (``threads.blas_threads``).  ``quadratic=True``
+    additionally records a diagnostic second-order fit per level; verdicts
+    always use the affine model.
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     fam = build_clifford(2)
     curve = curve_from_json(cfg.curve)
+    t0 = time.perf_counter()
     mu_eff = effective_eigenvalues(assemble_effective(fam, curve, cfg.eff_ns), cfg.count).tolist()
+    effective_s = time.perf_counter() - t0
 
     results: dict = {}
     failures: dict = {}
@@ -268,6 +287,9 @@ def run_sweep(config, out_dir=None, threads: int = 1, quadratic: bool = False) -
         partial=bool(failures) or not fits,
         failures=failures,
         solves=solves,
+        effective_s=effective_s,
+        versions={"numpy": np.__version__, "scipy": scipy.__version__},
+        blas_threads=blas_threads(),
     )
     if out_dir is not None:
         import os

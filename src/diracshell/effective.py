@@ -14,6 +14,14 @@ hopping terms carry midpoint link phases exp(i * integral of the gauge
 field over the link); it converges at second order and satisfies the
 splitting as an exact matrix identity, which the plain multiply-then-
 difference scheme does not.
+
+The one-form is diagonal in spin, so the C^2 matrix is block diagonal
+with two isospectral blocks.  For the Fourier scheme the spin-down block
+is conj(P B_up P), with P the reversal of the modes m -> -m (kappa is
+real, so its Fourier coefficients satisfy c_{-r} = conj(c_r)); for the
+link scheme it is the entrywise conjugate of the spin-up block.
+``effective_eigenvalues`` therefore solves only the spin-up block, for
+eigenvalues alone and only the wanted ones, and reports each twice.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .clifford import CliffordFamily, gamma
-from .eigsolve import HermitianPencil, dense_hermitian_eig
+from .eigsolve import HermitianPencil
 from .geometry import CurveSpec
 
 __all__ = [
@@ -50,7 +59,6 @@ class EffectiveFormAssembly:
     scheme: str
     coupling: float
     grid: np.ndarray
-    omega_samples: np.ndarray   # (n_s, N, N), here N = 2
     potential: np.ndarray       # (n_s,)
     pencil: HermitianPencil
 
@@ -173,14 +181,13 @@ def assemble_effective(
     if n_s < 16 or n_s % 2:
         raise ValueError("n_s must be even and >= 16")
     grid = np.arange(n_s) * (curve.length / n_s)
-    omega = omega_oneform(fam, curve, grid)
+    pot = _potential_2d(curve, grid)
     if scheme == "fourier":
         blocks, _ = _fourier_blocks(curve, n_s, coupling)
         a = _block_diag(blocks[+1], blocks[-1])
         pencil = HermitianPencil.make(a, None)
     elif scheme == "link":
         angles, h = _link_phases(curve, n_s)
-        pot = _potential_2d(curve, grid)
         # spin-up gauge field is -coupling*kappa, spin-down is +coupling*kappa
         up = _link_block(-coupling * angles, pot, h)
         down = _link_block(+coupling * angles, pot, h)
@@ -189,8 +196,7 @@ def assemble_effective(
         raise ValueError(f"unknown scheme {scheme!r}")
     return EffectiveFormAssembly(
         curve=curve, n_s=n_s, scheme=scheme, coupling=coupling,
-        grid=grid, omega_samples=omega, potential=_potential_2d(curve, grid),
-        pencil=pencil,
+        grid=grid, potential=pot, pencil=pencil,
     )
 
 
@@ -250,9 +256,25 @@ def magnetic_circle_spectrum(radius: float, count: int) -> np.ndarray:
     return np.sort(vals)[:count]
 
 
+def _lowest_values(a: np.ndarray, count: int) -> np.ndarray:
+    return scipy.linalg.eigh(
+        a, eigvals_only=True, subset_by_index=[0, count - 1], check_finite=False
+    )
+
+
 def effective_eigenvalues(assembly, count: int) -> np.ndarray:
-    res = dense_hermitian_eig(assembly.pencil.a, assembly.pencil.b, check=False)
-    return res.eigenvalues[:count]
+    """The ``count`` lowest eigenvalues, ascending, without eigenvectors.
+
+    For an EffectiveFormAssembly only the spin-up block is solved, for its
+    ceil(count/2) lowest eigenvalues; the spin-down block is isospectral
+    (see the module docstring), so each value is reported twice.  A
+    MagneticFormAssembly has a single block and is solved directly.
+    """
+    a = assembly.pencil.a
+    if isinstance(assembly, EffectiveFormAssembly):
+        n = a.shape[0] // 2
+        return np.repeat(_lowest_values(a[:n, :n], (count + 1) // 2), 2)[:count]
+    return _lowest_values(a, count)
 
 
 @dataclass(frozen=True)

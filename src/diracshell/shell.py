@@ -14,7 +14,10 @@ spanning the +-1 eigenspace of -i a_3 Gamma(nu(s)).
 
 Discretization is a tensor-product Galerkin space, P1 (periodic) in s and
 quadratic Lagrange elements in t, with 2x3 Gauss quadrature per cell and
-all coefficients evaluated at quadrature points.  The quadratic t-element
+all coefficients evaluated at quadrature points.  The curvature is the only
+coefficient that varies in s; it is evaluated once per assembly, at the
+2*n_s distinct s-abscissae (i + xi_q)*h_s, and broadcast over t and over
+every coefficient built from it.  The quadratic t-element
 keeps the transverse eigenvalue error far below the O(1) effective term
 even on the coarse sweep grids; convergence in the s-direction stays
 second order.
@@ -164,10 +167,10 @@ class _TensorGalerkin:
         self.elem_s, self.elem_t = np.meshgrid(es, et, indexing="ij")
         self.elem_s = self.elem_s.ravel()
         self.elem_t = self.elem_t.ravel()
-        # quadrature coordinates per element, shape (n_el, nq)
-        sq = (self.elem_s[:, None] + xs[None, :]) * self.h_s
+        # the 2*n_s distinct s-abscissae (i + xi_q)*h_s, shape (n_s, 2), and
+        # t at the quadrature points of each element, shape (n_el, nq)
+        self.s_abscissae = (es[:, None] + xs[None, :]) * self.h_s
         tq = -1.0 + (self.elem_t[:, None] + xt[None, :]) * self.h_t
-        self.quad_s = (sq[:, :, None] + np.zeros((1, 1, xt.size))).reshape(-1, nq)
         self.quad_t = (tq[:, None, :] + np.zeros((1, xs.size, 1))).reshape(-1, nq)
         # global index per element and local node
         gidx = np.empty((self.elem_s.size, 6), dtype=np.int64)
@@ -177,26 +180,27 @@ class _TensorGalerkin:
             gidx[:, a] = si * self.n_tn + ti
         self.gidx = gidx
 
-    def node_s(self) -> np.ndarray:
-        return np.arange(self.n_s) * self.h_s
+    def at_quad(self, per_s: np.ndarray) -> np.ndarray:
+        """Broadcast values at ``s_abscissae`` over t to every quadrature point."""
+        return np.repeat(np.repeat(per_s, self.n_t, axis=0), _QT_P.size, axis=1)
 
     def volume_matrix(self, c_tan, c_trans, c_mass, c_cross=None) -> sp.csr_matrix:
         """Assemble c_tan*ds*ds + c_trans*dt*dt + c_mass*val*val (+ cross term).
 
-        Each coefficient is a callable (s, t) -> array evaluated at the
-        quadrature points; pass None to skip a term.  ``c_cross`` adds the
-        hermitian gauge coupling i*c*(du/ds * v - u * dv/ds) arising from
-        a covariant tangential derivative d_s + i*c(s,t).
+        Each coefficient is a scalar or an array of its values at the
+        quadrature points, shape (n_el, nq); pass None to skip a term.
+        ``c_cross`` adds the hermitian gauge coupling i*c*(du/ds * v - u * dv/ds)
+        arising from a covariant tangential derivative d_s + i*c(s,t).
         """
-        n_el = self.elem_s.size
-        local = np.zeros((n_el, 6, 6), dtype=complex)
+        shape = self.quad_t.shape
+        local = np.zeros((shape[0], 6, 6), dtype=complex)
         for coef, table in ((c_tan, self.ds), (c_trans, self.dt), (c_mass, self.val)):
             if coef is None:
                 continue
-            cvals = coef(self.quad_s, self.quad_t) * self.wq[None, :]
+            cvals = np.broadcast_to(coef, shape) * self.wq[None, :]
             local += np.einsum("eq,aq,bq->eab", cvals, table, table)
         if c_cross is not None:
-            cvals = c_cross(self.quad_s, self.quad_t) * self.wq[None, :]
+            cvals = np.broadcast_to(c_cross, shape) * self.wq[None, :]
             e_mat = np.einsum("eq,aq,bq->eab", cvals, self.ds, self.val)
             local += 1.0j * (e_mat - e_mat.swapaxes(1, 2))
         rows = np.repeat(self.gidx, 6, axis=1).ravel()
@@ -205,11 +209,13 @@ class _TensorGalerkin:
         return mat.tocsr()
 
     def boundary_matrix(self, side: int, coef) -> sp.csr_matrix:
-        """1D mass matrix sum_i int coef(s) u v ds on the t = side line."""
+        """1D mass matrix sum_i int coef(s) u v ds on the t = side line.
+
+        ``coef`` is a scalar or its values at ``s_abscissae``.
+        """
         ti = 0 if side < 0 else self.n_tn - 1
         es = np.arange(self.n_s)
-        sq = (es[:, None] + _QS_P[None, :]) * self.h_s
-        cvals = coef(sq) * (_QS_W[None, :] * self.h_s)
+        cvals = np.broadcast_to(coef, self.s_abscissae.shape) * (_QS_W[None, :] * self.h_s)
         local = np.einsum("eq,aq,bq->eab", cvals, self.val_s, self.val_s)
         g = np.empty((self.n_s, 2), dtype=np.int64)
         g[:, 0] = es * self.n_tn + ti
@@ -285,42 +291,29 @@ def assemble_shell(
     if n_s < 32 or n_t < 8:
         raise ValueError("grid too coarse: need n_s >= 32 and n_t >= 8")
     eps = metric.eps
-    curve = metric.curve
-    grid = _TensorGalerkin(curve.length, n_s, n_t)
-    kappa = curve.curvature
-
-    def w(s, t):
-        return 1.0 + eps * t * kappa(s)
-
-    def q_tan(s, t):
-        return eps / w(s, t)
+    grid = _TensorGalerkin(metric.curve.length, n_s, n_t)
+    kap_s = metric.curve.curvature(grid.s_abscissae)
+    kap = grid.at_quad(kap_s)
+    w = 1.0 + eps * grid.quad_t * kap
+    q_tan = eps / w
+    q_trans = w / eps
+    mass = m * m * eps * w
 
     # spinor components are assembled in the gauged frame diag(1, nu(s)),
     # where the boundary constraint is s-independent (the discrete space
     # then satisfies it exactly for every s, not only at the nodes); the
     # price is the covariant coupling d_s + i*kappa on the second component
-    a_comp0 = grid.volume_matrix(
-        c_tan=q_tan,
-        c_trans=lambda s, t: w(s, t) / eps,
-        c_mass=(lambda s, t: m * m * eps * w(s, t)) if m > 0 else None,
-    )
-    a_comp1 = grid.volume_matrix(
-        c_tan=q_tan,
-        c_trans=lambda s, t: w(s, t) / eps,
-        c_mass=lambda s, t: m * m * eps * w(s, t) + q_tan(s, t) * kappa(s) ** 2,
-        c_cross=lambda s, t: q_tan(s, t) * kappa(s),
-    )
-    bnd = []
-    for side in (+1, -1):
-        # (m + H/2)*h with the exact curvature H = side*kappa/(1+side*eps*kappa)
-        # and weight h = 1+side*eps*kappa collapses to m*h + side*kappa/2
-        def coef(s, side=side):
-            return m * (1.0 + side * eps * kappa(s)) + side * kappa(s) / 2.0
-
-        bnd.append(grid.boundary_matrix(side, coef))
+    a_comp0 = grid.volume_matrix(q_tan, q_trans, mass if m > 0 else None)
+    a_comp1 = grid.volume_matrix(q_tan, q_trans, mass + q_tan * kap**2, c_cross=q_tan * kap)
+    # (m + H/2)*h with the exact curvature H = side*kappa/(1+side*eps*kappa)
+    # and weight h = 1+side*eps*kappa collapses to m*h + side*kappa/2
+    bnd = [
+        grid.boundary_matrix(side, m * (1.0 + side * eps * kap_s) + side * kap_s / 2.0)
+        for side in (+1, -1)
+    ]
     a_comp0 = a_comp0 + bnd[0] + bnd[1]
     a_comp1 = a_comp1 + bnd[0] + bnd[1]
-    b_sc = grid.volume_matrix(None, None, lambda s, t: eps * w(s, t))
+    b_sc = grid.volume_matrix(None, None, eps * w)
 
     z = _constraint_basis(grid, _GAUGED_SPINORS)
     pencil = HermitianPencil.make(_reduce(z, a_comp0, a_comp1), _reduce(z, b_sc))
@@ -348,37 +341,27 @@ def assemble_sandwich(
     if n_s < 32 or n_t < 8:
         raise ValueError("grid too coarse: need n_s >= 32 and n_t >= 8")
     eps = metric.eps
-    curve = metric.curve
-    grid = _TensorGalerkin(curve.length, n_s, n_t)
-    kappa = curve.curvature
+    grid = _TensorGalerkin(metric.curve.length, n_s, n_t)
+    kap = grid.at_quad(metric.curve.curvature(grid.s_abscissae))
+    kap2 = kap**2
 
     pencils = {}
-    b_sc = grid.volume_matrix(None, None, lambda s, t: np.ones_like(s))
+    b_sc = grid.volume_matrix(None, None, 1.0)
     z = _constraint_basis(grid, _GAUGED_SPINORS)
     b_red = _reduce(z, b_sc)
     for sign in (-1, +1):
         tan_coef = 1.0 + sign * c * eps
         shift = m * m + sign * c * eps
-
-        def mass0(s, t, shift=shift):
-            return shift - kappa(s) ** 2 / 4.0
-
-        def mass1(s, t, shift=shift, tan_coef=tan_coef):
-            return shift - kappa(s) ** 2 / 4.0 + tan_coef * kappa(s) ** 2
-
-        a0 = grid.volume_matrix(
-            c_tan=lambda s, t, tc=tan_coef: np.full_like(s, tc),
-            c_trans=lambda s, t: np.full_like(s, 1.0 / eps**2),
-            c_mass=mass0,
-        )
+        mass0 = shift - kap2 / 4.0
+        a0 = grid.volume_matrix(c_tan=tan_coef, c_trans=1.0 / eps**2, c_mass=mass0)
         a1 = grid.volume_matrix(
-            c_tan=lambda s, t, tc=tan_coef: np.full_like(s, tc),
-            c_trans=lambda s, t: np.full_like(s, 1.0 / eps**2),
-            c_mass=mass1,
-            c_cross=lambda s, t, tc=tan_coef: tc * kappa(s),
+            c_tan=tan_coef,
+            c_trans=1.0 / eps**2,
+            c_mass=mass0 + tan_coef * kap2,
+            c_cross=tan_coef * kap,
         )
         bcoef = (m * eps + sign * c * eps**3) / eps**2
-        bnd = sum(grid.boundary_matrix(side, lambda s: np.full_like(s, bcoef)) for side in (+1, -1))
+        bnd = sum(grid.boundary_matrix(side, bcoef) for side in (+1, -1))
         pencils[sign] = HermitianPencil.make(_reduce(z, a0 + bnd, a1 + bnd), b_red)
     return SandwichFormAssembly(
         metric=metric, m=float(m), c=float(c), n_s=n_s, n_t=n_t,

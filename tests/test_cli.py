@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
 from diracshell import cli
 from diracshell.cli import (
@@ -14,6 +15,7 @@ from diracshell.cli import (
     run_sweep,
 )
 from diracshell.eigsolve import EigensolveError
+from diracshell.threads import blas_threads
 
 SMALL = {
     "curve": {"kind": "circle", "r": 1.0},
@@ -60,6 +62,12 @@ def test_run_sweep_small(tmp_path):
         assert rec["negative_pivots"] == 0
         assert rec["shift"] < report.mu_shell[eps][0]
         assert 0.0 < rec["residual_max"] <= 1e-8
+        assert rec["assemble_s"] > 0.0 and rec["solve_s"] > 0.0
+    # run record: effective reference time, versions, BLAS threads in effect
+    assert summary["effective_s"] > 0.0
+    assert summary["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert summary["blas_threads"] == blas_threads()
+    assert set(summary["blas_threads"]["env"]) >= {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"}
 
 
 def test_sweep_reproducible_bytes(tmp_path):

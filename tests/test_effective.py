@@ -13,6 +13,7 @@ from diracshell.effective import (
     magnetic_circle_spectrum,
     omega_oneform,
 )
+from diracshell.eigsolve import dense_hermitian_eig
 
 
 def analytic_circle_levels(count):
@@ -85,10 +86,31 @@ def test_effective_hermitian_real(fam2, ellipse):
 
 
 def test_effective_even_multiplicity(fam2, ellipse):
-    mu = effective_eigenvalues(assemble_effective(fam2, ellipse, 256), 8)
+    # full C^2 pencil from the dense oracle, independent of the doubling
+    # that effective_eigenvalues relies on
+    asm = assemble_effective(fam2, ellipse, 256)
+    mu = dense_hermitian_eig(asm.pencil.a).eigenvalues[:8]
     pairs = mu.reshape(4, 2)
     scale = 1e-8 * (1.0 + np.abs(mu).max())
     assert np.abs(pairs[:, 1] - pairs[:, 0]).max() <= scale
+
+
+@pytest.mark.parametrize("scheme", ["fourier", "link"])
+@pytest.mark.parametrize("curve_name", ["circle", "ellipse", "wobble"])
+def test_lowest_values_match_full_dense_spectrum(request, fam2, scheme, curve_name):
+    # the spin-up block solve, doubled, against the full pencil's spectrum;
+    # and the single-block magnetic solve against its own full spectrum
+    curve = request.getfixturevalue(curve_name)
+    for asm in (
+        assemble_effective(fam2, curve, 128, scheme=scheme),
+        assemble_magnetic(curve, 128, scheme=scheme),
+    ):
+        full = dense_hermitian_eig(asm.pencil.a).eigenvalues
+        for count in (1, 4, 5):
+            mu = effective_eigenvalues(asm, count)
+            assert mu.shape == (count,)
+            scale = 1e-9 * (1.0 + np.abs(full[:count]).max())
+            assert np.abs(mu - full[:count]).max() <= scale
 
 
 def test_effective_agrees_with_doubled_magnetic(fam2, circle, ellipse):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -146,6 +147,45 @@ def test_which_must_name_a_pencil(fam2, circle):
         lowest_eigenvalues(asm, 1, which="plus")
     with pytest.raises(TypeError):
         lowest_eigenvalues(asm.pencil, 1)
+
+
+def _counting_curvature(curve):
+    """The curve with a curvature that records the array of every call."""
+    calls = []
+    kappa = curve.curvature
+
+    def curvature(s):
+        calls.append(np.array(s, copy=True))
+        return kappa(s)
+
+    return dataclasses.replace(curve, curvature=curvature), calls
+
+
+def test_assembly_evaluates_curvature_once(fam2, ellipse):
+    curve, calls = _counting_curvature(ellipse)
+    met = shell_metric(curve, 0.1)
+    n_s = 32
+    xi = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
+    # the 2*n_s Gauss abscissae (i + xi_q)*h_s and nothing else
+    abscissae = np.sort(np.add.outer(np.arange(n_s), xi).ravel()) * (ellipse.length / n_s)
+    assemble_shell(fam2, met, 0.5, n_s, 8)
+    assert len(calls) == 1
+    assemble_sandwich(fam2, met, 0.5, 6.0, n_s, 8)
+    assert len(calls) == 2
+    for s in calls:
+        assert np.allclose(np.sort(s.ravel()), abscissae, rtol=0, atol=1e-13)
+
+
+def test_curvature_broadcast_matches_quadrature_points():
+    # every quadrature point of element (i, j) gets the value at its own
+    # s-abscissa, in the (s, t) point order of the basis tables
+    from diracshell.shell import _QS_P, _TensorGalerkin
+
+    grid = _TensorGalerkin(5.0, 32, 8)
+    sq = (grid.elem_s[:, None] + _QS_P[None, :]) * grid.h_s
+    expected = np.repeat(sq, 3, axis=1)
+    assert np.array_equal(grid.at_quad(grid.s_abscissae), expected)
+    assert grid.at_quad(grid.s_abscissae).shape == grid.quad_t.shape
 
 
 def test_boundary_condition_exact_by_construction(fam2, ellipse):
