@@ -34,7 +34,7 @@ from .clifford import build_clifford, family_to_json
 from .effective import assemble_effective, effective_eigenvalues, effective_spectrum_csv
 from .eigsolve import EigensolveError
 from .geometry import curve_from_json, shell_metric
-from .shell import assemble_shell, default_nt, lowest_eigenvalues
+from .shell import MAX_COUNT, assemble_shell, default_nt, lowest_eigenvalues
 from .threads import blas_threads, set_blas_threads
 from .transverse import write_transverse_table
 
@@ -94,8 +94,8 @@ class SweepConfig:
             raise ConfigError("eps list must be strictly decreasing")
         if len(set(self.eps)) != len(self.eps):
             raise ConfigError("eps values must be distinct")
-        if self.count < 1 or self.count > 12:
-            raise ConfigError("count must lie in 1..12")
+        if self.count < 1 or self.count > MAX_COUNT:
+            raise ConfigError(f"count must lie in 1..{MAX_COUNT}")
 
 
 @dataclass
@@ -212,7 +212,7 @@ def _shell_job(fam, curve, cfg: SweepConfig, eps: float):
     return [v for v, _ in pairs], record
 
 
-def run_sweep(config, out_dir=None, threads: int = 1, quadratic: bool = False) -> AsymptoticsReport:
+def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     """Shell spectra over the eps list, residuals, and affine fits per level.
 
     An eps point whose solve fails or cannot be certified is listed in
@@ -222,9 +222,7 @@ def run_sweep(config, out_dir=None, threads: int = 1, quadratic: bool = False) -
     shift, negative pivots, largest residual and the assembly and solve
     seconds, and at the top level ``effective_s`` (seconds spent on the
     effective reference), the numpy/scipy versions and the BLAS thread
-    settings in effect (``threads.blas_threads``).  ``quadratic=True``
-    additionally records a diagnostic second-order fit per level; verdicts
-    always use the affine model.
+    settings in effect (``threads.blas_threads``).
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     fam = build_clifford(2)
@@ -266,16 +264,7 @@ def run_sweep(config, out_dir=None, threads: int = 1, quadratic: bool = False) -
     if fit_eps.size >= 3:
         for j in range(cfg.count):
             ys = np.array([residuals[e][j] for e in fit_eps])
-            fit = _affine_fit(fit_eps, ys)
-            if quadratic and fit_eps.size >= 4:
-                design = np.vstack([np.ones_like(fit_eps), fit_eps, fit_eps**2]).T
-                coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-                fit["quadratic"] = {
-                    "intercept": float(coef[0]),
-                    "slope": float(coef[1]),
-                    "curvature": float(coef[2]),
-                }
-            fits.append(fit)
+            fits.append(_affine_fit(fit_eps, ys))
     report = AsymptoticsReport(
         curve_id=curve.name,
         m=m,

@@ -126,11 +126,6 @@ def gamma(fam: CliffordFamily, x: np.ndarray) -> SymbolMatrix:
     return SymbolMatrix(x=_freeze(x.copy()), gamma=_freeze(g), beta=_freeze(g[half:, :half].copy()))
 
 
-def beta(fam: CliffordFamily, x: np.ndarray) -> np.ndarray:
-    """Shorthand for the lower-left block of Gamma(x)."""
-    return gamma(fam, x).beta
-
-
 def theta(fam: CliffordFamily, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Unitary intertwiner U = (I + i Gamma(y)) (I - i Gamma(x)) / 2 for unit x, y.
 

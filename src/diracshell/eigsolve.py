@@ -29,7 +29,6 @@ __all__ = [
     "EigensolveError",
     "dense_hermitian_eig",
     "lobpcg_smallest",
-    "pencil_from_triplets",
     "ring_inertia",
     "shift_invert_smallest",
 ]
@@ -449,10 +448,3 @@ def lobpcg_smallest(
         converged=converged,
         vectors=vecs,
     )
-
-
-def pencil_from_triplets(rows, cols, re, im, dim, b=None) -> HermitianPencil:
-    """Assemble a pencil from symmetric sparse triplets (row, col, re, im)."""
-    data = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    a = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
-    return HermitianPencil.make(a, b)

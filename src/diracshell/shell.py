@@ -60,8 +60,11 @@ __all__ = [
     "boundary_spinor",
     "default_nt",
     "flat_strip_levels",
-    "export_pencil_triplets",
+    "MAX_COUNT",
 ]
+
+# largest eigenvalue count lowest_eigenvalues (and so a sweep) computes
+MAX_COUNT = 12
 
 # 2-point and 3-point Gauss rules on [0, 1]
 _QS_P, _QS_W = (np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)]),
@@ -418,8 +421,8 @@ def lowest_eigenvalues(
     with a start vector from ``seed``.  A solve that cannot be certified
     or misses ``tol`` raises EigensolveError.
     """
-    if count > 12:
-        raise ValueError("count capped at 12")
+    if count > MAX_COUNT:
+        raise ValueError(f"count capped at {MAX_COUNT}")
     if isinstance(assembly, ShellFormAssembly):
         pencils = {"shell": assembly.pencil}
     elif isinstance(assembly, SandwichFormAssembly):
@@ -474,18 +477,3 @@ def flat_strip_levels(length: float, m: float, eps: float, count: int) -> np.nda
         for q in range(-count, count + 1):
             levels.extend([(2.0 * math.pi * q / length) ** 2 + ep2 / eps**2] * 2)
     return np.sort(np.array(levels))[:count]
-
-
-def export_pencil_triplets(pencil: HermitianPencil, path_a, path_b=None) -> None:
-    """Write COO triplets (row, col, re, im), one file per matrix."""
-
-    def dump(mat, path):
-        coo = mat.tocoo() if sp.issparse(mat) else sp.coo_matrix(mat)
-        with open(path, "w") as fh:
-            fh.write(f"% {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {float(v.real)!r} {float(v.imag)!r}\n")
-
-    dump(pencil.a, path_a)
-    if path_b is not None and pencil.b is not None:
-        dump(pencil.b, path_b)

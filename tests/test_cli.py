@@ -15,6 +15,7 @@ from diracshell.cli import (
     run_sweep,
 )
 from diracshell.eigsolve import EigensolveError
+from diracshell.shell import MAX_COUNT
 from diracshell.threads import blas_threads
 
 SMALL = {
@@ -38,6 +39,9 @@ def test_config_validation():
         SweepConfig.from_dict({**SMALL, "m": -1.0})
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({**SMALL, "count": 0})
+    assert SweepConfig.from_dict({**SMALL, "count": MAX_COUNT}).count == MAX_COUNT
+    with pytest.raises(ConfigError):
+        SweepConfig.from_dict({**SMALL, "count": MAX_COUNT + 1})
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({"m": 0.0})
 

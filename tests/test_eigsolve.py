@@ -10,7 +10,6 @@ from diracshell.eigsolve import (
     HermitianPencil,
     dense_hermitian_eig,
     lobpcg_smallest,
-    pencil_from_triplets,
     ring_inertia,
     shift_invert_smallest,
 )
@@ -205,9 +204,3 @@ def test_shift_invert_uncertified_raises(monkeypatch):
         shift_invert_smallest(pen, 2, 0.01, blocks=8)
     with pytest.raises(EigensolveError):
         shift_invert_smallest(pen, 2, -0.01, blocks=8, tol=1e-30)
-
-
-def test_triplet_import_round_trip():
-    a = dirichlet_laplacian(12).tocoo()
-    pen = pencil_from_triplets(a.row, a.col, a.data.real, a.data.imag, 12)
-    assert np.abs((pen.a - a.tocsr()).toarray()).max() == 0.0

@@ -8,11 +8,11 @@ from diracshell.clifford import gamma
 from diracshell.eigsolve import dense_hermitian_eig, lobpcg_smallest, ring_inertia
 from diracshell.geometry import flat_strip, shell_metric
 from diracshell.shell import (
+    MAX_COUNT,
     assemble_sandwich,
     assemble_shell,
     boundary_spinor,
     default_nt,
-    export_pencil_triplets,
     flat_strip_levels,
     ladder_shift,
     lowest_eigenvalues,
@@ -145,6 +145,8 @@ def test_which_must_name_a_pencil(fam2, circle):
             lowest_eigenvalues(sand, 1, which=bad)
     with pytest.raises(ValueError):
         lowest_eigenvalues(asm, 1, which="plus")
+    with pytest.raises(ValueError):
+        lowest_eigenvalues(asm, MAX_COUNT + 1)
     with pytest.raises(TypeError):
         lowest_eigenvalues(asm.pencil, 1)
 
@@ -272,27 +274,3 @@ def test_grid_and_guard_validation(fam2, circle, ellipse):
         shell_metric(ellipse, 0.5)
     with pytest.raises(ValueError):
         assemble_sandwich(fam2, met, 0.0, -1.0, 32, 8)
-
-
-def test_triplet_export(tmp_path, fam2, circle):
-    met = shell_metric(circle, 0.1)
-    asm = assemble_shell(fam2, met, 0.0, 32, 8)
-    pa = tmp_path / "a.txt"
-    pb = tmp_path / "b.txt"
-    export_pencil_triplets(asm.pencil, pa, pb)
-    header = pa.read_text().splitlines()[0].split()
-    assert header[1] == header[2] == str(asm.dof_count)
-    # reconstruct and compare a sample of entries
-    import scipy.sparse as sp
-
-    rows, cols, re, im = [], [], [], []
-    for line in pa.read_text().splitlines()[1:]:
-        r, c, x, y = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        re.append(float(x))
-        im.append(float(y))
-    rebuilt = sp.coo_matrix(
-        (np.array(re) + 1j * np.array(im), (rows, cols)), shape=asm.pencil.a.shape
-    ).tocsr()
-    assert np.abs((rebuilt - asm.pencil.a).toarray()).max() <= 1e-15
