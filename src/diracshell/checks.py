@@ -169,12 +169,12 @@ def check_mode_perturbation():
     return ok, f"order {rep['order']:.3f}, doubling ratio {ratio:.3f}"
 
 
-def discretized_transverse_energies(fam, x, m: float, count: int, n_elem: int = 64) -> np.ndarray:
-    """Lowest eigenvalues of the squared transverse operator on (-1, 1).
+@functools.lru_cache(maxsize=8)
+def _p2_transverse_pencil(N: int, m: float, n_elem: int):
+    """The x-independent P2 matrices on (-1, 1), N spinor components per node.
 
-    Galerkin P2 discretization of ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2)
-    over spinors with the boundary constraint eliminated against the
-    +-1 eigenspaces of -i a_{n+1} Gamma(x).
+    Returns the form ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2) and the
+    mass, both CSR over the full node set, before the boundary elimination.
     """
     h = 2.0 / n_elem
     n_nodes = 2 * n_elem + 1
@@ -196,13 +196,24 @@ def discretized_transverse_energies(fam, x, m: float, count: int, n_elem: int = 
     k1d = sp.coo_matrix((kv, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
     m1d = sp.coo_matrix((mv, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
 
-    N = fam.N
-    a_full = sp.kron(k1d + m * m * m1d, sp.eye(N), format="lil").astype(complex)
+    boundary = np.zeros(n_nodes * N)
+    boundary[:N] = m
+    boundary[-N:] = m
+    a_full = sp.kron(k1d + m * m * m1d, sp.eye(N), format="csr").astype(complex) + sp.diags(boundary)
     b_full = sp.kron(m1d, sp.eye(N), format="csr").astype(complex)
-    for node, sign in ((n_nodes - 1, +1), (0, -1)):
-        for c in range(N):
-            a_full[node * N + c, node * N + c] += m
-    a_full = a_full.tocsr()
+    return a_full, b_full
+
+
+def discretized_transverse_energies(fam, x, m: float, count: int, n_elem: int = 64) -> np.ndarray:
+    """Lowest eigenvalues of the squared transverse operator on (-1, 1).
+
+    Galerkin P2 discretization of ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2)
+    over spinors with the boundary constraint eliminated against the
+    +-1 eigenspaces of -i a_{n+1} Gamma(x).
+    """
+    n_nodes = 2 * n_elem + 1
+    N = fam.N
+    a_full, b_full = _p2_transverse_pencil(N, float(m), n_elem)
 
     bmat = -1.0j * fam.alpha_last @ clifford.gamma(fam, x).gamma
     vals_b, vecs_b = np.linalg.eigh(bmat)

@@ -11,8 +11,11 @@ operator's own nonnegative eigenvalues.
 Verbs: check, sweep, corollary, transverse-table, effective-spectrum,
 dump-clifford.  Exit codes: 0 ok, 1 check failure, 2 config error,
 3 partial report (sweep or corollary: an eps point failed to solve or to be
-certified, or too few points solved for the fit; the outputs are still
-written, flagged ``partial``).
+certified, the effective reference with ``eff_ns="auto"`` had not converged
+at its cap, or too few points solved for the fit; the outputs are still
+written, flagged ``partial``).  The effective reference's Fourier size is
+``eff_ns`` in a job config; the default ``"auto"`` doubles it until the
+reported values stop changing (``effective.converged_eigenvalues``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,12 @@ import scipy
 
 from .checks import run_all
 from .clifford import build_clifford, family_to_json
-from .effective import assemble_effective, effective_eigenvalues, effective_spectrum_csv
+from .effective import (
+    assemble_effective,
+    converged_eigenvalues,
+    effective_eigenvalues,
+    effective_spectrum_csv,
+)
 from .eigsolve import EigensolveError
 from .geometry import curve_from_json, shell_metric
 from .shell import MAX_COUNT, assemble_shell, default_nt, lowest_eigenvalues
@@ -64,7 +72,7 @@ class SweepConfig:
     ns: int = 192
     nt: int | None = None          # None: per-eps rule max(8, ceil(4/sqrt(eps)))
     count: int = 4
-    eff_ns: int = 1024
+    eff_ns: int | str = "auto"     # Fourier size of the effective reference; "auto": doubled until converged
     seed: int = 0                  # start vector of each shift-invert solve
 
     @staticmethod
@@ -77,7 +85,7 @@ class SweepConfig:
                 ns=int(payload.get("ns", 192)),
                 nt=(int(payload["nt"]) if payload.get("nt") is not None else None),
                 count=int(payload.get("count", 4)),
-                eff_ns=int(payload.get("eff_ns", 1024)),
+                eff_ns=_eff_ns(payload.get("eff_ns", "auto")),
                 seed=int(payload.get("seed", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -96,6 +104,20 @@ class SweepConfig:
             raise ConfigError("eps values must be distinct")
         if self.count < 1 or self.count > MAX_COUNT:
             raise ConfigError(f"count must lie in 1..{MAX_COUNT}")
+        if self.ns < 32:
+            raise ConfigError("ns must be >= 32")
+        if self.nt is not None and self.nt < 8:
+            raise ConfigError("nt must be >= 8")
+        if self.eff_ns != "auto" and (self.eff_ns < 16 or self.eff_ns % 2):
+            raise ConfigError('eff_ns must be "auto" or an even integer >= 16')
+
+
+def _eff_ns(value):
+    if value == "auto":
+        return value
+    if isinstance(value, str):
+        raise ConfigError(f'eff_ns must be "auto" or an integer, got {value!r}')
+    return int(value)
 
 
 @dataclass
@@ -109,8 +131,10 @@ class AsymptoticsReport:
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
     partial: bool
     failures: dict = field(default_factory=dict)
-    solves: dict = field(default_factory=dict)  # eps -> dof, shift, pivots, residual, seconds
+    solves: dict = field(default_factory=dict)  # eps -> dof, shift, pivots, iterations, residual, seconds
     effective_s: float = 0.0   # seconds spent on the effective reference
+    effective_ns: int = 0      # its Fourier size n_s
+    effective_err: float | None = None  # eff_ns "auto": the last change of its values
     versions: dict = field(default_factory=dict)      # numpy and scipy
     blas_threads: dict = field(default_factory=dict)  # threads.blas_threads()
 
@@ -147,9 +171,11 @@ class AsymptoticsReport:
             "m": self.m,
             "eps": list(self.eps),
             "partial": self.partial,
-            "failures": {repr(k): v for k, v in self.failures.items()},
+            "failures": {str(k): v for k, v in self.failures.items()},
             "solves": {repr(k): v for k, v in self.solves.items()},
             "effective_s": self.effective_s,
+            "effective_ns": self.effective_ns,
+            "effective_err": self.effective_err,
             "versions": self.versions,
             "blas_threads": self.blas_threads,
             "verdicts": self.verdicts(),
@@ -205,6 +231,7 @@ def _shell_job(fam, curve, cfg: SweepConfig, eps: float):
         "dof": asm.dof_count,
         "shift": pairs.shift,
         "negative_pivots": pairs.negative_pivots,
+        "iterations": pairs.iterations,
         "residual_max": max(r for _, r in pairs),
         "assemble_s": t1 - t0,
         "solve_s": time.perf_counter() - t1,
@@ -215,24 +242,40 @@ def _shell_job(fam, curve, cfg: SweepConfig, eps: float):
 def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     """Shell spectra over the eps list, residuals, and affine fits per level.
 
-    An eps point whose solve fails or cannot be certified is listed in
-    ``failures``; the report is ``partial`` when any point failed or fewer
-    than 3 points solved (no fit).  With ``out_dir`` it writes ``sweep.csv``
-    and the run record ``sweep.json``: per eps under ``solves`` the dof,
-    shift, negative pivots, largest residual and the assembly and solve
-    seconds, and at the top level ``effective_s`` (seconds spent on the
-    effective reference), the numpy/scipy versions and the BLAS thread
-    settings in effect (``threads.blas_threads``).
+    The effective reference is solved at ``eff_ns`` Fourier modes, or with
+    ``eff_ns="auto"`` at the size ``effective.converged_eigenvalues``
+    chooses.  An eps point whose solve fails or cannot be certified is
+    listed in ``failures`` under its eps, and an auto reference that has
+    not converged at the cap under ``"effective"``; the report is
+    ``partial`` when anything failed or fewer than 3 points solved (no
+    fit).  With ``out_dir`` it writes ``sweep.csv`` and the run record
+    ``sweep.json``: per eps under ``solves`` the dof, shift, negative
+    pivots, ARPACK operator applications (``iterations``), largest residual
+    and the assembly and solve seconds, and at the top level
+    ``effective_s`` (seconds spent on the effective reference),
+    ``effective_ns`` (the size used), ``effective_err`` (auto: the last
+    change of the values; null for an explicit size), the numpy/scipy
+    versions and the BLAS thread settings in effect
+    (``threads.blas_threads``).
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     fam = build_clifford(2)
     curve = curve_from_json(cfg.curve)
+    failures: dict = {}
     t0 = time.perf_counter()
-    mu_eff = effective_eigenvalues(assemble_effective(fam, curve, cfg.eff_ns), cfg.count).tolist()
+    if cfg.eff_ns == "auto":
+        ref = converged_eigenvalues(fam, curve, cfg.count)
+        mu_eff, effective_ns, effective_err = ref.eigenvalues.tolist(), ref.n_s, ref.err
+        if not ref.converged:
+            failures["effective"] = (
+                f"effective reference not converged at the cap n_s={ref.n_s}: last change {ref.err}"
+            )
+    else:
+        mu_eff = effective_eigenvalues(assemble_effective(fam, curve, cfg.eff_ns), cfg.count).tolist()
+        effective_ns, effective_err = cfg.eff_ns, None
     effective_s = time.perf_counter() - t0
 
     results: dict = {}
-    failures: dict = {}
     solves: dict = {}
 
     def job(eps):
@@ -277,6 +320,8 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
         failures=failures,
         solves=solves,
         effective_s=effective_s,
+        effective_ns=effective_ns,
+        effective_err=effective_err,
         versions={"numpy": np.__version__, "scipy": scipy.__version__},
         blas_threads=blas_threads(),
     )
@@ -348,7 +393,7 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
                     "references": report.references,
                     "pairing_defect": {repr(k): v for k, v in report.pairing_defect.items()},
                     "partial": report.partial,
-                    "failures": {repr(k): v for k, v in report.failures.items()},
+                    "failures": {str(k): v for k, v in report.failures.items()},
                 },
                 fh,
                 indent=2,

@@ -22,6 +22,11 @@ real, so its Fourier coefficients satisfy c_{-r} = conj(c_r)); for the
 link scheme it is the entrywise conjugate of the spin-up block.
 ``effective_eigenvalues`` therefore solves only the spin-up block, for
 eigenvalues alone and only the wanted ones, and reports each twice.
+
+``converged_eigenvalues`` picks the Fourier size itself: it doubles n_s
+from AUTO_NS_START until the lowest values stop moving, up to AUTO_NS_CAP.
+The reference converges spectrally, so on smooth curves this stops far
+below the cap (256 on ellipse(2,1), 128 on the circle, where it is exact).
 """
 
 from __future__ import annotations
@@ -44,12 +49,21 @@ __all__ = [
     "omega_oneform",
     "assemble_effective",
     "assemble_magnetic",
+    "ConvergedReference",
+    "converged_eigenvalues",
     "gauge_transform_check",
     "magnetic_circle_spectrum",
     "effective_spectrum_csv",
 ]
 
 DEFAULT_COUPLING = 0.5 - 1.0 / math.pi
+
+# converged_eigenvalues doubles n_s from AUTO_NS_START up to AUTO_NS_CAP.  The
+# cap keeps the dense C^2 matrix at 2046^2 complex (67 MB); at 4096 it would
+# be 8190^2, about 1.07 GB.
+AUTO_NS_START = 64
+AUTO_NS_CAP = 1024
+AUTO_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -275,6 +289,38 @@ def effective_eigenvalues(assembly, count: int) -> np.ndarray:
         n = a.shape[0] // 2
         return np.repeat(_lowest_values(a[:n, :n], (count + 1) // 2), 2)[:count]
     return _lowest_values(a, count)
+
+
+@dataclass(frozen=True)
+class ConvergedReference:
+    eigenvalues: np.ndarray     # the count lowest, at the finest size solved
+    n_s: int                    # that size
+    err: float | None           # largest change from the size before (None: one size only)
+    converged: bool
+
+
+def converged_eigenvalues(fam: CliffordFamily, curve: CurveSpec, count: int) -> ConvergedReference:
+    """The ``count`` lowest Fourier-reference eigenvalues at a self-chosen n_s.
+
+    Doubles n_s from AUTO_NS_START and at each size solves for the lowest
+    ceil(count/2) + 1 spin-up values (one beyond those reported).  It stops
+    once every one of them moved by at most AUTO_RTOL * max(1, |mu|) since
+    the previous size, and reports the finer size's values.  At AUTO_NS_CAP
+    without that, the values at the cap come back with ``converged`` False.
+    """
+    wanted = 2 * ((count + 1) // 2 + 1)
+    prev, err, n_s = None, None, AUTO_NS_START
+    while True:
+        vals = effective_eigenvalues(assemble_effective(fam, curve, n_s), wanted)
+        up = vals[::2]
+        if prev is not None:
+            change = np.abs(up - prev)
+            err = float(change.max())
+            if np.all(change <= AUTO_RTOL * np.maximum(1.0, np.abs(up))):
+                return ConvergedReference(vals[:count], n_s, err, True)
+        if 2 * n_s > AUTO_NS_CAP:
+            return ConvergedReference(vals[:count], n_s, err, False)
+        prev, n_s = up, 2 * n_s
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ class HermitianPencil:
 class SpectrumResult:
     eigenvalues: np.ndarray
     residuals: np.ndarray
-    iterations: int
+    iterations: int                     # LOBPCG: iterations; shift-invert: inverse applications
     converged: bool
     vectors: np.ndarray | None = None
     shift: float | None = None          # shift-invert: the certified shift
@@ -234,7 +234,9 @@ def shift_invert_smallest(
     about half the fill of the default COLAMD ordering.  ARPACK (complex
     Hermitian pencils go through its Arnoldi routines, Lanczos in exact
     arithmetic) then finds the ``count`` eigenvalues nearest sigma from a
-    start vector drawn from ``default_rng(seed)``.  Raises EigensolveError
+    start vector drawn from ``default_rng(seed)``; the result's
+    ``iterations`` counts its applications of the factored inverse, which
+    repeat exactly for a fixed seed.  Raises EigensolveError
     when no shift can be certified, when ARPACK does not converge, or when
     a residual exceeds ``tol`` (the partial result attached as ``partial``
     in the last case).
@@ -272,7 +274,14 @@ def shift_invert_smallest(
     # alone, so clearing it frees the factor at once, and a young-generation
     # collection frees the ARPACK workspace before the next solve
     factor = [lu]
-    opinv = spla.LinearOperator((dim, dim), matvec=lambda x: factor[0].solve(x), dtype=complex)
+    applied = 0
+
+    def apply_inverse(x):
+        nonlocal applied
+        applied += 1
+        return factor[0].solve(x)
+
+    opinv = spla.LinearOperator((dim, dim), matvec=apply_inverse, dtype=complex)
     try:
         vals, vecs = spla.eigsh(pencil.a, k=count, M=pencil.b, sigma=sigma, OPinv=opinv, v0=v0)
     except spla.ArpackError as exc:
@@ -288,7 +297,7 @@ def shift_invert_smallest(
     out = SpectrumResult(
         eigenvalues=vals,
         residuals=res,
-        iterations=0,
+        iterations=applied,
         converged=bool(np.all(res <= tol)),
         vectors=vecs,
         shift=float(sigma),

@@ -376,15 +376,17 @@ def assemble_sandwich(
 class Eigenpairs(list):
     """Ascending (eigenvalue, residual) pairs of one certified solve.
 
-    ``shift`` is the shift the pencil was factored at and
+    ``shift`` is the shift the pencil was factored at,
     ``negative_pivots`` the number of its eigenvalues below that shift,
-    which a returned solve always has at 0.
+    which a returned solve always has at 0, and ``iterations`` the number
+    of times ARPACK applied the factored inverse.
     """
 
-    def __init__(self, pairs, shift: float, negative_pivots: int):
+    def __init__(self, pairs, shift: float, negative_pivots: int, iterations: int):
         super().__init__(pairs)
         self.shift = shift
         self.negative_pivots = negative_pivots
+        self.iterations = iterations
 
 
 def ladder_shift(assembly) -> float:
@@ -438,6 +440,7 @@ def lowest_eigenvalues(
         [(float(v), float(r)) for v, r in zip(res.eigenvalues, res.residuals)],
         shift=res.shift,
         negative_pivots=res.negative_pivots,
+        iterations=res.iterations,
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy
 
-from diracshell import cli
+from diracshell import cli, effective
 from diracshell.cli import (
     EXIT_PARTIAL,
     ConfigError,
@@ -14,7 +14,10 @@ from diracshell.cli import (
     run_corollary,
     run_sweep,
 )
+from diracshell.clifford import build_clifford
+from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenvalues
 from diracshell.eigsolve import EigensolveError
+from diracshell.geometry import curve_from_json
 from diracshell.shell import MAX_COUNT
 from diracshell.threads import blas_threads
 
@@ -26,6 +29,12 @@ SMALL = {
     "count": 2,
     "eff_ns": 256,
 }
+AUTO = {k: v for k, v in SMALL.items() if k != "eff_ns"}
+
+
+def _direct_reference(n_s):
+    curve = curve_from_json(SMALL["curve"])
+    return effective_eigenvalues(assemble_effective(build_clifford(2), curve, n_s), SMALL["count"])
 
 
 def test_config_validation():
@@ -44,6 +53,16 @@ def test_config_validation():
         SweepConfig.from_dict({**SMALL, "count": MAX_COUNT + 1})
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({"m": 0.0})
+    # the effective reference size: "auto" (the default) or an even integer >= 16
+    assert SweepConfig.from_dict(AUTO).eff_ns == "auto"
+    assert SweepConfig.from_dict({**SMALL, "eff_ns": "auto"}).eff_ns == "auto"
+    assert SweepConfig.from_dict({**SMALL, "eff_ns": 16}).eff_ns == 16
+    # grids the assemblies would reject are config errors, not tracebacks
+    for bad in ({"eff_ns": 15}, {"eff_ns": 14}, {"eff_ns": "256"}, {"eff_ns": "fast"},
+                {"eff_ns": None}, {"ns": 16}, {"nt": 4}):
+        with pytest.raises(ConfigError):
+            SweepConfig.from_dict({**SMALL, **bad})
+    assert SweepConfig.from_dict({**SMALL, "ns": 32, "nt": 8}).nt == 8
 
 
 def test_run_sweep_small(tmp_path):
@@ -67,8 +86,12 @@ def test_run_sweep_small(tmp_path):
         assert rec["shift"] < report.mu_shell[eps][0]
         assert 0.0 < rec["residual_max"] <= 1e-8
         assert rec["assemble_s"] > 0.0 and rec["solve_s"] > 0.0
-    # run record: effective reference time, versions, BLAS threads in effect
+        assert rec["iterations"] > 0
+    # run record: effective reference time and size, versions, BLAS threads in effect
     assert summary["effective_s"] > 0.0
+    assert summary["effective_ns"] == 256 and summary["effective_err"] is None
+    # an explicit eff_ns is solved at that size, as by a direct call
+    assert report.mu_effective == _direct_reference(256).tolist()
     assert summary["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
     assert summary["blas_threads"] == blas_threads()
     assert set(summary["blas_threads"]["env"]) >= {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"}
@@ -79,6 +102,32 @@ def test_sweep_reproducible_bytes(tmp_path):
     r2 = run_sweep(SMALL, out_dir=tmp_path / "b")
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
     assert r1.residuals == r2.residuals
+    solves = [json.loads((tmp_path / d / "sweep.json").read_text())["solves"] for d in "ab"]
+    assert [r["iterations"] for r in solves[0].values()] == [r["iterations"] for r in solves[1].values()]
+
+
+def test_sweep_auto_effective_reference(tmp_path):
+    report = run_sweep(AUTO, out_dir=tmp_path / "out")
+    assert not report.partial
+    summary = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    # the circle's Fourier reference is exact, so the doubling stops at 128
+    assert summary["effective_ns"] == report.effective_ns == 128
+    assert 0.0 <= summary["effective_err"] <= AUTO_RTOL
+    assert np.abs(np.array(report.mu_effective) - _direct_reference(256)).max() <= 1e-9
+
+
+def test_sweep_partial_when_effective_reference_not_converged(tmp_path, monkeypatch):
+    monkeypatch.setattr(effective, "AUTO_NS_CAP", 64)
+    report = run_sweep(AUTO)
+    assert report.partial and report.effective_ns == 64
+    assert list(report.failures) == ["effective"]
+    assert "not converged" in report.failures["effective"]
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(AUTO))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == EXIT_PARTIAL
+    summary = json.loads((tmp_path / "s" / "sweep.json").read_text())
+    assert summary["partial"] is True and list(summary["failures"]) == ["effective"]
+    assert summary["effective_ns"] == 64 and summary["effective_err"] is None
 
 
 def test_sweep_threaded_matches_serial(tmp_path):
@@ -200,6 +249,9 @@ def test_main_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**SMALL, "eps": [0.1, 0.2]}))
     assert main(["sweep", "--config", str(bad)]) == 2
+    bad.write_text(json.dumps({**SMALL, "eff_ns": 15}))
+    assert main(["sweep", "--config", str(bad)]) == 2
+    assert "eff_ns" in capsys.readouterr().err
 
 
 def test_main_sweep_with_config_file(tmp_path):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from diracshell import effective
 from diracshell.effective import (
+    AUTO_RTOL,
     DEFAULT_COUPLING,
     assemble_effective,
     assemble_magnetic,
+    converged_eigenvalues,
     effective_eigenvalues,
     effective_spectrum_csv,
     gauge_transform_check,
@@ -111,6 +114,42 @@ def test_lowest_values_match_full_dense_spectrum(request, fam2, scheme, curve_na
             assert mu.shape == (count,)
             scale = 1e-9 * (1.0 + np.abs(full[:count]).max())
             assert np.abs(mu - full[:count]).max() <= scale
+
+
+def test_converged_reference_stops_at_128_on_the_circle(fam2, circle):
+    # the Fourier reference is exact on the circle: 64 and 128 agree to rounding
+    ref = converged_eigenvalues(fam2, circle, 4)
+    assert ref.converged and ref.n_s == 128
+    assert ref.err <= AUTO_RTOL
+    assert np.abs(ref.eigenvalues - analytic_circle_levels(2).repeat(2)).max() <= 1e-12
+
+
+def test_converged_reference_on_the_ellipse(fam2, ellipse, monkeypatch):
+    # the doubling goes through the module-level names, which tracing wraps
+    sizes = []
+
+    def recording(fam, curve, n_s, *args, **kwargs):
+        sizes.append(n_s)
+        return assemble_effective(fam, curve, n_s, *args, **kwargs)
+
+    monkeypatch.setattr(effective, "assemble_effective", recording)
+    ref = converged_eigenvalues(fam2, ellipse, 4)
+    assert sizes == [64, 128, 256]
+    assert ref.converged and ref.n_s == 256 and ref.err <= AUTO_RTOL
+    assert ref.eigenvalues.shape == (4,)
+    fine = effective_eigenvalues(assemble_effective(fam2, ellipse, 1024), 4)
+    assert np.abs(ref.eigenvalues - fine).max() <= 1e-9
+
+
+def test_converged_reference_not_converged_at_the_cap(fam2, ellipse, monkeypatch):
+    monkeypatch.setattr(effective, "AUTO_NS_CAP", 128)
+    ref = converged_eigenvalues(fam2, ellipse, 2)
+    # 64 -> 128 still moves by about 5e-10 on ellipse(2, 1)
+    assert not ref.converged and ref.n_s == 128
+    assert AUTO_RTOL < ref.err < 1e-8
+    monkeypatch.setattr(effective, "AUTO_NS_CAP", 64)
+    one = converged_eigenvalues(fam2, ellipse, 2)
+    assert not one.converged and one.n_s == 64 and one.err is None
 
 
 def test_effective_agrees_with_doubled_magnetic(fam2, circle, ellipse):

@@ -195,6 +195,8 @@ def test_shift_invert_seed_reproducible():
     r1 = shift_invert_smallest(pen, 2, -0.01, blocks=8, seed=7)
     r2 = shift_invert_smallest(pen, 2, -0.01, blocks=8, seed=7)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
+    # the count of inverse applications repeats exactly
+    assert r1.iterations == r2.iterations > 0
 
 
 def test_shift_invert_uncertified_raises(monkeypatch):
