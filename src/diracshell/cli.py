@@ -108,16 +108,16 @@ class SweepConfig:
             raise ConfigError("ns must be >= 32")
         if self.nt is not None and self.nt < 8:
             raise ConfigError("nt must be >= 8")
-        if self.eff_ns != "auto" and (self.eff_ns < 16 or self.eff_ns % 2):
+        if isinstance(self.eff_ns, str):
+            if self.eff_ns != "auto":
+                raise ConfigError(f'eff_ns must be "auto" or an integer, got {self.eff_ns!r}')
+        elif self.eff_ns < 16 or self.eff_ns % 2:
             raise ConfigError('eff_ns must be "auto" or an even integer >= 16')
 
 
 def _eff_ns(value):
-    if value == "auto":
-        return value
-    if isinstance(value, str):
-        raise ConfigError(f'eff_ns must be "auto" or an integer, got {value!r}')
-    return int(value)
+    # a string other than "auto" is rejected by validate()
+    return value if isinstance(value, str) else int(value)
 
 
 @dataclass
@@ -259,6 +259,7 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     (``threads.blas_threads``).
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
+    cfg.validate()
     fam = build_clifford(2)
     curve = curve_from_json(cfg.curve)
     failures: dict = {}

@@ -72,8 +72,6 @@ class EffectiveFormAssembly:
     n_s: int
     scheme: str
     coupling: float
-    grid: np.ndarray
-    potential: np.ndarray       # (n_s,)
     pencil: HermitianPencil
 
 
@@ -83,7 +81,6 @@ class MagneticFormAssembly:
     n_s: int
     scheme: str
     flux: float                 # (pi - 2)/L
-    potential: np.ndarray
     pencil: HermitianPencil
 
 
@@ -194,14 +191,13 @@ def assemble_effective(
         raise ValueError("effective assembly is implemented for n = 2")
     if n_s < 16 or n_s % 2:
         raise ValueError("n_s must be even and >= 16")
-    grid = np.arange(n_s) * (curve.length / n_s)
-    pot = _potential_2d(curve, grid)
     if scheme == "fourier":
         blocks, _ = _fourier_blocks(curve, n_s, coupling)
         a = _block_diag(blocks[+1], blocks[-1])
         pencil = HermitianPencil.make(a, None)
     elif scheme == "link":
         angles, h = _link_phases(curve, n_s)
+        pot = _potential_2d(curve, np.arange(n_s) * h)
         # spin-up gauge field is -coupling*kappa, spin-down is +coupling*kappa
         up = _link_block(-coupling * angles, pot, h)
         down = _link_block(+coupling * angles, pot, h)
@@ -209,8 +205,7 @@ def assemble_effective(
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return EffectiveFormAssembly(
-        curve=curve, n_s=n_s, scheme=scheme, coupling=coupling,
-        grid=grid, potential=pot, pencil=pencil,
+        curve=curve, n_s=n_s, scheme=scheme, coupling=coupling, pencil=pencil,
     )
 
 
@@ -227,8 +222,6 @@ def assemble_magnetic(
         raise ValueError("n_s must be even and >= 16")
     if flux is None:
         flux = (math.pi - 2.0) / curve.length
-    grid = np.arange(n_s) * (curve.length / n_s)
-    pot = _potential_2d(curve, grid)
     if scheme == "fourier":
         modes, k = _fourier_wavenumbers(n_s, curve.length)
         dim = modes.size
@@ -241,12 +234,13 @@ def assemble_magnetic(
         pencil = HermitianPencil.make(a, None)
     elif scheme == "link":
         h = curve.length / n_s
+        pot = _potential_2d(curve, np.arange(n_s) * h)
         a = _link_block(np.full(n_s, flux * h), pot, h)
         pencil = HermitianPencil.make(a, None)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return MagneticFormAssembly(
-        curve=curve, n_s=n_s, scheme=scheme, flux=flux, potential=pot, pencil=pencil,
+        curve=curve, n_s=n_s, scheme=scheme, flux=flux, pencil=pencil,
     )
 
 
@@ -362,7 +356,7 @@ def gauge_transform_check(
 
     # exact discrete identity on the link scheme
     angles, h = _link_phases(curve, n_s)
-    pot = _potential_2d(curve, np.arange(n_s) * (curve.length / n_s))
+    pot = _potential_2d(curve, np.arange(n_s) * h)
     up = _link_block(-coupling * angles, pot, h)
     down = _link_block(+coupling * angles, pot, h)
     flux = (math.pi - 2.0) / curve.length

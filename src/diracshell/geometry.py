@@ -14,7 +14,6 @@ composed with theta(s); no finite differences enter the primary path.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,7 +27,6 @@ __all__ = [
     "make_curve",
     "flat_strip",
     "curve_from_json",
-    "curve_to_csv",
     "mean_curvatures",
     "boundary_mean_curvature_exact",
     "shell_metric",
@@ -303,18 +301,6 @@ def curve_from_json(config: dict | str) -> CurveSpec:
     if kind == "strip":
         return flat_strip(config["length"])
     raise CurveError(f"unknown curve config kind {kind!r}")
-
-
-def curve_to_csv(curve: CurveSpec, path, samples: int = 512) -> None:
-    """Write sampled rows (s, x, y, kappa)."""
-    s = np.arange(samples) * (curve.length / samples)
-    pos = curve.position(s)
-    kap = curve.curvature(s)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "x", "y", "kappa"])
-        for i in range(samples):
-            writer.writerow([repr(float(s[i])), repr(float(pos[i, 0])), repr(float(pos[i, 1])), repr(float(kap[i]))])
 
 
 def mean_curvatures(principal) -> list[float]:

@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .clifford import CliffordFamily, gamma
-# lobpcg_smallest stays importable here: bench/tracer.py wraps shell.lobpcg_smallest by name
+# lobpcg_smallest is None; its only reader is bench/tracer.py, which wraps it here by name
 from .eigsolve import HermitianPencil, lobpcg_smallest, shift_invert_smallest  # noqa: F401
 from .geometry import ShellMetric2D
 from .transverse import solve_k

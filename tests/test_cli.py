@@ -37,7 +37,7 @@ def _direct_reference(n_s):
     return effective_eigenvalues(assemble_effective(build_clifford(2), curve, n_s), SMALL["count"])
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     cfg = SweepConfig.from_dict(SMALL)
     assert cfg.ns == 48 and cfg.nt is None
     with pytest.raises(ConfigError):
@@ -63,6 +63,20 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({**SMALL, **bad})
     assert SweepConfig.from_dict({**SMALL, "ns": 32, "nt": 8}).nt == 8
+    # a SweepConfig built directly is validated too, before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the effective reference was computed for a bad config")
+
+    monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
+    monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
+    coarse = SweepConfig(curve=SMALL["curve"], ns=16)
+    for run in (run_sweep, run_corollary):
+        with pytest.raises(ConfigError):
+            run(coarse)
+    with pytest.raises(ConfigError):
+        SweepConfig(curve=SMALL["curve"], eff_ns="bogus").validate()
+    with pytest.raises(ConfigError):
+        run_sweep(SweepConfig(curve=SMALL["curve"], eff_ns="bogus"))
 
 
 def test_run_sweep_small(tmp_path):

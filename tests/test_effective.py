@@ -188,9 +188,16 @@ def test_link_scheme_gauge_similarity_exact(fam2, wobble):
 
 
 def test_potential_sign(fam2, ellipse):
-    asm = assemble_effective(fam2, ellipse, 64)
-    assert np.all(asm.potential <= 0.0)
-    assert np.allclose(asm.potential, -ellipse.curvature(asm.grid) ** 2 / math.pi**2)
+    # the link scheme carries the potential on the diagonal of each spin
+    # block, next to the 2/h^2 of the covariant difference
+    n_s = 64
+    h = ellipse.length / n_s
+    asm = assemble_effective(fam2, ellipse, n_s, scheme="link")
+    diag = np.real(np.diagonal(asm.pencil.a))
+    for block in (diag[:n_s], diag[n_s:]):
+        potential = block - 2.0 / h**2
+        assert np.all(potential <= 0.0)
+        assert np.allclose(potential, -ellipse.curvature(np.arange(n_s) * h) ** 2 / math.pi**2)
 
 
 def test_assembly_validation(fam2, circle):

@@ -9,7 +9,6 @@ from diracshell.eigsolve import (
     EigensolveError,
     HermitianPencil,
     dense_hermitian_eig,
-    lobpcg_smallest,
     ring_inertia,
     shift_invert_smallest,
 )
@@ -70,69 +69,6 @@ def test_dense_deterministic(rng):
 
 def dirichlet_laplacian(n):
     return sp.diags([[-1.0] * (n - 1), [2.0] * n, [-1.0] * (n - 1)], [-1, 0, 1]).tocsr().astype(complex)
-
-
-def test_lobpcg_laplacian_closed_form():
-    # closed-form tridiagonal spectrum oracle: 4 sin^2(j pi / (2(n+1)))
-    n = 100
-    pen = HermitianPencil.make(dirichlet_laplacian(n))
-    res = lobpcg_smallest(pen, 3, tol=1e-10, dense_cutoff=0, seed=1)
-    exact = np.array([4.0 * math.sin(math.pi * j / (2 * (n + 1))) ** 2 for j in (1, 2, 3)])
-    assert res.converged
-    assert np.abs(res.eigenvalues - exact).max() < 1e-10
-    # B-orthonormal block at exit (B = I here)
-    gram = res.vectors.conj().T @ res.vectors
-    assert np.abs(gram - np.eye(3)).max() < 1e-8
-
-
-def test_lobpcg_matches_dense_generalized(rng):
-    n = 160
-    a = dirichlet_laplacian(n) + sp.diags(np.linspace(0.0, 1.0, n)).astype(complex)
-    b = sp.diags(np.linspace(1.0, 2.0, n)).tocsr().astype(complex)
-    pen = HermitianPencil.make(a.tocsr(), b)
-    res = lobpcg_smallest(pen, 4, tol=1e-10, dense_cutoff=0, seed=0)
-    dense = dense_hermitian_eig(a.toarray(), b.toarray())
-    assert res.converged
-    assert np.abs(res.eigenvalues - dense.eigenvalues[:4]).max() <= 1e-8
-    # Rayleigh quotients agree with the returned eigenvalues
-    for i in range(4):
-        v = res.vectors[:, i]
-        rq = np.real(v.conj() @ (a @ v)) / np.real(v.conj() @ (b @ v))
-        assert abs(rq - res.eigenvalues[i]) <= 1e-12 * (1.0 + abs(rq))
-
-
-def test_lobpcg_dense_fallback_small_problem():
-    pen = HermitianPencil.make(dirichlet_laplacian(64))
-    res = lobpcg_smallest(pen, 2, dense_cutoff=2048)
-    assert res.iterations == 0 and res.converged
-
-
-def test_lobpcg_seed_reproducible():
-    pen = HermitianPencil.make(dirichlet_laplacian(128))
-    r1 = lobpcg_smallest(pen, 2, tol=1e-9, dense_cutoff=0, seed=7)
-    r2 = lobpcg_smallest(pen, 2, tol=1e-9, dense_cutoff=0, seed=7)
-    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-    assert r1.iterations == r2.iterations
-
-
-def test_lobpcg_partial_result_on_iteration_cap():
-    pen = HermitianPencil.make(dirichlet_laplacian(256))
-    res = lobpcg_smallest(pen, 2, tol=1e-13, maxiter=2, dense_cutoff=0, preconditioner="none")
-    assert not res.converged
-    assert res.eigenvalues.shape == (2,)
-
-
-def test_lobpcg_input_validation():
-    pen = HermitianPencil.make(dirichlet_laplacian(32))
-    with pytest.raises(ValueError):
-        lobpcg_smallest(pen, 0)
-    with pytest.raises(ValueError):
-        lobpcg_smallest(pen, 17)
-    with pytest.raises(ValueError):
-        lobpcg_smallest(pen, 10)  # dim < 4*count
-    with pytest.raises(ValueError):
-        lobpcg_smallest(HermitianPencil.make(dirichlet_laplacian(128)), 2,
-                        preconditioner="ssor", dense_cutoff=0)
 
 
 def random_ring(rng, blocks, size):

@@ -10,7 +10,6 @@ from diracshell.geometry import (
     CurveError,
     boundary_mean_curvature_exact,
     curve_from_json,
-    curve_to_csv,
     flat_strip,
     make_curve,
     mean_curvatures,
@@ -222,15 +221,10 @@ def test_orientation_forced_clockwise():
     assert np.abs(ccw.curvature(np.array([0.0, 1.0])) + 1.0).max() < 1e-10
 
 
-def test_curve_json_and_csv(tmp_path):
+def test_curve_json_and_csv():
     crv = curve_from_json({"kind": "ellipse", "a": 2.0, "b": 1.0})
     assert abs(crv.kappa_max - 2.0) < 1e-9
     crv2 = curve_from_json('{"kind": "circle", "r": 2.0}')
     assert abs(crv2.length - 2.0 * TWO_PI) < 1e-10
-    path = tmp_path / "curve.csv"
-    curve_to_csv(crv, path, samples=64)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "s,x,y,kappa"
-    assert len(rows) == 65
     with pytest.raises(CurveError):
         curve_from_json({"kind": "pentagon"})
