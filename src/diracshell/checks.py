@@ -360,15 +360,18 @@ def check_magnetic_circle():
 
 @_entry("effective-degeneracy")
 def check_effective_degeneracy():
-    # the full C^2 pencil from the dense oracle: effective_eigenvalues
-    # assumes the pairing this check certifies
+    # both spin blocks, assembled separately, from the dense oracle:
+    # effective_eigenvalues assumes the pairing this check certifies
     fam = clifford.build_clifford(2)
     curve = geometry.make_curve("ellipse", a=2.0, b=1.0)
-    asm = effective.assemble_effective(fam, curve, 256)
-    mu = eigsolve.dense_hermitian_eig(asm.pencil.a).eigenvalues[:8]
-    pairs = mu.reshape(4, 2)
-    worst = float(np.abs(pairs[:, 1] - pairs[:, 0]).max())
-    scale = 1e-8 * (1.0 + float(np.abs(mu).max()))
+
+    def lowest(coupling):
+        asm = effective.assemble_effective(fam, curve, 256, coupling=coupling)
+        return eigsolve.dense_hermitian_eig(asm.pencil.a).eigenvalues[:4]
+
+    up, down = lowest(effective.DEFAULT_COUPLING), lowest(-effective.DEFAULT_COUPLING)
+    worst = float(np.abs(up - down).max())
+    scale = 1e-8 * (1.0 + float(np.abs(np.concatenate([up, down])).max()))
     return worst <= scale, f"worst pair split {worst:g}"
 
 

@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -77,16 +78,20 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "SweepConfig":
+        """A validated config; keys absent from ``payload`` keep the field defaults."""
+        convert = {
+            "m": float,
+            "eps": lambda v: tuple(float(e) for e in v),
+            "ns": _integral,
+            "nt": _integral,
+            "count": _integral,
+            "eff_ns": _integral,
+            "seed": _integral,
+        }
         try:
             cfg = SweepConfig(
                 curve=payload["curve"],
-                m=float(payload.get("m", 0.0)),
-                eps=tuple(float(e) for e in payload.get("eps", (0.1, 0.07, 0.05, 0.035))),
-                ns=int(payload.get("ns", 192)),
-                nt=(int(payload["nt"]) if payload.get("nt") is not None else None),
-                count=int(payload.get("count", 4)),
-                eff_ns=_eff_ns(payload.get("eff_ns", "auto")),
-                seed=int(payload.get("seed", 0)),
+                **{key: fn(payload[key]) for key, fn in convert.items() if key in payload},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sweep config: {exc}") from exc
@@ -94,6 +99,14 @@ class SweepConfig:
         return cfg
 
     def validate(self) -> None:
+        integers = {"ns": self.ns, "count": self.count, "seed": self.seed}
+        if self.nt is not None:
+            integers["nt"] = self.nt
+        if self.eff_ns != "auto":
+            integers["eff_ns"] = self.eff_ns
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.m < 0:
             raise ConfigError("m must be nonnegative")
         if len(self.eps) < 1 or any(e <= 0 for e in self.eps):
@@ -108,16 +121,13 @@ class SweepConfig:
             raise ConfigError("ns must be >= 32")
         if self.nt is not None and self.nt < 8:
             raise ConfigError("nt must be >= 8")
-        if isinstance(self.eff_ns, str):
-            if self.eff_ns != "auto":
-                raise ConfigError(f'eff_ns must be "auto" or an integer, got {self.eff_ns!r}')
-        elif self.eff_ns < 16 or self.eff_ns % 2:
+        if self.eff_ns != "auto" and (self.eff_ns < 16 or self.eff_ns % 2):
             raise ConfigError('eff_ns must be "auto" or an even integer >= 16')
 
 
-def _eff_ns(value):
-    # a string other than "auto" is rejected by validate()
-    return value if isinstance(value, str) else int(value)
+def _integral(value):
+    # JSON may spell an integer as 48.0; any other value goes to validate() as it is
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 @dataclass
@@ -453,12 +463,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="job config JSON file")
         p.add_argument("--curve", default=None, help="curve JSON (inline or path)")
-        p.add_argument("--m", type=float, default=0.0)
+        # None: the SweepConfig default
+        p.add_argument("--m", type=float, default=None)
         p.add_argument("--eps", default=None, help="comma-separated decreasing widths")
-        p.add_argument("--ns", type=int, default=192)
+        p.add_argument("--ns", type=int, default=None)
         p.add_argument("--nt", type=int, default=None)
-        p.add_argument("--count", type=int, default=4)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--count", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="out", help="output directory")
 
     p_tt = sub.add_parser("transverse-table")

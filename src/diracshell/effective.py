@@ -15,13 +15,14 @@ field over the link); it converges at second order and satisfies the
 splitting as an exact matrix identity, which the plain multiply-then-
 difference scheme does not.
 
-The one-form is diagonal in spin, so the C^2 matrix is block diagonal
-with two isospectral blocks.  For the Fourier scheme the spin-down block
-is conj(P B_up P), with P the reversal of the modes m -> -m (kappa is
-real, so its Fourier coefficients satisfy c_{-r} = conj(c_r)); for the
-link scheme it is the entrywise conjugate of the spin-up block.
-``effective_eigenvalues`` therefore solves only the spin-up block, for
-eigenvalues alone and only the wanted ones, and reports each twice.
+The one-form is diagonal in spin, so the operator is the direct sum of two
+scalar blocks with gauge fields -/+ coupling*kappa, and both
+discretizations assemble one scalar routine, ``_covariant_block``.  The
+blocks are isospectral: complex conjugation maps one onto the other
+(kappa is real).  ``assemble_effective`` therefore assembles the spin-up
+block only; the spin-down block is the same assembly with the coupling
+negated.  ``effective_eigenvalues`` solves the spin-up block for the wanted
+eigenvalues alone and reports each twice.
 
 ``converged_eigenvalues`` picks the Fourier size itself: it doubles n_s
 from AUTO_NS_START until the lowest values stop moving, up to AUTO_NS_CAP.
@@ -59,8 +60,8 @@ __all__ = [
 DEFAULT_COUPLING = 0.5 - 1.0 / math.pi
 
 # converged_eigenvalues doubles n_s from AUTO_NS_START up to AUTO_NS_CAP.  The
-# cap keeps the dense C^2 matrix at 2046^2 complex (67 MB); at 4096 it would
-# be 8190^2, about 1.07 GB.
+# cap keeps the dense spin-up block at 1023^2 complex (17 MB); at 4096 it would
+# be 4095^2, about 268 MB.
 AUTO_NS_START = 64
 AUTO_NS_CAP = 1024
 AUTO_RTOL = 1e-10
@@ -97,62 +98,35 @@ def omega_oneform(fam: CliffordFamily, curve: CurveSpec, s) -> np.ndarray:
     return out[0] if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
 
-def _potential_2d(curve: CurveSpec, s: np.ndarray) -> np.ndarray:
-    # (1/2 + 2/pi^2) H_2 - H_1^2 / pi^2 with H_2 = 0 for a curve
-    return -curve.curvature(s) ** 2 / math.pi**2
+def _covariant_block(curve: CurveSpec, n_s: int, scheme: str, alpha: float, beta: float) -> np.ndarray:
+    """Galerkin matrix of (-i d/ds + A)^2 - kappa^2/pi^2 with A = alpha*kappa + beta.
 
-
-def _fourier_wavenumbers(n_s: int, length: float) -> np.ndarray:
-    m_max = n_s // 2 - 1
-    modes = np.arange(-m_max, m_max + 1)
-    return modes, 2.0 * math.pi * modes / length
-
-
-def _fourier_coefficients(values: np.ndarray, r_max: int) -> np.ndarray:
-    """Coefficients c_r, |r| <= r_max, of a periodic sample set (alias-free grid)."""
-    n = values.size
-    coef = np.fft.fft(values) / n
-    out = np.empty(2 * r_max + 1, dtype=complex)
-    for r in range(-r_max, r_max + 1):
-        out[r + r_max] = coef[r % n]
-    return out
-
-
-def _toeplitz_from_coeffs(coeffs: np.ndarray, dim: int, r_max: int) -> np.ndarray:
-    idx = np.arange(dim)
-    diff = idx[:, None] - idx[None, :]
-    return coeffs[diff + r_max]
-
-
-def _fourier_blocks(curve: CurveSpec, n_s: int, coupling: float):
-    """Per-spin-component spectral Galerkin matrices of the covariant form."""
-    modes, k = _fourier_wavenumbers(n_s, curve.length)
-    dim = modes.size
-    fine = 4 * n_s
-    s = np.arange(fine) * (curve.length / fine)
-    kappa = curve.curvature(s)
-    r_max = 2 * (n_s // 2 - 1)
-    kap_c = _fourier_coefficients(kappa, r_max)
-    kap2_c = _fourier_coefficients(kappa**2, r_max)
-    t_kap = _toeplitz_from_coeffs(kap_c, dim, r_max)
-    t_kap2 = _toeplitz_from_coeffs(kap2_c, dim, r_max)
-    ksum = k[:, None] + k[None, :]
-    blocks = {}
-    for sign in (+1, -1):
-        a = np.diag(k.astype(complex) ** 2)
-        # cross terms of (f' + i sign*coupling*kappa f); sign tracks the a_3 eigenvalue
-        a = a + sign * coupling * ksum * t_kap
-        a = a + coupling**2 * t_kap2
-        a = a - t_kap2 / math.pi**2
-        blocks[sign] = 0.5 * (a + a.conj().T)
-    return blocks, k
-
-
-def _link_phases(curve: CurveSpec, n_s: int) -> tuple[np.ndarray, float]:
-    """Midpoint-rule link integrals of kappa over each grid interval."""
-    h = curve.length / n_s
-    mids = (np.arange(n_s) + 0.5) * h
-    return curve.curvature(mids) * h, h
+    The potential is (1/2 + 2/pi^2) H_2 - H_1^2/pi^2 with H_2 = 0 for a curve.
+    ``"fourier"``: modes |m| <= n_s//2 - 1, the matrix
+    diag(k^2) + (k_i + k_j) T[A] + T[A^2 - kappa^2/pi^2], where T[f] holds
+    f's Fourier coefficient c_{i-j}, taken from 4*n_s samples.  ``"link"``:
+    n_s grid values, hopping exp(i*A(mid)*h) on each link and the potential
+    at the grid points.  The link matrix discretizes (-i d/ds - A)^2, the
+    complex-conjugate operator, which has the same spectrum.
+    """
+    if n_s < 16 or n_s % 2:
+        raise ValueError("n_s must be even and >= 16")
+    if scheme == "fourier":
+        fine = 4 * n_s
+        kappa = curve.curvature(np.arange(fine) * (curve.length / fine))
+        gauge = alpha * kappa + beta
+        t_a, t_b = np.fft.fft([gauge, gauge**2 - kappa**2 / math.pi**2]) / fine
+        k = 2.0 * math.pi * np.arange(1 - n_s // 2, n_s // 2) / curve.length
+        diff = (np.arange(k.size)[:, None] - np.arange(k.size)[None, :]) % fine
+        a = np.diag(k.astype(complex) ** 2) + (k[:, None] + k[None, :]) * t_a[diff] + t_b[diff]
+        return 0.5 * (a + a.conj().T)
+    if scheme == "link":
+        h = curve.length / n_s
+        # even samples are the grid points, odd ones the link midpoints
+        kappa = curve.curvature(np.arange(2 * n_s) * (h / 2.0))
+        angles = (alpha * kappa[1::2] + beta) * h
+        return _link_block(angles, -kappa[::2] ** 2 / math.pi**2, h)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _link_block(link_angles: np.ndarray, potential: np.ndarray, h: float) -> np.ndarray:
@@ -181,31 +155,17 @@ def assemble_effective(
     scheme: str = "fourier",
     coupling: float = DEFAULT_COUPLING,
 ) -> EffectiveFormAssembly:
-    """Hermitian pencil of the covariant curve operator on C^2-valued functions.
+    """Hermitian pencil of the spin-up block of the covariant curve operator.
 
-    DOFs are ordered [spin-up block, spin-down block]; the one-form is
-    diagonal in that splitting, so the two blocks only differ by the sign
-    of the coupling term.
+    The block has gauge field -coupling*kappa.  The spin-down block, with
+    gauge field +coupling*kappa, is ``assemble_effective(..., coupling=-coupling)``
+    and has the same spectrum (see the module docstring).
     """
     if fam.n != 2:
         raise ValueError("effective assembly is implemented for n = 2")
-    if n_s < 16 or n_s % 2:
-        raise ValueError("n_s must be even and >= 16")
-    if scheme == "fourier":
-        blocks, _ = _fourier_blocks(curve, n_s, coupling)
-        a = _block_diag(blocks[+1], blocks[-1])
-        pencil = HermitianPencil.make(a, None)
-    elif scheme == "link":
-        angles, h = _link_phases(curve, n_s)
-        pot = _potential_2d(curve, np.arange(n_s) * h)
-        # spin-up gauge field is -coupling*kappa, spin-down is +coupling*kappa
-        up = _link_block(-coupling * angles, pot, h)
-        down = _link_block(+coupling * angles, pot, h)
-        pencil = HermitianPencil.make(_block_diag(up, down), None)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    a = _covariant_block(curve, n_s, scheme, -coupling, 0.0)
     return EffectiveFormAssembly(
-        curve=curve, n_s=n_s, scheme=scheme, coupling=coupling, pencil=pencil,
+        curve=curve, n_s=n_s, scheme=scheme, coupling=coupling, pencil=HermitianPencil.make(a, None),
     )
 
 
@@ -218,37 +178,12 @@ def assemble_magnetic(
     multiple of 2*pi/L relabels the Fourier modes and leaves the spectrum
     invariant.
     """
-    if n_s < 16 or n_s % 2:
-        raise ValueError("n_s must be even and >= 16")
     if flux is None:
         flux = (math.pi - 2.0) / curve.length
-    if scheme == "fourier":
-        modes, k = _fourier_wavenumbers(n_s, curve.length)
-        dim = modes.size
-        fine = 4 * n_s
-        s = np.arange(fine) * (curve.length / fine)
-        r_max = 2 * (n_s // 2 - 1)
-        kap2_c = _fourier_coefficients(curve.curvature(s) ** 2, r_max)
-        a = np.diag((k + flux).astype(complex) ** 2) - _toeplitz_from_coeffs(kap2_c, dim, r_max) / math.pi**2
-        a = 0.5 * (a + a.conj().T)
-        pencil = HermitianPencil.make(a, None)
-    elif scheme == "link":
-        h = curve.length / n_s
-        pot = _potential_2d(curve, np.arange(n_s) * h)
-        a = _link_block(np.full(n_s, flux * h), pot, h)
-        pencil = HermitianPencil.make(a, None)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    a = _covariant_block(curve, n_s, scheme, 0.0, flux)
     return MagneticFormAssembly(
-        curve=curve, n_s=n_s, scheme=scheme, flux=flux, pencil=pencil,
+        curve=curve, n_s=n_s, scheme=scheme, flux=flux, pencil=HermitianPencil.make(a, None),
     )
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
 
 
 def magnetic_circle_spectrum(radius: float, count: int) -> np.ndarray:
@@ -273,16 +208,14 @@ def _lowest_values(a: np.ndarray, count: int) -> np.ndarray:
 def effective_eigenvalues(assembly, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues, ascending, without eigenvectors.
 
-    For an EffectiveFormAssembly only the spin-up block is solved, for its
-    ceil(count/2) lowest eigenvalues; the spin-down block is isospectral
-    (see the module docstring), so each value is reported twice.  A
-    MagneticFormAssembly has a single block and is solved directly.
+    An EffectiveFormAssembly holds the spin-up block; it is solved for its
+    ceil(count/2) lowest eigenvalues, and each is reported twice, since the
+    spin-down block is isospectral (see the module docstring).  A
+    MagneticFormAssembly is solved for ``count`` values.
     """
-    a = assembly.pencil.a
     if isinstance(assembly, EffectiveFormAssembly):
-        n = a.shape[0] // 2
-        return np.repeat(_lowest_values(a[:n, :n], (count + 1) // 2), 2)[:count]
-    return _lowest_values(a, count)
+        return np.repeat(_lowest_values(assembly.pencil.a, (count + 1) // 2), 2)[:count]
+    return _lowest_values(assembly.pencil.a, count)
 
 
 @dataclass(frozen=True)
@@ -341,8 +274,8 @@ def gauge_transform_check(
     2. the periodicity defect of the gauge phase, |V(L)|, which vanishes
        with the total-curvature identity;
     3. the exact matrix identity for the link scheme: conjugating the
-       covariant stiffness by the accumulated link-phase gauge must
-       reproduce blockdiag(magnetic, conj(magnetic)) entrywise.
+       spin-up and spin-down blocks by the accumulated link-phase gauge
+       must reproduce the magnetic matrix and its conjugate entrywise.
     """
     eff = assemble_effective(fam, curve, n_s, scheme="fourier", coupling=coupling)
     mag = assemble_magnetic(curve, n_s, scheme="fourier")
@@ -355,13 +288,13 @@ def gauge_transform_check(
     phase_residual = abs(coupling * (total + 2.0 * math.pi))
 
     # exact discrete identity on the link scheme
-    angles, h = _link_phases(curve, n_s)
-    pot = _potential_2d(curve, np.arange(n_s) * h)
-    up = _link_block(-coupling * angles, pot, h)
-    down = _link_block(+coupling * angles, pot, h)
-    flux = (math.pi - 2.0) / curve.length
-    mag_link = _link_block(np.full(n_s, flux * h), pot, h)
-    # accumulated gauge phases: V_{i+1} - V_i = coupling*(I_i + 2*pi*h/L)
+    up = assemble_effective(fam, curve, n_s, scheme="link", coupling=coupling).pencil.a
+    down = assemble_effective(fam, curve, n_s, scheme="link", coupling=-coupling).pencil.a
+    mag_link = assemble_magnetic(curve, n_s, scheme="link").pencil.a
+    h = curve.length / n_s
+    angles = curve.curvature((np.arange(n_s) + 0.5) * h) * h
+    # accumulated gauge phases: V_{i+1} - V_i = coupling*(I_i + 2*pi*h/L), with
+    # I_i = kappa(mid_i)*h the midpoint link integral of kappa
     incr = coupling * (angles + 2.0 * math.pi * h / curve.length)
     v = np.concatenate([[0.0], np.cumsum(incr)])[:-1]
     d_up = np.diag(np.exp(-1.0j * v))

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +64,16 @@ def test_config_validation(monkeypatch):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({**SMALL, **bad})
     assert SweepConfig.from_dict({**SMALL, "ns": 32, "nt": 8}).nt == 8
+    # integer fields are integers, never truncated to a different grid
+    for bad in ({"ns": 48.5}, {"nt": 8.5}, {"count": 2.7}, {"eff_ns": 256.9}, {"seed": 1.5},
+                {"count": True}):
+        with pytest.raises(ConfigError):
+            SweepConfig.from_dict({**SMALL, **bad})
+    integral = SweepConfig.from_dict({**SMALL, "ns": 48.0, "eff_ns": 256.0})
+    assert (integral.ns, integral.eff_ns) == (48, 256) and isinstance(integral.ns, int)
+    for bad in ({"eff_ns": None}, {"ns": 48.5}, {"count": 2.5}, {"nt": 8.5}, {"seed": 1.5}):
+        with pytest.raises(ConfigError):
+            SweepConfig(curve=SMALL["curve"], **bad).validate()
     # a SweepConfig built directly is validated too, before any solve
     def no_solve(*args, **kwargs):
         raise AssertionError("the effective reference was computed for a bad config")
@@ -145,10 +156,20 @@ def test_sweep_partial_when_effective_reference_not_converged(tmp_path, monkeypa
 
 
 def test_sweep_threaded_matches_serial(tmp_path):
+    # bit-identical values and solve records per eps; only the timings differ
     serial = run_sweep(SMALL, out_dir=None, threads=1)
     threaded = run_sweep(SMALL, out_dir=None, threads=3)
-    for eps in serial.mu_shell:
-        assert np.allclose(serial.mu_shell[eps], threaded.mu_shell[eps], rtol=0, atol=1e-13)
+    assert serial.mu_shell == threaded.mu_shell
+    assert serial.mu_effective == threaded.mu_effective
+
+    def untimed(report):
+        return {
+            eps: {k: v for k, v in record.items() if k not in ("assemble_s", "solve_s")}
+            for eps, record in report.solves.items()
+        }
+
+    assert untimed(serial) == untimed(threaded)
+    assert list(untimed(serial)[0.1]) == ["dof", "shift", "negative_pivots", "iterations", "residual_max"]
 
 
 def test_fit_stability_drop_largest_eps():
@@ -266,6 +287,22 @@ def test_main_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({**SMALL, "eff_ns": 15}))
     assert main(["sweep", "--config", str(bad)]) == 2
     assert "eff_ns" in capsys.readouterr().err
+
+
+def test_main_defaults_are_the_config_defaults(monkeypatch):
+    # the CLI options restate no default: without flags the config is SweepConfig(curve=...)
+    built = []
+
+    def record(cfg, out_dir=None, threads=1):
+        built.append(cfg)
+        return SimpleNamespace(verdicts=list, partial=False, linear_coeffs=[], references=[])
+
+    monkeypatch.setattr(cli, "run_sweep", record)
+    monkeypatch.setattr(cli, "run_corollary", record)
+    curve = {"kind": "circle", "r": 1.0}
+    for verb in ("sweep", "corollary"):
+        assert main([verb, "--curve", json.dumps(curve)]) == 0
+    assert built == [SweepConfig(curve=curve)] * 2
 
 
 def test_main_sweep_with_config_file(tmp_path):

@@ -88,11 +88,19 @@ def test_effective_hermitian_real(fam2, ellipse):
     assert np.all(np.isreal(mu))
 
 
+def _spin_blocks(fam, curve, n_s, scheme="fourier"):
+    # spin-up and spin-down blocks: the spin-down one is the coupling-negated assembly
+    return [
+        assemble_effective(fam, curve, n_s, scheme=scheme, coupling=c)
+        for c in (DEFAULT_COUPLING, -DEFAULT_COUPLING)
+    ]
+
+
 def test_effective_even_multiplicity(fam2, ellipse):
-    # full C^2 pencil from the dense oracle, independent of the doubling
-    # that effective_eigenvalues relies on
-    asm = assemble_effective(fam2, ellipse, 256)
-    mu = dense_hermitian_eig(asm.pencil.a).eigenvalues[:8]
+    # the C^2 spectrum from the dense oracle on both blocks, independent of
+    # the doubling that effective_eigenvalues relies on
+    blocks = _spin_blocks(fam2, ellipse, 256)
+    mu = np.sort(np.concatenate([dense_hermitian_eig(b.pencil.a).eigenvalues for b in blocks]))[:8]
     pairs = mu.reshape(4, 2)
     scale = 1e-8 * (1.0 + np.abs(mu).max())
     assert np.abs(pairs[:, 1] - pairs[:, 0]).max() <= scale
@@ -101,14 +109,14 @@ def test_effective_even_multiplicity(fam2, ellipse):
 @pytest.mark.parametrize("scheme", ["fourier", "link"])
 @pytest.mark.parametrize("curve_name", ["circle", "ellipse", "wobble"])
 def test_lowest_values_match_full_dense_spectrum(request, fam2, scheme, curve_name):
-    # the spin-up block solve, doubled, against the full pencil's spectrum;
-    # and the single-block magnetic solve against its own full spectrum
+    # the spin-up block solve, doubled, against the C^2 spectrum (both
+    # blocks from the dense oracle); and the single-block magnetic solve
+    # against its own full spectrum
     curve = request.getfixturevalue(curve_name)
-    for asm in (
-        assemble_effective(fam2, curve, 128, scheme=scheme),
-        assemble_magnetic(curve, 128, scheme=scheme),
-    ):
-        full = dense_hermitian_eig(asm.pencil.a).eigenvalues
+    blocks = _spin_blocks(fam2, curve, 128, scheme)
+    mag = assemble_magnetic(curve, 128, scheme=scheme)
+    for asm, pencils in ((blocks[0], blocks), (mag, [mag])):
+        full = np.sort(np.concatenate([dense_hermitian_eig(p.pencil.a).eigenvalues for p in pencils]))
         for count in (1, 4, 5):
             mu = effective_eigenvalues(asm, count)
             assert mu.shape == (count,)
@@ -192,10 +200,8 @@ def test_potential_sign(fam2, ellipse):
     # block, next to the 2/h^2 of the covariant difference
     n_s = 64
     h = ellipse.length / n_s
-    asm = assemble_effective(fam2, ellipse, n_s, scheme="link")
-    diag = np.real(np.diagonal(asm.pencil.a))
-    for block in (diag[:n_s], diag[n_s:]):
-        potential = block - 2.0 / h**2
+    for asm in _spin_blocks(fam2, ellipse, n_s, "link"):
+        potential = np.real(np.diagonal(asm.pencil.a)) - 2.0 / h**2
         assert np.all(potential <= 0.0)
         assert np.allclose(potential, -ellipse.curvature(np.arange(n_s) * h) ** 2 / math.pi**2)
 
