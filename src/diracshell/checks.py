@@ -9,7 +9,9 @@ entries cover the package's defining identities: exact anticommutators,
 secular root residuals, quadrature normalization, gauge equivalence of the
 effective operator, sandwich ordering of the bracketing forms, and the
 cross-check of the production shift-invert solver against the dense
-oracle.
+oracle.  The transverse spectra of the intertwining entry come from that
+same certified shift-invert solver, with an inertia cut below the top
+returned value; a unit test checks them against the dense oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from . import clifford, effective, eigsolve, geometry, shell, transverse
@@ -184,17 +185,11 @@ def _p2_transverse_pencil(N: int, m: float, n_elem: int):
     der = np.vstack([4 * xt - 3, 4 - 8 * xt, 4 * xt - 1]) / h
     k_loc = np.einsum("q,aq,bq->ab", wt * h, der, der)
     m_loc = np.einsum("q,aq,bq->ab", wt * h, val, val)
-    rows, cols, kv, mv = [], [], [], []
-    for e in range(n_elem):
-        idx = [2 * e, 2 * e + 1, 2 * e + 2]
-        for a in range(3):
-            for b in range(3):
-                rows.append(idx[a])
-                cols.append(idx[b])
-                kv.append(k_loc[a, b])
-                mv.append(m_loc[a, b])
-    k1d = sp.coo_matrix((kv, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    m1d = sp.coo_matrix((mv, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    # element e couples nodes 2e, 2e+1, 2e+2; entry (a, b) of its local matrix
+    idx = 2 * np.arange(n_elem)[:, None] + np.arange(3)
+    rows, cols = np.repeat(idx, 3, axis=1).ravel(), np.tile(idx, 3).ravel()
+    k1d = sp.coo_matrix((np.tile(k_loc.ravel(), n_elem), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    m1d = sp.coo_matrix((np.tile(m_loc.ravel(), n_elem), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
 
     boundary = np.zeros(n_nodes * N)
     boundary[:N] = m
@@ -204,49 +199,67 @@ def _p2_transverse_pencil(N: int, m: float, n_elem: int):
     return a_full, b_full
 
 
+def _transverse_ring_pencil(fam, x, m: float, n_elem: int):
+    """The P2 pencil with the boundary constraint eliminated, in ring layout.
+
+    Node 0 is kept on the -1 and the last node on the +1 eigenspace of
+    -i a_{n+1} Gamma(x), N/2 components each.  The columns are ordered
+    [last node, node 0, node 1, ..., node 2 n_elem - 1], so that in blocks
+    of 2N columns block 0 holds both end nodes and node 1, block e holds
+    nodes 2e and 2e+1, and the last element closes the ring onto block 0:
+    the layout of ``eigsolve.ring_inertia`` with ``n_elem`` blocks.
+    """
+    N, half = fam.N, fam.N // 2
+    n_nodes = 2 * n_elem + 1
+    a_full, b_full = _p2_transverse_pencil(N, float(m), n_elem)
+    vals_b, vecs_b = np.linalg.eigh(-1.0j * fam.alpha_last @ clifford.gamma(fam, x).gamma)
+    plus = vecs_b[:, np.abs(vals_b - 1) < 1e-10]
+    minus = vecs_b[:, np.abs(vals_b + 1) < 1e-10]
+    # component c of an end node enters reduced column j with weight basis[c, j]
+    comp, basis_col = np.repeat(np.arange(N), half), np.tile(np.arange(half), N)
+    inner = np.arange(N, (n_nodes - 1) * N)
+    rows = np.concatenate([(n_nodes - 1) * N + comp, comp, inner])
+    cols = np.concatenate([basis_col, half + basis_col, inner])
+    vals = np.concatenate([plus.ravel(), minus.ravel(), np.ones(inner.size)])
+    z = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes * N, (n_nodes - 1) * N))
+    zh = z.conj().T.tocsr()
+    return (zh @ a_full @ z).tocsr(), (zh @ b_full @ z).tocsr()
+
+
+def _certify_cut(a, b, values: np.ndarray, blocks: int) -> None:
+    """Raise EigensolveError unless no eigenvalue below the top returned one is missing.
+
+    The cut c sits just below the largest returned value v, at
+    v - 1e-6 max(1, |v|); the inertia of A - c B counts the eigenvalues
+    below c, and they must be exactly the returned values below c.  A copy
+    of a multiple eigenvalue that the solver skipped has a higher value
+    returned in its place, so the count comes out one larger.
+    """
+    top = float(values[-1])
+    cut = top - 1e-6 * max(1.0, abs(top))
+    below = eigsolve.ring_inertia(a - cut * b, blocks)
+    returned = int(np.count_nonzero(values < cut))
+    if below != returned:
+        raise eigsolve.EigensolveError(f"{below} eigenvalues below the cut {cut:g}, {returned} returned")
+
+
 def discretized_transverse_energies(fam, x, m: float, count: int, n_elem: int = 64) -> np.ndarray:
     """Lowest eigenvalues of the squared transverse operator on (-1, 1).
 
     Galerkin P2 discretization of ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2)
     over spinors with the boundary constraint eliminated against the
-    +-1 eigenspaces of -i a_{n+1} Gamma(x).
+    +-1 eigenspaces of -i a_{n+1} Gamma(x), solved by the production
+    shift-invert solver (seed 0) and certified from both sides: no
+    eigenvalue below the shift, none missing below the top returned one.
+    Raises EigensolveError when either certificate or the residual gate
+    fails.
     """
-    n_nodes = 2 * n_elem + 1
-    N = fam.N
-    a_full, b_full = _p2_transverse_pencil(N, float(m), n_elem)
-
-    bmat = -1.0j * fam.alpha_last @ clifford.gamma(fam, x).gamma
-    vals_b, vecs_b = np.linalg.eigh(bmat)
-    basis = {s: vecs_b[:, np.abs(vals_b - s) < 1e-10] for s in (+1, -1)}
-    half = N // 2
-    dim_full = n_nodes * N
-    reduced = (n_nodes - 2) * N + 2 * half
-    rows, cols, vals2 = [], [], []
-    red = 0
-    for j in range(half):
-        for c in range(N):
-            rows.append(0 * N + c)
-            cols.append(red)
-            vals2.append(basis[-1][c, j])
-        red += 1
-    for node in range(1, n_nodes - 1):
-        for c in range(N):
-            rows.append(node * N + c)
-            cols.append(red)
-            vals2.append(1.0)
-            red += 1
-    for j in range(half):
-        for c in range(N):
-            rows.append((n_nodes - 1) * N + c)
-            cols.append(red)
-            vals2.append(basis[+1][c, j])
-        red += 1
-    z = sp.coo_matrix((vals2, (rows, cols)), shape=(dim_full, reduced)).tocsr()
-    a_red = (z.conj().T @ a_full @ z).toarray()
-    b_red = (z.conj().T @ b_full @ z).toarray()
-    # values only, the lowest count; a B that fails its Cholesky factorization raises LinAlgError
-    return scipy.linalg.eigh(a_red, b_red, eigvals_only=True, subset_by_index=[0, count - 1])
-
+    a, b = _transverse_ring_pencil(fam, x, m, n_elem)
+    pencil = eigsolve.HermitianPencil.make(a, b)
+    # the form is positive for m >= 0, so the shift -1 certifies at once
+    res = eigsolve.shift_invert_smallest(pencil, count, sigma=-1.0, blocks=n_elem)
+    _certify_cut(a, b, res.eigenvalues, n_elem)
+    return res.eigenvalues
 
 
 @_entry("intertwining", budget_s=30.0)
@@ -264,8 +277,11 @@ def check_intertwining():
                 y /= np.linalg.norm(y)
                 u = clifford.theta(fam, x, y)
                 worst_unitary = max(worst_unitary, np.abs(u.conj().T @ u - np.eye(fam.N)).max())
-                ex = discretized_transverse_energies(fam, x, 0.3, 6)
-                ey = discretized_transverse_energies(fam, y, 0.3, 6)
+                try:
+                    ex = discretized_transverse_energies(fam, x, 0.3, 6)
+                    ey = discretized_transverse_energies(fam, y, 0.3, 6)
+                except eigsolve.EigensolveError as exc:
+                    return False, f"uncertified transverse spectrum (seed {seed}, n={n}): {exc}"
                 worst_spec = max(worst_spec, np.abs(ex - ey).max())
     ok = worst_unitary <= 1e-12 and worst_spec <= 1e-10
     return ok, f"unitarity {worst_unitary:g}, spectra {worst_spec:g} (seeds 0, 7)"

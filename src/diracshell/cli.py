@@ -28,7 +28,7 @@ import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -78,7 +78,11 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "SweepConfig":
-        """A validated config; keys absent from ``payload`` keep the field defaults."""
+        """A validated config; keys absent from ``payload`` keep the field defaults.
+
+        A key that names no field is a ConfigError, so a misspelled field
+        cannot silently run its default.
+        """
         convert = {
             "m": float,
             "eps": lambda v: tuple(float(e) for e in v),
@@ -89,12 +93,15 @@ class SweepConfig:
             "seed": _integral,
         }
         try:
+            unknown = sorted(set(payload) - {f.name for f in fields(SweepConfig)})
             cfg = SweepConfig(
                 curve=payload["curve"],
                 **{key: fn(payload[key]) for key, fn in convert.items() if key in payload},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sweep config: {exc}") from exc
+        if unknown:
+            raise ConfigError("unknown sweep config keys: " + ", ".join(map(str, unknown)))
         cfg.validate()
         return cfg
 

@@ -273,9 +273,14 @@ def gauge_transform_check(
        Galerkin for both);
     2. the periodicity defect of the gauge phase, |V(L)|, which vanishes
        with the total-curvature identity;
-    3. the exact matrix identity for the link scheme: conjugating the
-       spin-up and spin-down blocks by the accumulated link-phase gauge
-       must reproduce the magnetic matrix and its conjugate entrywise.
+    3. the matrix identity for the link scheme: conjugating the spin-up
+       and spin-down blocks by the accumulated link-phase gauge must
+       reproduce the magnetic matrix and its conjugate entrywise.  It is
+       exact only as far as the midpoint sum of kappa(mid_i)*h closes to
+       -2*pi; otherwise the wrap-around link keeps that phase defect.  The
+       similarity residual is about 1e-15 on ellipse(2,1) at n_s 256 and
+       512, but 5.06e-9 on ellipse(4,1) at n_s=256 (the sum misses -2*pi
+       by 5.6e-8 there) and 1.1e-15 at 512.
     """
     eff = assemble_effective(fam, curve, n_s, scheme="fourier", coupling=coupling)
     mag = assemble_magnetic(curve, n_s, scheme="fourier")

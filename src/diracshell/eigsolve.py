@@ -152,16 +152,18 @@ def ring_inertia(m, blocks: int) -> int:
     """Number of negative eigenvalues of a Hermitian periodic block-tridiagonal matrix.
 
     ``m`` has ``blocks`` equal diagonal blocks, and block i couples only to
-    blocks i - 1 and i + 1 modulo ``blocks`` (P1 elements along a closed
-    curve give this layout).  Block elimination along the ring, carrying
-    the coupling to the last block as a dense border, yields one pivot
-    block per ring block; by Sylvester's law of inertia applied blockwise
-    (Haynsworth additivity) their negative eigenvalues add up to those of
-    ``m``.  A pivot block that passes Cholesky has none; only an indefinite
-    one is diagonalized, and a singular one raises EigensolveError.  The
-    count holds a few dense blocks at a time, so unlike the diagonal of a
-    sparse LU (which scipy only hands out as full copies of both factors)
-    it adds next to nothing to the memory of a solve.
+    blocks i - 1 and i + 1 modulo ``blocks``.  P1 elements along a closed
+    curve give this layout, and so does a line of P2 elements grouped one
+    block per element with the two end nodes together in one block.  Block
+    elimination along the ring, carrying the coupling to the last block as
+    a dense border, yields one pivot block per ring block; by Sylvester's
+    law of inertia applied blockwise (Haynsworth additivity) their negative
+    eigenvalues add up to those of ``m``.  A pivot block that passes
+    Cholesky has none; only an indefinite one is diagonalized, and a
+    singular one raises EigensolveError.  The count holds a few dense
+    blocks at a time, so unlike the diagonal of a sparse LU (which scipy
+    only hands out as full copies of both factors) it adds next to nothing
+    to the memory of a solve.
     """
     coo = sp.coo_matrix(m)
     coo.sum_duplicates()

@@ -62,8 +62,8 @@ def test_criterion_03_transverse_form_identity():
 
 def test_criterion_04_intertwining():
     res = _run(checks.check_intertwining)
-    # the P2 matrices are built once per (N, m, n_elem); the numbers must not move
-    assert res.detail.startswith("unitarity 4.44089e-16, spectra 1.67439e-11 (seeds 0, 7) in ")
+    # shift-invert solves at seed 0 are deterministic; the numbers must not move
+    assert res.detail.startswith("unitarity 4.44089e-16, spectra 1.10134e-13 (seeds 0, 7) in ")
 
 
 def test_criterion_05_mode_perturbation():

@@ -1,8 +1,12 @@
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
-from diracshell import checks
+import numpy as np
+import pytest
+
+from diracshell import checks, clifford, eigsolve
 from diracshell.checks import REGISTRY, CheckResult, check_gauge_equivalence
 from diracshell.cli import main
 
@@ -28,6 +32,51 @@ def test_gauge_suite_negative_control():
     assert not tampered.passed
     honest = check_gauge_equivalence(grids=(128,))
     assert honest.passed
+
+
+def _directions(n, count=2):
+    rng = np.random.default_rng(n)
+    for _ in range(count):
+        x = rng.standard_normal(n)
+        yield x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_transverse_energies_match_dense_oracle(n):
+    fam = clifford.build_clifford(n)
+    for x in _directions(n):
+        a, b = checks._transverse_ring_pencil(fam, x, 0.3, 64)
+        # the shift -1 is certified at once: nothing below it
+        assert eigsolve.ring_inertia(a + b, 64) == 0
+        dense = eigsolve.dense_hermitian_eig(a, b).eigenvalues
+        vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
+        assert np.abs(vals - dense[:6]).max() <= 1e-10
+        # every level is N-fold, so count = 6 cuts through a cluster when N = 4
+        assert np.count_nonzero(np.abs(dense - dense[0]) <= 1e-8 * abs(dense[0])) == fam.N
+
+
+def test_cut_certificate_catches_a_dropped_value():
+    fam = clifford.build_clifford(3)
+    x = next(_directions(3))
+    a, b = checks._transverse_ring_pencil(fam, x, 0.3, 64)
+    vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
+    checks._certify_cut(a, b, vals, 64)
+    with pytest.raises(eigsolve.EigensolveError, match="below the cut"):
+        checks._certify_cut(a, b, vals[1:], 64)
+
+
+def test_intertwining_fails_when_the_solver_skips_a_value(monkeypatch):
+    solve = eigsolve.shift_invert_smallest
+
+    def skipping(pencil, count, *args, **kwargs):
+        # one copy of the lowest level skipped, the next value returned in its place
+        res = solve(pencil, count + 1, *args, **kwargs)
+        return dataclasses.replace(res, eigenvalues=res.eigenvalues[1:])
+
+    monkeypatch.setattr(eigsolve, "shift_invert_smallest", skipping)
+    res = checks.check_intertwining()
+    assert not res.passed
+    assert "below the cut" in res.detail
 
 
 def _stub(name, passed):

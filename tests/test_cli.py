@@ -54,6 +54,11 @@ def test_config_validation(monkeypatch):
         SweepConfig.from_dict({**SMALL, "count": MAX_COUNT + 1})
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({"m": 0.0})
+    # a misspelled field is an error naming it, never a silent default
+    with pytest.raises(ConfigError, match="counts, eff_n, n_s"):
+        SweepConfig.from_dict({"curve": SMALL["curve"], "eff_n": 64, "n_s": 48, "counts": 8})
+    with pytest.raises(ConfigError, match="nt_"):
+        SweepConfig.from_dict({**SMALL, "nt_": 8})
     # the effective reference size: "auto" (the default) or an even integer >= 16
     assert SweepConfig.from_dict(AUTO).eff_ns == "auto"
     assert SweepConfig.from_dict({**SMALL, "eff_ns": "auto"}).eff_ns == "auto"
@@ -287,6 +292,9 @@ def test_main_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({**SMALL, "eff_ns": 15}))
     assert main(["sweep", "--config", str(bad)]) == 2
     assert "eff_ns" in capsys.readouterr().err
+    bad.write_text(json.dumps({**SMALL, "coutn": 4}))
+    assert main(["sweep", "--config", str(bad)]) == 2
+    assert "coutn" in capsys.readouterr().err
 
 
 def test_main_defaults_are_the_config_defaults(monkeypatch):
