@@ -2,13 +2,15 @@
 
 The production route for the shell-scale sparse pencils is shift-invert
 ARPACK (spectral transformation, Ericsson & Ruhe 1980; Lehoucq, Sorensen
-& Yang 1998) at a shift sigma below the wanted cluster.  Before the
-iteration, the inertia of A - sigma B (spectrum slicing by Sylvester's law,
-Parlett) certifies that no eigenvalue lies below sigma, so the eigenvalues
-nearest sigma are the lowest ones and none is skipped.  A dense path
-(LAPACK via numpy/scipy, with Cholesky reduction for generalized pencils)
-is the oracle the production route is tested against.  Both return the
-same SpectrumResult record with per-pair residuals ||A x - mu B x|| / ||B x||.
+& Yang 1998) at a shift sigma below the wanted cluster.  ARPACK applies
+the inverse of A - sigma B through a symmetric, unpivoted sparse LU, and
+the signs of that factorization's pivots are the inertia of A - sigma B
+(spectrum slicing by Sylvester's law, Parlett): with none negative, no
+eigenvalue lies below sigma, so the eigenvalues nearest sigma are the
+lowest ones and none is skipped.  A dense path (LAPACK via numpy/scipy,
+with Cholesky reduction for generalized pencils) is the oracle the
+production route is tested against.  Both return the same SpectrumResult
+record with per-pair residuals ||A x - mu B x|| / ||B x||.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ __all__ = [
     "SpectrumResult",
     "EigensolveError",
     "dense_hermitian_eig",
-    "ring_inertia",
+    "inertia",
     "shift_invert_smallest",
 ]
 
@@ -128,116 +130,52 @@ def dense_hermitian_eig(a, b=None, check: bool = True) -> SpectrumResult:
     return SpectrumResult(eigenvalues=vals, residuals=res, iterations=0, converged=True, vectors=vecs)
 
 
-def _pivot(d: np.ndarray):
-    """Split the inverse of a Hermitian pivot block as d^-1 = H^H S H.
+def inertia(m):
+    """Factor a Hermitian matrix and count its negative eigenvalues.
 
-    Returns the number of negative eigenvalues of d, the map r -> H r and
-    the signs S (a column, or 1.0).  A positive definite block takes its
-    Cholesky factor, H = L^-1; otherwise d = Q diag(w) Q^H gives
-    H = |w|^-1/2 Q^H and S = sign(w).  A singular block raises
-    EigensolveError.
+    Returns ``(negatives, lu)``.  The sparse LU takes a minimum-degree
+    ordering on M + M^H, a symmetric permutation and no pivoting; when its
+    row and column permutations agree, P M P^T = L D L^H, so by Sylvester's
+    law the negative entries of D, the diagonal of U, count the negative
+    eigenvalues of ``m`` (spectrum slicing).  A pivot taken off the
+    diagonal or a singular pivot raises EigensolveError.
     """
     try:
-        chol = np.linalg.cholesky(d)
-        return 0, lambda r: scipy.linalg.solve_triangular(chol, r, lower=True, check_finite=False), 1.0
-    except np.linalg.LinAlgError:
-        w, q = np.linalg.eigh(d)
-        if np.abs(w).min() <= 1e-12 * np.abs(w).max():
-            raise EigensolveError("singular pivot block: the shift sits on an eigenvalue") from None
-        scale = 1.0 / np.sqrt(np.abs(w))
-        return int(np.count_nonzero(w < 0.0)), lambda r: scale[:, None] * (q.conj().T @ r), np.sign(w)[:, None]
-
-
-def ring_inertia(m, blocks: int) -> int:
-    """Number of negative eigenvalues of a Hermitian periodic block-tridiagonal matrix.
-
-    ``m`` has ``blocks`` equal diagonal blocks, and block i couples only to
-    blocks i - 1 and i + 1 modulo ``blocks``.  P1 elements along a closed
-    curve give this layout, and so does a line of P2 elements grouped one
-    block per element with the two end nodes together in one block.  Block
-    elimination along the ring, carrying the coupling to the last block as
-    a dense border, yields one pivot block per ring block; by Sylvester's
-    law of inertia applied blockwise (Haynsworth additivity) their negative
-    eigenvalues add up to those of ``m``.  A pivot block that passes
-    Cholesky has none; only an indefinite one is diagonalized, and a
-    singular one raises EigensolveError.  The count holds a few dense
-    blocks at a time, so unlike the diagonal of a sparse LU (which scipy
-    only hands out as full copies of both factors) it adds next to nothing
-    to the memory of a solve.
-    """
-    coo = sp.coo_matrix(m)
-    coo.sum_duplicates()
-    dim = coo.shape[0]
-    if blocks < 3 or dim % blocks:
-        raise ValueError(f"dim {dim} does not split into {blocks} >= 3 ring blocks")
-    size = dim // blocks
-    ring = coo.row // size
-    hop = (coo.col // size - ring) % blocks
-    if np.any((hop > 1) & (hop < blocks - 1) & (coo.data != 0)):
-        raise ValueError("matrix couples blocks that are not ring neighbours")
-    # entries of block (i, i) under key 2i and of block (i, i+1) under 2i+1;
-    # Hermitian symmetry makes the blocks (i, i-1) redundant
-    upper = np.flatnonzero(hop <= 1)
-    key = 2 * ring[upper] + hop[upper]
-    order = np.argsort(key, kind="stable")
-    upper = upper[order]
-    starts = np.searchsorted(key[order], np.arange(2 * blocks + 1))
-    rows, cols, vals = coo.row[upper] % size, coo.col[upper] % size, coo.data[upper]
-
-    def block(k):
-        out = np.zeros((size, size), dtype=complex)
-        cut = slice(starts[k], starts[k + 1])
-        out[rows[cut], cols[cut]] = vals[cut]
-        return out
-
-    last = blocks - 1
-    tail = block(2 * last)
-    d, border = block(0), block(2 * last + 1).conj().T
-    below = 0
-    for i in range(last - 1):
-        count, half, sign = _pivot(d)
-        below += count
-        # with y = H [e, border], the Schur updates are y^H S y products
-        y = half(np.hstack([block(2 * i + 1), border]))
-        ye, yw = y[:, :size], y[:, size:]
-        syw = sign * yw
-        tail -= yw.conj().T @ syw
-        d = block(2 * i + 2) - ye.conj().T @ (sign * ye)
-        border = -(ye.conj().T @ syw)
-    border += block(2 * last - 1)
-    count, half, sign = _pivot(d)
-    below += count
-    yw = half(border)
-    tail -= yw.conj().T @ (sign * yw)
-    return below + _pivot(0.5 * (tail + tail.conj().T))[0]
+        lu = spla.splu(sp.csc_matrix(m), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise EigensolveError(f"singular factor: {exc}") from None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigensolveError("a pivot was taken off the diagonal")
+    d = lu.U.diagonal().real  # the copy of U is dropped at once
+    if np.abs(d).min() <= 1e-12 * np.abs(d).max():
+        raise EigensolveError("singular pivot: the shift sits on an eigenvalue")
+    return int(np.count_nonzero(d < 0.0)), lu
 
 
 def shift_invert_smallest(
     pencil: HermitianPencil,
     count: int,
     sigma: float,
-    blocks: int,
     tol: float = 1e-8,
     seed: int = 0,
 ) -> SpectrumResult:
     """The ``count`` smallest eigenpairs by shift-invert ARPACK below a certified shift.
 
-    ``sigma`` should lie just below the wanted cluster, and the pencil
-    must have the periodic block-tridiagonal layout of ``ring_inertia``
-    with ``blocks`` ring blocks.  While A - sigma B has negative pivots
-    (eigenvalues below sigma) or a singular pivot block, sigma is lowered
-    by a doubling step, at most MAX_SHIFTS times.  The certified
-    A - sigma B is positive definite, so its sparse LU needs no pivoting:
-    a minimum-degree ordering on A + A^H with a symmetric permutation keeps
-    about half the fill of the default COLAMD ordering.  ARPACK (complex
-    Hermitian pencils go through its Arnoldi routines, Lanczos in exact
-    arithmetic) then finds the ``count`` eigenvalues nearest sigma from a
-    start vector drawn from ``default_rng(seed)``; the result's
-    ``iterations`` counts its applications of the factored inverse, which
-    repeat exactly for a fixed seed.  Raises EigensolveError
-    when no shift can be certified, when ARPACK does not converge, or when
-    a residual exceeds ``tol`` (the partial result attached as ``partial``
-    in the last case).
+    ``sigma`` should lie just below the wanted cluster.  Each tried shift
+    is factored once by ``inertia``: while A - sigma B has negative pivots
+    (eigenvalues below sigma) or a singular or off-diagonal pivot, sigma is
+    lowered by a doubling step, at most MAX_SHIFTS times.  The factor whose
+    pivots are all positive is the certificate and the operator ARPACK
+    inverts; its minimum-degree ordering on A + A^H keeps about half the
+    fill of the default COLAMD ordering.  ARPACK (complex Hermitian pencils
+    go through its Arnoldi routines, Lanczos in exact arithmetic) then
+    finds the ``count`` eigenvalues nearest sigma from a start vector drawn
+    from ``default_rng(seed)``; the result's ``iterations`` counts its
+    applications of the factored inverse, which repeat exactly for a fixed
+    seed.  Raises EigensolveError when no shift can be certified, when
+    ARPACK does not converge, or when a residual exceeds ``tol`` (the
+    partial result attached as ``partial`` in the last case).
     """
     dim = pencil.dim
     if count < 1 or count >= dim - 1:
@@ -245,25 +183,18 @@ def shift_invert_smallest(
     b = sp.identity(dim, format="csr") if pencil.b is None else pencil.b
     step = 1e-2 * max(1.0, abs(sigma))
     for attempt in range(1, MAX_SHIFTS + 1):
-        shifted = pencil.a - sigma * b
         try:
-            below = ring_inertia(shifted, blocks)
+            below, lu = inertia(pencil.a - sigma * b)
         except EigensolveError:
-            below = None  # singular pivot block
+            below, lu = None, None  # a singular or off-diagonal pivot
         if below == 0:
             break
+        del lu  # the rejected factor is freed before the next one is built
         if attempt == MAX_SHIFTS:
-            found = "a singular pivot block" if below is None else f"{below} eigenvalues below it"
+            found = "a singular or off-diagonal pivot" if below is None else f"{below} eigenvalues below it"
             raise EigensolveError(f"no shift certified in {MAX_SHIFTS} tries; sigma={sigma:g} has {found}")
         sigma -= step
         step *= 2.0
-    lu = spla.splu(
-        sp.csc_matrix(shifted),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    del shifted
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

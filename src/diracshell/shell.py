@@ -235,8 +235,8 @@ def _constraint_basis(grid: _TensorGalerkin, spinors: dict) -> sp.csr_matrix:
     frame they are the constant vectors (1, -i)/sqrt(2) and (1, i)/sqrt(2).
     Reduced DOFs are grouped by s-column: for each grid index i the block
     [boundary(-1), component-0 interior, component-1 interior, boundary(+1)]
-    is contiguous, so the pencils are periodic block-tridiagonal over the
-    n_s columns, the layout ``eigsolve.ring_inertia`` certifies shifts on.
+    is contiguous; ``boundary_values`` reads the boundary coefficients at
+    these offsets.
     """
     n_s, n_tn, dim = grid.n_s, grid.n_tn, grid.dim
     interior = n_tn - 2
@@ -433,9 +433,7 @@ def lowest_eigenvalues(
         raise TypeError("expected a ShellFormAssembly or a SandwichFormAssembly")
     if which not in pencils:
         raise ValueError(f"which must be one of {sorted(pencils)} for this assembly, got {which!r}")
-    res = shift_invert_smallest(
-        pencils[which], count, ladder_shift(assembly), assembly.n_s, tol=tol, seed=seed
-    )
+    res = shift_invert_smallest(pencils[which], count, ladder_shift(assembly), tol=tol, seed=seed)
     return Eigenpairs(
         [(float(v), float(r)) for v, r in zip(res.eigenvalues, res.residuals)],
         shift=res.shift,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracshell import checks, clifford, eigsolve
+from diracshell import checks, clifford, eigsolve, shell
 from diracshell.checks import REGISTRY, CheckResult, check_gauge_equivalence
 from diracshell.cli import main
 
@@ -45,9 +45,9 @@ def _directions(n, count=2):
 def test_transverse_energies_match_dense_oracle(n):
     fam = clifford.build_clifford(n)
     for x in _directions(n):
-        a, b = checks._transverse_ring_pencil(fam, x, 0.3, 64)
+        a, b = checks._transverse_pencil(fam, x, 0.3, 64)
         # the shift -1 is certified at once: nothing below it
-        assert eigsolve.ring_inertia(a + b, 64) == 0
+        assert eigsolve.inertia(a + b)[0] == 0
         dense = eigsolve.dense_hermitian_eig(a, b).eigenvalues
         vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
         assert np.abs(vals - dense[:6]).max() <= 1e-10
@@ -58,11 +58,11 @@ def test_transverse_energies_match_dense_oracle(n):
 def test_cut_certificate_catches_a_dropped_value():
     fam = clifford.build_clifford(3)
     x = next(_directions(3))
-    a, b = checks._transverse_ring_pencil(fam, x, 0.3, 64)
+    a, b = checks._transverse_pencil(fam, x, 0.3, 64)
     vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
-    checks._certify_cut(a, b, vals, 64)
+    checks._certify_cut(a, b, vals)
     with pytest.raises(eigsolve.EigensolveError, match="below the cut"):
-        checks._certify_cut(a, b, vals[1:], 64)
+        checks._certify_cut(a, b, vals[1:])
 
 
 def test_intertwining_fails_when_the_solver_skips_a_value(monkeypatch):
@@ -77,6 +77,17 @@ def test_intertwining_fails_when_the_solver_skips_a_value(monkeypatch):
     res = checks.check_intertwining()
     assert not res.passed
     assert "below the cut" in res.detail
+
+
+def test_shell_sandwich_fails_when_the_shell_level_leaves_the_bracket(monkeypatch):
+    solve = shell.lowest_eigenvalues
+
+    def raised(assembly, count, *args, which="shell", **kwargs):
+        pairs = solve(assembly, count, *args, which=which, **kwargs)
+        return [(v + 2.0, r) for v, r in pairs] if which == "shell" else pairs
+
+    monkeypatch.setattr(shell, "lowest_eigenvalues", raised)
+    assert not checks.check_shell_sandwich().passed
 
 
 def _stub(name, passed):

@@ -9,7 +9,7 @@ from diracshell.eigsolve import (
     EigensolveError,
     HermitianPencil,
     dense_hermitian_eig,
-    ring_inertia,
+    inertia,
     shift_invert_smallest,
 )
 
@@ -83,35 +83,60 @@ def random_ring(rng, blocks, size):
     return m + m.conj().T
 
 
-def test_ring_inertia_matches_eigvalsh(rng):
-    # indefinite random pivots exercise the eigenvalue path of every block
-    for blocks, size in ((3, 4), (7, 5), (12, 3)):
-        m = random_ring(rng, blocks, size)
+def random_sparse_hermitian(rng, dim, density):
+    """Hermitian matrix with a random sparsity pattern and a nonzero diagonal."""
+    m = sp.random(dim, dim, density=density, random_state=rng, format="csr") * (1.0 + 1.0j)
+    return (m + m.conj().T + sp.diags(rng.standard_normal(dim))).toarray()
+
+
+def test_inertia_matches_eigvalsh(rng):
+    # indefinite random matrices: ring-coupled blocks and general sparsity
+    cases = [random_ring(rng, blocks, size) for blocks, size in ((3, 4), (7, 5), (12, 3))]
+    cases += [random_sparse_hermitian(rng, dim, 0.1) for dim in (20, 40, 60)]
+    for m in cases:
         lam = np.linalg.eigvalsh(m)
         for shift in (lam[0] - 1.0, 0.0, 0.5 * (lam[4] + lam[5]), lam[-1] + 1.0):
             shifted = sp.csr_matrix(m - shift * np.eye(m.shape[0]))
-            assert ring_inertia(shifted, blocks) == np.count_nonzero(lam < shift)
+            assert inertia(shifted)[0] == np.count_nonzero(lam < shift)
 
 
-def test_ring_inertia_rejects_other_layouts(rng):
-    m = random_ring(rng, 6, 4)
-    m[0, 10] = m[10, 0] = 1.0  # block 0 to block 2
-    with pytest.raises(ValueError):
-        ring_inertia(sp.csr_matrix(m), 6)
-    with pytest.raises(ValueError):
-        ring_inertia(sp.csr_matrix(random_ring(rng, 6, 4)), 5)
+def test_inertia_rejects_singular_and_off_diagonal_pivots():
+    # an exactly singular factor, and a zero diagonal that forces an
+    # off-diagonal pivot
+    for m in (np.diag([1.0, 0.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(EigensolveError):
+            inertia(sp.csr_matrix(m.astype(complex)))
+
+
+def test_shift_invert_factors_once_per_tried_shift(monkeypatch):
+    pen = HermitianPencil.make(dirichlet_laplacian(128))
+    splu = eigsolve.spla.splu
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(eigsolve.spla, "splu", counting)
+    # an already-certified shift: the certificate's factor is the one ARPACK uses
+    res = shift_invert_smallest(pen, 2, -0.01, seed=1)
+    assert len(calls) == 1 and res.shift == -0.01
+    # 0.025 and 0.015 lie above eigenvalues; the third try, -0.005, certifies
+    calls.clear()
+    res = shift_invert_smallest(pen, 2, 0.025, seed=1)
+    assert len(calls) == 3 and abs(res.shift + 0.005) < 1e-15
 
 
 def test_shift_invert_laplacian_closed_form():
     n = 128
     pen = HermitianPencil.make(dirichlet_laplacian(n))
     exact = np.array([4.0 * math.sin(math.pi * j / (2 * (n + 1))) ** 2 for j in (1, 2, 3)])
-    res = shift_invert_smallest(pen, 3, -0.01, blocks=8, seed=1)
+    res = shift_invert_smallest(pen, 3, -0.01, seed=1)
     assert res.converged and res.negative_pivots == 0 and res.shift == -0.01
     assert np.abs(res.eigenvalues - exact).max() < 1e-12
     assert res.residuals.max() <= 1e-8
     # a shift above the lowest eigenvalue is lowered until certified
-    raised = shift_invert_smallest(pen, 3, exact[1], blocks=8, seed=1)
+    raised = shift_invert_smallest(pen, 3, exact[1], seed=1)
     assert raised.shift < exact[0]
     assert np.abs(raised.eigenvalues - exact).max() < 1e-12
 
@@ -121,15 +146,15 @@ def test_shift_invert_matches_dense_generalized():
     a = dirichlet_laplacian(n) + sp.diags(np.linspace(0.0, 1.0, n)).astype(complex)
     b = sp.diags(np.linspace(1.0, 2.0, n)).tocsr().astype(complex)
     pen = HermitianPencil.make(a.tocsr(), b)
-    res = shift_invert_smallest(pen, 4, 0.0, blocks=10, seed=0)
+    res = shift_invert_smallest(pen, 4, 0.0, seed=0)
     dense = dense_hermitian_eig(a.toarray(), b.toarray())
     assert np.abs(res.eigenvalues - dense.eigenvalues[:4]).max() <= 1e-10
 
 
 def test_shift_invert_seed_reproducible():
     pen = HermitianPencil.make(dirichlet_laplacian(128))
-    r1 = shift_invert_smallest(pen, 2, -0.01, blocks=8, seed=7)
-    r2 = shift_invert_smallest(pen, 2, -0.01, blocks=8, seed=7)
+    r1 = shift_invert_smallest(pen, 2, -0.01, seed=7)
+    r2 = shift_invert_smallest(pen, 2, -0.01, seed=7)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     # the count of inverse applications repeats exactly
     assert r1.iterations == r2.iterations > 0
@@ -139,6 +164,6 @@ def test_shift_invert_uncertified_raises(monkeypatch):
     pen = HermitianPencil.make(dirichlet_laplacian(128))
     monkeypatch.setattr(eigsolve, "MAX_SHIFTS", 1)
     with pytest.raises(EigensolveError):
-        shift_invert_smallest(pen, 2, 0.01, blocks=8)
+        shift_invert_smallest(pen, 2, 0.01)
     with pytest.raises(EigensolveError):
-        shift_invert_smallest(pen, 2, -0.01, blocks=8, tol=1e-30)
+        shift_invert_smallest(pen, 2, -0.01, tol=1e-30)
