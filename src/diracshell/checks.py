@@ -179,12 +179,9 @@ def _p2_transverse_pencil(N: int, m: float, n_elem: int):
     """
     h = 2.0 / n_elem
     n_nodes = 2 * n_elem + 1
-    xt = np.array([0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6)])
-    wt = np.array([5.0, 8.0, 5.0]) / 18.0
-    val = np.vstack([(1 - xt) * (1 - 2 * xt), 4 * xt * (1 - xt), xt * (2 * xt - 1)])
-    der = np.vstack([4 * xt - 3, 4 - 8 * xt, 4 * xt - 1]) / h
-    k_loc = np.einsum("q,aq,bq->ab", wt * h, der, der)
-    m_loc = np.einsum("q,aq,bq->ab", wt * h, val, val)
+    val, der = shell.p2_tables(h)
+    k_loc = np.einsum("q,aq,bq->ab", shell._QT_W * h, der, der)
+    m_loc = np.einsum("q,aq,bq->ab", shell._QT_W * h, val, val)
     # element e couples nodes 2e, 2e+1, 2e+2; entry (a, b) of its local matrix
     idx = 2 * np.arange(n_elem)[:, None] + np.arange(3)
     rows, cols = np.repeat(idx, 3, axis=1).ravel(), np.tile(idx, 3).ravel()
@@ -429,12 +426,15 @@ def check_flat_strip():
 @_entry("shell-sandwich", budget_s=180.0)
 def check_shell_sandwich():
     fam = clifford.build_clifford(2)
-    curve = geometry.make_curve("circle", r=1.0)
-    c = 3.0 * (1.0 + curve.kappa_max)
+    circle = geometry.make_curve("circle", r=1.0)
+    ellipse = geometry.make_curve("ellipse", a=2.0, b=1.0)
     ok = True
     details = []
-    grids = [(0.1, 48, 13)] + [(eps, 96, shell.default_nt(eps)) for eps in (0.1, 0.05)]
-    for eps, n_s, n_t in grids:
+    # the m = 0 circle's lowest mode is constant in s, so one s-grid covers
+    # it; the ellipse leg adds a curvature that varies along the curve
+    legs = [(ellipse, 0.1, 48, 13)] + [(circle, eps, 96, shell.default_nt(eps)) for eps in (0.1, 0.05)]
+    for curve, eps, n_s, n_t in legs:
+        c = 3.0 * (1.0 + curve.kappa_max)
         met = geometry.shell_metric(curve, eps)
         asm = shell.assemble_shell(fam, met, 0.0, n_s, n_t)
         sand = shell.assemble_sandwich(fam, met, 0.0, c, n_s, n_t)
@@ -445,8 +445,10 @@ def check_shell_sandwich():
         # pi^2/(16 eps^2), not with mu itself
         tol = 10.0 * max(asm.h_s, asm.h_t) ** 2 * max(1.0, abs(mu - math.pi**2 / (16.0 * eps**2)))
         ok = ok and mu_minus - tol <= mu <= mu_plus + tol
+        # the circle is the entry's reference curve; any other is named
+        label = "" if curve is circle else f"{curve.name} "
         details.append(
-            f"eps={eps} {n_s}x{n_t}: {mu_minus:.4f} <= {mu:.4f} <= {mu_plus:.4f} (tol {tol:.3f})"
+            f"{label}eps={eps} {n_s}x{n_t}: {mu_minus:.4f} <= {mu:.4f} <= {mu_plus:.4f} (tol {tol:.3f})"
         )
     return ok, "; ".join(details)
 

@@ -116,7 +116,7 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.m < 0:
             raise ConfigError("m must be nonnegative")
-        if len(self.eps) < 1 or any(e <= 0 for e in self.eps):
+        if len(self.eps) < 1 or any(not e > 0 for e in self.eps):
             raise ConfigError("eps values must be positive")
         if sorted(self.eps, reverse=True) != list(self.eps):
             raise ConfigError("eps list must be strictly decreasing")
@@ -237,9 +237,20 @@ def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
     }
 
 
-def _shell_job(fam, curve, cfg: SweepConfig, eps: float):
-    met = shell_metric(curve, eps)
-    nt = cfg.nt if cfg.nt is not None else default_nt(eps)
+def _curve(spec):
+    """The curve of a JSON curve config; a config it cannot build is a ConfigError."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"curve must be a JSON object, got {spec!r}")
+    try:
+        return curve_from_json(spec)
+    except KeyError as exc:
+        raise ConfigError(f"curve {spec!r} lacks the parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad curve {spec!r}: {exc}") from exc
+
+
+def _shell_job(fam, met, cfg: SweepConfig):
+    nt = cfg.nt if cfg.nt is not None else default_nt(met.eps)
     t0 = time.perf_counter()
     asm = assemble_shell(fam, met, cfg.m, cfg.ns, nt)
     t1 = time.perf_counter()
@@ -265,7 +276,9 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     listed in ``failures`` under its eps, and an auto reference that has
     not converged at the cap under ``"effective"``; the report is
     ``partial`` when anything failed or fewer than 3 points solved (no
-    fit).  With ``out_dir`` it writes ``sweep.csv`` and the run record
+    fit).  A curve config it cannot build, or an eps at or beyond the
+    curve's injectivity guard, is a ConfigError raised before any solve.
+    With ``out_dir`` it writes ``sweep.csv`` and the run record
     ``sweep.json``: per eps under ``solves`` the dof, shift, negative
     pivots, ARPACK operator applications (``iterations``), largest residual
     and the assembly and solve seconds, and at the top level
@@ -278,7 +291,11 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     cfg.validate()
     fam = build_clifford(2)
-    curve = curve_from_json(cfg.curve)
+    curve = _curve(cfg.curve)
+    try:
+        metrics = {eps: shell_metric(curve, eps) for eps in cfg.eps}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     failures: dict = {}
     t0 = time.perf_counter()
     if cfg.eff_ns == "auto":
@@ -298,7 +315,7 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
 
     def job(eps):
         try:
-            return eps, *_shell_job(fam, curve, cfg, eps), None
+            return eps, *_shell_job(fam, metrics[eps], cfg), None
         except EigensolveError as exc:
             return eps, None, None, str(exc)
 
@@ -448,7 +465,7 @@ def _build_config(args) -> SweepConfig:
     payload = {
         "curve": _load_curve_arg(args.curve),
         "m": args.m,
-        "eps": [float(e) for e in args.eps.split(",")] if args.eps else None,
+        "eps": args.eps.split(",") if args.eps else None,
         "ns": args.ns,
         "nt": args.nt,
         "count": args.count,
@@ -525,15 +542,22 @@ def main(argv=None) -> int:
                 return EXIT_PARTIAL
             return 0
         if args.verb == "transverse-table":
-            ms = [float(v) for v in args.m.split(",")]
+            try:
+                ms = [float(v) for v in args.m.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"--m: {exc}") from exc
+            if any(not v >= 0.0 for v in ms):
+                raise ConfigError("--m: masses must be nonnegative")
             write_transverse_table(args.out, ms, range(1, args.bands + 1))
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":
             from .effective import DEFAULT_COUPLING
 
+            if args.ns < 16 or args.ns % 2 or args.count < 1:
+                raise ConfigError("--ns must be an even integer >= 16 and --count >= 1")
             fam = build_clifford(2)
-            curve = curve_from_json(_load_curve_arg(args.curve))
+            curve = _curve(_load_curve_arg(args.curve))
             coupling = DEFAULT_COUPLING if args.coupling is None else args.coupling
             res = effective_spectrum_csv(
                 args.out, fam, curve, args.ns, count=args.count, coupling=coupling
@@ -541,7 +565,11 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}; spectral distance {res.spectral_distance:.3e}")
             return 0
         if args.verb == "dump-clifford":
-            text = family_to_json(build_clifford(args.n))
+            try:
+                fam = build_clifford(args.n)
+            except ValueError as exc:
+                raise ConfigError(f"--n: {exc}") from exc
+            text = family_to_json(fam)
             if args.out is None:
                 print(text)
             else:

@@ -356,13 +356,6 @@ class ShellMetric2D:
     def det_g(self, s, t) -> np.ndarray:
         return self.eps**2 * self._w(s, t) ** 2
 
-    def boundary_weight(self, side: int, s) -> np.ndarray:
-        """h(s) = phi(s, side)/eps = 1 + side*eps*kappa(s)."""
-        return self._w(s, float(side))
-
-    def boundary_mean_curvature(self, side: int, s) -> np.ndarray:
-        return boundary_mean_curvature_exact(self.curve, self.eps, side, s)
-
     def tubular_map(self, s, t) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)

@@ -9,18 +9,19 @@ component,
 
 with the L^2 weight eps*(1+eps*t*kappa).  The spinor boundary constraint
 -i a_3 Gamma(nu(s)) w(s, +-1) = +- w(s, +-1) is imposed by construction:
-each boundary node carries a single complex DOF along the unit spinor
-spanning the +-1 eigenspace of -i a_3 Gamma(nu(s)).
+in the gauged frame diag(1, nu(s)) its +-1 eigenspaces are constant in s,
+and each boundary node carries a single complex DOF along one of them.
 
 Discretization is a tensor-product Galerkin space, P1 (periodic) in s and
-quadratic Lagrange elements in t, with 2x3 Gauss quadrature per cell and
-all coefficients evaluated at quadrature points.  The curvature is the only
-coefficient that varies in s; it is evaluated once per assembly, at the
-2*n_s distinct s-abscissae (i + xi_q)*h_s, and broadcast over t and over
-every coefficient built from it.  The quadratic t-element
+quadratic Lagrange elements in t (``p2_tables``), with 2x3 Gauss quadrature
+per cell and all coefficients evaluated at quadrature points.  The curvature
+is the only coefficient that varies in s; it is evaluated once per
+assembly, at the 2*n_s distinct s-abscissae (i + xi_q)*h_s, and broadcast
+over t and over every coefficient built from it.  The quadratic t-element
 keeps the transverse eigenvalue error far below the O(1) effective term
 even on the coarse sweep grids; convergence in the s-direction stays
-second order.
+second order.  The shell form and both bracketing forms below share one
+gauged-frame assembler, ``_gauged_pencil``.
 
 The companion bracketing forms replace the exact coefficients by their
 flat-metric bounds with slack constant c:
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .clifford import CliffordFamily, gamma
+from .clifford import CliffordFamily
 # lobpcg_smallest is None; its only reader is bench/tracer.py, which wraps it here by name
 from .eigsolve import HermitianPencil, lobpcg_smallest, shift_invert_smallest  # noqa: F401
 from .geometry import ShellMetric2D
@@ -57,7 +58,6 @@ __all__ = [
     "lowest_eigenvalues",
     "Eigenpairs",
     "ladder_shift",
-    "boundary_spinor",
     "default_nt",
     "flat_strip_levels",
     "MAX_COUNT",
@@ -78,23 +78,16 @@ def default_nt(eps: float) -> int:
     return max(8, math.ceil(4.0 / math.sqrt(eps)))
 
 
-def boundary_spinor(fam: CliffordFamily, nu: np.ndarray, side: int) -> np.ndarray:
-    """Unit spinor spanning the side-eigenspace of -i a_{n+1} Gamma(nu).
+def p2_tables(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratic Lagrange element on a cell of width h.
 
-    Deterministic phase: the first nonzero component is made real
-    positive.  Requires N = 2 so that the eigenspace is a line.
+    Values and d/dx of the basis functions of the nodes 0, 1/2, 1 of the
+    reference cell (rows) at the Gauss points ``_QT_P`` (columns).
     """
-    if fam.N != 2:
-        raise ValueError("boundary elimination implemented for N = 2")
-    bmat = -1.0j * fam.alpha_last @ gamma(fam, np.asarray(nu, dtype=float)).gamma
-    vals, vecs = np.linalg.eigh(bmat)
-    idx = int(np.argmin(np.abs(vals - side)))
-    if abs(vals[idx] - side) > 1e-10:
-        raise ValueError("boundary matrix does not have the expected +-1 eigenvalues")
-    v = vecs[:, idx]
-    pivot = int(np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0])
-    phase = v[pivot] / abs(v[pivot])
-    return v / phase
+    x = _QT_P
+    val = np.vstack([(1.0 - x) * (1.0 - 2.0 * x), 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)])
+    der = np.vstack([4.0 * x - 3.0, 4.0 - 8.0 * x, 4.0 * x - 1.0]) / h
+    return val, der
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,6 @@ class _TensorGalerkin:
     """Scalar P1(s, periodic) x P2(t) assembler on [0, L) x (-1, 1)."""
 
     def __init__(self, length: float, n_s: int, n_t: int):
-        self.length = length
         self.n_s = n_s
         self.n_t = n_t
         self.h_s = length / n_s
@@ -139,22 +131,11 @@ class _TensorGalerkin:
         xs = _QS_P
         self.val_s = np.vstack([1.0 - xs, xs])                      # (2, 2)
         self.der_s = np.vstack([-np.ones(2), np.ones(2)]) / self.h_s
-        xt = _QT_P
-        self.val_t = np.vstack([
-            (1.0 - xt) * (1.0 - 2.0 * xt),
-            4.0 * xt * (1.0 - xt),
-            xt * (2.0 * xt - 1.0),
-        ])                                                          # (3, 3)
-        self.der_t = np.vstack([
-            4.0 * xt - 3.0,
-            4.0 - 8.0 * xt,
-            4.0 * xt - 1.0,
-        ]) / self.h_t
+        self.val_t, self.der_t = p2_tables(self.h_t)                # (3, 3)
 
         # tensorized 6-node, 6-point tables: local node a = (as, at)
         self.loc_nodes = [(a_s, a_t) for a_s in range(2) for a_t in range(3)]
-        nq = xs.size * xt.size
-        self.nq = nq
+        nq = xs.size * _QT_P.size
         self.val = np.empty((6, nq))
         self.ds = np.empty((6, nq))
         self.dt = np.empty((6, nq))
@@ -173,7 +154,7 @@ class _TensorGalerkin:
         # the 2*n_s distinct s-abscissae (i + xi_q)*h_s, shape (n_s, 2), and
         # t at the quadrature points of each element, shape (n_el, nq)
         self.s_abscissae = (es[:, None] + xs[None, :]) * self.h_s
-        tq = -1.0 + (self.elem_t[:, None] + xt[None, :]) * self.h_t
+        tq = -1.0 + (self.elem_t[:, None] + _QT_P[None, :]) * self.h_t
         self.quad_t = (tq[:, None, :] + np.zeros((1, xs.size, 1))).reshape(-1, nq)
         # global index per element and local node
         gidx = np.empty((self.elem_s.size, 6), dtype=np.int64)
@@ -228,11 +209,17 @@ class _TensorGalerkin:
         return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(self.dim, self.dim)).tocsr()
 
 
-def _constraint_basis(grid: _TensorGalerkin, spinors: dict) -> sp.csr_matrix:
+# boundary spinors in the gauged frame diag(1, nu(s)): constant in s
+_GAUGED_SPINORS = {
+    -1: np.array([1.0, -1.0j]) / math.sqrt(2.0),
+    +1: np.array([1.0, +1.0j]) / math.sqrt(2.0),
+}
+
+
+def _constraint_basis(grid: _TensorGalerkin) -> sp.csr_matrix:
     """Sparse map from reduced DOFs to the full 2-component node values.
 
-    ``spinors`` gives the unit boundary spinor per side; in the gauged
-    frame they are the constant vectors (1, -i)/sqrt(2) and (1, i)/sqrt(2).
+    Each boundary node carries one DOF along its side's ``_GAUGED_SPINORS``.
     Reduced DOFs are grouped by s-column: for each grid index i the block
     [boundary(-1), component-0 interior, component-1 interior, boundary(+1)]
     is contiguous; ``boundary_values`` reads the boundary coefficients at
@@ -247,7 +234,7 @@ def _constraint_basis(grid: _TensorGalerkin, spinors: dict) -> sp.csr_matrix:
         for comp in range(2):
             rows.append(comp * dim + i * n_tn + 0)
             cols.append(red)
-            vals.append(spinors[-1][comp])
+            vals.append(_GAUGED_SPINORS[-1][comp])
         for comp in range(2):
             base = comp * dim + i * n_tn
             for jt in range(1, n_tn - 1):
@@ -257,15 +244,8 @@ def _constraint_basis(grid: _TensorGalerkin, spinors: dict) -> sp.csr_matrix:
         for comp in range(2):
             rows.append(comp * dim + i * n_tn + (n_tn - 1))
             cols.append(red + block - 1)
-            vals.append(spinors[+1][comp])
+            vals.append(_GAUGED_SPINORS[+1][comp])
     return sp.coo_matrix((vals, (rows, cols)), shape=(2 * dim, n_s * block)).tocsr()
-
-
-# boundary spinors in the gauged frame diag(1, nu(s)): constant in s
-_GAUGED_SPINORS = {
-    -1: np.array([1.0, -1.0j]) / math.sqrt(2.0),
-    +1: np.array([1.0, +1.0j]) / math.sqrt(2.0),
-}
 
 
 def _reduce(z: sp.csr_matrix, a_comp0: sp.csr_matrix, a_comp1: sp.csr_matrix | None = None) -> sp.csr_matrix:
@@ -277,6 +257,35 @@ def _reduce(z: sp.csr_matrix, a_comp0: sp.csr_matrix, a_comp1: sp.csr_matrix | N
     return out
 
 
+def _grid(fam: CliffordFamily, metric: ShellMetric2D, n_s: int, n_t: int | None):
+    """The validated grid, the curvature (one call) at its s-abscissae and at
+    its quadrature points, and the constraint basis."""
+    if fam.n != 2:
+        raise ValueError("shell assembly is implemented for n = 2")
+    if n_t is None:
+        n_t = default_nt(metric.eps)
+    if n_s < 32 or n_t < 8:
+        raise ValueError("grid too coarse: need n_s >= 32 and n_t >= 8")
+    grid = _TensorGalerkin(metric.curve.length, n_s, n_t)
+    kap_s = metric.curve.curvature(grid.s_abscissae)
+    return grid, kap_s, grid.at_quad(kap_s), _constraint_basis(grid)
+
+
+def _gauged_pencil(grid, z, kap, tan, trans, mass, boundary, b) -> HermitianPencil:
+    """The reduced pencil of a form written in the gauged frame diag(1, nu(s)).
+
+    Component 0 carries tan|d_s u|^2 + trans|d_t u|^2 + mass|u|^2.  The
+    frame makes the boundary constraint s-independent, so the discrete space
+    satisfies it at every s; the price is the covariant d_s + i*kappa on
+    component 1.  ``boundary`` holds the coefficients on the t = +1 and
+    t = -1 lines, ``b`` is the reduced mass matrix.
+    """
+    bnd = grid.boundary_matrix(+1, boundary[0]) + grid.boundary_matrix(-1, boundary[1])
+    a0 = grid.volume_matrix(tan, trans, mass) + bnd
+    a1 = grid.volume_matrix(tan, trans, mass + tan * kap**2, c_cross=tan * kap) + bnd
+    return HermitianPencil.make(_reduce(z, a0, a1), b)
+
+
 def assemble_shell(
     fam: CliffordFamily,
     metric: ShellMetric2D,
@@ -285,43 +294,18 @@ def assemble_shell(
     n_t: int | None = None,
 ) -> ShellFormAssembly:
     """Pencil of the exact tubular-coordinate form with eliminated boundary DOFs."""
-    if fam.n != 2:
-        raise ValueError("shell assembly is implemented for n = 2")
     if m < 0:
         raise ValueError("mass must be nonnegative")
-    if n_t is None:
-        n_t = default_nt(metric.eps)
-    if n_s < 32 or n_t < 8:
-        raise ValueError("grid too coarse: need n_s >= 32 and n_t >= 8")
+    grid, kap_s, kap, z = _grid(fam, metric, n_s, n_t)
     eps = metric.eps
-    grid = _TensorGalerkin(metric.curve.length, n_s, n_t)
-    kap_s = metric.curve.curvature(grid.s_abscissae)
-    kap = grid.at_quad(kap_s)
     w = 1.0 + eps * grid.quad_t * kap
-    q_tan = eps / w
-    q_trans = w / eps
-    mass = m * m * eps * w
-
-    # spinor components are assembled in the gauged frame diag(1, nu(s)),
-    # where the boundary constraint is s-independent (the discrete space
-    # then satisfies it exactly for every s, not only at the nodes); the
-    # price is the covariant coupling d_s + i*kappa on the second component
-    a_comp0 = grid.volume_matrix(q_tan, q_trans, mass if m > 0 else None)
-    a_comp1 = grid.volume_matrix(q_tan, q_trans, mass + q_tan * kap**2, c_cross=q_tan * kap)
     # (m + H/2)*h with the exact curvature H = side*kappa/(1+side*eps*kappa)
     # and weight h = 1+side*eps*kappa collapses to m*h + side*kappa/2
-    bnd = [
-        grid.boundary_matrix(side, m * (1.0 + side * eps * kap_s) + side * kap_s / 2.0)
-        for side in (+1, -1)
-    ]
-    a_comp0 = a_comp0 + bnd[0] + bnd[1]
-    a_comp1 = a_comp1 + bnd[0] + bnd[1]
-    b_sc = grid.volume_matrix(None, None, eps * w)
-
-    z = _constraint_basis(grid, _GAUGED_SPINORS)
-    pencil = HermitianPencil.make(_reduce(z, a_comp0, a_comp1), _reduce(z, b_sc))
+    boundary = [m * (1.0 + side * eps * kap_s) + side * kap_s / 2.0 for side in (+1, -1)]
+    b = _reduce(z, grid.volume_matrix(None, None, eps * w))
+    pencil = _gauged_pencil(grid, z, kap, eps / w, w / eps, m * m * eps * w, boundary, b)
     return ShellFormAssembly(
-        metric=metric, m=float(m), n_s=n_s, n_t=n_t, pencil=pencil,
+        metric=metric, m=float(m), n_s=grid.n_s, n_t=grid.n_t, pencil=pencil,
         dof_count=pencil.dim, h_s=grid.h_s, h_t=grid.h_t,
     )
 
@@ -335,39 +319,20 @@ def assemble_sandwich(
     n_t: int | None = None,
 ) -> SandwichFormAssembly:
     """The two flat-metric bracketing pencils sharing one mass matrix."""
-    if fam.n != 2:
-        raise ValueError("sandwich assembly is implemented for n = 2")
     if c < 0:
         raise ValueError("slack constant c must be nonnegative")
-    if n_t is None:
-        n_t = default_nt(metric.eps)
-    if n_s < 32 or n_t < 8:
-        raise ValueError("grid too coarse: need n_s >= 32 and n_t >= 8")
+    grid, _, kap, z = _grid(fam, metric, n_s, n_t)
     eps = metric.eps
-    grid = _TensorGalerkin(metric.curve.length, n_s, n_t)
-    kap = grid.at_quad(metric.curve.curvature(grid.s_abscissae))
-    kap2 = kap**2
-
+    b = _reduce(z, grid.volume_matrix(None, None, 1.0))
     pencils = {}
-    b_sc = grid.volume_matrix(None, None, 1.0)
-    z = _constraint_basis(grid, _GAUGED_SPINORS)
-    b_red = _reduce(z, b_sc)
     for sign in (-1, +1):
-        tan_coef = 1.0 + sign * c * eps
-        shift = m * m + sign * c * eps
-        mass0 = shift - kap2 / 4.0
-        a0 = grid.volume_matrix(c_tan=tan_coef, c_trans=1.0 / eps**2, c_mass=mass0)
-        a1 = grid.volume_matrix(
-            c_tan=tan_coef,
-            c_trans=1.0 / eps**2,
-            c_mass=mass0 + tan_coef * kap2,
-            c_cross=tan_coef * kap,
-        )
         bcoef = (m * eps + sign * c * eps**3) / eps**2
-        bnd = sum(grid.boundary_matrix(side, bcoef) for side in (+1, -1))
-        pencils[sign] = HermitianPencil.make(_reduce(z, a0 + bnd, a1 + bnd), b_red)
+        pencils[sign] = _gauged_pencil(
+            grid, z, kap, 1.0 + sign * c * eps, 1.0 / eps**2,
+            m * m + sign * c * eps - kap**2 / 4.0, (bcoef, bcoef), b,
+        )
     return SandwichFormAssembly(
-        metric=metric, m=float(m), c=float(c), n_s=n_s, n_t=n_t,
+        metric=metric, m=float(m), c=float(c), n_s=grid.n_s, n_t=grid.n_t,
         pencil_minus=pencils[-1], pencil_plus=pencils[+1],
         dof_count=pencils[+1].dim, h_s=grid.h_s, h_t=grid.h_t,
     )

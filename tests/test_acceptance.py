@@ -4,7 +4,8 @@ Criteria 01-10, 12 and 14 are entries of ``checks.REGISTRY``, which owns
 their seeds, grids, bounds and wall-time budgets; each numbered test runs
 its entry, and ``test_registry_entry`` runs the entries without a number,
 so every entry runs once and prints the same line as ``diracshell check``.
-Criteria 11 and 13 share the shell spectra of a module-scoped fixture.
+Criteria 11 and 13 read the sweep reports of a module-scoped fixture,
+made by ``cli.run_sweep``, the function behind ``diracshell sweep``.
 """
 
 import math
@@ -15,9 +16,7 @@ import pytest
 
 from diracshell import checks
 from diracshell.checks import CheckResult, format_result
-from diracshell.effective import assemble_effective, effective_eigenvalues
-from diracshell.geometry import shell_metric
-from diracshell.shell import assemble_shell, default_nt, lowest_eigenvalues
+from diracshell.cli import run_sweep
 
 
 def _report(res):
@@ -33,19 +32,15 @@ def _run(entry):
 
 
 @pytest.fixture(scope="module")
-def sweep_data(circle, fam2):
-    """Shell spectra for criteria 11 and 13: circle, both masses, pinned grids."""
-    eps_list = (0.1, 0.07, 0.05, 0.035)
-    data = {}
+def sweep_data():
+    """Sweep reports for criteria 11 and 13, per mass: circle, pinned grids."""
+    reports = {}
     for m in (0.0, 0.5):
-        per_eps = {}
-        for eps in eps_list:
-            met = shell_metric(circle, eps)
-            asm = assemble_shell(fam2, met, m, 192, default_nt(eps))
-            per_eps[eps] = [v for v, _ in lowest_eigenvalues(asm, 2)]
-        data[m] = per_eps
-    mu_eff = effective_eigenvalues(assemble_effective(fam2, circle, 1024), 2)
-    return eps_list, data, mu_eff
+        report = run_sweep({"curve": {"kind": "circle", "r": 1.0}, "m": m, "eps": [0.1, 0.07, 0.05, 0.035],
+                            "ns": 192, "count": 2, "eff_ns": 1024})
+        assert not report.partial, report.failures
+        reports[m] = report
+    return reports
 
 
 def test_criterion_01_clifford_relations_exact():
@@ -92,15 +87,12 @@ def test_criterion_10_flat_strip_separation():
 
 def test_criterion_11_theorem_at_desk_scale(sweep_data):
     t0 = time.time()
-    eps_list, data, mu_eff = sweep_data
     oks, details = [], []
-    for m, per_eps in data.items():
-        const = m * m - (4.0 / math.pi**2) * m * m
-        rs = [per_eps[e][0] - math.pi**2 / (16 * e**2) - m / e - const for e in eps_list]
-        design = np.vstack([np.ones(len(eps_list)), np.array(eps_list)]).T
-        (a1, b1), *_ = np.linalg.lstsq(design, np.array(rs), rcond=None)
-        rel = abs(a1 - mu_eff[0]) / abs(mu_eff[0])
-        diffs = np.diff(rs)
+    for m, report in sweep_data.items():
+        a1, b1 = report.fits[0]["intercept"], report.fits[0]["slope"]
+        mu_eff = report.mu_effective[0]
+        rel = abs(a1 - mu_eff) / abs(mu_eff)
+        diffs = np.diff([report.residuals[e][0] for e in report.eps])
         monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
         oks.append(rel <= 0.10 and monotone)
         details.append(f"m={m}: a1={a1:.6f} (rel err {rel:.4f}), slope {b1:.4f}, monotone={monotone}")
@@ -114,16 +106,13 @@ def test_criterion_12_sandwich_inequality():
 
 
 def test_criterion_13_corollary_leading_term(sweep_data):
-    eps_list, data, _ = sweep_data
-    mu2 = data[0.0][0.035][1]
-    pairing = abs(data[0.0][0.035][1] - data[0.0][0.035][0]) / abs(mu2)
+    mu1, mu2 = sweep_data[0.0].mu_shell[0.035]
+    pairing = abs(mu2 - mu1) / abs(mu2)
     lam1 = math.sqrt(mu2)
     rel = abs(lam1 * 0.035 - math.pi / 4.0) / (math.pi / 4.0)
     ok = rel <= 0.02 and pairing <= 1e-6
     _report(CheckResult("criterion-13", ok,
                         f"lambda_1*eps deviates {rel:.5f} from pi/4; pair split {pairing:.2e}"))
-
-
 
 
 def test_criterion_14_eigensolver_cross_validation():

@@ -9,7 +9,7 @@ break ``bench/run.py --trace 1``; this test catches it first.
 import importlib.util
 from pathlib import Path
 
-from diracshell import checks, eigsolve, shell
+from diracshell import checks, eigsolve, geometry, shell
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -34,3 +34,17 @@ def test_tracer_wraps_and_restores_every_target():
     assert checks.REGISTRY is registry
     # the placeholder the tracer still looks up; nothing calls it
     assert eigsolve.lobpcg_smallest is None and shell.lobpcg_smallest is None
+
+
+def test_traced_sandwich_counts_dof_and_nnz(fam2, circle):
+    # the shell span's counter reads the assembly's fields; a change of the
+    # return type must fail here, not in the benchmark's --trace 1 run
+    tracer = _load_tracer()
+    with tracer.Tracer().installed() as tr:
+        met = geometry.shell_metric(circle, 0.1)
+        sand = shell.assemble_sandwich(fam2, met, 0.0, 6.0, 32, 8)
+        shell.lowest_eigenvalues(sand, 1, which="minus")
+    counts = {name: c for name, _, _, _, _, c in tr.spans}
+    assert counts[tracer._SHELL]["dof"] == sand.dof_count > 0
+    assert counts[tracer._SHELL]["nnz"] > 0
+    assert counts[tracer._SOLVE]["residual_max"] <= 1e-8

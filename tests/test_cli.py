@@ -297,6 +297,43 @@ def test_main_config_errors(tmp_path, capsys):
     assert "coutn" in capsys.readouterr().err
 
 
+CIRCLE = json.dumps(SMALL["curve"])
+# "{config}" stands for a job config whose curve is the number 5
+BAD_INVOCATIONS = {
+    "curve-lacks-radius": ["sweep", "--curve", '{"kind": "circle"}'],
+    "curve-negative-radius": ["sweep", "--curve", '{"kind": "circle", "r": -1}'],
+    "curve-unknown-kind": ["sweep", "--curve", '{"kind": "blob"}'],
+    "curve-not-an-object": ["sweep", "--config", "{config}"],
+    "eps-empty-entry": ["sweep", "--curve", CIRCLE, "--eps", "0.1,,0.05"],
+    "eps-beyond-guard": ["sweep", "--curve", CIRCLE, "--eps", "0.95,0.5,0.3"],
+    "eps-not-a-number": ["sweep", "--curve", CIRCLE, "--eps", "nan,0.1"],
+    "corollary-bad-curve": ["corollary", "--curve", '{"kind": "blob"}'],
+    "effective-odd-ns": ["effective-spectrum", "--curve", CIRCLE, "--ns", "15"],
+    "effective-bad-curve": ["effective-spectrum", "--curve", '{"kind": "circle", "r": -1}'],
+    "masses-not-numbers": ["transverse-table", "--m", "a"],
+    "mass-negative": ["transverse-table", "--m", "-1"],
+    "clifford-n-zero": ["dump-clifford", "--n", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INVOCATIONS.values(), ids=BAD_INVOCATIONS)
+def test_main_bad_option_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
+    # exit 2 with a one-line message before any solve, never a traceback or an output file
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the effective reference was computed for a bad option")
+
+    monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
+    monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({**SMALL, "curve": 5}))
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.replace("{config}", str(config)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_main_defaults_are_the_config_defaults(monkeypatch):
     # the CLI options restate no default: without flags the config is SweepConfig(curve=...)
     built = []

@@ -134,8 +134,6 @@ def test_shell_metric_values(circle):
     assert met.phi(0.3, 1.0) / 0.1 == pytest.approx(0.9, abs=1e-14)
     assert met.g11(0.3, 0.0) == pytest.approx(1.0, abs=1e-14)
     assert met.phi(1.2, 0.0) == pytest.approx(0.1, abs=1e-15)
-    assert met.boundary_weight(+1, 0.0) == pytest.approx(0.9)
-    assert met.boundary_weight(-1, 0.0) == pytest.approx(1.1)
 
 
 def test_shell_metric_guard(ellipse):

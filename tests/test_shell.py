@@ -11,7 +11,6 @@ from diracshell.shell import (
     MAX_COUNT,
     assemble_sandwich,
     assemble_shell,
-    boundary_spinor,
     default_nt,
     flat_strip_levels,
     ladder_shift,
@@ -26,23 +25,6 @@ def test_default_nt_rule():
     assert default_nt(0.05) == 18
     assert default_nt(0.035) == 22
     assert default_nt(0.3) == 8
-
-
-def test_boundary_spinor_projector(fam2, rng):
-    # rank P_+-(s) = 1 and the spinor spans it with the fixed phase
-    for _ in range(10):
-        nu = rng.standard_normal(2)
-        nu /= np.linalg.norm(nu)
-        bmat = -1j * fam2.alpha_last @ gamma(fam2, nu).gamma
-        for side in (+1, -1):
-            proj = 0.5 * (np.eye(2) + side * bmat)
-            assert abs(np.trace(proj).real - 1.0) <= 1e-13
-            e = boundary_spinor(fam2, nu, side)
-            assert abs(np.linalg.norm(e) - 1.0) <= 1e-13
-            assert np.abs(bmat @ e - side * e).max() <= 1e-13
-            assert np.abs(proj @ e - e).max() <= 1e-13
-            pivot = e[int(np.flatnonzero(np.abs(e) > 1e-12)[0])]
-            assert abs(pivot.imag) <= 1e-14 and pivot.real > 0.0
 
 
 def test_pencil_hermitian_positive(fam2, circle):
@@ -206,6 +188,13 @@ def test_boundary_condition_exact_by_construction(fam2, ellipse):
             assert np.abs(bmat @ w - side * w).max() <= 1e-12
 
 
+def _bracket_tol(asm, mu):
+    # criterion 12's grid tolerance: it scales with the level left after
+    # the m = 0 ladder pi^2/(16 eps^2), not with mu itself
+    eps = asm.metric.eps
+    return 10.0 * max(asm.h_s, asm.h_t) ** 2 * max(1.0, abs(mu - math.pi**2 / (16.0 * eps**2)))
+
+
 def test_sandwich_brackets_shell_ellipse(fam2, ellipse):
     # the bracketing holds on the ellipse as well; two levels at eps = 0.1
     eps, m = 0.1, 0.0
@@ -216,7 +205,7 @@ def test_sandwich_brackets_shell_ellipse(fam2, ellipse):
     mus = [v for v, _ in lowest_eigenvalues(asm, 2)]
     lo = [v for v, _ in lowest_eigenvalues(sand, 2, which="minus")]
     hi = [v for v, _ in lowest_eigenvalues(sand, 2, which="plus")]
-    tol = [10.0 * max(asm.h_s, asm.h_t) ** 2 * abs(v) for v in mus]
+    tol = [_bracket_tol(asm, v) for v in mus]
     for j in range(2):
         assert lo[j] - tol[j] <= mus[j] <= hi[j] + tol[j]
 
@@ -230,7 +219,7 @@ def test_sandwich_brackets_shell(fam2, circle):
     mu = lowest_eigenvalues(asm, 1)[0][0]
     mu_minus = lowest_eigenvalues(sand, 1, which="minus")[0][0]
     mu_plus = lowest_eigenvalues(sand, 1, which="plus")[0][0]
-    tol = 10.0 * max(asm.h_s, asm.h_t) ** 2 * abs(mu)
+    tol = _bracket_tol(asm, mu)
     assert mu_minus - tol <= mu <= mu_plus + tol
 
 
