@@ -486,11 +486,10 @@ REGISTRY: list[Callable[[], CheckResult]] = [
 ]
 
 
-def run_all(verbose: bool = True) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
+    """Run every registry entry in order, printing its line as it finishes."""
     results = []
     for fn in REGISTRY:
-        res = fn()
-        results.append(res)
-        if verbose:
-            print(format_result(res))
+        results.append(fn())
+        print(format_result(results[-1]))
     return results

@@ -42,7 +42,7 @@ from .effective import (
     effective_spectrum_csv,
 )
 from .eigsolve import EigensolveError
-from .geometry import curve_from_json, shell_metric
+from .geometry import CurveError, curve_from_json, shell_metric
 from .shell import MAX_COUNT, assemble_shell, default_nt, lowest_eigenvalues
 from .threads import blas_threads, set_blas_threads
 from .transverse import write_transverse_table
@@ -239,14 +239,10 @@ def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
 
 def _curve(spec):
     """The curve of a JSON curve config; a config it cannot build is a ConfigError."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"curve must be a JSON object, got {spec!r}")
     try:
         return curve_from_json(spec)
-    except KeyError as exc:
-        raise ConfigError(f"curve {spec!r} lacks the parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad curve {spec!r}: {exc}") from exc
+    except CurveError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _shell_job(fam, met, cfg: SweepConfig):
@@ -439,7 +435,7 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
 
 def run_checks(out=None) -> int:
     """Execute every property suite; returns 0 iff all pass."""
-    results = run_all(verbose=True)
+    results = run_all()
     summary = {r.name: {"passed": r.passed, "detail": r.detail} for r in results}
     if out is not None:
         with open(out, "w") as fh:
@@ -548,14 +544,16 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--m: {exc}") from exc
             if any(not v >= 0.0 for v in ms):
                 raise ConfigError("--m: masses must be nonnegative")
+            if args.bands < 1:
+                raise ConfigError("--bands must be >= 1")
             write_transverse_table(args.out, ms, range(1, args.bands + 1))
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":
             from .effective import DEFAULT_COUPLING
 
-            if args.ns < 16 or args.ns % 2 or args.count < 1:
-                raise ConfigError("--ns must be an even integer >= 16 and --count >= 1")
+            if args.ns < 16 or args.ns % 2 or not 1 <= args.count <= args.ns - 1:
+                raise ConfigError("--ns must be even and >= 16, and --count in 1..ns-1 (one spin block)")
             fam = build_clifford(2)
             curve = _curve(_load_curve_arg(args.curve))
             coupling = DEFAULT_COUPLING if args.coupling is None else args.coupling

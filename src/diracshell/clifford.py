@@ -23,10 +23,10 @@ __all__ = [
     "gamma",
     "theta",
     "family_to_json",
-    "family_from_json",
 ]
 
-DEFAULT_MAX_N = 12
+# dense-storage cap on the spatial dimension: N = 2^6 = 64 at n = MAX_N
+MAX_N = 12
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -50,7 +50,6 @@ class CliffordFamily:
 class SymbolMatrix:
     """Gamma(x) together with its lower-left block beta(x)."""
 
-    x: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
 
@@ -88,7 +87,7 @@ def _gamma_tower(n: int) -> list[np.ndarray]:
     return out
 
 
-def build_clifford(n: int, max_n: int = DEFAULT_MAX_N) -> CliffordFamily:
+def build_clifford(n: int) -> CliffordFamily:
     """Construct the family (a_1, ..., a_{n+1}) for spatial dimension n.
 
     Deterministic: the same n always yields bit-identical matrices.  The
@@ -97,11 +96,8 @@ def build_clifford(n: int, max_n: int = DEFAULT_MAX_N) -> CliffordFamily:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"spatial dimension must be an integer >= 1, got {n!r}")
-    if n > max_n:
-        raise ValueError(
-            f"n={n} exceeds the dense-storage cap (max_n={max_n}); "
-            "raise max_n explicitly if you really want matrices this large"
-        )
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the dense-storage cap MAX_N={MAX_N}")
     N = 2 ** ((n + 1) // 2)
     tower = _gamma_tower(n + 1)
     alphas = [tower[j] for j in range(n)]
@@ -123,10 +119,10 @@ def gamma(fam: CliffordFamily, x: np.ndarray) -> SymbolMatrix:
     for xj, aj in zip(x, fam.alphas[: fam.n]):
         g += xj * aj
     half = fam.N // 2
-    return SymbolMatrix(x=_freeze(x.copy()), gamma=_freeze(g), beta=_freeze(g[half:, :half].copy()))
+    return SymbolMatrix(gamma=_freeze(g), beta=_freeze(g[half:, :half].copy()))
 
 
-def theta(fam: CliffordFamily, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def theta(fam: CliffordFamily, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unitary intertwiner U = (I + i Gamma(y)) (I - i Gamma(x)) / 2 for unit x, y.
 
     U maps the spinor subspaces attached to direction x onto those of y:
@@ -137,8 +133,8 @@ def theta(fam: CliffordFamily, x: np.ndarray, y: np.ndarray, tol: float = 1e-12)
     for name, v in (("x", x), ("y", y)):
         if v.shape != (fam.n,):
             raise ValueError(f"{name} must have length n={fam.n}")
-        if abs(np.linalg.norm(v) - 1.0) > tol:
-            raise ValueError(f"{name} must be a unit vector within {tol:g}")
+        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+            raise ValueError(f"{name} must be a unit vector within 1e-12")
     eye = np.eye(fam.N, dtype=complex)
     gx = gamma(fam, x).gamma
     gy = gamma(fam, y).gamma
@@ -156,12 +152,3 @@ def family_to_json(fam: CliffordFamily) -> str:
         ],
     }
     return json.dumps(payload)
-
-
-def family_from_json(text: str) -> CliffordFamily:
-    payload = json.loads(text)
-    alphas = tuple(
-        _freeze(np.array([[complex(re, im) for re, im in row] for row in a], dtype=complex))
-        for a in payload["alphas"]
-    )
-    return CliffordFamily(n=int(payload["n"]), N=int(payload["N"]), alphas=alphas)

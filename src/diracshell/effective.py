@@ -20,9 +20,10 @@ scalar blocks with gauge fields -/+ coupling*kappa, and both
 discretizations assemble one scalar routine, ``_covariant_block``.  The
 blocks are isospectral: complex conjugation maps one onto the other
 (kappa is real).  ``assemble_effective`` therefore assembles the spin-up
-block only; the spin-down block is the same assembly with the coupling
-negated.  ``effective_eigenvalues`` solves the spin-up block for the wanted
-eigenvalues alone and reports each twice.
+block only, as a ``paired`` EffectiveFormAssembly; the spin-down block is
+the same assembly with the coupling negated.  ``effective_eigenvalues``
+solves a paired block for the wanted eigenvalues alone and reports each
+twice.  ``assemble_magnetic`` returns the scalar magnetic block, unpaired.
 
 ``converged_eigenvalues`` picks the Fourier size itself: it doubles n_s
 from AUTO_NS_START until the lowest values stop moving, up to AUTO_NS_CAP.
@@ -46,7 +47,6 @@ from .geometry import CurveSpec
 __all__ = [
     "DEFAULT_COUPLING",
     "EffectiveFormAssembly",
-    "MagneticFormAssembly",
     "omega_oneform",
     "assemble_effective",
     "assemble_magnetic",
@@ -69,20 +69,8 @@ AUTO_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class EffectiveFormAssembly:
-    curve: CurveSpec
-    n_s: int
-    scheme: str
-    coupling: float
     pencil: HermitianPencil
-
-
-@dataclass(frozen=True)
-class MagneticFormAssembly:
-    curve: CurveSpec
-    n_s: int
-    scheme: str
-    flux: float                 # (pi - 2)/L
-    pencil: HermitianPencil
+    paired: bool    # True: the spin-up block, each eigenvalue counted twice
 
 
 def omega_oneform(fam: CliffordFamily, curve: CurveSpec, s) -> np.ndarray:
@@ -164,14 +152,12 @@ def assemble_effective(
     if fam.n != 2:
         raise ValueError("effective assembly is implemented for n = 2")
     a = _covariant_block(curve, n_s, scheme, -coupling, 0.0)
-    return EffectiveFormAssembly(
-        curve=curve, n_s=n_s, scheme=scheme, coupling=coupling, pencil=HermitianPencil.make(a, None),
-    )
+    return EffectiveFormAssembly(HermitianPencil.make(a), paired=True)
 
 
 def assemble_magnetic(
     curve: CurveSpec, n_s: int, scheme: str = "fourier", flux: float | None = None
-) -> MagneticFormAssembly:
+) -> EffectiveFormAssembly:
     """Scalar magnetic operator (-i d/ds + (pi-2)/L)^2 - kappa^2/pi^2.
 
     ``flux`` overrides the default (pi-2)/L; shifting it by any integer
@@ -181,9 +167,7 @@ def assemble_magnetic(
     if flux is None:
         flux = (math.pi - 2.0) / curve.length
     a = _covariant_block(curve, n_s, scheme, 0.0, flux)
-    return MagneticFormAssembly(
-        curve=curve, n_s=n_s, scheme=scheme, flux=flux, pencil=HermitianPencil.make(a, None),
-    )
+    return EffectiveFormAssembly(HermitianPencil.make(a), paired=False)
 
 
 def magnetic_circle_spectrum(radius: float, count: int) -> np.ndarray:
@@ -205,15 +189,15 @@ def _lowest_values(a: np.ndarray, count: int) -> np.ndarray:
     )
 
 
-def effective_eigenvalues(assembly, count: int) -> np.ndarray:
+def effective_eigenvalues(assembly: EffectiveFormAssembly, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues, ascending, without eigenvectors.
 
-    An EffectiveFormAssembly holds the spin-up block; it is solved for its
+    A ``paired`` assembly holds the spin-up block; it is solved for its
     ceil(count/2) lowest eigenvalues, and each is reported twice, since the
-    spin-down block is isospectral (see the module docstring).  A
-    MagneticFormAssembly is solved for ``count`` values.
+    spin-down block is isospectral (see the module docstring).  The scalar
+    magnetic block of ``assemble_magnetic`` is solved for ``count`` values.
     """
-    if isinstance(assembly, EffectiveFormAssembly):
+    if assembly.paired:
         return np.repeat(_lowest_values(assembly.pencil.a, (count + 1) // 2), 2)[:count]
     return _lowest_values(assembly.pencil.a, count)
 

@@ -62,12 +62,6 @@ class HermitianPencil:
             raise ValueError("B must match A")
         return HermitianPencil(a=a, b=b, dim=dim)
 
-    def apply_a(self, x: np.ndarray) -> np.ndarray:
-        return self.a @ x
-
-    def apply_b(self, x: np.ndarray) -> np.ndarray:
-        return x if self.b is None else self.b @ x
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -94,8 +88,8 @@ def _check_hermitian(a: np.ndarray, tol: float = 1e-12) -> None:
 
 
 def _residuals(pencil: HermitianPencil, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    av = pencil.apply_a(vecs)
-    bv = pencil.apply_b(vecs)
+    av = pencil.a @ vecs
+    bv = vecs if pencil.b is None else pencil.b @ vecs
     num = np.linalg.norm(av - bv * vals[None, :], axis=0)
     den = np.linalg.norm(bv, axis=0)
     return num / np.where(den > 0, den, 1.0)
@@ -104,8 +98,9 @@ def _residuals(pencil: HermitianPencil, vals: np.ndarray, vecs: np.ndarray) -> n
 def dense_hermitian_eig(a, b=None, check: bool = True) -> SpectrumResult:
     """Full ascending spectrum of the pencil (A, B) by dense factorization.
 
-    B, when given, must pass a Cholesky positivity check; the generalized
-    problem is reduced through that factorization (scipy.linalg.eigh).
+    B, when given, must be positive definite: the generalized problem is
+    reduced through its Cholesky factor (scipy.linalg.eigh), and a failed
+    factorization raises ValueError.
     """
     a = _as_dense(a).astype(complex)
     dim = a.shape[0]
@@ -121,10 +116,9 @@ def dense_hermitian_eig(a, b=None, check: bool = True) -> SpectrumResult:
         if check:
             _check_hermitian(b)
         try:
-            np.linalg.cholesky(b)
+            vals, vecs = scipy.linalg.eigh(a, b)
         except np.linalg.LinAlgError as exc:
             raise ValueError("B is not positive definite") from exc
-        vals, vecs = scipy.linalg.eigh(a, b)
         pencil = HermitianPencil.make(a, b)
     res = _residuals(pencil, vals, vecs)
     return SpectrumResult(eigenvalues=vals, residuals=res, iterations=0, converged=True, vectors=vecs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,6 +34,9 @@ __all__ = [
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _TWO_PI = 2.0 * math.pi
+_PANELS, _SAMPLES = 2048, 4096  # arclength-table theta panels; samples of periodic sums
+# shell_metric admits eps < GUARD/max|kappa|, inside the injectivity scale 1/max|kappa|
+GUARD = 0.9
 
 
 class CurveError(ValueError):
@@ -51,7 +54,6 @@ class CurveSpec:
 
     name: str
     length: float
-    closed: bool
     kappa_max: float
     position: Callable[[np.ndarray], np.ndarray]
     tangent: Callable[[np.ndarray], np.ndarray]
@@ -64,14 +66,10 @@ class CurveSpec:
         tau = self.tangent(s)
         return -kap[..., None] * tau
 
-    def total_curvature(self, samples: int = 4096) -> float:
+    def total_curvature(self) -> float:
         """Periodic trapezoid quadrature of kappa over one period."""
-        s = np.arange(samples) * (self.length / samples)
-        return float(np.sum(self.curvature(s)) * self.length / samples)
-
-    def injectivity_bound(self) -> float:
-        """Largest half-width 1/max|kappa| at which the tubular map stays injective."""
-        return math.inf if self.kappa_max == 0.0 else 1.0 / self.kappa_max
+        s = np.arange(_SAMPLES) * (self.length / _SAMPLES)
+        return float(np.sum(self.curvature(s)) * self.length / _SAMPLES)
 
 
 class _Parametrization:
@@ -84,11 +82,11 @@ class _Parametrization:
         d = self.dp(np.asarray(theta, dtype=float))
         return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
 
-    def signed_area(self, samples: int = 4096) -> float:
-        theta = np.arange(samples) * (_TWO_PI / samples)
+    def signed_area(self) -> float:
+        theta = np.arange(_SAMPLES) * (_TWO_PI / _SAMPLES)
         p = self.p(theta)
         d = self.dp(theta)
-        return float(0.5 * np.sum(p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]) * _TWO_PI / samples)
+        return float(0.5 * np.sum(p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]) * _TWO_PI / _SAMPLES)
 
     def flipped(self) -> "_Parametrization":
         return _Parametrization(
@@ -98,38 +96,32 @@ class _Parametrization:
         )
 
 
-def _segments_intersect(p, q, r, s):
-    """Proper intersection test for segments pq and rs (vectorized-free, small n)."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(r, s, p), orient(r, s, q)
-    d3, d4 = orient(p, q, r), orient(p, q, s)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def _orient(a, b, c):
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
 
 
-def _check_simple(par: _Parametrization, samples: int = 256) -> None:
-    theta = np.arange(samples) * (_TWO_PI / samples)
-    pts = par.p(theta)
-    for i in range(samples):
-        a, b = pts[i], pts[(i + 1) % samples]
-        for j in range(i + 2, samples):
-            if i == 0 and j == samples - 1:
-                continue
-            c, d = pts[j], pts[(j + 1) % samples]
-            if _segments_intersect(a, b, c, d):
-                raise CurveError("curve is self-intersecting (sampled polygon test)")
+def _check_simple(par: _Parametrization) -> None:
+    """Reject a curve whose 256-gon has two crossing non-adjacent edges (all pairs at once)."""
+    n = 256
+    pts = par.p(np.arange(n) * (_TWO_PI / n))
+    i, j = np.triu_indices(n, k=2)
+    keep = (i > 0) | (j < n - 1)
+    i, j = i[keep], j[keep]
+    a, b, c, d = pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]
+    crosses = ((_orient(c, d, a) > 0) != (_orient(c, d, b) > 0)) & (
+        (_orient(a, b, c) > 0) != (_orient(a, b, d) > 0)
+    )
+    if crosses.any():
+        raise CurveError("curve is self-intersecting (sampled polygon test)")
 
 
 class _ArclengthTable:
     """Cumulative arclength over uniform theta panels with 8-point Gauss rules."""
 
-    def __init__(self, par: _Parametrization, panels: int = 2048):
+    def __init__(self, par: _Parametrization):
         self.par = par
-        self.panels = panels
-        self.theta_grid = np.linspace(0.0, _TWO_PI, panels + 1)
-        h = _TWO_PI / panels
+        self.theta_grid = np.linspace(0.0, _TWO_PI, _PANELS + 1)
+        h = _TWO_PI / _PANELS
         mid = 0.5 * (self.theta_grid[:-1] + self.theta_grid[1:])
         nodes = mid[:, None] + 0.5 * h * _GL8_NODES[None, :]
         speeds = par.speed(nodes)
@@ -147,7 +139,7 @@ class _ArclengthTable:
 
     def theta_of_s(self, s: np.ndarray) -> np.ndarray:
         s = np.mod(np.asarray(s, dtype=float), self.length)
-        idx = np.clip(np.searchsorted(self.cumlen, s, side="right") - 1, 0, self.panels - 1)
+        idx = np.clip(np.searchsorted(self.cumlen, s, side="right") - 1, 0, _PANELS - 1)
         theta_lo = self.theta_grid[idx]
         base = self.cumlen[idx]
         theta = theta_lo + (s - base) / self.par.speed(theta_lo)
@@ -157,10 +149,10 @@ class _ArclengthTable:
         return theta
 
 
-def _curve_from_parametrization(name: str, par: _Parametrization, panels: int = 2048) -> CurveSpec:
+def _curve_from_parametrization(name: str, par: _Parametrization) -> CurveSpec:
     if par.signed_area() > 0.0:
         par = par.flipped()
-    table = _ArclengthTable(par, panels=panels)
+    table = _ArclengthTable(par)
     length = table.length
 
     def kappa_theta(theta):
@@ -189,7 +181,6 @@ def _curve_from_parametrization(name: str, par: _Parametrization, panels: int = 
     return CurveSpec(
         name=name,
         length=length,
-        closed=True,
         kappa_max=kappa_max,
         position=position,
         tangent=tangent,
@@ -207,26 +198,19 @@ def make_curve(kind: str, **params) -> CurveSpec:
     rejected if the sampled polygon self-intersects.
     """
     kind = kind.lower()
-    if kind == "circle":
-        r = float(params["r"])
-        if r <= 0:
-            raise CurveError("circle radius must be positive")
-        par = _Parametrization(
-            p=lambda th: np.stack([r * np.cos(th), -r * np.sin(th)], axis=-1),
-            dp=lambda th: np.stack([-r * np.sin(th), -r * np.cos(th)], axis=-1),
-            ddp=lambda th: np.stack([-r * np.cos(th), r * np.sin(th)], axis=-1),
-        )
-        return _curve_from_parametrization(f"circle({r:g})", par)
-    if kind == "ellipse":
-        a, b = float(params["a"]), float(params["b"])
+    if kind in ("circle", "ellipse"):
+        # the circle is the ellipse with a = b = r
+        a, b = (params["r"], params["r"]) if kind == "circle" else (params["a"], params["b"])
+        a, b = float(a), float(b)
+        name = f"circle({a:g})" if kind == "circle" else f"ellipse({a:g},{b:g})"
         if a <= 0 or b <= 0:
-            raise CurveError("ellipse semi-axes must be positive")
+            raise CurveError(f"{name}: radii must be positive")
         par = _Parametrization(
             p=lambda th: np.stack([a * np.cos(th), -b * np.sin(th)], axis=-1),
             dp=lambda th: np.stack([-a * np.sin(th), -b * np.cos(th)], axis=-1),
             ddp=lambda th: np.stack([-a * np.cos(th), b * np.sin(th)], axis=-1),
         )
-        return _curve_from_parametrization(f"ellipse({a:g},{b:g})", par)
+        return _curve_from_parametrization(name, par)
     if kind == "fourier":
         coeffs = [(int(k), float(re), float(im)) for k, re, im in params["coeffs"]]
         if not coeffs:
@@ -259,6 +243,8 @@ def flat_strip(length: float) -> CurveSpec:
     Test harness for separation-of-variables references; not a closed
     curve, so the total-curvature identity does not apply to it.
     """
+    if not length > 0:
+        raise CurveError(f"strip length must be positive, got {length!r}")
 
     def position(s):
         s = np.asarray(s, dtype=float)
@@ -278,7 +264,6 @@ def flat_strip(length: float) -> CurveSpec:
     return CurveSpec(
         name=f"strip({length:g})",
         length=float(length),
-        closed=False,
         kappa_max=0.0,
         position=position,
         tangent=tangent,
@@ -288,18 +273,26 @@ def flat_strip(length: float) -> CurveSpec:
 
 
 def curve_from_json(config: dict | str) -> CurveSpec:
-    """Build a curve from {"kind": "ellipse", "a": 2.0, "b": 1.0}-style configs."""
-    if isinstance(config, str):
-        config = json.loads(config)
-    kind = config.get("kind")
-    if kind == "circle":
-        return make_curve("circle", r=config["r"])
-    if kind == "ellipse":
-        return make_curve("ellipse", a=config["a"], b=config["b"])
-    if kind == "fourier":
-        return make_curve("fourier", coeffs=config["coeffs"])
-    if kind == "strip":
-        return flat_strip(config["length"])
+    """Build a curve from {"kind": "ellipse", "a": 2.0, "b": 1.0}-style configs.
+
+    A config it cannot build, whatever the reason, raises CurveError.
+    """
+    try:
+        if isinstance(config, str):
+            config = json.loads(config)
+        if not isinstance(config, dict):
+            raise CurveError(f"curve config must be a JSON object, got {config!r}")
+        kind = config.get("kind")
+        if kind in ("circle", "ellipse", "fourier"):
+            return make_curve(kind, **{k: v for k, v in config.items() if k != "kind"})
+        if kind == "strip":
+            return flat_strip(float(config["length"]))
+    except CurveError:
+        raise
+    except KeyError as exc:
+        raise CurveError(f"curve config {config!r} lacks the parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CurveError(f"bad curve config {config!r}: {exc}") from exc
     raise CurveError(f"unknown curve config kind {kind!r}")
 
 
@@ -314,17 +307,15 @@ def mean_curvatures(principal) -> list[float]:
     return coeffs[1:]
 
 
-def boundary_mean_curvature_exact(curve: CurveSpec, eps: float, side: int, s) -> np.ndarray:
-    """Mean curvature of the shifted boundary curve: side*kappa/(1 + side*eps*kappa)."""
+def boundary_mean_curvature_exact(metric: "ShellMetric2D", side: int, s) -> np.ndarray:
+    """Mean curvature of the shifted boundary curve: side*kappa/(1 + side*eps*kappa).
+
+    ``metric`` comes from ``shell_metric``, which holds eps inside the guard.
+    """
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
-    if eps >= curve.injectivity_bound():
-        raise ValueError(
-            f"eps={eps:g} is at or beyond the injectivity scale 1/max|kappa|="
-            f"{curve.injectivity_bound():g}"
-        )
-    kap = curve.curvature(np.asarray(s, dtype=float))
-    return side * kap / (1.0 + side * eps * kap)
+    kap = metric.curve.curvature(np.asarray(s, dtype=float))
+    return side * kap / (1.0 + side * metric.eps * kap)
 
 
 @dataclass(frozen=True)
@@ -340,7 +331,6 @@ class ShellMetric2D:
 
     curve: CurveSpec
     eps: float
-    guard: float = field(default=0.9)
 
     def _w(self, s, t):
         s = np.asarray(s, dtype=float)
@@ -364,12 +354,12 @@ class ShellMetric2D:
         return pos - self.eps * t[..., None] * nu
 
 
-def shell_metric(curve: CurveSpec, eps: float, guard: float = 0.9) -> ShellMetric2D:
-    """Shell metric with the injectivity-scale guard eps < guard/max|kappa|."""
+def shell_metric(curve: CurveSpec, eps: float) -> ShellMetric2D:
+    """Shell metric with the injectivity-scale guard eps < GUARD/max|kappa|."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if curve.kappa_max > 0 and eps >= guard / curve.kappa_max:
+    if curve.kappa_max > 0 and eps >= GUARD / curve.kappa_max:
         raise ValueError(
-            f"eps={eps:g} violates the guard {guard:g}/max|kappa|={guard / curve.kappa_max:g}"
+            f"eps={eps:g} violates the guard {GUARD:g}/max|kappa|={GUARD / curve.kappa_max:g}"
         )
-    return ShellMetric2D(curve=curve, eps=float(eps), guard=guard)
+    return ShellMetric2D(curve=curve, eps=float(eps))

@@ -372,13 +372,7 @@ def ladder_shift(assembly) -> float:
     return sigma
 
 
-def lowest_eigenvalues(
-    assembly,
-    count: int,
-    tol: float = 1e-8,
-    seed: int = 0,
-    which: str = "shell",
-) -> Eigenpairs:
+def lowest_eigenvalues(assembly, count: int, seed: int = 0, which: str = "shell") -> Eigenpairs:
     """The count smallest (eigenvalue, residual) pairs of an assembled pencil.
 
     Accepts a ShellFormAssembly (``which="shell"``) or a
@@ -386,7 +380,7 @@ def lowest_eigenvalues(
     any other ``which`` raises ValueError.  The pencil is solved by
     ``eigsolve.shift_invert_smallest`` below ``ladder_shift(assembly)``
     with a start vector from ``seed``.  A solve that cannot be certified
-    or misses ``tol`` raises EigensolveError.
+    or misses the solver's residual tolerance raises EigensolveError.
     """
     if count > MAX_COUNT:
         raise ValueError(f"count capped at {MAX_COUNT}")
@@ -398,7 +392,7 @@ def lowest_eigenvalues(
         raise TypeError("expected a ShellFormAssembly or a SandwichFormAssembly")
     if which not in pencils:
         raise ValueError(f"which must be one of {sorted(pencils)} for this assembly, got {which!r}")
-    res = shift_invert_smallest(pencils[which], count, ladder_shift(assembly), tol=tol, seed=seed)
+    res = shift_invert_smallest(pencils[which], count, ladder_shift(assembly), seed=seed)
     return Eigenpairs(
         [(float(v), float(r)) for v, r in zip(res.eigenvalues, res.residuals)],
         shift=res.shift,

@@ -38,11 +38,9 @@ __all__ = [
 _GL64 = np.polynomial.legendre.leggauss(64)
 
 
-def gauss_legendre(n: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on (-1, 1)."""
-    if n == 64:
-        return _GL64
-    return np.polynomial.legendre.leggauss(n)
+def gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 64-node rule on (-1, 1)."""
+    return _GL64
 
 
 def secular(k: float, m: float) -> float:
@@ -59,7 +57,7 @@ def bracket(p: int) -> tuple[float, float]:
     return (2 * p - 1) * math.pi / 4.0, p * math.pi / 2.0
 
 
-def solve_k(m: float, p: int, tol: float = 1e-13, maxiter: int = 200) -> float:
+def solve_k(m: float, p: int) -> float:
     """The p-th transverse momentum k_p(m), via bisection-safeguarded Newton.
 
     The bracket endpoints have opposite secular signs for m > 0; at m = 0
@@ -80,7 +78,7 @@ def solve_k(m: float, p: int, tol: float = 1e-13, maxiter: int = 200) -> float:
     if fhi == 0.0:
         return hi
     k = 0.5 * (lo + hi)
-    for _ in range(maxiter):
+    for _ in range(200):
         f = secular(k, m)
         if f == 0.0:
             return k
@@ -148,12 +146,8 @@ class TransverseMode:
     j: int
     k: float
     E: float
-    N_norm: float
     profile: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
-
-    def eigenvalue(self) -> float:
-        return self.sign * self.E
 
 
 def mode(fam: CliffordFamily, x: np.ndarray, m: float, p: int, j: int, sign: int) -> TransverseMode:
@@ -201,7 +195,7 @@ def mode(fam: CliffordFamily, x: np.ndarray, m: float, p: int, j: int, sign: int
         )
 
     return TransverseMode(
-        m=float(m), p=int(p), sign=int(sign), j=int(j), k=k, E=E, N_norm=Nc,
+        m=float(m), p=int(p), sign=int(sign), j=int(j), k=k, E=E,
         profile=profile, derivative=derivative,
     )
 
@@ -217,19 +211,14 @@ def boundary_residual(fam: CliffordFamily, x: np.ndarray, f: Callable) -> float:
 
 
 def quadratic_form_identity_check(
-    fam: CliffordFamily,
-    x: np.ndarray,
-    m: float,
-    f: Callable,
-    fprime: Callable,
-    bc_tol: float = 1e-8,
+    fam: CliffordFamily, x: np.ndarray, m: float, f: Callable, fprime: Callable
 ) -> tuple[float, float]:
     """Both sides of ||T f||^2 = ||f'||^2 + m^2 ||f||^2 + m(|f(1)|^2 + |f(-1)|^2).
 
     f and fprime map t-arrays to spinor samples of shape (len(t), N); f must
-    satisfy the boundary constraint to within bc_tol.
+    satisfy the boundary constraint to within 1e-8.
     """
-    if boundary_residual(fam, x, f) > bc_tol:
+    if boundary_residual(fam, x, f) > 1e-8:
         raise ValueError("spinor violates the boundary constraint")
     nodes, weights = _GL64
     gx = gamma(fam, x).gamma
@@ -247,26 +236,19 @@ def quadratic_form_identity_check(
     return lhs, rhs
 
 
-def mode_perturbation_check(
-    fam: CliffordFamily,
-    x: np.ndarray,
-    deltas,
-    p: int = 1,
-    j: int = 1,
-    sign: int = +1,
-    nt: int = 1001,
-) -> dict:
+def mode_perturbation_check(fam: CliffordFamily, x: np.ndarray, deltas) -> dict:
     """Sup-norm distances ||phi^delta - phi^0||_inf and their log-log slope.
 
-    The distances of the first band scale linearly in delta; the fitted
-    growth order over the given delta grid is returned alongside the table.
+    The distances of the first plus-mode (p = j = 1, on 1001 points of
+    [-1, 1]) scale linearly in delta; the fitted growth order over the
+    given delta grid is returned alongside the table.
     """
     deltas = [float(d) for d in deltas]
-    t = np.linspace(-1.0, 1.0, nt)
-    base = mode(fam, x, 0.0, p, j, sign).profile(t)
+    t = np.linspace(-1.0, 1.0, 1001)
+    base = mode(fam, x, 0.0, 1, 1, +1).profile(t)
     distances = []
     for d in deltas:
-        pert = mode(fam, x, d, p, j, sign).profile(t)
+        pert = mode(fam, x, d, 1, 1, +1).profile(t)
         distances.append(float(np.linalg.norm(pert - base, axis=1).max()))
     positive = [(d, v) for d, v in zip(deltas, distances) if d > 0 and v > 0]
     if len(positive) >= 2:

@@ -1,13 +1,17 @@
-import pytest
+import os
 
-from diracshell.threads import set_blas_threads
-
-set_blas_threads(1)
+# one BLAS thread: BLAS reads these variables only when numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from diracshell.clifford import build_clifford  # noqa: E402
 from diracshell.geometry import make_curve  # noqa: E402
+from diracshell.threads import set_blas_threads  # noqa: E402
+
+set_blas_threads(1)
 
 
 @pytest.fixture(scope="session")

@@ -312,6 +312,8 @@ BAD_INVOCATIONS = {
     "effective-bad-curve": ["effective-spectrum", "--curve", '{"kind": "circle", "r": -1}'],
     "masses-not-numbers": ["transverse-table", "--m", "a"],
     "mass-negative": ["transverse-table", "--m", "-1"],
+    "bands-zero": ["transverse-table", "--bands", "0"],
+    "effective-count-beyond-block": ["effective-spectrum", "--curve", CIRCLE, "--ns", "16", "--count", "40"],
     "clifford-n-zero": ["dump-clifford", "--n", "0"],
 }
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from diracshell.clifford import (
+    MAX_N,
     build_clifford,
-    family_from_json,
     family_to_json,
     gamma,
     theta,
@@ -45,8 +45,8 @@ def test_rejects_bad_dimension():
     with pytest.raises(ValueError):
         build_clifford(0)
     with pytest.raises(ValueError):
-        build_clifford(13)
-    assert build_clifford(13, max_n=13).N == 128
+        build_clifford(MAX_N + 1)
+    assert build_clifford(MAX_N).N == 2 ** ((MAX_N + 1) // 2)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -139,9 +139,10 @@ def test_json_round_trip(fam3):
     payload = json.loads(family_to_json(fam3))
     assert payload["n"] == 3 and payload["N"] == 4
     assert len(payload["alphas"]) == 4
-    back = family_from_json(json.dumps(payload))
-    for a, b in zip(fam3.alphas, back.alphas):
-        assert np.array_equal(a, b)
+    # the [re, im] pairs restore every matrix exactly
+    for a, rows in zip(fam3.alphas, payload["alphas"]):
+        back = np.array([[complex(re, im) for re, im in row] for row in rows])
+        assert np.array_equal(a, back)
 
 
 def test_matrices_immutable(fam2):

@@ -100,7 +100,7 @@ def test_mean_curvatures_match_enumeration(principal):
 
 def test_boundary_curvature_circle(circle):
     # direct evaluation oracle with kappa = -1
-    val = boundary_mean_curvature_exact(circle, 0.1, +1, 0.0)
+    val = boundary_mean_curvature_exact(shell_metric(circle, 0.1), +1, 0.0)
     assert val == pytest.approx(-10.0 / 9.0, abs=1e-14)
 
 
@@ -108,7 +108,7 @@ def test_boundary_curvature_small_eps_limit(ellipse):
     s = np.linspace(0.0, ellipse.length, 11)
     kap = ellipse.curvature(s)
     for side in (+1, -1):
-        vals = boundary_mean_curvature_exact(ellipse, 1e-9, side, s)
+        vals = boundary_mean_curvature_exact(shell_metric(ellipse, 1e-9), side, s)
         assert np.abs(vals - side * kap / (1.0 + side * 1e-9 * kap)).max() == 0.0
         assert np.abs(vals - side * kap).max() < 1e-7
 
@@ -118,15 +118,19 @@ def test_boundary_curvature_expansion_bound(circle):
     eps = 0.05
     s = np.linspace(0.0, circle.length, 9)
     kap = circle.curvature(s)
-    h_plus = boundary_mean_curvature_exact(circle, eps, +1, s)
+    h_plus = boundary_mean_curvature_exact(shell_metric(circle, eps), +1, s)
     expansion = kap - eps * kap**2
     bound = 2.0 * eps**2 * np.abs(kap) ** 3 / (1.0 - eps * np.abs(kap))
     assert np.all(np.abs(h_plus - expansion) <= bound)
 
 
 def test_boundary_curvature_guard(circle):
+    # the eps check is shell_metric's guard 0.9/max|kappa|, below the
+    # injectivity scale 1/max|kappa| = 1
     with pytest.raises(ValueError):
-        boundary_mean_curvature_exact(circle, 1.0, +1, 0.0)
+        boundary_mean_curvature_exact(shell_metric(circle, 0.9), +1, 0.0)
+    with pytest.raises(ValueError):
+        boundary_mean_curvature_exact(shell_metric(circle, 0.5), 0, 0.0)
 
 
 def test_shell_metric_values(circle):
@@ -191,7 +195,7 @@ def test_metric_sandwich_bound(circle, ellipse, rng):
 
 def test_flat_strip_harness():
     strip = flat_strip(5.0)
-    assert not strip.closed
+    assert strip.length == 5.0
     assert strip.kappa_max == 0.0
     s = np.array([0.0, 1.0, 2.5])
     assert np.all(strip.curvature(s) == 0.0)
@@ -212,6 +216,47 @@ def test_factory_rejections():
         make_curve("trefoil")
 
 
+def _loop_polygon_is_simple(coeffs, n=256):
+    # reference: the pairwise segment test, one pair at a time
+    th = np.arange(n) * (TWO_PI / n)
+    z = sum(complex(re, im) * np.exp(1.0j * k * th) for k, re, im in coeffs)
+    pts = np.stack([z.real, z.imag], axis=-1)
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        for j in range(i + 2, n - (i == 0)):
+            c, d = pts[j], pts[(j + 1) % n]
+            if ((orient(c, d, a) > 0) != (orient(c, d, b) > 0)) and (
+                (orient(a, b, c) > 0) != (orient(a, b, d) > 0)
+            ):
+                return False
+    return True
+
+
+def test_self_intersection_test_matches_loop_reference():
+    # the vectorized polygon test makes the loop's decision on simple
+    # curves and on curves with loops (the last three)
+    cases = [
+        [(1, 1.0, 0.0), (-2, 0.15, 0.0)],
+        [(1, 1.0, 0.0), (-2, 0.3, 0.0)],
+        [(1, 1.0, 0.0), (3, 0.2, 0.1)],
+        [(0, 1.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 0.0)],
+        [(1, 1.0, 0.0), (-2, 0.55, 0.0)],
+        [(1, 1.0, 0.0), (3, 0.4, 0.1)],
+    ]
+    decisions = []
+    for coeffs in cases:
+        try:
+            make_curve("fourier", coeffs=coeffs)
+            decisions.append(True)
+        except CurveError:
+            decisions.append(False)
+    assert decisions == [_loop_polygon_is_simple(c) for c in cases] == [True] * 3 + [False] * 3
+
+
 def test_orientation_forced_clockwise():
     # counterclockwise input coefficients are flipped on construction
     ccw = make_curve("fourier", coeffs=[(-1, 1.0, 0.0)])
@@ -226,3 +271,23 @@ def test_curve_json_and_csv():
     assert abs(crv2.length - 2.0 * TWO_PI) < 1e-10
     with pytest.raises(CurveError):
         curve_from_json({"kind": "pentagon"})
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "circle"},
+        5,
+        {"kind": "circle", "r": "x"},
+        {"kind": "fourier", "coeffs": 5},
+        {"kind": "fourier", "coeffs": [[1, 2]]},
+        {"kind": "strip", "length": 0},
+    ],
+    ids=[
+        "missing-key", "not-an-object", "radius-not-a-number", "coeffs-not-a-list", "short-coeff",
+        "empty-strip",
+    ],
+)
+def test_curve_from_json_rejects_what_it_cannot_build(config):
+    with pytest.raises(CurveError):
+        curve_from_json(config)
