@@ -286,10 +286,10 @@ def gauge_transform_check(
     # I_i = kappa(mid_i)*h the midpoint link integral of kappa
     incr = coupling * (angles + 2.0 * math.pi * h / curve.length)
     v = np.concatenate([[0.0], np.cumsum(incr)])[:-1]
-    d_up = np.diag(np.exp(-1.0j * v))
-    d_down = np.diag(np.exp(+1.0j * v))
-    sim_up = np.abs(d_up.conj().T @ up @ d_up - mag_link).max()
-    sim_down = np.abs(d_down.conj().T @ down @ d_down - mag_link.conj()).max()
+    # D^H M D with D = diag(phase), as row and column phase factors
+    phase = np.exp(-1.0j * v)
+    sim_up = np.abs(phase.conj()[:, None] * up * phase[None, :] - mag_link).max()
+    sim_down = np.abs(phase[:, None] * down * phase.conj()[None, :] - mag_link.conj()).max()
     # rounding floor scales with the 1/h^2 hopping entries, so normalize
     similarity = float(max(sim_up, sim_down) / max(1.0, np.abs(mag_link).max()))
     return GaugeCheckResult(

@@ -2,15 +2,18 @@
 
 The production route for the shell-scale sparse pencils is shift-invert
 ARPACK (spectral transformation, Ericsson & Ruhe 1980; Lehoucq, Sorensen
-& Yang 1998) at a shift sigma below the wanted cluster.  ARPACK applies
-the inverse of A - sigma B through a symmetric, unpivoted sparse LU, and
-the signs of that factorization's pivots are the inertia of A - sigma B
+& Yang 1998) at a shift sigma below the wanted cluster.  ARPACK iterates
+with OP = (A - sigma B)^{-1} B, whose eigenvalues nu = 1/(lambda - sigma)
+are largest for the lambda nearest sigma, and lambda = sigma + 1/nu.  The
+inverse is applied through a symmetric, unpivoted sparse LU, and the
+signs of that factorization's pivots are the inertia of A - sigma B
 (spectrum slicing by Sylvester's law, Parlett): with none negative, no
 eigenvalue lies below sigma, so the eigenvalues nearest sigma are the
-lowest ones and none is skipped.  A dense path (LAPACK via numpy/scipy,
-with Cholesky reduction for generalized pencils) is the oracle the
-production route is tested against.  Both return the same SpectrumResult
-record with per-pair residuals ||A x - mu B x|| / ||B x||.
+lowest ones and none is skipped.  A dense path (LAPACK via scipy, with
+Cholesky reduction for generalized pencils) is the oracle the production
+route is tested against; it can return the lowest few pairs only.  Both
+return the same SpectrumResult record with per-pair residuals
+||A x - mu B x|| / ||B x||.
 """
 
 from __future__ import annotations
@@ -95,32 +98,36 @@ def _residuals(pencil: HermitianPencil, vals: np.ndarray, vecs: np.ndarray) -> n
     return num / np.where(den > 0, den, 1.0)
 
 
-def dense_hermitian_eig(a, b=None, check: bool = True) -> SpectrumResult:
-    """Full ascending spectrum of the pencil (A, B) by dense factorization.
+def dense_hermitian_eig(a, b=None, check: bool = True, count: int | None = None) -> SpectrumResult:
+    """Ascending spectrum of the pencil (A, B) by dense factorization.
 
     B, when given, must be positive definite: the generalized problem is
     reduced through its Cholesky factor (scipy.linalg.eigh), and a failed
-    factorization raises ValueError.
+    factorization raises ValueError.  With ``count`` only the ``count``
+    lowest pairs are computed (LAPACK's index-subset drivers) and only
+    their residuals are formed; a ``count`` outside 1..dim raises
+    ValueError.
     """
     a = _as_dense(a).astype(complex)
     dim = a.shape[0]
     if dim > DENSE_DIM_LIMIT:
         raise ValueError(f"dense path capped at dim {DENSE_DIM_LIMIT}, got {dim}")
+    if count is not None and not 1 <= count <= dim:
+        raise ValueError(f"count must lie in 1..{dim}, got {count}")
     if check:
         _check_hermitian(a)
-    if b is None:
-        vals, vecs = np.linalg.eigh(a)
-        pencil = HermitianPencil.make(a)
-    else:
+    if b is not None:
         b = _as_dense(b).astype(complex)
         if check:
             _check_hermitian(b)
-        try:
-            vals, vecs = scipy.linalg.eigh(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("B is not positive definite") from exc
-        pencil = HermitianPencil.make(a, b)
-    res = _residuals(pencil, vals, vecs)
+    subset = None if count is None else [0, count - 1]
+    try:
+        vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=subset)
+    except np.linalg.LinAlgError as exc:
+        if b is None:
+            raise
+        raise ValueError("B is not positive definite") from exc
+    res = _residuals(HermitianPencil.make(a, b), vals, vecs)
     return SpectrumResult(eigenvalues=vals, residuals=res, iterations=0, converged=True, vectors=vecs)
 
 
@@ -160,16 +167,18 @@ def shift_invert_smallest(
     is factored once by ``inertia``: while A - sigma B has negative pivots
     (eigenvalues below sigma) or a singular or off-diagonal pivot, sigma is
     lowered by a doubling step, at most MAX_SHIFTS times.  The factor whose
-    pivots are all positive is the certificate and the operator ARPACK
-    inverts; its minimum-degree ordering on A + A^H keeps about half the
-    fill of the default COLAMD ordering.  ARPACK (complex Hermitian pencils
-    go through its Arnoldi routines, Lanczos in exact arithmetic) then
-    finds the ``count`` eigenvalues nearest sigma from a start vector drawn
-    from ``default_rng(seed)``; the result's ``iterations`` counts its
-    applications of the factored inverse, which repeat exactly for a fixed
-    seed.  Raises EigensolveError when no shift can be certified, when
-    ARPACK does not converge, or when a residual exceeds ``tol`` (the
-    partial result attached as ``partial`` in the last case).
+    pivots are all positive is the certificate and the inverse ARPACK
+    applies; its minimum-degree ordering on A + A^H keeps about half the
+    fill of the default COLAMD ordering.  ARPACK's standard-mode Arnoldi
+    iteration then finds the ``count`` eigenvalues nu of largest magnitude
+    of OP = (A - sigma B)^{-1} B, one B product and one triangular solve
+    per application, from a start vector drawn from ``default_rng(seed)``;
+    with no eigenvalue below sigma these are the lowest lambda = sigma +
+    1/nu.  The result's ``iterations`` counts the applications of OP,
+    which repeat exactly for a fixed seed.  Raises EigensolveError when no
+    shift can be certified, when ARPACK does not converge, or when a
+    residual exceeds ``tol`` (the partial result attached as ``partial``
+    in the last case).
     """
     dim = pencil.dim
     if count < 1 or count >= dim - 1:
@@ -199,21 +208,22 @@ def shift_invert_smallest(
     factor = [lu]
     applied = 0
 
-    def apply_inverse(x):
+    def apply_op(x):
         nonlocal applied
         applied += 1
-        return factor[0].solve(x)
+        return factor[0].solve(b @ x)
 
-    opinv = spla.LinearOperator((dim, dim), matvec=apply_inverse, dtype=complex)
+    op = spla.LinearOperator((dim, dim), matvec=apply_op, dtype=complex)
     try:
-        vals, vecs = spla.eigsh(pencil.a, k=count, M=pencil.b, sigma=sigma, OPinv=opinv, v0=v0)
+        nu, vecs = spla.eigs(op, k=count, which="LM", v0=v0)
     except spla.ArpackError as exc:
         raise EigensolveError(f"ARPACK failed at shift {sigma:g}: {exc}") from exc
     finally:
-        del lu, opinv
+        del lu, op
         factor.clear()
         gc.collect(1)
 
+    vals = sigma + 1.0 / nu.real
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     res = _residuals(pencil, vals, vecs)

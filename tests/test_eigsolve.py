@@ -67,6 +67,34 @@ def test_dense_deterministic(rng):
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
 
 
+def random_pencil(rng, dim, generalized):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = a + a.conj().T
+    if not generalized:
+        return a, None
+    b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return a, b @ b.conj().T + dim * np.eye(dim)
+
+
+@pytest.mark.parametrize("generalized", [False, True])
+def test_dense_count_is_the_head_of_the_full_spectrum(rng, generalized):
+    dim = 60
+    a, b = random_pencil(rng, dim, generalized)
+    full = dense_hermitian_eig(a, b).eigenvalues
+    for k in (1, 5, dim):
+        res = dense_hermitian_eig(a, b, count=k)
+        assert np.abs(res.eigenvalues - full[:k]).max() <= 1e-12 * max(1.0, np.abs(full).max())
+        assert res.vectors.shape == (dim, k) and res.residuals.shape == (k,)
+        assert res.residuals.max() <= 1e-10
+
+
+def test_dense_count_outside_the_dimension_raises(rng):
+    a, b = random_pencil(rng, 10, True)
+    for k in (0, -1, 11):
+        with pytest.raises(ValueError):
+            dense_hermitian_eig(a, b, count=k)
+
+
 def dirichlet_laplacian(n):
     return sp.diags([[-1.0] * (n - 1), [2.0] * n, [-1.0] * (n - 1)], [-1, 0, 1]).tocsr().astype(complex)
 
@@ -167,3 +195,25 @@ def test_shift_invert_uncertified_raises(monkeypatch):
         shift_invert_smallest(pen, 2, 0.01)
     with pytest.raises(EigensolveError):
         shift_invert_smallest(pen, 2, -0.01, tol=1e-30)
+
+
+def test_shift_invert_badly_scaled_b_with_a_double_level(rng):
+    # A = S Q diag(lam) Q^H S with B = S^2 spanning 1e-3 ... 1e3: the pencil's
+    # eigenvalues are lam, with 2 a double level, and OP = (A - sigma B)^-1 B
+    # is far from normal in the Euclidean inner product ARPACK iterates in
+    dim = 80
+    lam = np.concatenate([[1.0, 2.0, 2.0, 3.0], np.linspace(4.0, 20.0, dim - 4)])
+    q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    s = np.sqrt(np.logspace(-3.0, 3.0, dim))
+    a = s[:, None] * (q * lam) @ q.conj().T * s[None, :]
+    a = 0.5 * (a + a.conj().T)
+    b = sp.diags(s**2).tocsr().astype(complex)
+    pen = HermitianPencil.make(sp.csr_matrix(a), b)
+    res = shift_invert_smallest(pen, 4, 0.5, seed=0)
+    dense = dense_hermitian_eig(a, b.toarray(), count=4)
+    assert res.shift == 0.5 and res.negative_pivots == 0
+    assert np.abs(res.eigenvalues - dense.eigenvalues).max() <= 1e-10
+    assert np.abs(dense.eigenvalues - lam[:4]).max() <= 1e-10
+    # both copies of the double level: the inertia between the levels counts them
+    for cut, below in ((1.5, 1), (2.5, 3), (3.5, 4)):
+        assert inertia(pen.a - cut * b)[0] == below == np.count_nonzero(res.eigenvalues < cut)
