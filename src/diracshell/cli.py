@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +37,7 @@ import scipy
 from .checks import run_all
 from .clifford import build_clifford, family_to_json
 from .effective import (
+    MIN_NS as EFF_MIN_NS,
     assemble_effective,
     converged_eigenvalues,
     effective_eigenvalues,
@@ -43,7 +45,7 @@ from .effective import (
 )
 from .eigsolve import EigensolveError
 from .geometry import CurveError, curve_from_json, shell_metric
-from .shell import MAX_COUNT, assemble_shell, default_nt, lowest_eigenvalues
+from .shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, lowest_eigenvalues
 from .threads import blas_threads, set_blas_threads
 from .transverse import write_transverse_table
 
@@ -124,12 +126,12 @@ class SweepConfig:
             raise ConfigError("eps values must be distinct")
         if self.count < 1 or self.count > MAX_COUNT:
             raise ConfigError(f"count must lie in 1..{MAX_COUNT}")
-        if self.ns < 32:
-            raise ConfigError("ns must be >= 32")
-        if self.nt is not None and self.nt < 8:
-            raise ConfigError("nt must be >= 8")
-        if self.eff_ns != "auto" and (self.eff_ns < 16 or self.eff_ns % 2):
-            raise ConfigError('eff_ns must be "auto" or an even integer >= 16')
+        if self.ns < MIN_NS:
+            raise ConfigError(f"ns must be >= {MIN_NS}")
+        if self.nt is not None and self.nt < MIN_NT:
+            raise ConfigError(f"nt must be >= {MIN_NT}")
+        if self.eff_ns != "auto" and (self.eff_ns < EFF_MIN_NS or self.eff_ns % 2):
+            raise ConfigError(f'eff_ns must be "auto" or an even integer >= {EFF_MIN_NS}')
 
 
 def _integral(value):
@@ -246,9 +248,8 @@ def _curve(spec):
 
 
 def _shell_job(fam, met, cfg: SweepConfig):
-    nt = cfg.nt if cfg.nt is not None else default_nt(met.eps)
     t0 = time.perf_counter()
-    asm = assemble_shell(fam, met, cfg.m, cfg.ns, nt)
+    asm = assemble_shell(fam, met, cfg.m, cfg.ns, cfg.nt)
     t1 = time.perf_counter()
     pairs = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed)
     record = {
@@ -357,8 +358,6 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
         blas_threads=blas_threads(),
     )
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         report.write_csv(os.path.join(out_dir, "sweep.csv"))
         with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
@@ -411,8 +410,6 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
         failures=base.failures,
     )
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         report.write_csv(os.path.join(out_dir, "corollary.csv"))
         with open(os.path.join(out_dir, "corollary.json"), "w") as fh:
@@ -552,8 +549,10 @@ def main(argv=None) -> int:
         if args.verb == "effective-spectrum":
             from .effective import DEFAULT_COUPLING
 
-            if args.ns < 16 or args.ns % 2 or not 1 <= args.count <= args.ns - 1:
-                raise ConfigError("--ns must be even and >= 16, and --count in 1..ns-1 (one spin block)")
+            if args.ns < EFF_MIN_NS or args.ns % 2 or not 1 <= args.count <= args.ns - 1:
+                raise ConfigError(
+                    f"--ns must be even and >= {EFF_MIN_NS}, and --count in 1..ns-1 (one spin block)"
+                )
             fam = build_clifford(2)
             curve = _curve(_load_curve_arg(args.curve))
             coupling = DEFAULT_COUPLING if args.coupling is None else args.coupling
@@ -574,10 +573,7 @@ def main(argv=None) -> int:
                 with open(args.out, "w") as fh:
                     fh.write(text)
             return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -65,6 +65,8 @@ DEFAULT_COUPLING = 0.5 - 1.0 / math.pi
 AUTO_NS_START = 64
 AUTO_NS_CAP = 1024
 AUTO_RTOL = 1e-10
+# smallest n_s an effective assembly accepts; it must also be even
+MIN_NS = 16
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ def _covariant_block(curve: CurveSpec, n_s: int, scheme: str, alpha: float, beta
     at the grid points.  The link matrix discretizes (-i d/ds - A)^2, the
     complex-conjugate operator, which has the same spectrum.
     """
-    if n_s < 16 or n_s % 2:
-        raise ValueError("n_s must be even and >= 16")
+    if n_s < MIN_NS or n_s % 2:
+        raise ValueError(f"n_s must be even and >= {MIN_NS}")
     if scheme == "fourier":
         fine = 4 * n_s
         kappa = curve.curvature(np.arange(fine) * (curve.length / fine))

@@ -10,7 +10,10 @@ component,
 with the L^2 weight eps*(1+eps*t*kappa).  The spinor boundary constraint
 -i a_3 Gamma(nu(s)) w(s, +-1) = +- w(s, +-1) is imposed by construction:
 in the gauged frame diag(1, nu(s)) its +-1 eigenspaces are constant in s,
-and each boundary node carries a single complex DOF along one of them.
+and each boundary node carries a single complex DOF along one of them.  The
+map from these reduced DOFs to the node values (``_constraint_basis``) is
+index arithmetic on the node layout, and it is the only place that knows
+the order of the reduced DOFs.
 
 Discretization is a tensor-product Galerkin space, P1 (periodic) in s and
 quadratic Lagrange elements in t (``p2_tables``), with 2x3 Gauss quadrature
@@ -21,7 +24,8 @@ over t and over every coefficient built from it.  The quadratic t-element
 keeps the transverse eigenvalue error far below the O(1) effective term
 even on the coarse sweep grids; convergence in the s-direction stays
 second order.  The shell form and both bracketing forms below share one
-gauged-frame assembler, ``_gauged_pencil``.
+gauged-frame assembler, ``_gauged_pencil``: component 1's form is
+component 0's plus the covariant term of d_s + i*kappa.
 
 The companion bracketing forms replace the exact coefficients by their
 flat-metric bounds with slack constant c:
@@ -61,10 +65,14 @@ __all__ = [
     "default_nt",
     "flat_strip_levels",
     "MAX_COUNT",
+    "MIN_NS",
+    "MIN_NT",
 ]
 
 # largest eigenvalue count lowest_eigenvalues (and so a sweep) computes
 MAX_COUNT = 12
+# coarsest grid the assemblers (and so a sweep config) accept
+MIN_NS, MIN_NT = 32, 8
 
 # 2-point and 3-point Gauss rules on [0, 1]
 _QS_P, _QS_W = (np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)]),
@@ -219,33 +227,24 @@ _GAUGED_SPINORS = {
 def _constraint_basis(grid: _TensorGalerkin) -> sp.csr_matrix:
     """Sparse map from reduced DOFs to the full 2-component node values.
 
-    Each boundary node carries one DOF along its side's ``_GAUGED_SPINORS``.
-    Reduced DOFs are grouped by s-column: for each grid index i the block
-    [boundary(-1), component-0 interior, component-1 interior, boundary(+1)]
-    is contiguous; ``boundary_values`` reads the boundary coefficients at
-    these offsets.
+    Built from the node layout: node (i, jt) of component c keeps its own
+    column, except that the two components of a boundary node share one,
+    weighted by its side's ``_GAUGED_SPINORS``.  Reduced DOFs are grouped by
+    s-column: for each grid index i the block [boundary(-1), component-0
+    interior, component-1 interior, boundary(+1)] is contiguous (this order
+    fixes the fill of the LU).  Only this map knows the reduced layout.
     """
-    n_s, n_tn, dim = grid.n_s, grid.n_tn, grid.dim
-    interior = n_tn - 2
-    block = 2 * interior + 2
-    rows, cols, vals = [], [], []
-    for i in range(n_s):
-        red = i * block
-        for comp in range(2):
-            rows.append(comp * dim + i * n_tn + 0)
-            cols.append(red)
-            vals.append(_GAUGED_SPINORS[-1][comp])
-        for comp in range(2):
-            base = comp * dim + i * n_tn
-            for jt in range(1, n_tn - 1):
-                rows.append(base + jt)
-                cols.append(red + 1 + comp * interior + (jt - 1))
-                vals.append(1.0 + 0.0j)
-        for comp in range(2):
-            rows.append(comp * dim + i * n_tn + (n_tn - 1))
-            cols.append(red + block - 1)
-            vals.append(_GAUGED_SPINORS[+1][comp])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * dim, n_s * block)).tocsr()
+    n_tn = grid.n_tn
+    inner = n_tn - 2
+    block = 2 * inner + 2
+    i, jt = np.divmod(np.arange(grid.dim), n_tn)
+    c = np.arange(2)[:, None]
+    ends = [jt == 0, jt == n_tn - 1]
+    cols = i * block + np.select(ends, [0, block - 1], c * inner + jt)
+    vals = np.select(ends, [_GAUGED_SPINORS[-1][c], _GAUGED_SPINORS[+1][c]], 1.0 + 0.0j)
+    return sp.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(2 * grid.dim + 1)), shape=(2 * grid.dim, grid.n_s * block)
+    )
 
 
 def _reduce(z: sp.csr_matrix, a_comp0: sp.csr_matrix, a_comp1: sp.csr_matrix | None = None) -> sp.csr_matrix:
@@ -264,8 +263,8 @@ def _grid(fam: CliffordFamily, metric: ShellMetric2D, n_s: int, n_t: int | None)
         raise ValueError("shell assembly is implemented for n = 2")
     if n_t is None:
         n_t = default_nt(metric.eps)
-    if n_s < 32 or n_t < 8:
-        raise ValueError("grid too coarse: need n_s >= 32 and n_t >= 8")
+    if n_s < MIN_NS or n_t < MIN_NT:
+        raise ValueError(f"grid too coarse: need n_s >= {MIN_NS} and n_t >= {MIN_NT}")
     grid = _TensorGalerkin(metric.curve.length, n_s, n_t)
     kap_s = metric.curve.curvature(grid.s_abscissae)
     return grid, kap_s, grid.at_quad(kap_s), _constraint_basis(grid)
@@ -277,12 +276,13 @@ def _gauged_pencil(grid, z, kap, tan, trans, mass, boundary, b) -> HermitianPenc
     Component 0 carries tan|d_s u|^2 + trans|d_t u|^2 + mass|u|^2.  The
     frame makes the boundary constraint s-independent, so the discrete space
     satisfies it at every s; the price is the covariant d_s + i*kappa on
-    component 1.  ``boundary`` holds the coefficients on the t = +1 and
+    component 1, whose form is component 0's plus tan*(kappa^2|u|^2 + the
+    cross term).  ``boundary`` holds the coefficients on the t = +1 and
     t = -1 lines, ``b`` is the reduced mass matrix.
     """
     bnd = grid.boundary_matrix(+1, boundary[0]) + grid.boundary_matrix(-1, boundary[1])
     a0 = grid.volume_matrix(tan, trans, mass) + bnd
-    a1 = grid.volume_matrix(tan, trans, mass + tan * kap**2, c_cross=tan * kap) + bnd
+    a1 = a0 + grid.volume_matrix(None, None, tan * kap**2, c_cross=tan * kap)
     return HermitianPencil.make(_reduce(z, a0, a1), b)
 
 
@@ -408,19 +408,11 @@ def boundary_values(assembly: ShellFormAssembly, reduced: np.ndarray) -> dict:
     -i a_3 Gamma(nu(s_i)) w(s_i, +-1) = +- w(s_i, +-1) exactly (to rounding);
     this is the boundary-condition-by-construction property of the DOF map.
     """
-    n_s, n_t = assembly.n_s, assembly.n_t
-    block = 4 * n_t
-    s_nodes = np.arange(n_s) * assembly.h_s
-    nu = assembly.metric.curve.normal(s_nodes)
-    nu_c = nu[:, 0] + 1j * nu[:, 1]
-    out = {}
-    for side, offset in ((-1, 0), (+1, block - 1)):
-        coef = reduced[offset::block][:n_s]
-        gauged = coef[:, None] * _GAUGED_SPINORS[side][None, :]
-        ungauged = gauged.copy()
-        ungauged[:, 1] *= nu_c
-        out[side] = ungauged
-    return out
+    grid = _TensorGalerkin(assembly.metric.curve.length, assembly.n_s, assembly.n_t)
+    nodes = (_constraint_basis(grid) @ reduced).reshape(2, grid.n_s, grid.n_tn)
+    nu = assembly.metric.curve.normal(np.arange(grid.n_s) * grid.h_s)
+    frame = np.stack([np.ones(grid.n_s), nu[:, 0] + 1j * nu[:, 1]], axis=1)
+    return {side: nodes[:, :, jt].T * frame for side, jt in ((-1, 0), (+1, grid.n_tn - 1))}
 
 
 def flat_strip_levels(length: float, m: float, eps: float, count: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracshell import checks, clifford, eigsolve, shell
+from diracshell import checks, clifford, effective, eigsolve, shell
 from diracshell.checks import REGISTRY, CheckResult, check_gauge_equivalence
 from diracshell.cli import main
 
@@ -88,6 +88,15 @@ def test_shell_sandwich_fails_when_the_shell_level_leaves_the_bracket(monkeypatc
 
     monkeypatch.setattr(shell, "lowest_eigenvalues", raised)
     assert not checks.check_shell_sandwich().passed
+
+
+def test_effective_convergence_fails_without_a_converged_reference(monkeypatch):
+    # with the doubling capped at its start size the Fourier reference cannot converge
+    assert checks.check_effective_convergence().passed
+    monkeypatch.setattr(effective, "AUTO_NS_CAP", 64)
+    res = checks.check_effective_convergence()
+    assert not res.passed
+    assert "not converged" in res.detail
 
 
 def _stub(name, passed):

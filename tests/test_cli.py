@@ -18,8 +18,8 @@ from diracshell.cli import (
 from diracshell.clifford import build_clifford
 from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenvalues
 from diracshell.eigsolve import EigensolveError
-from diracshell.geometry import curve_from_json
-from diracshell.shell import MAX_COUNT
+from diracshell.geometry import curve_from_json, shell_metric
+from diracshell.shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell
 from diracshell.threads import blas_threads
 
 SMALL = {
@@ -93,6 +93,29 @@ def test_config_validation(monkeypatch):
         SweepConfig(curve=SMALL["curve"], eff_ns="bogus").validate()
     with pytest.raises(ConfigError):
         run_sweep(SweepConfig(curve=SMALL["curve"], eff_ns="bogus"))
+
+
+def _accepts(call):
+    try:
+        call()
+    except ValueError:  # ConfigError is a ValueError
+        return False
+    return True
+
+
+def test_config_and_assemblers_share_the_grid_minimums():
+    # validate() accepts exactly the grids the assemblies accept, at the boundary
+    fam = build_clifford(2)
+    curve = curve_from_json(SMALL["curve"])
+    met = shell_metric(curve, SMALL["eps"][0])
+    for ns, nt in ((MIN_NS - 1, MIN_NT), (MIN_NS, MIN_NT - 1), (MIN_NS, MIN_NT)):
+        config = _accepts(lambda: SweepConfig(curve=SMALL["curve"], ns=ns, nt=nt).validate())
+        assembly = _accepts(lambda: assemble_shell(fam, met, 0.0, ns, nt))
+        assert config == assembly == (ns >= MIN_NS and nt >= MIN_NT)
+    for eff_ns in (effective.MIN_NS - 2, effective.MIN_NS - 1, effective.MIN_NS, effective.MIN_NS + 1):
+        config = _accepts(lambda: SweepConfig(curve=SMALL["curve"], eff_ns=eff_ns).validate())
+        assembly = _accepts(lambda: assemble_effective(fam, curve, eff_ns))
+        assert config == assembly == (eff_ns == effective.MIN_NS)
 
 
 def test_run_sweep_small(tmp_path):

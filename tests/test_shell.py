@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from diracshell.clifford import gamma
 from diracshell.eigsolve import dense_hermitian_eig, inertia
@@ -168,6 +169,44 @@ def test_curvature_broadcast_matches_quadrature_points():
     expected = np.repeat(sq, 3, axis=1)
     assert np.array_equal(grid.at_quad(grid.s_abscissae), expected)
     assert grid.at_quad(grid.s_abscissae).shape == grid.quad_t.shape
+
+
+def _constraint_basis_by_nodes(grid):
+    # reference: the constraint map built node by node, column block by column block
+    from diracshell.shell import _GAUGED_SPINORS
+
+    n_s, n_tn, dim = grid.n_s, grid.n_tn, grid.dim
+    interior = n_tn - 2
+    block = 2 * interior + 2
+    rows, cols, vals = [], [], []
+    for i in range(n_s):
+        red = i * block
+        for comp in range(2):
+            rows.append(comp * dim + i * n_tn + 0)
+            cols.append(red)
+            vals.append(_GAUGED_SPINORS[-1][comp])
+        for comp in range(2):
+            base = comp * dim + i * n_tn
+            for jt in range(1, n_tn - 1):
+                rows.append(base + jt)
+                cols.append(red + 1 + comp * interior + (jt - 1))
+                vals.append(1.0 + 0.0j)
+        for comp in range(2):
+            rows.append(comp * dim + i * n_tn + (n_tn - 1))
+            cols.append(red + block - 1)
+            vals.append(_GAUGED_SPINORS[+1][comp])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * dim, n_s * block)).tocsr()
+
+
+@pytest.mark.parametrize("n_s, n_t", [(32, 8), (48, 13), (64, 29)])
+def test_constraint_basis_matches_node_loop(n_s, n_t):
+    from diracshell.shell import _constraint_basis, _TensorGalerkin
+
+    grid = _TensorGalerkin(5.0, n_s, n_t)
+    got, ref = _constraint_basis(grid), _constraint_basis_by_nodes(grid)
+    assert got.shape == ref.shape
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field))
 
 
 def test_boundary_condition_exact_by_construction(fam2, ellipse):
