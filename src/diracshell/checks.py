@@ -174,19 +174,19 @@ def check_mode_perturbation():
 def _p2_transverse_pencil(N: int, m: float, n_elem: int):
     """The x-independent P2 matrices on (-1, 1), N spinor components per node.
 
+    The stiffness and mass of the shell's P2 line (``shell.line_element``).
+
     Returns the form ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2) and the
     mass, both CSR over the full node set, before the boundary elimination.
     """
     h = 2.0 / n_elem
     n_nodes = 2 * n_elem + 1
-    val, der = shell.p2_tables(h)
-    k_loc = np.einsum("q,aq,bq->ab", shell._QT_W * h, der, der)
-    m_loc = np.einsum("q,aq,bq->ab", shell._QT_W * h, val, val)
-    # element e couples nodes 2e, 2e+1, 2e+2; entry (a, b) of its local matrix
-    idx = 2 * np.arange(n_elem)[:, None] + np.arange(3)
-    rows, cols = np.repeat(idx, 3, axis=1).ravel(), np.tile(idx, 3).ravel()
-    k1d = sp.coo_matrix((np.tile(k_loc.ravel(), n_elem), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    m1d = sp.coo_matrix((np.tile(m_loc.ravel(), n_elem), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    _, w, val, der, conn = shell.line_element(2, n_elem, h)
+    # every cell has the same local stiffness and mass
+    k1d, m1d = (
+        shell.scatter(np.broadcast_to(np.einsum("q,aq,bq->ab", w * h, t, t), (n_elem, 3, 3)), conn, n_nodes)
+        for t in (der, val)
+    )
 
     boundary = np.zeros(n_nodes * N)
     boundary[:N] = m

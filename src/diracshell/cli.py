@@ -37,6 +37,7 @@ import scipy
 from .checks import run_all
 from .clifford import build_clifford, family_to_json
 from .effective import (
+    DEFAULT_COUPLING,
     MIN_NS as EFF_MIN_NS,
     assemble_effective,
     converged_eigenvalues,
@@ -116,10 +117,10 @@ class SweepConfig:
         for name, value in integers.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.m < 0:
-            raise ConfigError("m must be nonnegative")
-        if len(self.eps) < 1 or any(not e > 0 for e in self.eps):
-            raise ConfigError("eps values must be positive")
+        if not 0 <= self.m < math.inf:
+            raise ConfigError(f"m must be finite and nonnegative, got {self.m!r}")
+        if len(self.eps) < 1 or any(not 0 < e < math.inf for e in self.eps):
+            raise ConfigError("eps values must be finite and positive")
         if sorted(self.eps, reverse=True) != list(self.eps):
             raise ConfigError("eps list must be strictly decreasing")
         if len(set(self.eps)) != len(self.eps):
@@ -224,6 +225,17 @@ class CorollaryReport:
                     partial = (lam - math.pi / (4.0 * eps) - (2.0 / math.pi) * self.m) / eps
                     writer.writerow([repr(eps), p, repr(lam), repr(partial)])
 
+    def summary(self) -> dict:
+        return {
+            "curve": self.curve_id,
+            "m": self.m,
+            "linear_coeffs": self.linear_coeffs,
+            "references": self.references,
+            "pairing_defect": {repr(k): v for k, v in self.pairing_defect.items()},
+            "partial": self.partial,
+            "failures": {str(k): v for k, v in self.failures.items()},
+        }
+
 
 def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
     """Least-squares fit y ~ a + b x with the intercept standard error."""
@@ -237,6 +249,14 @@ def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
         "slope": float(coef[1]),
         "stderr_intercept": float(math.sqrt(max(cov[0, 0], 0.0))),
     }
+
+
+def _write_outputs(report, out_dir, stem: str) -> None:
+    """Write ``<stem>.csv`` and the run record ``<stem>.json`` of a report into out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    report.write_csv(os.path.join(out_dir, stem + ".csv"))
+    with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
+        json.dump(report.summary(), fh, indent=2, sort_keys=True)
 
 
 def _curve(spec):
@@ -358,10 +378,7 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
         blas_threads=blas_threads(),
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        report.write_csv(os.path.join(out_dir, "sweep.csv"))
-        with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
-            json.dump(report.summary(), fh, indent=2, sort_keys=True)
+        _write_outputs(report, out_dir, "sweep")
     return report
 
 
@@ -377,6 +394,7 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
     solved points when some point failed.
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
+    cfg.validate()
     if cfg.count % 2:
         raise ConfigError("corollary needs an even eigenvalue count (2p pairing)")
     base = run_sweep(cfg, out_dir=None, threads=threads)
@@ -410,23 +428,7 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
         failures=base.failures,
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        report.write_csv(os.path.join(out_dir, "corollary.csv"))
-        with open(os.path.join(out_dir, "corollary.json"), "w") as fh:
-            json.dump(
-                {
-                    "curve": report.curve_id,
-                    "m": report.m,
-                    "linear_coeffs": report.linear_coeffs,
-                    "references": report.references,
-                    "pairing_defect": {repr(k): v for k, v in report.pairing_defect.items()},
-                    "partial": report.partial,
-                    "failures": {str(k): v for k, v in report.failures.items()},
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+        _write_outputs(report, out_dir, "corollary")
     return report
 
 
@@ -512,24 +514,23 @@ def main(argv=None) -> int:
     try:
         if args.verb == "check":
             return run_checks(out=args.out)
-        if args.verb == "sweep":
+        if args.verb in ("sweep", "corollary"):
             cfg = _build_config(args)
-            report = run_sweep(cfg, out_dir=args.out, threads=args.threads)
-            for v in report.verdicts():
-                print(
+            if args.verb == "sweep":
+                report = run_sweep(cfg, out_dir=args.out, threads=args.threads)
+                lines = [
                     f"j={v['j']}: intercept {v['intercept']:.6f} vs effective "
-                    f"{v['mu_effective']:.6f} (|diff| {v['intercept_error']:.2e}), "
-                    f"slope {v['slope']:.4f}"
-                )
-            if report.partial:
-                print("warning: report is partial;", report.failures)
-                return EXIT_PARTIAL
-            return 0
-        if args.verb == "corollary":
-            cfg = _build_config(args)
-            report = run_corollary(cfg, out_dir=args.out, threads=args.threads)
-            for p, (coef, ref) in enumerate(zip(report.linear_coeffs, report.references), start=1):
-                print(f"p={p}: fitted linear coefficient {coef:.6f} vs reference {ref:.6f}")
+                    f"{v['mu_effective']:.6f} (|diff| {v['intercept_error']:.2e}), slope {v['slope']:.4f}"
+                    for v in report.verdicts()
+                ]
+            else:
+                report = run_corollary(cfg, out_dir=args.out, threads=args.threads)
+                lines = [
+                    f"p={p}: fitted linear coefficient {coef:.6f} vs reference {ref:.6f}"
+                    for p, (coef, ref) in enumerate(zip(report.linear_coeffs, report.references), start=1)
+                ]
+            for line in lines:
+                print(line)
             if report.partial:
                 print("warning: report is partial;", report.failures)
                 return EXIT_PARTIAL
@@ -547,8 +548,6 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":
-            from .effective import DEFAULT_COUPLING
-
             if args.ns < EFF_MIN_NS or args.ns % 2 or not 1 <= args.count <= args.ns - 1:
                 raise ConfigError(
                     f"--ns must be even and >= {EFF_MIN_NS}, and --count in 1..ns-1 (one spin block)"

@@ -16,8 +16,10 @@ index arithmetic on the node layout, and it is the only place that knows
 the order of the reduced DOFs.
 
 Discretization is a tensor-product Galerkin space, P1 (periodic) in s and
-quadratic Lagrange elements in t (``p2_tables``), with 2x3 Gauss quadrature
-per cell and all coefficients evaluated at quadrature points.  The curvature
+quadratic Lagrange elements in t, with 2x3 Gauss quadrature per cell and all
+coefficients evaluated at quadrature points.  Both factors and the boundary
+lines come from one 1D element (``line_element``: Gauss rule, basis tables
+and cell-to-node map) and one sum over cells (``scatter``).  The curvature
 is the only coefficient that varies in s; it is evaluated once per
 assembly, at the 2*n_s distinct s-abscissae (i + xi_q)*h_s, and broadcast
 over t and over every coefficient built from it.  The quadratic t-element
@@ -64,6 +66,8 @@ __all__ = [
     "ladder_shift",
     "default_nt",
     "flat_strip_levels",
+    "line_element",
+    "scatter",
     "MAX_COUNT",
     "MIN_NS",
     "MIN_NT",
@@ -74,11 +78,12 @@ MAX_COUNT = 12
 # coarsest grid the assemblers (and so a sweep config) accept
 MIN_NS, MIN_NT = 32, 8
 
-# 2-point and 3-point Gauss rules on [0, 1]
-_QS_P, _QS_W = (np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)]),
-                np.array([0.5, 0.5]))
-_QT_P = np.array([0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6)])
-_QT_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+# the (p+1)-point Gauss rule on [0, 1] of the degree-p element: points, weights
+_GAUSS = {
+    1: (np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)]), np.array([0.5, 0.5])),
+    2: (np.array([0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6)]),
+        np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])),
+}
 
 
 def default_nt(eps: float) -> int:
@@ -86,16 +91,37 @@ def default_nt(eps: float) -> int:
     return max(8, math.ceil(4.0 / math.sqrt(eps)))
 
 
-def p2_tables(h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The quadratic Lagrange element on a cell of width h.
+def line_element(p: int, n: int, h: float, periodic: bool = False):
+    """The degree-p Lagrange element (p = 1 or 2) on n cells of width h.
 
-    Values and d/dx of the basis functions of the nodes 0, 1/2, 1 of the
-    reference cell (rows) at the Gauss points ``_QT_P`` (columns).
+    Returns ``(x, w, val, der, conn)``: the Gauss points x and weights w
+    (summing to 1) on the reference cell [0, 1]; the values and d/dx of the
+    basis functions of the nodes a/p (rows) at x (columns); and the
+    cell-to-node map, which sends local node a of cell e to node p*e + a
+    of the p*n + 1 nodes, or of the p*n nodes wrapped around if periodic.
     """
-    x = _QT_P
-    val = np.vstack([(1.0 - x) * (1.0 - 2.0 * x), 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)])
-    der = np.vstack([4.0 * x - 3.0, 4.0 - 8.0 * x, 4.0 * x - 1.0]) / h
-    return val, der
+    x, w = _GAUSS[p]
+    nodes = np.arange(p + 1) / p
+    val, der = np.ones((p + 1, x.size)), np.zeros((p + 1, x.size))
+    for a in range(p + 1):
+        for b in range(p + 1):
+            if b != a:
+                # product rule for the factor (x - x_b)/(x_a - x_b)
+                factor = (x - nodes[b]) / (nodes[a] - nodes[b])
+                der[a] = der[a] * factor + val[a] / (nodes[a] - nodes[b])
+                val[a] = val[a] * factor
+    conn = (p * np.arange(n)[:, None] + np.arange(p + 1)) % (p * n + (0 if periodic else 1))
+    return x, w, val, der / h, conn
+
+
+def scatter(local: np.ndarray, conn: np.ndarray, dim: int) -> sp.csr_matrix:
+    """Sum the per-cell matrices local[e] into a dim x dim CSR matrix.
+
+    Entry (a, b) of cell e's matrix is added at (conn[e, a], conn[e, b]).
+    """
+    k = conn.shape[1]
+    rows, cols = np.repeat(conn, k, axis=1).ravel(), np.tile(conn, (1, k)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -125,7 +151,12 @@ class SandwichFormAssembly:
 
 
 class _TensorGalerkin:
-    """Scalar P1(s, periodic) x P2(t) assembler on [0, L) x (-1, 1)."""
+    """Scalar P1(s, periodic) x P2(t) assembler on [0, L) x (-1, 1).
+
+    The product of the periodic P1 s-line and the P2 t-line.  Cell (i, j)
+    is row i*n_t + j of the per-cell arrays; its 6 local nodes and 6
+    quadrature points are the (s, t) pairs in the order 3*a_s + a_t.
+    """
 
     def __init__(self, length: float, n_s: int, n_t: int):
         self.n_s = n_s
@@ -134,47 +165,22 @@ class _TensorGalerkin:
         self.h_t = 2.0 / n_t
         self.n_tn = 2 * n_t + 1
         self.dim = n_s * self.n_tn
-
-        # local 1D bases on the reference cell [0, 1]
-        xs = _QS_P
-        self.val_s = np.vstack([1.0 - xs, xs])                      # (2, 2)
-        self.der_s = np.vstack([-np.ones(2), np.ones(2)]) / self.h_s
-        self.val_t, self.der_t = p2_tables(self.h_t)                # (3, 3)
-
-        # tensorized 6-node, 6-point tables: local node a = (as, at)
-        self.loc_nodes = [(a_s, a_t) for a_s in range(2) for a_t in range(3)]
-        nq = xs.size * _QT_P.size
-        self.val = np.empty((6, nq))
-        self.ds = np.empty((6, nq))
-        self.dt = np.empty((6, nq))
-        for a, (a_s, a_t) in enumerate(self.loc_nodes):
-            v = np.outer(self.val_s[a_s], self.val_t[a_t]).ravel()
-            dvs = np.outer(self.der_s[a_s], self.val_t[a_t]).ravel()
-            dvt = np.outer(self.val_s[a_s], self.der_t[a_t]).ravel()
-            self.val[a], self.ds[a], self.dt[a] = v, dvs, dvt
-        self.wq = (np.outer(_QS_W, _QT_W).ravel()) * self.h_s * self.h_t
-
-        es = np.arange(n_s)
-        et = np.arange(n_t)
-        self.elem_s, self.elem_t = np.meshgrid(es, et, indexing="ij")
-        self.elem_s = self.elem_s.ravel()
-        self.elem_t = self.elem_t.ravel()
+        xs, self.ws, self.val_s, der_s, self.conn_s = line_element(1, n_s, self.h_s, periodic=True)
+        xt, wt, val_t, der_t, conn_t = line_element(2, n_t, self.h_t)
+        # the 6-node, 6-point tables and the cell-to-node map of the product
+        self.val = np.kron(self.val_s, val_t)
+        self.ds = np.kron(der_s, val_t)
+        self.dt = np.kron(self.val_s, der_t)
+        self.wq = np.kron(self.ws, wt) * self.h_s * self.h_t
+        self.conn = np.add.outer(self.conn_s * self.n_tn, conn_t).transpose(0, 2, 1, 3).reshape(-1, 6)
         # the 2*n_s distinct s-abscissae (i + xi_q)*h_s, shape (n_s, 2), and
-        # t at the quadrature points of each element, shape (n_el, nq)
-        self.s_abscissae = (es[:, None] + xs[None, :]) * self.h_s
-        tq = -1.0 + (self.elem_t[:, None] + _QT_P[None, :]) * self.h_t
-        self.quad_t = (tq[:, None, :] + np.zeros((1, xs.size, 1))).reshape(-1, nq)
-        # global index per element and local node
-        gidx = np.empty((self.elem_s.size, 6), dtype=np.int64)
-        for a, (a_s, a_t) in enumerate(self.loc_nodes):
-            si = (self.elem_s + a_s) % n_s
-            ti = 2 * self.elem_t + a_t
-            gidx[:, a] = si * self.n_tn + ti
-        self.gidx = gidx
+        # t at the quadrature points of each cell, shape (n_s*n_t, 6)
+        self.s_abscissae = (np.arange(n_s)[:, None] + xs) * self.h_s
+        self.quad_t = np.tile(-1.0 + (np.arange(n_t)[:, None] + xt) * self.h_t, (n_s, xs.size))
 
     def at_quad(self, per_s: np.ndarray) -> np.ndarray:
         """Broadcast values at ``s_abscissae`` over t to every quadrature point."""
-        return np.repeat(np.repeat(per_s, self.n_t, axis=0), _QT_P.size, axis=1)
+        return np.repeat(np.repeat(per_s, self.n_t, axis=0), 3, axis=1)
 
     def volume_matrix(self, c_tan, c_trans, c_mass, c_cross=None) -> sp.csr_matrix:
         """Assemble c_tan*ds*ds + c_trans*dt*dt + c_mass*val*val (+ cross term).
@@ -195,26 +201,16 @@ class _TensorGalerkin:
             cvals = np.broadcast_to(c_cross, shape) * self.wq[None, :]
             e_mat = np.einsum("eq,aq,bq->eab", cvals, self.ds, self.val)
             local += 1.0j * (e_mat - e_mat.swapaxes(1, 2))
-        rows = np.repeat(self.gidx, 6, axis=1).ravel()
-        cols = np.tile(self.gidx, (1, 6)).ravel()
-        mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(self.dim, self.dim))
-        return mat.tocsr()
+        return scatter(local, self.conn, self.dim)
 
     def boundary_matrix(self, side: int, coef) -> sp.csr_matrix:
-        """1D mass matrix sum_i int coef(s) u v ds on the t = side line.
+        """The s-line's 1D mass matrix sum_i int coef(s) u v ds on the t = side nodes.
 
         ``coef`` is a scalar or its values at ``s_abscissae``.
         """
-        ti = 0 if side < 0 else self.n_tn - 1
-        es = np.arange(self.n_s)
-        cvals = np.broadcast_to(coef, self.s_abscissae.shape) * (_QS_W[None, :] * self.h_s)
+        cvals = np.broadcast_to(coef, self.s_abscissae.shape) * (self.ws[None, :] * self.h_s)
         local = np.einsum("eq,aq,bq->eab", cvals, self.val_s, self.val_s)
-        g = np.empty((self.n_s, 2), dtype=np.int64)
-        g[:, 0] = es * self.n_tn + ti
-        g[:, 1] = ((es + 1) % self.n_s) * self.n_tn + ti
-        rows = np.repeat(g, 2, axis=1).ravel()
-        cols = np.tile(g, (1, 2)).ravel()
-        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(self.dim, self.dim)).tocsr()
+        return scatter(local, self.conn_s * self.n_tn + (0 if side < 0 else self.n_tn - 1), self.dim)
 
 
 # boundary spinors in the gauged frame diag(1, nu(s)): constant in s
@@ -294,7 +290,7 @@ def assemble_shell(
     n_t: int | None = None,
 ) -> ShellFormAssembly:
     """Pencil of the exact tubular-coordinate form with eliminated boundary DOFs."""
-    if m < 0:
+    if not m >= 0:
         raise ValueError("mass must be nonnegative")
     grid, kap_s, kap, z = _grid(fam, metric, n_s, n_t)
     eps = metric.eps

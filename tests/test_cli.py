@@ -45,8 +45,10 @@ def test_config_validation(monkeypatch):
         SweepConfig.from_dict({**SMALL, "eps": [0.05, 0.1]})
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({**SMALL, "eps": [0.1, 0.1]})
-    with pytest.raises(ConfigError):
-        SweepConfig.from_dict({**SMALL, "m": -1.0})
+    # the mass and the widths are finite numbers
+    for bad in ({"m": -1.0}, {"m": math.nan}, {"m": math.inf}, {"eps": [math.inf, 0.1, 0.05]}):
+        with pytest.raises(ConfigError):
+            SweepConfig.from_dict({**SMALL, **bad})
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({**SMALL, "count": 0})
     assert SweepConfig.from_dict({**SMALL, "count": MAX_COUNT}).count == MAX_COUNT
@@ -89,6 +91,10 @@ def test_config_validation(monkeypatch):
     for run in (run_sweep, run_corollary):
         with pytest.raises(ConfigError):
             run(coarse)
+    # run_corollary validates before its own parity check reads the count
+    for bad in ({"count": None}, {"count": "4"}, {"m": math.nan}):
+        with pytest.raises(ConfigError):
+            run_corollary(SweepConfig(curve=SMALL["curve"], **bad))
     with pytest.raises(ConfigError):
         SweepConfig(curve=SMALL["curve"], eff_ns="bogus").validate()
     with pytest.raises(ConfigError):
@@ -330,6 +336,8 @@ BAD_INVOCATIONS = {
     "eps-empty-entry": ["sweep", "--curve", CIRCLE, "--eps", "0.1,,0.05"],
     "eps-beyond-guard": ["sweep", "--curve", CIRCLE, "--eps", "0.95,0.5,0.3"],
     "eps-not-a-number": ["sweep", "--curve", CIRCLE, "--eps", "nan,0.1"],
+    "eps-infinite": ["sweep", "--curve", '{"kind": "strip", "length": 6}', "--eps", "inf,0.1,0.05"],
+    "mass-not-a-number": ["sweep", "--curve", CIRCLE, "--m", "nan"],
     "corollary-bad-curve": ["corollary", "--curve", '{"kind": "blob"}'],
     "effective-odd-ns": ["effective-spectrum", "--curve", CIRCLE, "--ns", "15"],
     "effective-bad-curve": ["effective-spectrum", "--curve", '{"kind": "circle", "r": -1}'],

@@ -1,13 +1,60 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import diracshell
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(diracshell.__path__))
 
 
 def test_every_exported_name_exists():
     # a name deleted from a module but left in its __all__ fails here
     missing = []
-    for info in pkgutil.iter_modules(diracshell.__path__):
-        mod = importlib.import_module(f"diracshell.{info.name}")
-        missing += [f"{info.name}.{name}" for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    for name in MODULES:
+        mod = importlib.import_module(f"diracshell.{name}")
+        missing += [f"{name}.{attr}" for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert missing == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _sibling(node: ast.ImportFrom) -> str | None:
+    # the sibling module "from <module> import ..." names, None for the package itself
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and (node.module or "").startswith("diracshell."):
+        return node.module.split(".")[1]
+    return None
+
+
+def test_no_module_reads_a_siblings_private_name():
+    # a module uses only the public names of another module of the package:
+    # neither "from .shell import _x" nor "shell._x" after "from . import shell"
+    package = pathlib.Path(diracshell.__file__).parent
+    reads = []
+    for name in MODULES:
+        tree = ast.parse((package / f"{name}.py").read_text())
+        aliases = {}  # local name -> the sibling module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                sibling = _sibling(node)
+                package_import = (node.level == 1 and node.module is None) or (
+                    node.level == 0 and node.module == "diracshell"
+                )
+                for alias in node.names:
+                    if package_import and alias.name in MODULES:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif sibling in MODULES and _private(alias.name):
+                        reads.append(f"{name}: from {sibling} import {alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname and alias.name.startswith("diracshell."):
+                        aliases[alias.asname] = alias.name.split(".")[1]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and aliases.get(node.value.id, name) != name and _private(node.attr)):
+                reads.append(f"{name}: {aliases[node.value.id]}.{node.attr}")
+    assert reads == []

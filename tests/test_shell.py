@@ -15,7 +15,9 @@ from diracshell.shell import (
     default_nt,
     flat_strip_levels,
     ladder_shift,
+    line_element,
     lowest_eigenvalues,
+    scatter,
 )
 from diracshell.transverse import solve_k
 
@@ -162,13 +164,84 @@ def test_assembly_evaluates_curvature_once(fam2, ellipse):
 def test_curvature_broadcast_matches_quadrature_points():
     # every quadrature point of element (i, j) gets the value at its own
     # s-abscissa, in the (s, t) point order of the basis tables
-    from diracshell.shell import _QS_P, _TensorGalerkin
+    from diracshell.shell import _GAUSS, _TensorGalerkin
 
+    _QS_P = _GAUSS[1][0]
     grid = _TensorGalerkin(5.0, 32, 8)
-    sq = (grid.elem_s[:, None] + _QS_P[None, :]) * grid.h_s
+    elem_s = np.repeat(np.arange(grid.n_s), grid.n_t)
+    sq = (elem_s[:, None] + _QS_P[None, :]) * grid.h_s
     expected = np.repeat(sq, 3, axis=1)
     assert np.array_equal(grid.at_quad(grid.s_abscissae), expected)
     assert grid.at_quad(grid.s_abscissae).shape == grid.quad_t.shape
+
+
+# reference: the closed forms of the P1 and P2 elements on [0, 1] at their Gauss points
+def _p1_closed_form(h):
+    x = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
+    return x, np.vstack([1.0 - x, x]), np.vstack([-np.ones(2), np.ones(2)]) / h
+
+
+def _p2_closed_form(h):
+    x = np.array([0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6)])
+    val = np.vstack([(1.0 - x) * (1.0 - 2.0 * x), 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)])
+    der = np.vstack([4.0 * x - 3.0, 4.0 - 8.0 * x, 4.0 * x - 1.0]) / h
+    return x, val, der
+
+
+@pytest.mark.parametrize("h", [2.0 / 13, 0.25, 2.0 / 29, 5.0 / 48])
+def test_line_element_matches_closed_forms(h):
+    # the product rule reproduces the closed forms bit for bit
+    for p, closed_form in ((1, _p1_closed_form), (2, _p2_closed_form)):
+        x, w, val, der, _ = line_element(p, 8, h)
+        for got, ref in zip((x, val, der), closed_form(h)):
+            assert np.array_equal(got, ref)
+        assert w.sum() == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("p, periodic, length", [(1, True, 5.0), (2, False, 2.0)])
+def test_line_element_mass_and_stiffness(p, periodic, length):
+    # the mass matrix sums to the length, the stiffness matrix sends constants to 0
+    n = 16
+    h = length / n
+    _, w, val, der, conn = line_element(p, n, h, periodic)
+    n_nodes = p * n + (0 if periodic else 1)
+    assert conn.min() == 0 and conn.max() == n_nodes - 1
+    mass, stiff = (
+        scatter(np.broadcast_to(np.einsum("q,aq,bq->ab", w * h, t, t), (n, p + 1, p + 1)), conn, n_nodes)
+        for t in (val, der)
+    )
+    assert mass.sum() == pytest.approx(length, rel=1e-14)
+    assert np.abs(stiff @ np.ones(n_nodes)).max() <= 1e-12 * np.abs(stiff.data).max()
+
+
+def test_tensor_grid_mass_and_stiffness():
+    from diracshell.shell import _TensorGalerkin
+
+    grid = _TensorGalerkin(5.0, 32, 8)
+    ones = np.ones(grid.dim)
+    assert grid.volume_matrix(None, None, 1.0).sum() == pytest.approx(2.0 * 5.0, rel=1e-14)
+    assert grid.boundary_matrix(+1, 1.0).sum() == pytest.approx(5.0, rel=1e-14)
+    stiff = grid.volume_matrix(1.0, 1.0, None)
+    assert np.abs(stiff @ ones).max() <= 1e-12 * np.abs(stiff.data).max()
+
+
+@pytest.mark.parametrize("n_s, n_t", [(32, 8), (48, 13)])
+def test_tensor_grid_matches_per_node_loop(n_s, n_t):
+    # reference: the product tables and the cell-to-node map built per local node (a_s, a_t)
+    from diracshell.shell import _TensorGalerkin
+
+    grid = _TensorGalerkin(5.0, n_s, n_t)
+    _, w_s, val_s, der_s, _ = line_element(1, n_s, grid.h_s, periodic=True)
+    x_t, w_t, val_t, der_t, _ = line_element(2, n_t, grid.h_t)
+    elem_s, elem_t = (e.ravel() for e in np.meshgrid(np.arange(n_s), np.arange(n_t), indexing="ij"))
+    for a, (a_s, a_t) in enumerate((a_s, a_t) for a_s in range(2) for a_t in range(3)):
+        assert np.array_equal(grid.val[a], np.outer(val_s[a_s], val_t[a_t]).ravel())
+        assert np.array_equal(grid.ds[a], np.outer(der_s[a_s], val_t[a_t]).ravel())
+        assert np.array_equal(grid.dt[a], np.outer(val_s[a_s], der_t[a_t]).ravel())
+        assert np.array_equal(grid.conn[:, a], ((elem_s + a_s) % n_s) * grid.n_tn + 2 * elem_t + a_t)
+    assert np.array_equal(grid.wq, np.outer(w_s, w_t).ravel() * grid.h_s * grid.h_t)
+    t_q = -1.0 + (elem_t[:, None] + x_t[None, :]) * grid.h_t
+    assert np.array_equal(grid.quad_t, np.hstack([t_q, t_q]))
 
 
 def _constraint_basis_by_nodes(grid):
@@ -296,6 +369,8 @@ def test_grid_and_guard_validation(fam2, circle, ellipse):
         assemble_shell(fam2, met, 0.0, 32, 4)
     with pytest.raises(ValueError):
         assemble_shell(fam2, met, -0.1, 32, 8)
+    with pytest.raises(ValueError):
+        assemble_shell(fam2, met, math.nan, 32, 8)
     with pytest.raises(ValueError):
         shell_metric(ellipse, 0.5)
     with pytest.raises(ValueError):
