@@ -117,10 +117,14 @@ class SweepConfig:
         for name, value in integers.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= self.m < math.inf:
+        if not _is_real(self.m) or not 0 <= self.m < math.inf:
             raise ConfigError(f"m must be finite and nonnegative, got {self.m!r}")
-        if len(self.eps) < 1 or any(not 0 < e < math.inf for e in self.eps):
-            raise ConfigError("eps values must be finite and positive")
+        if (
+            not isinstance(self.eps, (tuple, list))
+            or len(self.eps) < 1
+            or any(not _is_real(e) or not 0 < e < math.inf for e in self.eps)
+        ):
+            raise ConfigError(f"eps must be a list of finite positive numbers, got {self.eps!r}")
         if sorted(self.eps, reverse=True) != list(self.eps):
             raise ConfigError("eps list must be strictly decreasing")
         if len(set(self.eps)) != len(self.eps):
@@ -133,6 +137,10 @@ class SweepConfig:
             raise ConfigError(f"nt must be >= {MIN_NT}")
         if self.eff_ns != "auto" and (self.eff_ns < EFF_MIN_NS or self.eff_ns % 2):
             raise ConfigError(f'eff_ns must be "auto" or an even integer >= {EFF_MIN_NS}')
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _integral(value):
@@ -151,7 +159,8 @@ class AsymptoticsReport:
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
     partial: bool
     failures: dict = field(default_factory=dict)
-    solves: dict = field(default_factory=dict)  # eps -> dof, shift, pivots, iterations, residual, seconds
+    # eps -> dof, shift, pivots, factorizations, iterations, residual, seconds
+    solves: dict = field(default_factory=dict)
     effective_s: float = 0.0   # seconds spent on the effective reference
     effective_ns: int = 0      # its Fourier size n_s
     effective_err: float | None = None  # eff_ns "auto": the last change of its values
@@ -267,15 +276,16 @@ def _curve(spec):
         raise ConfigError(str(exc)) from exc
 
 
-def _shell_job(fam, met, cfg: SweepConfig):
+def _shell_job(fam, met, cfg: SweepConfig, level: float):
     t0 = time.perf_counter()
     asm = assemble_shell(fam, met, cfg.m, cfg.ns, cfg.nt)
     t1 = time.perf_counter()
-    pairs = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed)
+    pairs = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed, level=level)
     record = {
         "dof": asm.dof_count,
         "shift": pairs.shift,
         "negative_pivots": pairs.negative_pivots,
+        "factorizations": pairs.factorizations,
         "iterations": pairs.iterations,
         "residual_max": max(r for _, r in pairs),
         "assemble_s": t1 - t0,
@@ -295,10 +305,16 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     ``partial`` when anything failed or fewer than 3 points solved (no
     fit).  A curve config it cannot build, or an eps at or beyond the
     curve's injectivity guard, is a ConfigError raised before any solve.
-    With ``out_dir`` it writes ``sweep.csv`` and the run record
-    ``sweep.json``: per eps under ``solves`` the dof, shift, negative
-    pivots, ARPACK operator applications (``iterations``), largest residual
-    and the assembly and solve seconds, and at the top level
+    Each shell solve is given the lowest effective eigenvalue as its
+    predicted level above the transverse ground level (see
+    ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
+    and the run record ``sweep.json``: per eps under ``solves`` the dof,
+    the certified ``shift`` (just below the predicted lowest eigenvalue,
+    or the ladder shift after a fallback), the negative pivots at it (0),
+    ``factorizations`` (the shifts factored: 1 when the predicted shift
+    certified, 2 after one fallback), ARPACK operator applications
+    (``iterations``), the largest residual and the assembly and solve
+    seconds, and at the top level
     ``effective_s`` (seconds spent on the effective reference),
     ``effective_ns`` (the size used), ``effective_err`` (auto: the last
     change of the values; null for an explicit size), the numpy/scipy
@@ -332,7 +348,7 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
 
     def job(eps):
         try:
-            return eps, *_shell_job(fam, metrics[eps], cfg), None
+            return eps, *_shell_job(fam, metrics[eps], cfg, mu_eff[0]), None
         except EigensolveError as exc:
             return eps, None, None, str(exc)
 

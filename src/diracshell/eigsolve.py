@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 DENSE_DIM_LIMIT = 8192
-# shifts tried, each lower than the last, before a solve is uncertified
+# shifts tried down the doubling steps, each lower than the last, before a
+# solve is uncertified (a guess tried before them adds one)
 MAX_SHIFTS = 8
 
 
@@ -73,8 +74,9 @@ class SpectrumResult:
     iterations: int                     # shift-invert: inverse applications; dense: 0
     converged: bool
     vectors: np.ndarray | None = None
-    shift: float | None = None          # shift-invert: the certified shift
-    negative_pivots: int | None = None  # and the eigenvalue count below it
+    shift: float | None = None          # shift-invert: the certified shift,
+    negative_pivots: int | None = None  # the eigenvalue count below it
+    factorizations: int | None = None   # and the shifts factored to find it
 
 
 def _as_dense(mat) -> np.ndarray:
@@ -160,23 +162,28 @@ def shift_invert_smallest(
     sigma: float,
     tol: float = 1e-8,
     seed: int = 0,
+    fallback: float | None = None,
 ) -> SpectrumResult:
     """The ``count`` smallest eigenpairs by shift-invert ARPACK below a certified shift.
 
     ``sigma`` should lie just below the wanted cluster.  Each tried shift
     is factored once by ``inertia``: while A - sigma B has negative pivots
-    (eigenvalues below sigma) or a singular or off-diagonal pivot, sigma is
-    lowered by a doubling step, at most MAX_SHIFTS times.  The factor whose
-    pivots are all positive is the certificate and the inverse ARPACK
-    applies; its minimum-degree ordering on A + A^H keeps about half the
-    fill of the default COLAMD ordering.  ARPACK's standard-mode Arnoldi
-    iteration then finds the ``count`` eigenvalues nu of largest magnitude
-    of OP = (A - sigma B)^{-1} B, one B product and one triangular solve
-    per application, from a start vector drawn from ``default_rng(seed)``;
-    with no eigenvalue below sigma these are the lowest lambda = sigma +
-    1/nu.  The result's ``iterations`` counts the applications of OP,
-    which repeat exactly for a fixed seed.  Raises EigensolveError when no
-    shift can be certified, when ARPACK does not converge, or when a
+    (eigenvalues below sigma) or a singular or off-diagonal pivot, the
+    next shift is tried.  Without ``fallback`` these are sigma lowered by
+    a doubling step, MAX_SHIFTS shifts in all.  With ``fallback`` sigma is
+    a guess tried once, and the first retry lands on ``fallback``, from
+    which the same MAX_SHIFTS shifts follow as from a call with sigma =
+    fallback.  The factor whose pivots are all positive is the certificate
+    and the inverse ARPACK applies; its minimum-degree ordering on A + A^H
+    keeps about half the fill of the default COLAMD ordering.  ARPACK's
+    standard-mode Arnoldi iteration then finds the ``count`` eigenvalues
+    nu of largest magnitude of OP = (A - sigma B)^{-1} B, one B product
+    and one triangular solve per application, from a start vector drawn
+    from ``default_rng(seed)``; with no eigenvalue below sigma these are
+    the lowest lambda = sigma + 1/nu.  The result's ``iterations`` counts
+    the applications of OP, which repeat exactly for a fixed seed, and
+    ``factorizations`` the shifts factored.  Raises EigensolveError when
+    no shift can be certified, when ARPACK does not converge, or when a
     residual exceeds ``tol`` (the partial result attached as ``partial``
     in the last case).
     """
@@ -184,8 +191,15 @@ def shift_invert_smallest(
     if count < 1 or count >= dim - 1:
         raise ValueError("count must lie in 1..dim-2")
     b = sp.identity(dim, format="csr") if pencil.b is None else pencil.b
+    shifts = []
+    if fallback is not None:
+        shifts, sigma = [sigma], fallback
     step = 1e-2 * max(1.0, abs(sigma))
-    for attempt in range(1, MAX_SHIFTS + 1):
+    for _ in range(MAX_SHIFTS):
+        shifts.append(sigma)
+        sigma -= step
+        step *= 2.0
+    for factorizations, sigma in enumerate(shifts, start=1):
         try:
             below, lu = inertia(pencil.a - sigma * b)
         except EigensolveError:
@@ -193,11 +207,9 @@ def shift_invert_smallest(
         if below == 0:
             break
         del lu  # the rejected factor is freed before the next one is built
-        if attempt == MAX_SHIFTS:
-            found = "a singular or off-diagonal pivot" if below is None else f"{below} eigenvalues below it"
-            raise EigensolveError(f"no shift certified in {MAX_SHIFTS} tries; sigma={sigma:g} has {found}")
-        sigma -= step
-        step *= 2.0
+    else:
+        found = "a singular or off-diagonal pivot" if below is None else f"{below} eigenvalues below it"
+        raise EigensolveError(f"no shift certified in {len(shifts)} tries; sigma={sigma:g} has {found}")
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -235,6 +247,7 @@ def shift_invert_smallest(
         vectors=vecs,
         shift=float(sigma),
         negative_pivots=0,
+        factorizations=factorizations,
     )
     if not out.converged:
         err = EigensolveError(

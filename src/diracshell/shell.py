@@ -36,10 +36,14 @@ flat-metric bounds with slack constant c:
     + (m^2 +- c*eps) |w|^2 + (m*eps +- c*eps^3)/eps^2 boundary terms.
 
 The lowest eigenvalues of every pencil sit O(1) above the transverse
-ground level E_1(m eps)^2/eps^2.  ``lowest_eigenvalues`` places a shift
-just below that level (``ladder_shift``) and hands the pencil to the
-certified shift-invert solver in ``eigsolve``, which sees a well-separated
-cluster next to the shift.
+ground level E_1(m eps)^2/eps^2; for the shell pencil that O(1) term is,
+up to o(1), an eigenvalue of the effective curve operator.
+``lowest_eigenvalues`` hands the pencil to the certified shift-invert
+solver in ``eigsolve``.  Given that predicted level, it puts the shift
+LEVEL_MARGIN below the predicted lowest eigenvalue, where ARPACK sees the
+wanted cluster well separated next to the shift; without one, or when the
+predicted shift cannot be certified, it uses ``ladder_shift``, a shift
+below the ground level lowered by a curvature bound.
 """
 
 from __future__ import annotations
@@ -339,44 +343,67 @@ class Eigenpairs(list):
 
     ``shift`` is the shift the pencil was factored at,
     ``negative_pivots`` the number of its eigenvalues below that shift,
-    which a returned solve always has at 0, and ``iterations`` the number
-    of times ARPACK applied the factored inverse.
+    which a returned solve always has at 0, ``factorizations`` the number
+    of shifts factored to certify it (1 when the first shift held), and
+    ``iterations`` the number of times ARPACK applied the factored inverse.
     """
 
-    def __init__(self, pairs, shift: float, negative_pivots: int, iterations: int):
+    def __init__(self, pairs, shift: float, negative_pivots: int, factorizations: int, iterations: int):
         super().__init__(pairs)
         self.shift = shift
         self.negative_pivots = negative_pivots
+        self.factorizations = factorizations
         self.iterations = iterations
+
+
+# how far below the predicted lowest eigenvalue lowest_eigenvalues puts the
+# shift; it covers the o(1) gap between a shell eigenvalue and its prediction
+LEVEL_MARGIN = 0.1
+
+
+def _ground_level(assembly) -> float:
+    """The transverse ground level (k^2 + (m eps)^2)/eps^2, k = solve_k(m eps, 1)."""
+    eps = assembly.metric.eps
+    me = assembly.m * eps
+    k1 = solve_k(me, 1)
+    return (k1 * k1 + me * me) / eps**2
 
 
 def ladder_shift(assembly) -> float:
     """A shift below the lowest eigenvalue of a shell or bracketing pencil.
 
-    The transverse ground level (k^2 + (m eps)^2)/eps^2 with
-    k = solve_k(m eps, 1), lowered by the largest curvature potential
-    kappa_max^2/4 plus one, and for the bracketing pencils also by their
-    slack 2 c eps.  The solver certifies the shift and lowers it further
-    if an eigenvalue lies below.
+    The transverse ground level E_1(m eps)^2/eps^2, lowered by the largest
+    curvature potential kappa_max^2/4 plus one, and for the bracketing
+    pencils also by their slack 2 c eps.  It needs no knowledge of the
+    effective operator, so it is the shift of a solve given no level and
+    the fallback of one whose predicted shift fails; it lies further below
+    the lowest eigenvalue than the prediction (about 1.18 on the unit
+    circle and 1.94 on ellipse(2, 1)), which costs ARPACK more
+    applications.
     """
-    eps = assembly.metric.eps
-    me = assembly.m * eps
-    k1 = solve_k(me, 1)
-    sigma = (k1 * k1 + me * me) / eps**2 - assembly.metric.curve.kappa_max**2 / 4.0 - 1.0
+    sigma = _ground_level(assembly) - assembly.metric.curve.kappa_max**2 / 4.0 - 1.0
     if isinstance(assembly, SandwichFormAssembly):
-        sigma -= 2.0 * assembly.c * eps
+        sigma -= 2.0 * assembly.c * assembly.metric.eps
     return sigma
 
 
-def lowest_eigenvalues(assembly, count: int, seed: int = 0, which: str = "shell") -> Eigenpairs:
+def lowest_eigenvalues(
+    assembly, count: int, seed: int = 0, which: str = "shell", level: float | None = None
+) -> Eigenpairs:
     """The count smallest (eigenvalue, residual) pairs of an assembled pencil.
 
     Accepts a ShellFormAssembly (``which="shell"``) or a
     SandwichFormAssembly (pick the side with ``which="minus"``/``"plus"``);
     any other ``which`` raises ValueError.  The pencil is solved by
-    ``eigsolve.shift_invert_smallest`` below ``ladder_shift(assembly)``
-    with a start vector from ``seed``.  A solve that cannot be certified
-    or misses the solver's residual tolerance raises EigensolveError.
+    ``eigsolve.shift_invert_smallest`` with a start vector from ``seed``.
+    Without ``level`` the shift is ``ladder_shift(assembly)``.  ``level``
+    predicts the lowest eigenvalue's height above the transverse ground
+    level E_1(m eps)^2/eps^2, as the lowest effective eigenvalue does for
+    the shell pencil; the shift then goes LEVEL_MARGIN below the predicted
+    eigenvalue, never below the ladder shift, and falls back to the ladder
+    shift when the prediction cannot be certified.  A solve that cannot be
+    certified or misses the solver's residual tolerance raises
+    EigensolveError.
     """
     if count > MAX_COUNT:
         raise ValueError(f"count capped at {MAX_COUNT}")
@@ -388,11 +415,17 @@ def lowest_eigenvalues(assembly, count: int, seed: int = 0, which: str = "shell"
         raise TypeError("expected a ShellFormAssembly or a SandwichFormAssembly")
     if which not in pencils:
         raise ValueError(f"which must be one of {sorted(pencils)} for this assembly, got {which!r}")
-    res = shift_invert_smallest(pencils[which], count, ladder_shift(assembly), seed=seed)
+    sigma, fallback = ladder_shift(assembly), None
+    if level is not None:
+        predicted = _ground_level(assembly) + level - LEVEL_MARGIN
+        if predicted > sigma:
+            sigma, fallback = predicted, sigma
+    res = shift_invert_smallest(pencils[which], count, sigma, seed=seed, fallback=fallback)
     return Eigenpairs(
         [(float(v), float(r)) for v, r in zip(res.eigenvalues, res.residuals)],
         shift=res.shift,
         negative_pivots=res.negative_pivots,
+        factorizations=res.factorizations,
         iterations=res.iterations,
     )
 

@@ -19,7 +19,7 @@ from diracshell.clifford import build_clifford
 from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenvalues
 from diracshell.eigsolve import EigensolveError
 from diracshell.geometry import curve_from_json, shell_metric
-from diracshell.shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell
+from diracshell.shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, ladder_shift, lowest_eigenvalues
 from diracshell.threads import blas_threads
 
 SMALL = {
@@ -78,7 +78,8 @@ def test_config_validation(monkeypatch):
             SweepConfig.from_dict({**SMALL, **bad})
     integral = SweepConfig.from_dict({**SMALL, "ns": 48.0, "eff_ns": 256.0})
     assert (integral.ns, integral.eff_ns) == (48, 256) and isinstance(integral.ns, int)
-    for bad in ({"eff_ns": None}, {"ns": 48.5}, {"count": 2.5}, {"nt": 8.5}, {"seed": 1.5}):
+    for bad in ({"eff_ns": None}, {"ns": 48.5}, {"count": 2.5}, {"nt": 8.5}, {"seed": 1.5},
+                {"m": None}, {"eps": 0.1}, {"eps": (0.1, "x")}):
         with pytest.raises(ConfigError):
             SweepConfig(curve=SMALL["curve"], **bad).validate()
     # a SweepConfig built directly is validated too, before any solve
@@ -203,7 +204,26 @@ def test_sweep_threaded_matches_serial(tmp_path):
         }
 
     assert untimed(serial) == untimed(threaded)
-    assert list(untimed(serial)[0.1]) == ["dof", "shift", "negative_pivots", "iterations", "residual_max"]
+    assert list(untimed(serial)[0.1]) == [
+        "dof", "shift", "negative_pivots", "factorizations", "iterations", "residual_max"
+    ]
+
+
+def test_sweep_shift_at_the_predicted_level():
+    # each solve is shifted just below the lowest eigenvalue that the effective
+    # reference predicts, above the ladder shift, and certifies at the first
+    # factorization; ARPACK then needs fewer applications than at the ladder
+    # shift (both counts repeat exactly for a fixed seed)
+    report = run_sweep(SMALL)
+    fam = build_clifford(2)
+    curve = curve_from_json(SMALL["curve"])
+    for eps, rec in report.solves.items():
+        asm = assemble_shell(fam, shell_metric(curve, eps), SMALL["m"], SMALL["ns"])
+        at_ladder = lowest_eigenvalues(asm, SMALL["count"], seed=0)
+        assert ladder_shift(asm) < rec["shift"] < report.mu_shell[eps][0]
+        assert rec["factorizations"] == 1 and rec["negative_pivots"] == 0
+        assert rec["iterations"] < at_ladder.iterations
+        assert np.abs(np.array(report.mu_shell[eps]) - [v for v, _ in at_ladder]).max() <= 1e-10
 
 
 def test_fit_stability_drop_largest_eps():

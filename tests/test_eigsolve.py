@@ -148,11 +148,17 @@ def test_shift_invert_factors_once_per_tried_shift(monkeypatch):
     monkeypatch.setattr(eigsolve.spla, "splu", counting)
     # an already-certified shift: the certificate's factor is the one ARPACK uses
     res = shift_invert_smallest(pen, 2, -0.01, seed=1)
-    assert len(calls) == 1 and res.shift == -0.01
+    assert len(calls) == 1 and res.shift == -0.01 and res.factorizations == 1
     # 0.025 and 0.015 lie above eigenvalues; the third try, -0.005, certifies
     calls.clear()
     res = shift_invert_smallest(pen, 2, 0.025, seed=1)
-    assert len(calls) == 3 and abs(res.shift + 0.005) < 1e-15
+    assert len(calls) == res.factorizations == 3 and abs(res.shift + 0.005) < 1e-15
+    # a failed guess retries at the fallback itself, then steps down from it
+    # exactly as a call at the fallback would: 0.015, 0.005, then -0.015
+    for fallback, tries, shift in ((-0.01, 2, -0.01), (0.015, 4, 0.015 - 0.01 - 0.02)):
+        calls.clear()
+        res = shift_invert_smallest(pen, 2, 0.025, seed=1, fallback=fallback)
+        assert len(calls) == res.factorizations == tries and res.shift == shift
 
 
 def test_shift_invert_laplacian_closed_form():

@@ -119,6 +119,20 @@ def test_solve_record_certifies_the_shift(fam2, ellipse):
     assert inertia(asm.pencil.a - pairs.shift * asm.pencil.b)[0] == 0
 
 
+def test_predicted_level_too_high_falls_back_to_the_ladder_shift(fam2, ellipse):
+    # a level far above the lowest eigenvalue leaves negative pivots at the
+    # predicted shift; the first retry is the ladder shift, which certifies
+    # the same pairs as a call without a level
+    met = shell_metric(ellipse, 0.1)
+    asm = assemble_shell(fam2, met, 0.0, 32, 8)
+    default = lowest_eigenvalues(asm, 2)
+    pairs = lowest_eigenvalues(asm, 2, level=5.0)
+    assert default.factorizations == 1
+    assert pairs.shift == ladder_shift(asm) and pairs.factorizations == 2
+    assert pairs.negative_pivots == 0 and all(r <= 1e-8 for _, r in pairs)
+    assert np.abs(np.array(pairs) - np.array(default)).max() <= 1e-10
+
+
 def test_which_must_name_a_pencil(fam2, circle):
     met = shell_metric(circle, 0.1)
     asm = assemble_shell(fam2, met, 0.0, 32, 8)
