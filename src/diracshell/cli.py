@@ -159,7 +159,7 @@ class AsymptoticsReport:
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
     partial: bool
     failures: dict = field(default_factory=dict)
-    # eps -> dof, shift, pivots, factorizations, iterations, residual, seconds
+    # eps -> dof, the SpectrumResult.record() of its solve, seconds
     solves: dict = field(default_factory=dict)
     effective_s: float = 0.0   # seconds spent on the effective reference
     effective_ns: int = 0      # its Fourier size n_s
@@ -283,11 +283,7 @@ def _shell_job(fam, met, cfg: SweepConfig, level: float):
     pairs = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed, level=level)
     record = {
         "dof": asm.dof_count,
-        "shift": pairs.shift,
-        "negative_pivots": pairs.negative_pivots,
-        "factorizations": pairs.factorizations,
-        "iterations": pairs.iterations,
-        "residual_max": max(r for _, r in pairs),
+        **pairs.solve.record(),
         "assemble_s": t1 - t0,
         "solve_s": time.perf_counter() - t1,
     }
@@ -309,12 +305,8 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     predicted level above the transverse ground level (see
     ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
     and the run record ``sweep.json``: per eps under ``solves`` the dof,
-    the certified ``shift`` (just below the predicted lowest eigenvalue,
-    or the ladder shift after a fallback), the negative pivots at it (0),
-    ``factorizations`` (the shifts factored: 1 when the predicted shift
-    certified, 2 after one fallback), ARPACK operator applications
-    (``iterations``), the largest residual and the assembly and solve
-    seconds, and at the top level
+    the solve's ``eigsolve.SpectrumResult.record()`` and the assembly and
+    solve seconds, and at the top level
     ``effective_s`` (seconds spent on the effective reference),
     ``effective_ns`` (the size used), ``effective_err`` (auto: the last
     change of the values; null for an explicit size), the numpy/scipy

@@ -125,16 +125,12 @@ def _link_block(link_angles: np.ndarray, potential: np.ndarray, h: float) -> np.
     Represents (1/h^2) * sum_i |f_{i+1} - exp(i angle_i) f_i|^2 + sum_i V_i |f_i|^2
     as a matrix acting on grid values (the 1/h mass factor is folded in).
     """
-    n = link_angles.size
-    a = np.zeros((n, n), dtype=complex)
-    links = np.exp(1.0j * link_angles)
-    for i in range(n):
-        j = (i + 1) % n
-        a[i, i] += 1.0 / h**2
-        a[j, j] += 1.0 / h**2
-        a[j, i] -= links[i] / h**2
-        a[i, j] -= np.conj(links[i]) / h**2
-    a += np.diag(potential.astype(complex))
+    i = np.arange(link_angles.size)
+    j = (i + 1) % i.size
+    a = np.diag((2.0 / h**2 + potential).astype(complex))
+    links = np.exp(1.0j * link_angles) / h**2
+    a[j, i] -= links
+    a[i, j] -= np.conj(links)
     return a
 
 

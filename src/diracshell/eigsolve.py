@@ -72,11 +72,20 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     residuals: np.ndarray
     iterations: int                     # shift-invert: inverse applications; dense: 0
-    converged: bool
-    vectors: np.ndarray | None = None
+    vectors: np.ndarray | None = None   # dense oracle only
     shift: float | None = None          # shift-invert: the certified shift,
     negative_pivots: int | None = None  # the eigenvalue count below it
     factorizations: int | None = None   # and the shifts factored to find it
+
+    def record(self) -> dict:
+        """The solve's facts, in the order of each ``sweep.json`` solve record."""
+        return {
+            "shift": self.shift,
+            "negative_pivots": self.negative_pivots,
+            "factorizations": self.factorizations,
+            "iterations": self.iterations,
+            "residual_max": float(self.residuals.max()),
+        }
 
 
 def _as_dense(mat) -> np.ndarray:
@@ -130,7 +139,7 @@ def dense_hermitian_eig(a, b=None, check: bool = True, count: int | None = None)
             raise
         raise ValueError("B is not positive definite") from exc
     res = _residuals(HermitianPencil.make(a, b), vals, vecs)
-    return SpectrumResult(eigenvalues=vals, residuals=res, iterations=0, converged=True, vectors=vecs)
+    return SpectrumResult(eigenvalues=vals, residuals=res, iterations=0, vectors=vecs)
 
 
 def inertia(m):
@@ -180,12 +189,11 @@ def shift_invert_smallest(
     nu of largest magnitude of OP = (A - sigma B)^{-1} B, one B product
     and one triangular solve per application, from a start vector drawn
     from ``default_rng(seed)``; with no eigenvalue below sigma these are
-    the lowest lambda = sigma + 1/nu.  The result's ``iterations`` counts
-    the applications of OP, which repeat exactly for a fixed seed, and
-    ``factorizations`` the shifts factored.  Raises EigensolveError when
-    no shift can be certified, when ARPACK does not converge, or when a
-    residual exceeds ``tol`` (the partial result attached as ``partial``
-    in the last case).
+    the lowest lambda = sigma + 1/nu.  The result holds no eigenvectors;
+    its ``iterations`` counts the applications of OP, which repeat exactly
+    for a fixed seed, and ``factorizations`` the shifts factored.  Raises
+    EigensolveError when no shift can be certified, when ARPACK does not
+    converge, or when a residual exceeds ``tol``.
     """
     dim = pencil.dim
     if count < 1 or count >= dim - 1:
@@ -239,23 +247,16 @@ def shift_invert_smallest(
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     res = _residuals(pencil, vals, vecs)
-    out = SpectrumResult(
+    if not np.all(res <= tol):
+        raise EigensolveError(f"shift-invert residual {res.max():g} above tol={tol:g} at shift {sigma:g}")
+    return SpectrumResult(
         eigenvalues=vals,
         residuals=res,
         iterations=applied,
-        converged=bool(np.all(res <= tol)),
-        vectors=vecs,
         shift=float(sigma),
         negative_pivots=0,
         factorizations=factorizations,
     )
-    if not out.converged:
-        err = EigensolveError(
-            f"shift-invert residual {res.max():g} above tol={tol:g} at shift {sigma:g}"
-        )
-        err.partial = out
-        raise err
-    return out
 
 
 # Nothing calls this name.  Its only reader is bench/tracer.py, which wraps

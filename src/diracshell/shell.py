@@ -157,9 +157,10 @@ class SandwichFormAssembly:
 class _TensorGalerkin:
     """Scalar P1(s, periodic) x P2(t) assembler on [0, L) x (-1, 1).
 
-    The product of the periodic P1 s-line and the P2 t-line.  Cell (i, j)
-    is row i*n_t + j of the per-cell arrays; its 6 local nodes and 6
-    quadrature points are the (s, t) pairs in the order 3*a_s + a_t.
+    The product of the periodic P1 s-line and the P2 t-line, the one place
+    that names the two degrees.  Cell (i, j) is row i*n_t + j of the
+    per-cell arrays; its local nodes and quadrature points are the (s, t)
+    pairs, the t index running fastest.
     """
 
     def __init__(self, length: float, n_s: int, n_t: int):
@@ -167,24 +168,25 @@ class _TensorGalerkin:
         self.n_t = n_t
         self.h_s = length / n_s
         self.h_t = 2.0 / n_t
-        self.n_tn = 2 * n_t + 1
-        self.dim = n_s * self.n_tn
         xs, self.ws, self.val_s, der_s, self.conn_s = line_element(1, n_s, self.h_s, periodic=True)
         xt, wt, val_t, der_t, conn_t = line_element(2, n_t, self.h_t)
-        # the 6-node, 6-point tables and the cell-to-node map of the product
+        self.n_tn = int(conn_t.max()) + 1
+        self.nq_t = xt.size  # Gauss points per cell in t
+        self.dim = n_s * self.n_tn
+        # the node and point tables and the cell-to-node map of the product
         self.val = np.kron(self.val_s, val_t)
         self.ds = np.kron(der_s, val_t)
         self.dt = np.kron(self.val_s, der_t)
         self.wq = np.kron(self.ws, wt) * self.h_s * self.h_t
-        self.conn = np.add.outer(self.conn_s * self.n_tn, conn_t).transpose(0, 2, 1, 3).reshape(-1, 6)
+        self.conn = np.add.outer(self.conn_s * self.n_tn, conn_t).transpose(0, 2, 1, 3).reshape(n_s * n_t, -1)
         # the 2*n_s distinct s-abscissae (i + xi_q)*h_s, shape (n_s, 2), and
-        # t at the quadrature points of each cell, shape (n_s*n_t, 6)
+        # t at the quadrature points of each cell, shape (n_s*n_t, points per cell)
         self.s_abscissae = (np.arange(n_s)[:, None] + xs) * self.h_s
         self.quad_t = np.tile(-1.0 + (np.arange(n_t)[:, None] + xt) * self.h_t, (n_s, xs.size))
 
     def at_quad(self, per_s: np.ndarray) -> np.ndarray:
         """Broadcast values at ``s_abscissae`` over t to every quadrature point."""
-        return np.repeat(np.repeat(per_s, self.n_t, axis=0), 3, axis=1)
+        return np.repeat(np.repeat(per_s, self.n_t, axis=0), self.nq_t, axis=1)
 
     def volume_matrix(self, c_tan, c_trans, c_mass, c_cross=None) -> sp.csr_matrix:
         """Assemble c_tan*ds*ds + c_trans*dt*dt + c_mass*val*val (+ cross term).
@@ -195,7 +197,8 @@ class _TensorGalerkin:
         arising from a covariant tangential derivative d_s + i*c(s,t).
         """
         shape = self.quad_t.shape
-        local = np.zeros((shape[0], 6, 6), dtype=complex)
+        k = self.conn.shape[1]
+        local = np.zeros((shape[0], k, k), dtype=complex)
         for coef, table in ((c_tan, self.ds), (c_trans, self.dt), (c_mass, self.val)):
             if coef is None:
                 continue
@@ -341,19 +344,14 @@ def assemble_sandwich(
 class Eigenpairs(list):
     """Ascending (eigenvalue, residual) pairs of one certified solve.
 
-    ``shift`` is the shift the pencil was factored at,
-    ``negative_pivots`` the number of its eigenvalues below that shift,
-    which a returned solve always has at 0, ``factorizations`` the number
-    of shifts factored to certify it (1 when the first shift held), and
-    ``iterations`` the number of times ARPACK applied the factored inverse.
+    ``solve`` is the ``eigsolve.SpectrumResult`` they come from: its
+    shift, the negative pivots there (0), the shifts factored and the
+    ARPACK applications, and its ``record()``.
     """
 
-    def __init__(self, pairs, shift: float, negative_pivots: int, factorizations: int, iterations: int):
-        super().__init__(pairs)
-        self.shift = shift
-        self.negative_pivots = negative_pivots
-        self.factorizations = factorizations
-        self.iterations = iterations
+    def __init__(self, solve):
+        super().__init__((float(v), float(r)) for v, r in zip(solve.eigenvalues, solve.residuals))
+        self.solve = solve
 
 
 # how far below the predicted lowest eigenvalue lowest_eigenvalues puts the
@@ -401,8 +399,9 @@ def lowest_eigenvalues(
     level E_1(m eps)^2/eps^2, as the lowest effective eigenvalue does for
     the shell pencil; the shift then goes LEVEL_MARGIN below the predicted
     eigenvalue, never below the ladder shift, and falls back to the ladder
-    shift when the prediction cannot be certified.  A solve that cannot be
-    certified or misses the solver's residual tolerance raises
+    shift when the prediction cannot be certified.  The returned
+    ``Eigenpairs`` keep the solver's result as ``solve``.  A solve that
+    cannot be certified or misses the solver's residual tolerance raises
     EigensolveError.
     """
     if count > MAX_COUNT:
@@ -420,14 +419,7 @@ def lowest_eigenvalues(
         predicted = _ground_level(assembly) + level - LEVEL_MARGIN
         if predicted > sigma:
             sigma, fallback = predicted, sigma
-    res = shift_invert_smallest(pencils[which], count, sigma, seed=seed, fallback=fallback)
-    return Eigenpairs(
-        [(float(v), float(r)) for v, r in zip(res.eigenvalues, res.residuals)],
-        shift=res.shift,
-        negative_pivots=res.negative_pivots,
-        factorizations=res.factorizations,
-        iterations=res.iterations,
-    )
+    return Eigenpairs(shift_invert_smallest(pencils[which], count, sigma, seed=seed, fallback=fallback))
 
 
 def boundary_values(assembly: ShellFormAssembly, reduced: np.ndarray) -> dict:

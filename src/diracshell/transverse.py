@@ -58,11 +58,11 @@ def bracket(p: int) -> tuple[float, float]:
 
 
 def solve_k(m: float, p: int) -> float:
-    """The p-th transverse momentum k_p(m), via bisection-safeguarded Newton.
+    """The p-th transverse momentum k_p(m), by bisection and one Newton step.
 
     The bracket endpoints have opposite secular signs for m > 0; at m = 0
-    the left endpoint is the root exactly.  The iterate falls back to
-    bisection whenever a Newton step leaves the current bracket.
+    the left endpoint is the root exactly.  Bisection halves the bracket
+    until its ends are adjacent floats.
     """
     if m < 0:
         raise ValueError("mass must be nonnegative")
@@ -71,32 +71,14 @@ def solve_k(m: float, p: int) -> float:
     lo, hi = bracket(p)
     if m == 0.0:
         return lo
-    flo = secular(lo, m)
-    fhi = secular(hi, m)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+    lo_positive = secular(lo, m) > 0
     k = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = secular(k, m)
-        if f == 0.0:
-            return k
-        if (f > 0) == (flo > 0):
-            lo, flo = k, f
+    while lo < k < hi:
+        if (secular(k, m) > 0) == lo_positive:
+            lo = k
         else:
-            hi, fhi = k, f
-        df = _secular_prime(k, m)
-        step_ok = df != 0.0
-        if step_ok:
-            k_new = k - f / df
-            step_ok = lo < k_new < hi
-        if not step_ok:
-            k_new = 0.5 * (lo + hi)
-        if abs(k_new - k) <= 4.0 * np.finfo(float).eps * k:
-            k = k_new
-            break
-        k = k_new
+            hi = k
+        k = 0.5 * (lo + hi)
     # one polish step pushes the residual to the rounding floor
     df = _secular_prime(k, m)
     if df != 0.0:

@@ -222,8 +222,22 @@ def test_sweep_shift_at_the_predicted_level():
         at_ladder = lowest_eigenvalues(asm, SMALL["count"], seed=0)
         assert ladder_shift(asm) < rec["shift"] < report.mu_shell[eps][0]
         assert rec["factorizations"] == 1 and rec["negative_pivots"] == 0
-        assert rec["iterations"] < at_ladder.iterations
+        assert rec["iterations"] < at_ladder.solve.iterations
         assert np.abs(np.array(report.mu_shell[eps]) - [v for v, _ in at_ladder]).max() <= 1e-10
+
+
+def test_sweep_json_solve_record_is_the_solve_record(tmp_path):
+    # each written solve record, less its dof and seconds, is the record of
+    # the same solve made directly: same assembly, count, seed and level
+    report = run_sweep(SMALL, out_dir=tmp_path)
+    solves = json.loads((tmp_path / "sweep.json").read_text())["solves"]
+    fam = build_clifford(2)
+    curve = curve_from_json(SMALL["curve"])
+    for eps in SMALL["eps"]:
+        asm = assemble_shell(fam, shell_metric(curve, eps), SMALL["m"], SMALL["ns"])
+        direct = lowest_eigenvalues(asm, SMALL["count"], seed=0, level=report.mu_effective[0])
+        written = {k: v for k, v in solves[repr(eps)].items() if k not in ("dof", "assemble_s", "solve_s")}
+        assert written == direct.solve.record()
 
 
 def test_fit_stability_drop_largest_eps():

@@ -195,6 +195,29 @@ def test_link_scheme_gauge_similarity_exact(fam2, wobble):
     assert res.similarity_residual <= 1e-12
 
 
+def _link_block_by_links(link_angles, potential, h):
+    # reference: the stiffness summed link by link, then the potential
+    n = link_angles.size
+    a = np.zeros((n, n), dtype=complex)
+    links = np.exp(1.0j * link_angles)
+    for i in range(n):
+        j = (i + 1) % n
+        a[i, i] += 1.0 / h**2
+        a[j, j] += 1.0 / h**2
+        a[j, i] -= links[i] / h**2
+        a[i, j] -= np.conj(links[i]) / h**2
+    a += np.diag(potential.astype(complex))
+    return a
+
+
+@pytest.mark.parametrize("n", [3, 7, effective.MIN_NS])
+def test_link_block_matches_link_loop(rng, n):
+    angles, potential = rng.uniform(-math.pi, math.pi, n), rng.standard_normal(n)
+    for h in (0.1, 2.0 * math.pi / n, 0.37):
+        got = effective._link_block(angles, potential, h)
+        assert np.array_equal(got, _link_block_by_links(angles, potential, h))
+
+
 def test_potential_sign(fam2, ellipse):
     # the link scheme carries the potential on the diagonal of each spin
     # block, next to the 2/h^2 of the covariant difference

@@ -114,9 +114,9 @@ def test_solve_record_certifies_the_shift(fam2, ellipse):
     met = shell_metric(ellipse, 0.1)
     asm = assemble_shell(fam2, met, 0.0, 32, 8)
     pairs = lowest_eigenvalues(asm, 2)
-    assert pairs.negative_pivots == 0
-    assert pairs.shift == ladder_shift(asm) < pairs[0][0]
-    assert inertia(asm.pencil.a - pairs.shift * asm.pencil.b)[0] == 0
+    assert pairs.solve.negative_pivots == 0
+    assert pairs.solve.shift == ladder_shift(asm) < pairs[0][0]
+    assert inertia(asm.pencil.a - pairs.solve.shift * asm.pencil.b)[0] == 0
 
 
 def test_predicted_level_too_high_falls_back_to_the_ladder_shift(fam2, ellipse):
@@ -127,9 +127,9 @@ def test_predicted_level_too_high_falls_back_to_the_ladder_shift(fam2, ellipse):
     asm = assemble_shell(fam2, met, 0.0, 32, 8)
     default = lowest_eigenvalues(asm, 2)
     pairs = lowest_eigenvalues(asm, 2, level=5.0)
-    assert default.factorizations == 1
-    assert pairs.shift == ladder_shift(asm) and pairs.factorizations == 2
-    assert pairs.negative_pivots == 0 and all(r <= 1e-8 for _, r in pairs)
+    assert default.solve.factorizations == 1
+    assert pairs.solve.shift == ladder_shift(asm) and pairs.solve.factorizations == 2
+    assert pairs.solve.negative_pivots == 0 and all(r <= 1e-8 for _, r in pairs)
     assert np.abs(np.array(pairs) - np.array(default)).max() <= 1e-10
 
 

@@ -40,7 +40,10 @@ def test_roots_at_zero_mass():
 
 
 def test_root_against_bisection_oracle():
-    assert abs(solve_k(0.1, 1) - bisect_oracle(0.1, 1)) <= 1e-12
+    for p in range(1, 7):
+        for m in (0.0, 1e-3, 0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0):
+            k = solve_k(m, p)
+            assert abs(k - bisect_oracle(m, p)) <= 2.0 * np.spacing(k)
 
 
 @settings(max_examples=150, deadline=None)
