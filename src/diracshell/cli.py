@@ -129,6 +129,8 @@ class SweepConfig:
             raise ConfigError("eps list must be strictly decreasing")
         if len(set(self.eps)) != len(self.eps):
             raise ConfigError("eps values must be distinct")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if self.count < 1 or self.count > MAX_COUNT:
             raise ConfigError(f"count must lie in 1..{MAX_COUNT}")
         if self.ns < MIN_NS:
@@ -299,8 +301,9 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     listed in ``failures`` under its eps, and an auto reference that has
     not converged at the cap under ``"effective"``; the report is
     ``partial`` when anything failed or fewer than 3 points solved (no
-    fit).  A curve config it cannot build, or an eps at or beyond the
-    curve's injectivity guard, is a ConfigError raised before any solve.
+    fit).  A curve config it cannot build, an eps at or beyond the curve's
+    injectivity guard, or ``threads`` below 1 is a ConfigError raised
+    before any solve.
     Each shell solve is given the lowest effective eigenvalue as its
     predicted level above the transverse ground level (see
     ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
@@ -315,6 +318,8 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     cfg.validate()
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     fam = build_clifford(2)
     curve = _curve(cfg.curve)
     try:

@@ -11,23 +11,26 @@ with the L^2 weight eps*(1+eps*t*kappa).  The spinor boundary constraint
 -i a_3 Gamma(nu(s)) w(s, +-1) = +- w(s, +-1) is imposed by construction:
 in the gauged frame diag(1, nu(s)) its +-1 eigenspaces are constant in s,
 and each boundary node carries a single complex DOF along one of them.  The
-map from these reduced DOFs to the node values (``_constraint_basis``) is
-index arithmetic on the node layout, and it is the only place that knows
-the order of the reduced DOFs.
+map from node values to these reduced DOFs (a column and a weight per node,
+``_TensorGalerkin.column`` and ``weight``) is index arithmetic on the node
+layout, and it is the only place that knows the order of the reduced DOFs.
 
 Discretization is a tensor-product Galerkin space, P1 (periodic) in s and
 quadratic Lagrange elements in t, with 2x3 Gauss quadrature per cell and all
 coefficients evaluated at quadrature points.  Both factors and the boundary
 lines come from one 1D element (``line_element``: Gauss rule, basis tables
-and cell-to-node map) and one sum over cells (``scatter``).  The curvature
-is the only coefficient that varies in s; it is evaluated once per
-assembly, at the 2*n_s distinct s-abscissae (i + xi_q)*h_s, and broadcast
-over t and over every coefficient built from it.  The quadratic t-element
-keeps the transverse eigenvalue error far below the O(1) effective term
-even on the coarse sweep grids; convergence in the s-direction stays
-second order.  The shell form and both bracketing forms below share one
-gauged-frame assembler, ``_gauged_pencil``: component 1's form is
-component 0's plus the covariant term of d_s + i*kappa.
+and cell-to-node map).  Each reduced matrix is assembled in one pass: a
+real product of the weighted coefficients with basis-pair tables gives the
+per-cell matrices, and each of their entries is added straight into the
+reduced CSR pattern, built once per assembly and shared by all matrices.
+The curvature is the only coefficient that varies in s; it is evaluated
+once per assembly, at the 2*n_s distinct s-abscissae (i + xi_q)*h_s, and
+broadcast over t and over every coefficient built from it.  The quadratic
+t-element keeps the transverse eigenvalue error far below the O(1)
+effective term even on the coarse sweep grids; convergence in the
+s-direction stays second order.  The shell form and both bracketing forms
+below share one gauged-frame assembler, ``_gauged_pencil``: component 1's
+form is component 0's plus the covariant term of d_s + i*kappa.
 
 The companion bracketing forms replace the exact coefficients by their
 flat-metric bounds with slack constant c:
@@ -154,13 +157,38 @@ class SandwichFormAssembly:
     h_t: float
 
 
+# boundary spinors in the gauged frame diag(1, nu(s)): constant in s
+_GAUGED_SPINORS = {
+    -1: np.array([1.0, -1.0j]) / math.sqrt(2.0),
+    +1: np.array([1.0, +1.0j]) / math.sqrt(2.0),
+}
+
+
+def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The products left[a, q]*right[b, q] of two basis tables, shape (points, a*k + b)."""
+    return (left[:, None, :] * right[None, :, :]).reshape(-1, left.shape[1]).T
+
+
 class _TensorGalerkin:
-    """Scalar P1(s, periodic) x P2(t) assembler on [0, L) x (-1, 1).
+    """Scalar P1(s, periodic) x P2(t) element on [0, L) x (-1, 1), its
+    constraint map Z and the CSR pattern of the reduced matrices.
 
     The product of the periodic P1 s-line and the P2 t-line, the one place
     that names the two degrees.  Cell (i, j) is row i*n_t + j of the
     per-cell arrays; its local nodes and quadrature points are the (s, t)
     pairs, the t index running fastest.
+
+    Z is index arithmetic on the node layout, and only it knows the reduced
+    layout: node (i, jt) of component c holds reduced DOF
+    ``column[c, i*n_tn + jt]`` times ``weight[c, i*n_tn + jt]``.  The two
+    components of a boundary node share a column, weighted by its side's
+    ``_GAUGED_SPINORS``; every other node has its own, weight 1.  For each
+    s-node i the block [boundary(-1), component-0 interior, component-1
+    interior, boundary(+1)] of ``block`` columns is contiguous (this order
+    fixes the fill of the LU).  Entry (a, b) of cell e's component-c matrix
+    adds to entry ``slot[((c*cells + e)*k + a)*k + b]`` of the data of
+    Z^H diag(A_0, A_1) Z times conj(w_a)*w_b, a weight that differs from 1
+    only in the ``edge`` t-cells.
     """
 
     def __init__(self, length: float, n_s: int, n_t: int):
@@ -169,99 +197,98 @@ class _TensorGalerkin:
         self.h_s = length / n_s
         self.h_t = 2.0 / n_t
         xs, self.ws, self.val_s, der_s, self.conn_s = line_element(1, n_s, self.h_s, periodic=True)
-        xt, wt, val_t, der_t, conn_t = line_element(2, n_t, self.h_t)
-        self.n_tn = int(conn_t.max()) + 1
+        xt, wt, val_t, der_t, self.conn_t = line_element(2, n_t, self.h_t)
+        self.n_tn = int(self.conn_t.max()) + 1
         self.nq_t = xt.size  # Gauss points per cell in t
         self.dim = n_s * self.n_tn
+        # the entries (a_s, a_t, b_s, b_t) of the per-cell matrices of both components, by cell (i, j)
+        self.cell_shape = (2, n_s, n_t, *(len(self.val_s), len(val_t)) * 2)
         # the node and point tables and the cell-to-node map of the product
         self.val = np.kron(self.val_s, val_t)
         self.ds = np.kron(der_s, val_t)
         self.dt = np.kron(self.val_s, der_t)
         self.wq = np.kron(self.ws, wt) * self.h_s * self.h_t
-        self.conn = np.add.outer(self.conn_s * self.n_tn, conn_t).transpose(0, 2, 1, 3).reshape(n_s * n_t, -1)
+        self.conn = np.add.outer(self.conn_s * self.n_tn, self.conn_t).transpose(0, 2, 1, 3).reshape(n_s * n_t, -1)
+        # basis-pair tables: the volume form's (ds ds, dt dt, val val), the mass,
+        # and the covariant coupling E - E^T with E = ds val
+        self.mass_pairs = _pairs(self.val, self.val)
+        self.form_pairs = np.vstack([_pairs(self.ds, self.ds), _pairs(self.dt, self.dt), self.mass_pairs])
+        self.cross_pairs = _pairs(self.ds, self.val) - _pairs(self.val, self.ds)
         # the 2*n_s distinct s-abscissae (i + xi_q)*h_s, shape (n_s, 2), and
         # t at the quadrature points of each cell, shape (n_s*n_t, points per cell)
         self.s_abscissae = (np.arange(n_s)[:, None] + xs) * self.h_s
         self.quad_t = np.tile(-1.0 + (np.arange(n_t)[:, None] + xt) * self.h_t, (n_s, xs.size))
+        inner = self.n_tn - 2
+        self.block = 2 * inner + 2
+        i, jt = np.divmod(np.arange(self.dim), self.n_tn)
+        c = np.arange(2)[:, None]
+        ends = [jt == 0, jt == self.n_tn - 1]
+        self.column = i * self.block + np.select(ends, [0, self.block - 1], c * inner + jt)
+        self.weight = np.select(ends, [_GAUGED_SPINORS[-1][c], _GAUGED_SPINORS[+1][c]], 1.0 + 0.0j)
+        # the pattern; t-node jt of component c is row red[c, jt] of a block (its column at i = 0)
+        red, w = self.column[:, self.conn_t], self.weight[:, self.conn_t]
+        ptr_s, slot_s = _line_pattern(self.conn_s[:, :, None] * n_s + self.conn_s[:, None, :], n_s)
+        ptr_t, slot_t = _line_pattern(red[..., :, None] * self.block + red[..., None, :], self.block)
+        nnz_t, self.nnz = ptr_t[-1], int(ptr_s[-1] * ptr_t[-1])
+        # row (i, r) starts at ptr_s[i]*nnz_t + len_s[i]*ptr_t[r]; the entry in its k_s-th
+        # s-column and k_t-th block column lies k_s*len_t[r] + k_t further on, and its column
+        # is s[3] + t[3].  Computed as (c, j, a_t, b_t) x (i, a_s, b_s), stored per cell.
+        first_s, first_t = ptr_s[self.conn_s][..., None], ptr_t[red][..., None]
+        s = [np.broadcast_to(x, slot_s.shape).reshape(1, -1) for x in (
+            first_s * nnz_t, np.diff(ptr_s)[self.conn_s][..., None], slot_s - first_s,
+            self.conn_s[:, None, :] * self.block)]
+        t = [np.broadcast_to(x, slot_t.shape).reshape(-1, 1) for x in (
+            first_t, np.diff(ptr_t)[red][..., None], slot_t - first_t, red[..., None, :])]
+        slot = s[0] + s[1] * t[0] + s[2] * t[1] + t[2]
+        idx = np.int32 if self.nnz < 2**31 else np.int64
+        self.indices = np.empty(self.nnz, idx)
+        self.indices[slot] = s[3] + t[3]
+        k_s, k_t = self.cell_shape[3:5]
+        self.slot = slot.reshape(2, n_t, k_t, k_t, n_s, k_s, k_s).transpose(0, 4, 1, 5, 2, 6, 3).ravel()
+        self.indptr = np.append(ptr_s[:-1, None] * nnz_t + np.diff(ptr_s)[:, None] * ptr_t[:-1], self.nnz).astype(idx)
+        w = w.conj()[..., :, None] * w[..., None, :]
+        self.edge = np.flatnonzero((w != 1.0).any(axis=(0, 2, 3)))
+        self.edge_weight = w[:, self.edge][:, None, :, None, :, None, :]
 
     def at_quad(self, per_s: np.ndarray) -> np.ndarray:
         """Broadcast values at ``s_abscissae`` over t to every quadrature point."""
         return np.repeat(np.repeat(per_s, self.n_t, axis=0), self.nq_t, axis=1)
 
-    def volume_matrix(self, c_tan, c_trans, c_mass, c_cross=None) -> sp.csr_matrix:
-        """Assemble c_tan*ds*ds + c_trans*dt*dt + c_mass*val*val (+ cross term).
+    def local(self, pairs: np.ndarray, *coefs) -> np.ndarray:
+        """The per-cell matrices sum_q coef*wq*pairs, shape (cells, k*k), of stacked basis-pair
+        tables, one coefficient each: a scalar or its values at the quadrature points."""
+        return np.hstack([np.broadcast_to(c, self.quad_t.shape) * self.wq for c in coefs]) @ pairs
 
-        Each coefficient is a scalar or an array of its values at the
-        quadrature points, shape (n_el, nq); pass None to skip a term.
-        ``c_cross`` adds the hermitian gauge coupling i*c*(du/ds * v - u * dv/ds)
-        arising from a covariant tangential derivative d_s + i*c(s,t).
-        """
-        shape = self.quad_t.shape
-        k = self.conn.shape[1]
-        local = np.zeros((shape[0], k, k), dtype=complex)
-        for coef, table in ((c_tan, self.ds), (c_trans, self.dt), (c_mass, self.val)):
-            if coef is None:
-                continue
-            cvals = np.broadcast_to(coef, shape) * self.wq[None, :]
-            local += np.einsum("eq,aq,bq->eab", cvals, table, table)
-        if c_cross is not None:
-            cvals = np.broadcast_to(c_cross, shape) * self.wq[None, :]
-            e_mat = np.einsum("eq,aq,bq->eab", cvals, self.ds, self.val)
-            local += 1.0j * (e_mat - e_mat.swapaxes(1, 2))
-        return scatter(local, self.conn, self.dim)
+    def add_boundary(self, local: np.ndarray, coefs) -> None:
+        """Add sum_i int coef(s) u v ds on t = +1 (t-node -1 of t-cell -1) and t = -1 (t-node 0
+        of t-cell 0) to ``local``, each coefficient a scalar or its values at ``s_abscissae``."""
+        cells = local.reshape(self.cell_shape[1:])
+        for coef, j in zip(coefs, (-1, 0)):
+            line = np.broadcast_to(coef, self.s_abscissae.shape) * (self.ws * self.h_s) @ _pairs(self.val_s, self.val_s)
+            cells[:, j, :, j, :, j] += line.reshape(cells[:, j, :, j, :, j].shape)
 
-    def boundary_matrix(self, side: int, coef) -> sp.csr_matrix:
-        """The s-line's 1D mass matrix sum_i int coef(s) u v ds on the t = side nodes.
-
-        ``coef`` is a scalar or its values at ``s_abscissae``.
-        """
-        cvals = np.broadcast_to(coef, self.s_abscissae.shape) * (self.ws[None, :] * self.h_s)
-        local = np.einsum("eq,aq,bq->eab", cvals, self.val_s, self.val_s)
-        return scatter(local, self.conn_s * self.n_tn + (0 if side < 0 else self.n_tn - 1), self.dim)
+    def matrix(self, re: np.ndarray, im: np.ndarray | None = None) -> sp.csr_matrix:
+        """Z^H diag(A_0, A_1) Z of the components' per-cell matrices re + i*im (None: 0), shape
+        (2, cells, k*k), in the shared pattern; re and im are weighted in place."""
+        if im is None:
+            im = np.zeros_like(re)
+        cells_re, cells_im = re.reshape(self.cell_shape), im.reshape(self.cell_shape)
+        z = (cells_re[:, :, self.edge] + 1j * cells_im[:, :, self.edge]) * self.edge_weight
+        cells_re[:, :, self.edge], cells_im[:, :, self.edge] = z.real, z.imag
+        data = np.bincount(self.slot, re.ravel(), self.nnz).astype(complex)
+        data.imag = np.bincount(self.slot, im.ravel(), self.nnz)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n_s * self.block,) * 2)
 
 
-# boundary spinors in the gauged frame diag(1, nu(s)): constant in s
-_GAUGED_SPINORS = {
-    -1: np.array([1.0, -1.0j]) / math.sqrt(2.0),
-    +1: np.array([1.0, +1.0j]) / math.sqrt(2.0),
-}
-
-
-def _constraint_basis(grid: _TensorGalerkin) -> sp.csr_matrix:
-    """Sparse map from reduced DOFs to the full 2-component node values.
-
-    Built from the node layout: node (i, jt) of component c keeps its own
-    column, except that the two components of a boundary node share one,
-    weighted by its side's ``_GAUGED_SPINORS``.  Reduced DOFs are grouped by
-    s-column: for each grid index i the block [boundary(-1), component-0
-    interior, component-1 interior, boundary(+1)] is contiguous (this order
-    fixes the fill of the LU).  Only this map knows the reduced layout.
-    """
-    n_tn = grid.n_tn
-    inner = n_tn - 2
-    block = 2 * inner + 2
-    i, jt = np.divmod(np.arange(grid.dim), n_tn)
-    c = np.arange(2)[:, None]
-    ends = [jt == 0, jt == n_tn - 1]
-    cols = i * block + np.select(ends, [0, block - 1], c * inner + jt)
-    vals = np.select(ends, [_GAUGED_SPINORS[-1][c], _GAUGED_SPINORS[+1][c]], 1.0 + 0.0j)
-    return sp.csr_matrix(
-        (vals.ravel(), cols.ravel(), np.arange(2 * grid.dim + 1)), shape=(2 * grid.dim, grid.n_s * block)
-    )
-
-
-def _reduce(z: sp.csr_matrix, a_comp0: sp.csr_matrix, a_comp1: sp.csr_matrix | None = None) -> sp.csr_matrix:
-    if a_comp1 is None:
-        a_comp1 = a_comp0
-    full = sp.block_diag([a_comp0, a_comp1], format="csr")
-    out = (z.conj().T @ full @ z).tocsr()
-    out.eliminate_zeros()
-    return out
+def _line_pattern(keys: np.ndarray, n: int):
+    """The canonical CSR ``indptr`` on n x n of the entries row*n + col = keys, and the slot of each."""
+    unique, slot = np.unique(keys, return_inverse=True)
+    return np.searchsorted(unique, np.arange(n + 1) * n), slot.reshape(keys.shape)
 
 
 def _grid(fam: CliffordFamily, metric: ShellMetric2D, n_s: int, n_t: int | None):
     """The validated grid, the curvature (one call) at its s-abscissae and at
-    its quadrature points, and the constraint basis."""
+    its quadrature points."""
     if fam.n != 2:
         raise ValueError("shell assembly is implemented for n = 2")
     if n_t is None:
@@ -270,23 +297,26 @@ def _grid(fam: CliffordFamily, metric: ShellMetric2D, n_s: int, n_t: int | None)
         raise ValueError(f"grid too coarse: need n_s >= {MIN_NS} and n_t >= {MIN_NT}")
     grid = _TensorGalerkin(metric.curve.length, n_s, n_t)
     kap_s = metric.curve.curvature(grid.s_abscissae)
-    return grid, kap_s, grid.at_quad(kap_s), _constraint_basis(grid)
+    return grid, kap_s, grid.at_quad(kap_s)
 
 
-def _gauged_pencil(grid, z, kap, tan, trans, mass, boundary, b) -> HermitianPencil:
+def _gauged_pencil(grid, kap, tan, trans, mass, boundary, b) -> HermitianPencil:
     """The reduced pencil of a form written in the gauged frame diag(1, nu(s)).
 
     Component 0 carries tan|d_s u|^2 + trans|d_t u|^2 + mass|u|^2.  The
     frame makes the boundary constraint s-independent, so the discrete space
     satisfies it at every s; the price is the covariant d_s + i*kappa on
     component 1, whose form is component 0's plus tan*(kappa^2|u|^2 + the
-    cross term).  ``boundary`` holds the coefficients on the t = +1 and
-    t = -1 lines, ``b`` is the reduced mass matrix.
+    cross term i*kappa*(du/ds v - u dv/ds)).  ``boundary`` holds the
+    coefficients on the t = +1 and t = -1 lines, ``b`` is the reduced mass
+    matrix.
     """
-    bnd = grid.boundary_matrix(+1, boundary[0]) + grid.boundary_matrix(-1, boundary[1])
-    a0 = grid.volume_matrix(tan, trans, mass) + bnd
-    a1 = a0 + grid.volume_matrix(None, None, tan * kap**2, c_cross=tan * kap)
-    return HermitianPencil.make(_reduce(z, a0, a1), b)
+    a0 = grid.local(grid.form_pairs, tan, trans, mass)
+    grid.add_boundary(a0, boundary)
+    re = np.stack([a0, a0 + grid.local(grid.mass_pairs, tan * kap**2)])
+    im = np.zeros_like(re)
+    im[1] = grid.local(grid.cross_pairs, tan * kap)
+    return HermitianPencil.make(grid.matrix(re, im), b)
 
 
 def assemble_shell(
@@ -299,14 +329,14 @@ def assemble_shell(
     """Pencil of the exact tubular-coordinate form with eliminated boundary DOFs."""
     if not m >= 0:
         raise ValueError("mass must be nonnegative")
-    grid, kap_s, kap, z = _grid(fam, metric, n_s, n_t)
+    grid, kap_s, kap = _grid(fam, metric, n_s, n_t)
     eps = metric.eps
     w = 1.0 + eps * grid.quad_t * kap
     # (m + H/2)*h with the exact curvature H = side*kappa/(1+side*eps*kappa)
     # and weight h = 1+side*eps*kappa collapses to m*h + side*kappa/2
     boundary = [m * (1.0 + side * eps * kap_s) + side * kap_s / 2.0 for side in (+1, -1)]
-    b = _reduce(z, grid.volume_matrix(None, None, eps * w))
-    pencil = _gauged_pencil(grid, z, kap, eps / w, w / eps, m * m * eps * w, boundary, b)
+    b = grid.matrix(np.stack([grid.local(grid.mass_pairs, eps * w)] * 2))
+    pencil = _gauged_pencil(grid, kap, eps / w, w / eps, m * m * eps * w, boundary, b)
     return ShellFormAssembly(
         metric=metric, m=float(m), n_s=grid.n_s, n_t=grid.n_t, pencil=pencil,
         dof_count=pencil.dim, h_s=grid.h_s, h_t=grid.h_t,
@@ -324,14 +354,14 @@ def assemble_sandwich(
     """The two flat-metric bracketing pencils sharing one mass matrix."""
     if c < 0:
         raise ValueError("slack constant c must be nonnegative")
-    grid, _, kap, z = _grid(fam, metric, n_s, n_t)
+    grid, _, kap = _grid(fam, metric, n_s, n_t)
     eps = metric.eps
-    b = _reduce(z, grid.volume_matrix(None, None, 1.0))
+    b = grid.matrix(np.stack([grid.local(grid.mass_pairs, 1.0)] * 2))
     pencils = {}
     for sign in (-1, +1):
         bcoef = (m * eps + sign * c * eps**3) / eps**2
         pencils[sign] = _gauged_pencil(
-            grid, z, kap, 1.0 + sign * c * eps, 1.0 / eps**2,
+            grid, kap, 1.0 + sign * c * eps, 1.0 / eps**2,
             m * m + sign * c * eps - kap**2 / 4.0, (bcoef, bcoef), b,
         )
     return SandwichFormAssembly(
@@ -425,12 +455,14 @@ def lowest_eigenvalues(
 def boundary_values(assembly: ShellFormAssembly, reduced: np.ndarray) -> dict:
     """Ungauged boundary spinors w(s_i, +-1) of a reduced coefficient vector.
 
-    Undoes the diag(1, nu(s)) frame so that the returned spinors satisfy
+    Reads the node values through the grid's constraint map (each node's
+    reduced column times its weight), then undoes the diag(1, nu(s)) frame
+    so that the returned spinors satisfy
     -i a_3 Gamma(nu(s_i)) w(s_i, +-1) = +- w(s_i, +-1) exactly (to rounding);
     this is the boundary-condition-by-construction property of the DOF map.
     """
     grid = _TensorGalerkin(assembly.metric.curve.length, assembly.n_s, assembly.n_t)
-    nodes = (_constraint_basis(grid) @ reduced).reshape(2, grid.n_s, grid.n_tn)
+    nodes = (reduced[grid.column] * grid.weight).reshape(2, grid.n_s, grid.n_tn)
     nu = assembly.metric.curve.normal(np.arange(grid.n_s) * grid.h_s)
     frame = np.stack([np.ones(grid.n_s), nu[:, 0] + 1j * nu[:, 1]], axis=1)
     return {side: nodes[:, :, jt].T * frame for side, jt in ((-1, 0), (+1, grid.n_tn - 1))}

@@ -38,7 +38,7 @@ def _direct_reference(n_s):
     return effective_eigenvalues(assemble_effective(build_clifford(2), curve, n_s), SMALL["count"])
 
 
-def test_config_validation(monkeypatch):
+def test_config_validation(monkeypatch, capsys):
     cfg = SweepConfig.from_dict(SMALL)
     assert cfg.ns == 48 and cfg.nt is None
     with pytest.raises(ConfigError):
@@ -79,15 +79,23 @@ def test_config_validation(monkeypatch):
     integral = SweepConfig.from_dict({**SMALL, "ns": 48.0, "eff_ns": 256.0})
     assert (integral.ns, integral.eff_ns) == (48, 256) and isinstance(integral.ns, int)
     for bad in ({"eff_ns": None}, {"ns": 48.5}, {"count": 2.5}, {"nt": 8.5}, {"seed": 1.5},
-                {"m": None}, {"eps": 0.1}, {"eps": (0.1, "x")}):
+                {"seed": -1}, {"m": None}, {"eps": 0.1}, {"eps": (0.1, "x")}):
         with pytest.raises(ConfigError):
             SweepConfig(curve=SMALL["curve"], **bad).validate()
+    # a seed is a nonnegative integer (numpy's start vector takes no other)
+    assert SweepConfig.from_dict({**SMALL, "seed": 0}).seed == 0
+    with pytest.raises(ConfigError, match="seed"):
+        SweepConfig.from_dict({**SMALL, "seed": -1})
     # a SweepConfig built directly is validated too, before any solve
     def no_solve(*args, **kwargs):
         raise AssertionError("the effective reference was computed for a bad config")
 
     monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
     monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
+    with pytest.raises(ConfigError, match="seed"):
+        run_sweep(SweepConfig(curve=SMALL["curve"], seed=-1))
+    assert main(["sweep", "--curve", json.dumps(SMALL["curve"]), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed")
     coarse = SweepConfig(curve=SMALL["curve"], ns=16)
     for run in (run_sweep, run_corollary):
         with pytest.raises(ConfigError):
@@ -188,6 +196,19 @@ def test_sweep_partial_when_effective_reference_not_converged(tmp_path, monkeypa
     summary = json.loads((tmp_path / "s" / "sweep.json").read_text())
     assert summary["partial"] is True and list(summary["failures"]) == ["effective"]
     assert summary["effective_ns"] == 64 and summary["effective_err"] is None
+
+
+def test_thread_count_below_one_is_a_config_error(monkeypatch):
+    # a count below 1 is rejected before any solve, never run serially
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the effective reference was computed for a bad thread count")
+
+    monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
+    monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
+    for threads in (0, -3, 1.5, True):
+        for run in (run_sweep, run_corollary):
+            with pytest.raises(ConfigError, match="threads"):
+                run(SMALL, threads=threads)
 
 
 def test_sweep_threaded_matches_serial(tmp_path):
@@ -380,6 +401,9 @@ BAD_INVOCATIONS = {
     "bands-zero": ["transverse-table", "--bands", "0"],
     "effective-count-beyond-block": ["effective-spectrum", "--curve", CIRCLE, "--ns", "16", "--count", "40"],
     "clifford-n-zero": ["dump-clifford", "--n", "0"],
+    "seed-negative": ["sweep", "--curve", CIRCLE, "--seed", "-1"],
+    "threads-zero": ["--threads", "0", "sweep", "--curve", CIRCLE],
+    "threads-negative": ["--threads", "-3", "corollary", "--curve", CIRCLE],
 }
 
 

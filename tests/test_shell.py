@@ -229,13 +229,23 @@ def test_line_element_mass_and_stiffness(p, periodic, length):
 
 
 def test_tensor_grid_mass_and_stiffness():
+    # through the node map: reduced coefficients whose component-0 node values
+    # are all 1, on matrices that give component 1 no form
     from diracshell.shell import _TensorGalerkin
 
     grid = _TensorGalerkin(5.0, 32, 8)
-    ones = np.ones(grid.dim)
-    assert grid.volume_matrix(None, None, 1.0).sum() == pytest.approx(2.0 * 5.0, rel=1e-14)
-    assert grid.boundary_matrix(+1, 1.0).sum() == pytest.approx(5.0, rel=1e-14)
-    stiff = grid.volume_matrix(1.0, 1.0, None)
+    ones = np.zeros(grid.n_s * grid.block, dtype=complex)
+    ones[grid.column[0]] = 1.0 / grid.weight[0]
+
+    def component_0(local):
+        return grid.matrix(np.stack([local, np.zeros_like(local)]))
+
+    volume = grid.local(grid.mass_pairs, 1.0)
+    assert (ones.conj() @ component_0(volume) @ ones).real == pytest.approx(2.0 * 5.0, rel=1e-14)
+    line = np.zeros_like(volume)
+    grid.add_boundary(line, (1.0, 0.0))
+    assert (ones.conj() @ component_0(line) @ ones).real == pytest.approx(5.0, rel=1e-14)
+    stiff = component_0(grid.local(grid.form_pairs, 1.0, 1.0, 0.0))
     assert np.abs(stiff @ ones).max() <= 1e-12 * np.abs(stiff.data).max()
 
 
@@ -287,13 +297,94 @@ def _constraint_basis_by_nodes(grid):
 
 @pytest.mark.parametrize("n_s, n_t", [(32, 8), (48, 13), (64, 29)])
 def test_constraint_basis_matches_node_loop(n_s, n_t):
-    from diracshell.shell import _constraint_basis, _TensorGalerkin
+    # full node row comp*dim + node holds one entry: its column and weight in the node map
+    from diracshell.shell import _TensorGalerkin
 
     grid = _TensorGalerkin(5.0, n_s, n_t)
-    got, ref = _constraint_basis(grid), _constraint_basis_by_nodes(grid)
-    assert got.shape == ref.shape
-    for field in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, field), getattr(ref, field))
+    ref = _constraint_basis_by_nodes(grid)
+    assert ref.shape == (grid.column.size, n_s * grid.block)
+    assert np.array_equal(ref.indptr, np.arange(grid.column.size + 1))
+    assert np.array_equal(ref.indices, grid.column.ravel())
+    assert np.array_equal(ref.data, grid.weight.ravel())
+
+
+def _volume_by_scatter(grid, c_tan, c_trans, c_mass, c_cross=None):
+    # reference: each term's per-cell einsum, scattered into the full node space
+    shape, k = grid.quad_t.shape, grid.conn.shape[1]
+    local = np.zeros((shape[0], k, k), dtype=complex)
+    for coef, table in ((c_tan, grid.ds), (c_trans, grid.dt), (c_mass, grid.val)):
+        if coef is not None:
+            local += np.einsum("eq,aq,bq->eab", np.broadcast_to(coef, shape) * grid.wq, table, table)
+    if c_cross is not None:
+        e_mat = np.einsum("eq,aq,bq->eab", np.broadcast_to(c_cross, shape) * grid.wq, grid.ds, grid.val)
+        local += 1.0j * (e_mat - e_mat.swapaxes(1, 2))
+    return scatter(local, grid.conn, grid.dim)
+
+
+def _boundary_by_scatter(grid, side, coef):
+    # reference: the s-line mass on the t = side nodes
+    cvals = np.broadcast_to(coef, grid.s_abscissae.shape) * (grid.ws[None, :] * grid.h_s)
+    local = np.einsum("eq,aq,bq->eab", cvals, grid.val_s, grid.val_s)
+    return scatter(local, grid.conn_s * grid.n_tn + (0 if side < 0 else grid.n_tn - 1), grid.dim)
+
+
+def _reduce_by_product(grid, a_comp0, a_comp1):
+    # reference: Z^H diag(A0, A1) Z with the node-loop constraint map
+    z = _constraint_basis_by_nodes(grid)
+    out = (z.conj().T @ sp.block_diag([a_comp0, a_comp1], format="csr") @ z).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def _gauged_by_scatter(grid, kap, tan, trans, mass, boundary):
+    bnd = _boundary_by_scatter(grid, +1, boundary[0]) + _boundary_by_scatter(grid, -1, boundary[1])
+    a0 = _volume_by_scatter(grid, tan, trans, mass) + bnd
+    return _reduce_by_product(grid, a0, a0 + _volume_by_scatter(grid, None, None, tan * kap**2, c_cross=tan * kap))
+
+
+def _pencils_by_scatter(curve, m, eps, c, n_s, n_t):
+    # reference: the shell (A, B) and both bracketing A, assembled per component and reduced
+    from diracshell.shell import _TensorGalerkin
+
+    grid = _TensorGalerkin(curve.length, n_s, n_t)
+    kap_s = curve.curvature(grid.s_abscissae)
+    kap = grid.at_quad(kap_s)
+    w = 1.0 + eps * grid.quad_t * kap
+    boundary = [m * (1.0 + side * eps * kap_s) + side * kap_s / 2.0 for side in (+1, -1)]
+    out = {
+        "shell a": _gauged_by_scatter(grid, kap, eps / w, w / eps, m * m * eps * w, boundary),
+        "shell b": _reduce_by_product(grid, *[_volume_by_scatter(grid, None, None, eps * w)] * 2),
+        "sandwich b": _reduce_by_product(grid, *[_volume_by_scatter(grid, None, None, 1.0)] * 2),
+    }
+    for sign, name in ((-1, "minus a"), (+1, "plus a")):
+        bcoef = (m * eps + sign * c * eps**3) / eps**2
+        out[name] = _gauged_by_scatter(
+            grid, kap, 1.0 + sign * c * eps, 1.0 / eps**2, m * m + sign * c * eps - kap**2 / 4.0, (bcoef, bcoef)
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "curve_name, m, eps, n_s, n_t",
+    [("circle", 0.5, 0.035, 48, 22), ("ellipse", 0.0, 0.1, 64, 13), ("wobble", 0.3, 0.05, 64, None),
+     ("strip", 0.3, 0.2, 48, 12)],
+)
+def test_reduced_assembly_matches_scatter_and_product(fam2, request, curve_name, m, eps, n_s, n_t):
+    # the one-pass assembly into the shared pattern against the per-component
+    # scatter and Z^H diag(A0, A1) Z: the same CSR pattern, values to rounding
+    curve = flat_strip(2.0 * math.pi) if curve_name == "strip" else request.getfixturevalue(curve_name)
+    met = shell_metric(curve, eps)
+    c = 3.0 * (1.0 + curve.kappa_max)
+    asm = assemble_shell(fam2, met, m, n_s, n_t)
+    sand = assemble_sandwich(fam2, met, m, c, n_s, n_t)
+    got = {"shell a": asm.pencil.a, "shell b": asm.pencil.b, "sandwich b": sand.pencil_plus.b,
+           "minus a": sand.pencil_minus.a, "plus a": sand.pencil_plus.a}
+    ref = _pencils_by_scatter(curve, m, eps, c, n_s, asm.n_t)
+    for name, matrix in got.items():
+        assert matrix.shape == ref[name].shape, name
+        assert np.array_equal(matrix.indptr, ref[name].indptr), name
+        assert np.array_equal(matrix.indices, ref[name].indices), name
+        assert np.abs(matrix.data - ref[name].data).max() <= 1e-15 * np.abs(ref[name].data).max(), name
 
 
 def test_boundary_condition_exact_by_construction(fam2, ellipse):
