@@ -16,6 +16,8 @@ at its cap, or too few points solved for the fit; the outputs are still
 written, flagged ``partial``).  The effective reference's Fourier size is
 ``eff_ns`` in a job config; the default ``"auto"`` doubles it until the
 reported values stop changing (``effective.converged_eigenvalues``).
+A sweep or corollary job is the ``--config`` file's keys with each flag
+given in place of its key; its ``SweepConfig`` is checked when it is built.
 """
 
 from __future__ import annotations
@@ -68,8 +70,10 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
+    """One sweep job; a value the sweep cannot run is a ConfigError at construction."""
+
     curve: dict
     m: float = 0.0
     eps: tuple = (0.1, 0.07, 0.05, 0.035)
@@ -81,14 +85,14 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "SweepConfig":
-        """A validated config; keys absent from ``payload`` keep the field defaults.
+        """The config of a JSON job; keys absent from ``payload`` keep the field defaults.
 
         A key that names no field is a ConfigError, so a misspelled field
         cannot silently run its default.
         """
         convert = {
-            "m": float,
-            "eps": lambda v: tuple(float(e) for e in v),
+            "m": _real,
+            "eps": lambda v: tuple(_real(e) for e in v),
             "ns": _integral,
             "nt": _integral,
             "count": _integral,
@@ -97,18 +101,15 @@ class SweepConfig:
         }
         try:
             unknown = sorted(set(payload) - {f.name for f in fields(SweepConfig)})
-            cfg = SweepConfig(
-                curve=payload["curve"],
-                **{key: fn(payload[key]) for key, fn in convert.items() if key in payload},
-            )
+            curve = payload["curve"]
+            values = {key: fn(payload[key]) for key, fn in convert.items() if key in payload}
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sweep config: {exc}") from exc
         if unknown:
             raise ConfigError("unknown sweep config keys: " + ", ".join(map(str, unknown)))
-        cfg.validate()
-        return cfg
+        return SweepConfig(curve=curve, **values)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         integers = {"ns": self.ns, "count": self.count, "seed": self.seed}
         if self.nt is not None:
             integers["nt"] = self.nt
@@ -125,10 +126,9 @@ class SweepConfig:
             or any(not _is_real(e) or not 0 < e < math.inf for e in self.eps)
         ):
             raise ConfigError(f"eps must be a list of finite positive numbers, got {self.eps!r}")
-        if sorted(self.eps, reverse=True) != list(self.eps):
+        if any(a <= b for a, b in zip(self.eps, self.eps[1:])):
             raise ConfigError("eps list must be strictly decreasing")
-        if len(set(self.eps)) != len(self.eps):
-            raise ConfigError("eps values must be distinct")
+        object.__setattr__(self, "eps", tuple(self.eps))  # a list passed in stays as checked
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if self.count < 1 or self.count > MAX_COUNT:
@@ -140,14 +140,18 @@ class SweepConfig:
         if self.eff_ns != "auto" and (self.eff_ns < EFF_MIN_NS or self.eff_ns % 2):
             raise ConfigError(f'eff_ns must be "auto" or an even integer >= {EFF_MIN_NS}')
 
-
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _integral(value):
-    # JSON may spell an integer as 48.0; any other value goes to validate() as it is
+    # JSON may spell an integer as 48.0; any other value goes to the constructor as it is
     return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _real(value):
+    # a JSON true is no number: it goes to the constructor as it is, which rejects it
+    return value if isinstance(value, bool) else float(value)
 
 
 @dataclass
@@ -215,31 +219,36 @@ class AsymptoticsReport:
 
 @dataclass
 class CorollaryReport:
-    curve_id: str
-    m: float
-    eps: list
+    sweep: AsymptoticsReport  # the sweep whose spectra it expands: curve, m, eps, failures
     lam: dict               # eps -> list of lambda_p = sqrt(mu_{2p})
     pairing_defect: dict    # eps -> worst relative split of the 2p pairs
     linear_coeffs: list     # fitted eps-linear coefficient per p
     references: list        # (2/pi) mu_{2p}(Upsilon) + (2/pi) m^2 - (16/pi^3) m^2
-    partial: bool
-    failures: dict = field(default_factory=dict)
+
+    @property
+    def failures(self) -> dict:
+        return self.sweep.failures
+
+    @property
+    def partial(self) -> bool:
+        # the fit needs 2 points where the sweep's needs 3, so its own partial flag does not carry over
+        return bool(self.failures) or not self.linear_coeffs
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eps", "p", "lambda", "linear_coeff_partial"])
-            for eps in self.eps:
+            for eps in self.sweep.eps:
                 if eps not in self.lam:
                     continue
                 for p, lam in enumerate(self.lam[eps], start=1):
-                    partial = (lam - math.pi / (4.0 * eps) - (2.0 / math.pi) * self.m) / eps
+                    partial = (lam - math.pi / (4.0 * eps) - (2.0 / math.pi) * self.sweep.m) / eps
                     writer.writerow([repr(eps), p, repr(lam), repr(partial)])
 
     def summary(self) -> dict:
         return {
-            "curve": self.curve_id,
-            "m": self.m,
+            "curve": self.sweep.curve_id,
+            "m": self.sweep.m,
             "linear_coeffs": self.linear_coeffs,
             "references": self.references,
             "pairing_defect": {repr(k): v for k, v in self.pairing_defect.items()},
@@ -317,7 +326,6 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     (``threads.blas_threads``).
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
-    cfg.validate()
     if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     fam = build_clifford(2)
@@ -407,7 +415,6 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
     solved points when some point failed.
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
-    cfg.validate()
     if cfg.count % 2:
         raise ConfigError("corollary needs an even eigenvalue count (2p pairing)")
     base = run_sweep(cfg, out_dir=None, threads=threads)
@@ -430,15 +437,7 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
             mu2p = base.mu_effective[2 * p + 1]
             refs.append((2.0 / math.pi) * mu2p + (2.0 / math.pi) * m * m - (16.0 / math.pi**3) * m * m)
     report = CorollaryReport(
-        curve_id=base.curve_id,
-        m=m,
-        eps=list(cfg.eps),
-        lam=lam,
-        pairing_defect=pairing,
-        linear_coeffs=coeffs,
-        references=refs,
-        partial=bool(base.failures) or not coeffs,
-        failures=base.failures,
+        sweep=base, lam=lam, pairing_defect=pairing, linear_coeffs=coeffs, references=refs
     )
     if out_dir is not None:
         _write_outputs(report, out_dir, "corollary")
@@ -464,22 +463,20 @@ def _load_curve_arg(arg: str) -> dict:
 
 
 def _build_config(args) -> SweepConfig:
+    """The job of a sweep or corollary call: the keys of the config file, if
+    one is given, each replaced by the flag of the same name if that was given."""
+    payload = {}
     if args.config is not None:
         with open(args.config) as fh:
             payload = json.load(fh)
-        return SweepConfig.from_dict(payload)
-    if args.curve is None:
-        raise ConfigError("either --config or --curve is required")
-    payload = {
-        "curve": _load_curve_arg(args.curve),
-        "m": args.m,
-        "eps": args.eps.split(",") if args.eps else None,
-        "ns": args.ns,
-        "nt": args.nt,
-        "count": args.count,
-        "seed": args.seed,
-    }
-    payload = {k: v for k, v in payload.items() if v is not None}
+        if not isinstance(payload, dict):
+            raise ConfigError(f"a job config is a JSON object, got {payload!r}")
+    for f in fields(SweepConfig):
+        value = getattr(args, f.name, None)  # eff_ns has no flag
+        if value is not None:
+            payload[f.name] = _load_curve_arg(value) if f.name == "curve" else value
+    if "curve" not in payload:
+        raise ConfigError("a job needs a curve: give --curve or a config file with one")
     return SweepConfig.from_dict(payload)
 
 
@@ -495,13 +492,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="job config JSON file")
         p.add_argument("--curve", default=None, help="curve JSON (inline or path)")
-        # None: the SweepConfig default
+        # None: the config file's key, else the SweepConfig default
         p.add_argument("--m", type=float, default=None)
-        p.add_argument("--eps", default=None, help="comma-separated decreasing widths")
-        p.add_argument("--ns", type=int, default=None)
-        p.add_argument("--nt", type=int, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--eps", type=lambda text: text.split(","), default=None,
+                       help="comma-separated decreasing widths")
+        for flag in ("--ns", "--nt", "--count", "--seed"):
+            p.add_argument(flag, type=int, default=None)
         p.add_argument("--out", default="out", help="output directory")
 
     p_tt = sub.add_parser("transverse-table")
@@ -553,8 +549,8 @@ def main(argv=None) -> int:
                 ms = [float(v) for v in args.m.split(",")]
             except ValueError as exc:
                 raise ConfigError(f"--m: {exc}") from exc
-            if any(not v >= 0.0 for v in ms):
-                raise ConfigError("--m: masses must be nonnegative")
+            if any(not 0.0 <= v < math.inf for v in ms):
+                raise ConfigError("--m: masses must be finite and nonnegative")
             if args.bands < 1:
                 raise ConfigError("--bands must be >= 1")
             write_transverse_table(args.out, ms, range(1, args.bands + 1))
@@ -565,9 +561,11 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"--ns must be even and >= {EFF_MIN_NS}, and --count in 1..ns-1 (one spin block)"
                 )
+            coupling = DEFAULT_COUPLING if args.coupling is None else args.coupling
+            if not math.isfinite(coupling):
+                raise ConfigError(f"--coupling must be finite, got {coupling!r}")
             fam = build_clifford(2)
             curve = _curve(_load_curve_arg(args.curve))
-            coupling = DEFAULT_COUPLING if args.coupling is None else args.coupling
             res = effective_spectrum_csv(
                 args.out, fam, curve, args.ns, count=args.count, coupling=coupling
             )

@@ -452,22 +452,6 @@ def lowest_eigenvalues(
     return Eigenpairs(shift_invert_smallest(pencils[which], count, sigma, seed=seed, fallback=fallback))
 
 
-def boundary_values(assembly: ShellFormAssembly, reduced: np.ndarray) -> dict:
-    """Ungauged boundary spinors w(s_i, +-1) of a reduced coefficient vector.
-
-    Reads the node values through the grid's constraint map (each node's
-    reduced column times its weight), then undoes the diag(1, nu(s)) frame
-    so that the returned spinors satisfy
-    -i a_3 Gamma(nu(s_i)) w(s_i, +-1) = +- w(s_i, +-1) exactly (to rounding);
-    this is the boundary-condition-by-construction property of the DOF map.
-    """
-    grid = _TensorGalerkin(assembly.metric.curve.length, assembly.n_s, assembly.n_t)
-    nodes = (reduced[grid.column] * grid.weight).reshape(2, grid.n_s, grid.n_tn)
-    nu = assembly.metric.curve.normal(np.arange(grid.n_s) * grid.h_s)
-    frame = np.stack([np.ones(grid.n_s), nu[:, 0] + 1j * nu[:, 1]], axis=1)
-    return {side: nodes[:, :, jt].T * frame for side, jt in ((-1, 0), (+1, grid.n_tn - 1))}
-
-
 def flat_strip_levels(length: float, m: float, eps: float, count: int) -> np.ndarray:
     """Separated reference spectrum on the zero-curvature strip.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -76,38 +77,37 @@ def test_config_validation(monkeypatch, capsys):
                 {"count": True}):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({**SMALL, **bad})
+    # a JSON true is no mass or width either, never read as 1
+    for bad in ({"m": True}, {"eps": [True, 0.5, 0.2]}, {"m": True, "eps": [True, 0.5, 0.2]}):
+        with pytest.raises(ConfigError):
+            SweepConfig.from_dict({**SMALL, "curve": {"kind": "circle", "r": 5.0}, **bad})
     integral = SweepConfig.from_dict({**SMALL, "ns": 48.0, "eff_ns": 256.0})
     assert (integral.ns, integral.eff_ns) == (48, 256) and isinstance(integral.ns, int)
+    # a SweepConfig built directly is checked at construction, before any solve
     for bad in ({"eff_ns": None}, {"ns": 48.5}, {"count": 2.5}, {"nt": 8.5}, {"seed": 1.5},
-                {"seed": -1}, {"m": None}, {"eps": 0.1}, {"eps": (0.1, "x")}):
+                {"seed": -1}, {"m": None}, {"eps": 0.1}, {"eps": (0.1, "x")}, {"ns": 16},
+                {"count": None}, {"count": "4"}, {"m": math.nan}, {"eff_ns": "bogus"},
+                {"eps": (0.1, 0.1)}, {"eps": (0.05, 0.1)}, {"m": True}, {"eps": (True, 0.5)}):
         with pytest.raises(ConfigError):
-            SweepConfig(curve=SMALL["curve"], **bad).validate()
+            SweepConfig(curve=SMALL["curve"], **bad)
+    # and stays as checked: no field can be set, and a list of widths is kept as a tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = -1
+    assert SweepConfig(curve=SMALL["curve"], eps=[0.1, 0.05]).eps == (0.1, 0.05)
     # a seed is a nonnegative integer (numpy's start vector takes no other)
     assert SweepConfig.from_dict({**SMALL, "seed": 0}).seed == 0
     with pytest.raises(ConfigError, match="seed"):
         SweepConfig.from_dict({**SMALL, "seed": -1})
-    # a SweepConfig built directly is validated too, before any solve
     def no_solve(*args, **kwargs):
         raise AssertionError("the effective reference was computed for a bad config")
 
     monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
     monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
-    with pytest.raises(ConfigError, match="seed"):
-        run_sweep(SweepConfig(curve=SMALL["curve"], seed=-1))
+    for run in (run_sweep, run_corollary):
+        with pytest.raises(ConfigError, match="seed"):
+            run({**SMALL, "seed": -1})
     assert main(["sweep", "--curve", json.dumps(SMALL["curve"]), "--seed", "-1"]) == 2
     assert capsys.readouterr().err.startswith("config error: seed")
-    coarse = SweepConfig(curve=SMALL["curve"], ns=16)
-    for run in (run_sweep, run_corollary):
-        with pytest.raises(ConfigError):
-            run(coarse)
-    # run_corollary validates before its own parity check reads the count
-    for bad in ({"count": None}, {"count": "4"}, {"m": math.nan}):
-        with pytest.raises(ConfigError):
-            run_corollary(SweepConfig(curve=SMALL["curve"], **bad))
-    with pytest.raises(ConfigError):
-        SweepConfig(curve=SMALL["curve"], eff_ns="bogus").validate()
-    with pytest.raises(ConfigError):
-        run_sweep(SweepConfig(curve=SMALL["curve"], eff_ns="bogus"))
 
 
 def _accepts(call):
@@ -119,16 +119,16 @@ def _accepts(call):
 
 
 def test_config_and_assemblers_share_the_grid_minimums():
-    # validate() accepts exactly the grids the assemblies accept, at the boundary
+    # a SweepConfig admits exactly the grids the assemblies accept, at the boundary
     fam = build_clifford(2)
     curve = curve_from_json(SMALL["curve"])
     met = shell_metric(curve, SMALL["eps"][0])
     for ns, nt in ((MIN_NS - 1, MIN_NT), (MIN_NS, MIN_NT - 1), (MIN_NS, MIN_NT)):
-        config = _accepts(lambda: SweepConfig(curve=SMALL["curve"], ns=ns, nt=nt).validate())
+        config = _accepts(lambda: SweepConfig(curve=SMALL["curve"], ns=ns, nt=nt))
         assembly = _accepts(lambda: assemble_shell(fam, met, 0.0, ns, nt))
         assert config == assembly == (ns >= MIN_NS and nt >= MIN_NT)
     for eff_ns in (effective.MIN_NS - 2, effective.MIN_NS - 1, effective.MIN_NS, effective.MIN_NS + 1):
-        config = _accepts(lambda: SweepConfig(curve=SMALL["curve"], eff_ns=eff_ns).validate())
+        config = _accepts(lambda: SweepConfig(curve=SMALL["curve"], eff_ns=eff_ns))
         assembly = _accepts(lambda: assemble_effective(fam, curve, eff_ns))
         assert config == assembly == (eff_ns == effective.MIN_NS)
 
@@ -379,6 +379,12 @@ def test_main_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({**SMALL, "coutn": 4}))
     assert main(["sweep", "--config", str(bad)]) == 2
     assert "coutn" in capsys.readouterr().err
+    # a config file holds one JSON object, and a job has a curve from it or from --curve
+    for payload in ([SMALL], 5, {k: v for k, v in SMALL.items() if k != "curve"}):
+        bad.write_text(json.dumps(payload))
+        for verb in ("sweep", "corollary"):
+            assert main([verb, "--config", str(bad)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 CIRCLE = json.dumps(SMALL["curve"])
@@ -398,6 +404,11 @@ BAD_INVOCATIONS = {
     "effective-bad-curve": ["effective-spectrum", "--curve", '{"kind": "circle", "r": -1}'],
     "masses-not-numbers": ["transverse-table", "--m", "a"],
     "mass-negative": ["transverse-table", "--m", "-1"],
+    "mass-infinite": ["transverse-table", "--m", "0,inf"],
+    "effective-coupling-not-a-number": ["effective-spectrum", "--curve", CIRCLE, "--coupling", "nan"],
+    "effective-coupling-infinite": ["effective-spectrum", "--curve", CIRCLE, "--coupling", "inf"],
+    "eps-empty": ["sweep", "--curve", CIRCLE, "--eps", ""],
+    "flag-overrides-with-bad-value": ["corollary", "--config", "{config}", "--curve", CIRCLE, "--count", "3"],
     "bands-zero": ["transverse-table", "--bands", "0"],
     "effective-count-beyond-block": ["effective-spectrum", "--curve", CIRCLE, "--ns", "16", "--count", "40"],
     "clifford-n-zero": ["dump-clifford", "--n", "0"],
@@ -425,8 +436,8 @@ def test_main_bad_option_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
-def test_main_defaults_are_the_config_defaults(monkeypatch):
-    # the CLI options restate no default: without flags the config is SweepConfig(curve=...)
+def _record_configs(monkeypatch) -> list:
+    """Make both verbs record the config main() built, in place of running it."""
     built = []
 
     def record(cfg, out_dir=None, threads=1):
@@ -435,14 +446,59 @@ def test_main_defaults_are_the_config_defaults(monkeypatch):
 
     monkeypatch.setattr(cli, "run_sweep", record)
     monkeypatch.setattr(cli, "run_corollary", record)
+    return built
+
+
+def test_main_defaults_are_the_config_defaults(monkeypatch):
+    # the CLI options restate no default: without flags the config is SweepConfig(curve=...)
+    built = _record_configs(monkeypatch)
     curve = {"kind": "circle", "r": 1.0}
     for verb in ("sweep", "corollary"):
         assert main([verb, "--curve", json.dumps(curve)]) == 0
     assert built == [SweepConfig(curve=curve)] * 2
 
 
+def test_main_flags_replace_config_keys(tmp_path, monkeypatch):
+    # the config file's keys are the base of the job; each flag given replaces
+    # its key, every other key is kept, and with no flag the job is the file's
+    built = _record_configs(monkeypatch)
+    job = {**SMALL, "nt": 8, "seed": 3}
+    flags = {"curve": {"kind": "ellipse", "a": 2.0, "b": 1.0}, "m": 0.5, "eps": [0.2, 0.15, 0.1],
+             "ns": 32, "nt": 10, "count": 4, "seed": 7}
+    argv = ["--curve", json.dumps(flags["curve"]), "--m", "0.5", "--eps", "0.2,0.15,0.1",
+            "--ns", "32", "--nt", "10", "--count", "4", "--seed", "7"]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    for verb in ("sweep", "corollary"):
+        assert main([verb, "--config", str(path)]) == 0
+        assert main([verb, "--config", str(path), *argv]) == 0
+        assert main([verb, "--config", str(path), "--ns", "64"]) == 0
+    assert built == [
+        SweepConfig.from_dict(job),
+        SweepConfig.from_dict({**job, **flags}),
+        SweepConfig.from_dict({**job, "ns": 64}),
+    ] * 2
+    assert built[1].eff_ns == SMALL["eff_ns"]
+
+
 def test_main_sweep_with_config_file(tmp_path):
+    # with no flags the run is the config's own; flags reach the written outputs
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(SMALL))
+    run_sweep(SMALL, out_dir=tmp_path / "direct")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "sweep.csv").exists()
+    assert (tmp_path / "out" / "sweep.csv").read_bytes() == (tmp_path / "direct" / "sweep.csv").read_bytes()
+    wide = {"kind": "circle", "r": 2.0}
+    flags = ["--curve", json.dumps(wide), "--eps", "0.1,0.07,0.05", "--ns", "32", "--count", "4"]
+    for verb in ("sweep", "corollary"):
+        assert main([verb, "--config", str(cfg), *flags, "--out", str(tmp_path / verb)]) == 0
+    summary = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert summary["eps"] == [0.1, 0.07, 0.05] and summary["curve"] == curve_from_json(wide).name
+    assert {eps: rec["dof"] for eps, rec in summary["solves"].items()} == {
+        repr(e): 4 * 32 * max(8, math.ceil(4.0 / math.sqrt(e))) for e in (0.1, 0.07, 0.05)
+    }
+    assert len(summary["verdicts"]) == 4
+    corollary = json.loads((tmp_path / "corollary" / "corollary.json").read_text())
+    assert corollary["curve"] == summary["curve"] and len(corollary["linear_coeffs"]) == 2
+    rows = [r.split(",") for r in (tmp_path / "corollary" / "corollary.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [(e, p) for e in ("0.1", "0.07", "0.05") for p in "12"]

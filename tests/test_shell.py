@@ -389,21 +389,23 @@ def test_reduced_assembly_matches_scatter_and_product(fam2, request, curve_name,
 
 def test_boundary_condition_exact_by_construction(fam2, ellipse):
     # the DOF map enforces the spinor constraint at every boundary node:
-    # reconstruct an eigenvector's boundary values and apply the constraint
-    from diracshell.shell import boundary_values
+    # read an eigenvector's node values through the grid's map (each node's
+    # reduced column times its weight), undo the diag(1, nu(s)) frame and
+    # apply the constraint -i a_3 Gamma(nu(s_i)) w(s_i, +-1) = +- w(s_i, +-1)
+    from diracshell.shell import _TensorGalerkin
 
     met = shell_metric(ellipse, 0.1)
     asm = assemble_shell(fam2, met, 0.2, 32, 8)
     res = dense_hermitian_eig(asm.pencil.a.toarray(), asm.pencil.b.toarray(), check=False, count=1)
-    vec = res.vectors[:, 0]
-    vals = boundary_values(asm, vec)
-    s_nodes = np.arange(asm.n_s) * asm.h_s
-    nus = ellipse.normal(s_nodes)
-    for side in (+1, -1):
+    grid = _TensorGalerkin(ellipse.length, asm.n_s, asm.n_t)
+    nodes = (res.vectors[:, 0][grid.column] * grid.weight).reshape(2, grid.n_s, grid.n_tn)
+    nus = ellipse.normal(np.arange(asm.n_s) * asm.h_s)
+    frame = np.stack([np.ones(asm.n_s), nus[:, 0] + 1j * nus[:, 1]], axis=1)
+    for side, jt in ((-1, 0), (+1, grid.n_tn - 1)):
+        vals = nodes[:, :, jt].T * frame
         for i in range(asm.n_s):
             bmat = -1j * fam2.alpha_last @ gamma(fam2, nus[i]).gamma
-            w = vals[side][i]
-            assert np.abs(bmat @ w - side * w).max() <= 1e-12
+            assert np.abs(bmat @ vals[i] - side * vals[i]).max() <= 1e-12
 
 
 def _bracket_tol(asm, mu):
