@@ -219,7 +219,7 @@ def _transverse_pencil(fam, x, m: float, n_elem: int):
     return (zh @ a_full @ z).tocsr(), (zh @ b_full @ z).tocsr()
 
 
-def _certify_cut(a, b, values: np.ndarray) -> None:
+def _certify_cut(pencil, values: np.ndarray) -> None:
     """Raise EigensolveError unless no eigenvalue below the top returned one is missing.
 
     The cut c sits just below the largest returned value v, at
@@ -230,7 +230,7 @@ def _certify_cut(a, b, values: np.ndarray) -> None:
     """
     top = float(values[-1])
     cut = top - 1e-6 * max(1.0, abs(top))
-    below = eigsolve.inertia(a - cut * b)[0]
+    below = eigsolve.inertia(pencil, cut)[0]
     returned = int(np.count_nonzero(values < cut))
     if below != returned:
         raise eigsolve.EigensolveError(f"{below} eigenvalues below the cut {cut:g}, {returned} returned")
@@ -247,11 +247,10 @@ def discretized_transverse_energies(fam, x, m: float, count: int, n_elem: int = 
     Raises EigensolveError when either certificate or the residual gate
     fails.
     """
-    a, b = _transverse_pencil(fam, x, m, n_elem)
-    pencil = eigsolve.HermitianPencil.make(a, b)
+    pencil = eigsolve.HermitianPencil.make(*_transverse_pencil(fam, x, m, n_elem))
     # the form is positive for m >= 0, so the shift -1 certifies at once
     res = eigsolve.shift_invert_smallest(pencil, count, sigma=-1.0)
-    _certify_cut(a, b, res.eigenvalues)
+    _certify_cut(pencil, res.eigenvalues)
     return res.eigenvalues
 
 
@@ -460,7 +459,7 @@ def check_eigensolver_agreement():
     fam = clifford.build_clifford(2)
     met = geometry.shell_metric(geometry.make_curve("circle", r=1.0), 0.1)
     asm = shell.assemble_shell(fam, met, 0.3, 32, 8)
-    dense = eigsolve.dense_hermitian_eig(asm.pencil.a.toarray(), asm.pencil.b.toarray(), check=False, count=6)
+    dense = eigsolve.dense_hermitian_eig(asm.pencil.a, asm.pencil.b, check=False, count=6)
     production = np.array([v for v, _ in shell.lowest_eigenvalues(asm, 6)])
     worst = float(np.abs(production - dense.eigenvalues).max())
     return worst <= 1e-8, f"max difference {worst:g} (shift-invert)"

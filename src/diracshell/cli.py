@@ -23,6 +23,7 @@ given in place of its key; its ``SweepConfig`` is checked when it is built.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -110,6 +111,9 @@ class SweepConfig:
         return SweepConfig(curve=curve, **values)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.curve, dict) or "kind" not in self.curve:
+            raise ConfigError(f"curve must be a JSON object with a kind, got {self.curve!r}")
+        object.__setattr__(self, "curve", copy.deepcopy(self.curve))  # the caller's dict stays the caller's
         integers = {"ns": self.ns, "count": self.count, "seed": self.seed}
         if self.nt is not None:
             integers["nt"] = self.nt
@@ -242,7 +246,7 @@ class CorollaryReport:
                 if eps not in self.lam:
                     continue
                 for p, lam in enumerate(self.lam[eps], start=1):
-                    partial = (lam - math.pi / (4.0 * eps) - (2.0 / math.pi) * self.sweep.m) / eps
+                    partial = _corollary_ladder(lam, eps, self.sweep.m) / eps
                     writer.writerow([repr(eps), p, repr(lam), repr(partial)])
 
     def summary(self) -> dict:
@@ -255,6 +259,11 @@ class CorollaryReport:
             "partial": self.partial,
             "failures": {str(k): v for k, v in self.failures.items()},
         }
+
+
+def _corollary_ladder(lam, eps, m):
+    """lambda_p - pi/(4 eps) - (2/pi) m: what remains of lambda_p after the corollary's ladder."""
+    return lam - math.pi / (4.0 * eps) - (2.0 / math.pi) * m
 
 
 def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
@@ -432,7 +441,7 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
     m = cfg.m
     if fit_eps.size >= 2:
         for p in range(n_p):
-            ys = np.array([lam[e][p] - math.pi / (4.0 * e) - (2.0 / math.pi) * m for e in fit_eps])
+            ys = np.array([_corollary_ladder(lam[e][p], e, m) for e in fit_eps])
             coeffs.append(_affine_fit(fit_eps, ys)["slope"])
             mu2p = base.mu_effective[2 * p + 1]
             refs.append((2.0 / math.pi) * mu2p + (2.0 / math.pi) * m * m - (16.0 / math.pi**3) * m * m)

@@ -88,12 +88,6 @@ class SpectrumResult:
         }
 
 
-def _as_dense(mat) -> np.ndarray:
-    if sp.issparse(mat):
-        return mat.toarray()
-    return np.asarray(mat)
-
-
 def _check_hermitian(a: np.ndarray, tol: float = 1e-12) -> None:
     scale = max(np.abs(a).max(), 1.0)
     dev = np.abs(a - a.conj().T).max()
@@ -117,49 +111,54 @@ def dense_hermitian_eig(a, b=None, check: bool = True, count: int | None = None)
     factorization raises ValueError.  With ``count`` only the ``count``
     lowest pairs are computed (LAPACK's index-subset drivers) and only
     their residuals are formed; a ``count`` outside 1..dim raises
-    ValueError.
+    ValueError, both before anything is densified.  A and B, dense or scipy
+    sparse, are left unchanged: LAPACK overwrites one complex
+    Fortran-ordered copy of each; the residuals use the originals.
     """
-    a = _as_dense(a).astype(complex)
-    dim = a.shape[0]
+    pencil = HermitianPencil.make(a, b)
+    dim = pencil.dim
     if dim > DENSE_DIM_LIMIT:
         raise ValueError(f"dense path capped at dim {DENSE_DIM_LIMIT}, got {dim}")
     if count is not None and not 1 <= count <= dim:
         raise ValueError(f"count must lie in 1..{dim}, got {count}")
+    work = [m.astype(complex).toarray(order="F") if sp.issparse(m) else np.array(m, dtype=complex, order="F")
+            for m in (a, b) if m is not None]
     if check:
-        _check_hermitian(a)
-    if b is not None:
-        b = _as_dense(b).astype(complex)
-        if check:
-            _check_hermitian(b)
+        for m in work:
+            _check_hermitian(m)
     subset = None if count is None else [0, count - 1]
     try:
-        vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=subset)
+        vals, vecs = scipy.linalg.eigh(*work, subset_by_index=subset, overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         if b is None:
             raise
         raise ValueError("B is not positive definite") from exc
-    res = _residuals(HermitianPencil.make(a, b), vals, vecs)
+    del work  # freed before the residuals are formed
+    res = _residuals(pencil, vals, vecs)
     return SpectrumResult(eigenvalues=vals, residuals=res, iterations=0, vectors=vecs)
 
 
-def inertia(m):
-    """Factor a Hermitian matrix and count its negative eigenvalues.
+def inertia(pencil: HermitianPencil, sigma: float):
+    """Factor M = A - sigma B (B = I for a standard pencil) and count the eigenvalues below sigma.
 
-    Returns ``(negatives, lu)``.  The sparse LU takes a minimum-degree
-    ordering on M + M^H, a symmetric permutation and no pivoting; when its
-    row and column permutations agree, P M P^T = L D L^H, so by Sylvester's
-    law the negative entries of D, the diagonal of U, count the negative
-    eigenvalues of ``m`` (spectrum slicing).  A pivot taken off the
-    diagonal or a singular pivot raises EigensolveError.
+    Returns ``(below, lu)``.  The sparse LU takes a minimum-degree ordering
+    on M + M^H, a symmetric permutation and no pivoting; when its row and
+    column permutations agree, P M P^T = L D L^H, so by Sylvester's law the
+    negative entries of D, the diagonal of U, count the eigenvalues of the
+    pencil below sigma (spectrum slicing).  A pivot taken off the diagonal
+    or a singular pivot raises EigensolveError.
     """
+    b = sp.identity(pencil.dim, format="csr") if pencil.b is None else pencil.b
+    shifted = pencil.a - sigma * b
     try:
-        lu = spla.splu(sp.csc_matrix(m), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(sp.csc_matrix(shifted), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise EigensolveError(f"singular factor: {exc}") from None
+    del shifted  # freed before the pivots are read
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigensolveError("a pivot was taken off the diagonal")
-    d = lu.U.diagonal().real  # the copy of U is dropped at once
+    d = lu.U.diagonal().real  # reading U caches CSC copies of L and U on the factor until it is freed
     if np.abs(d).min() <= 1e-12 * np.abs(d).max():
         raise EigensolveError("singular pivot: the shift sits on an eigenvalue")
     return int(np.count_nonzero(d < 0.0)), lu
@@ -198,7 +197,6 @@ def shift_invert_smallest(
     dim = pencil.dim
     if count < 1 or count >= dim - 1:
         raise ValueError("count must lie in 1..dim-2")
-    b = sp.identity(dim, format="csr") if pencil.b is None else pencil.b
     shifts = []
     if fallback is not None:
         shifts, sigma = [sigma], fallback
@@ -209,7 +207,7 @@ def shift_invert_smallest(
         step *= 2.0
     for factorizations, sigma in enumerate(shifts, start=1):
         try:
-            below, lu = inertia(pencil.a - sigma * b)
+            below, lu = inertia(pencil, sigma)
         except EigensolveError:
             below, lu = None, None  # a singular or off-diagonal pivot
         if below == 0:
@@ -231,7 +229,7 @@ def shift_invert_smallest(
     def apply_op(x):
         nonlocal applied
         applied += 1
-        return factor[0].solve(b @ x)
+        return factor[0].solve(x if pencil.b is None else pencil.b @ x)
 
     op = spla.LinearOperator((dim, dim), matvec=apply_op, dtype=complex)
     try:

@@ -47,7 +47,7 @@ def test_transverse_energies_match_dense_oracle(n):
     for x in _directions(n):
         a, b = checks._transverse_pencil(fam, x, 0.3, 64)
         # the shift -1 is certified at once: nothing below it
-        assert eigsolve.inertia(a + b)[0] == 0
+        assert eigsolve.inertia(eigsolve.HermitianPencil.make(a, b), -1.0)[0] == 0
         dense = eigsolve.dense_hermitian_eig(a, b).eigenvalues
         vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
         assert np.abs(vals - dense[:6]).max() <= 1e-10
@@ -58,11 +58,11 @@ def test_transverse_energies_match_dense_oracle(n):
 def test_cut_certificate_catches_a_dropped_value():
     fam = clifford.build_clifford(3)
     x = next(_directions(3))
-    a, b = checks._transverse_pencil(fam, x, 0.3, 64)
+    pencil = eigsolve.HermitianPencil.make(*checks._transverse_pencil(fam, x, 0.3, 64))
     vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
-    checks._certify_cut(a, b, vals)
+    checks._certify_cut(pencil, vals)
     with pytest.raises(eigsolve.EigensolveError, match="below the cut"):
-        checks._certify_cut(a, b, vals[1:])
+        checks._certify_cut(pencil, vals[1:])
 
 
 def test_intertwining_fails_when_the_solver_skips_a_value(monkeypatch):

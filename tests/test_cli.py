@@ -110,6 +110,24 @@ def test_config_validation(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("config error: seed")
 
 
+def test_config_checks_and_copies_its_curve():
+    # a curve that is not a JSON object with a kind is a config error at construction
+    for bad in (5, None, "circle", '{"kind": "circle", "r": 1.0}', [], {}, {"r": 1.0}):
+        with pytest.raises(ConfigError, match="curve must be a JSON object with a kind"):
+            SweepConfig(curve=bad)
+    with pytest.raises(ConfigError, match="curve"):
+        SweepConfig.from_dict({**SMALL, "curve": 5})
+    # the config holds a copy: changing the caller's dict afterwards does not change the job
+    circle = {"kind": "circle", "r": 1.0}
+    cfg = SweepConfig(curve=circle)
+    circle["r"] = 2.0
+    assert cfg.curve == {"kind": "circle", "r": 1.0}
+    fourier = {"kind": "fourier", "coeffs": [[1.0, 0.0, 0.1, 0.0]]}
+    cfg = SweepConfig.from_dict({**SMALL, "curve": fourier})
+    fourier["coeffs"][0][2] = 0.5
+    assert cfg.curve["coeffs"] == [[1.0, 0.0, 0.1, 0.0]]
+
+
 def _accepts(call):
     try:
         call()

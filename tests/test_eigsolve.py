@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from diracshell import eigsolve
@@ -95,6 +96,61 @@ def test_dense_count_outside_the_dimension_raises(rng):
             dense_hermitian_eig(a, b, count=k)
 
 
+def test_dense_leaves_its_inputs_unchanged(rng):
+    a, b = random_pencil(rng, 30, True)
+    for pencil in ((a, b), (np.asfortranarray(a), np.asfortranarray(b)), (sp.csr_matrix(a), sp.csr_matrix(b)),
+                   (a.real.copy(), None)):
+        before = [None if m is None else (m.toarray() if sp.issparse(m) else m.copy()) for m in pencil]
+        dense_hermitian_eig(*pencil, count=5)
+        for m, kept in zip(pencil, before):
+            if m is not None:
+                assert np.array_equal(m.toarray() if sp.issparse(m) else m, kept)
+
+
+@pytest.mark.parametrize("generalized", [False, True])
+def test_dense_spectrum_is_bit_identical_across_input_layouts(rng, generalized):
+    a, b = random_pencil(rng, 40, generalized)
+
+    def layouts(m):
+        return (m, np.asfortranarray(m), sp.csr_matrix(m), sp.csc_matrix(m))
+
+    bs = layouts(b) if generalized else (None,) * 4
+    results = [dense_hermitian_eig(x, y, count=6) for x, y in zip(layouts(a), bs)]
+    assert all(np.array_equal(r.eigenvalues, results[0].eigenvalues) for r in results)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_dense_hands_lapack_fortran_copies_to_overwrite(rng, monkeypatch, sparse):
+    a, b = random_pencil(rng, 20, True)
+    if sparse:
+        a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def spy(*arrays, **kwargs):
+        seen.append(([m.flags.f_contiguous and m.dtype == complex for m in arrays], kwargs))
+        return eigh(*arrays, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    dense_hermitian_eig(a, b, count=3)
+    dense_hermitian_eig(a, count=3)
+    assert [flags for flags, _ in seen] == [[True, True], [True]]
+    assert all(kw["overwrite_a"] and kw["overwrite_b"] for _, kw in seen)
+
+
+def test_dense_checks_the_cap_and_count_before_densifying(monkeypatch):
+    class NoDense(sp.csr_matrix):
+        def toarray(self, *args, **kwargs):
+            raise AssertionError("densified before the checks")
+
+    mat = NoDense(sp.identity(5, dtype=complex, format="csr"))
+    with pytest.raises(ValueError, match="count"):
+        dense_hermitian_eig(mat, mat, count=6)
+    monkeypatch.setattr(eigsolve, "DENSE_DIM_LIMIT", 4)
+    with pytest.raises(ValueError, match="capped at dim 4"):
+        dense_hermitian_eig(mat, mat)
+
+
 def dirichlet_laplacian(n):
     return sp.diags([[-1.0] * (n - 1), [2.0] * n, [-1.0] * (n - 1)], [-1, 0, 1]).tocsr().astype(complex)
 
@@ -117,15 +173,23 @@ def random_sparse_hermitian(rng, dim, density):
     return (m + m.conj().T + sp.diags(rng.standard_normal(dim))).toarray()
 
 
+def positive_tridiagonal(rng, dim):
+    """Hermitian positive definite B: diagonal >= 2, complex off-diagonals of modulus 1/2."""
+    diag = 2.0 + rng.uniform(0.0, 1.0, dim)
+    return sp.diags([[0.5j] * (dim - 1), diag, [-0.5j] * (dim - 1)], [-1, 0, 1]).tocsr()
+
+
 def test_inertia_matches_eigvalsh(rng):
-    # indefinite random matrices: ring-coupled blocks and general sparsity
+    # indefinite random matrices: ring-coupled blocks and general sparsity,
+    # as standard pencils and with a positive definite tridiagonal B
     cases = [random_ring(rng, blocks, size) for blocks, size in ((3, 4), (7, 5), (12, 3))]
     cases += [random_sparse_hermitian(rng, dim, 0.1) for dim in (20, 40, 60)]
     for m in cases:
-        lam = np.linalg.eigvalsh(m)
-        for shift in (lam[0] - 1.0, 0.0, 0.5 * (lam[4] + lam[5]), lam[-1] + 1.0):
-            shifted = sp.csr_matrix(m - shift * np.eye(m.shape[0]))
-            assert inertia(shifted)[0] == np.count_nonzero(lam < shift)
+        for b in (None, positive_tridiagonal(rng, m.shape[0])):
+            lam = scipy.linalg.eigvalsh(m, None if b is None else b.toarray())
+            pencil = HermitianPencil.make(sp.csr_matrix(m), b)
+            for shift in (lam[0] - 1.0, 0.0, 0.5 * (lam[4] + lam[5]), lam[-1] + 1.0):
+                assert inertia(pencil, shift)[0] == np.count_nonzero(lam < shift)
 
 
 def test_inertia_rejects_singular_and_off_diagonal_pivots():
@@ -133,7 +197,7 @@ def test_inertia_rejects_singular_and_off_diagonal_pivots():
     # off-diagonal pivot
     for m in (np.diag([1.0, 0.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
         with pytest.raises(EigensolveError):
-            inertia(sp.csr_matrix(m.astype(complex)))
+            inertia(HermitianPencil.make(sp.csr_matrix(m.astype(complex))), 0.0)
 
 
 def test_shift_invert_factors_once_per_tried_shift(monkeypatch):
@@ -222,4 +286,4 @@ def test_shift_invert_badly_scaled_b_with_a_double_level(rng):
     assert np.abs(dense.eigenvalues - lam[:4]).max() <= 1e-10
     # both copies of the double level: the inertia between the levels counts them
     for cut, below in ((1.5, 1), (2.5, 3), (3.5, 4)):
-        assert inertia(pen.a - cut * b)[0] == below == np.count_nonzero(res.eigenvalues < cut)
+        assert inertia(pen, cut)[0] == below == np.count_nonzero(res.eigenvalues < cut)
