@@ -459,7 +459,7 @@ def check_eigensolver_agreement():
     fam = clifford.build_clifford(2)
     met = geometry.shell_metric(geometry.make_curve("circle", r=1.0), 0.1)
     asm = shell.assemble_shell(fam, met, 0.3, 32, 8)
-    dense = eigsolve.dense_hermitian_eig(asm.pencil.a, asm.pencil.b, check=False, count=6)
+    dense = eigsolve.dense_hermitian_eig(asm.pencil.a, asm.pencil.b, count=6)
     production = np.array([v for v, _ in shell.lowest_eigenvalues(asm, 6)])
     worst = float(np.abs(production - dense.eigenvalues).max())
     return worst <= 1e-8, f"max difference {worst:g} (shift-invert)"

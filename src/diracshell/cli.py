@@ -12,10 +12,11 @@ Verbs: check, sweep, corollary, transverse-table, effective-spectrum,
 dump-clifford.  Exit codes: 0 ok, 1 check failure, 2 config error,
 3 partial report (sweep or corollary: an eps point failed to solve or to be
 certified, the effective reference with ``eff_ns="auto"`` had not converged
-at its cap, or too few points solved for the fit; the outputs are still
-written, flagged ``partial``).  The effective reference's Fourier size is
-``eff_ns`` in a job config; the default ``"auto"`` doubles it until the
-reported values stop changing (``effective.converged_eigenvalues``).
+at its cap, or too few points solved for the fit, which ``no_fit_reason``
+states; the outputs are still written, flagged ``partial``).  The effective
+reference's Fourier size is ``eff_ns`` in a job config; the default
+``"auto"`` doubles it until the reported values stop changing
+(``effective.converged_eigenvalues``).
 A sweep or corollary job is the ``--config`` file's keys with each flag
 given in place of its key; its ``SweepConfig`` is checked when it is built.
 """
@@ -91,37 +92,30 @@ class SweepConfig:
         A key that names no field is a ConfigError, so a misspelled field
         cannot silently run its default.
         """
-        convert = {
-            "m": _real,
-            "eps": lambda v: tuple(_real(e) for e in v),
-            "ns": _integral,
-            "nt": _integral,
-            "count": _integral,
-            "eff_ns": _integral,
-            "seed": _integral,
-        }
-        try:
-            unknown = sorted(set(payload) - {f.name for f in fields(SweepConfig)})
-            curve = payload["curve"]
-            values = {key: fn(payload[key]) for key, fn in convert.items() if key in payload}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sweep config: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"a sweep config is a JSON object, got {payload!r}")
+        unknown = sorted(set(payload) - {f.name for f in fields(SweepConfig)})
         if unknown:
             raise ConfigError("unknown sweep config keys: " + ", ".join(map(str, unknown)))
-        return SweepConfig(curve=curve, **values)
+        if "curve" not in payload:
+            raise ConfigError("a sweep config needs a curve")
+        return SweepConfig(**payload)
 
     def __post_init__(self) -> None:
+        # one normalization for JSON and Python callers: an integral float such
+        # as 48.0 becomes an int, m and each eps a float; a bool or a string is no number
         if not isinstance(self.curve, dict) or "kind" not in self.curve:
             raise ConfigError(f"curve must be a JSON object with a kind, got {self.curve!r}")
         object.__setattr__(self, "curve", copy.deepcopy(self.curve))  # the caller's dict stays the caller's
-        integers = {"ns": self.ns, "count": self.count, "seed": self.seed}
-        if self.nt is not None:
-            integers["nt"] = self.nt
-        if self.eff_ns != "auto":
-            integers["eff_ns"] = self.eff_ns
-        for name, value in integers.items():
+        for name in ("ns", "nt", "count", "eff_ns", "seed"):
+            value = getattr(self, name)
+            if (name == "nt" and value is None) or (name == "eff_ns" and value == "auto"):
+                continue
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not _is_real(self.m) or not 0 <= self.m < math.inf:
             raise ConfigError(f"m must be finite and nonnegative, got {self.m!r}")
         if (
@@ -130,9 +124,10 @@ class SweepConfig:
             or any(not _is_real(e) or not 0 < e < math.inf for e in self.eps)
         ):
             raise ConfigError(f"eps must be a list of finite positive numbers, got {self.eps!r}")
+        object.__setattr__(self, "m", float(self.m))
+        object.__setattr__(self, "eps", tuple(map(float, self.eps)))  # a list passed in stays as checked
         if any(a <= b for a, b in zip(self.eps, self.eps[1:])):
             raise ConfigError("eps list must be strictly decreasing")
-        object.__setattr__(self, "eps", tuple(self.eps))  # a list passed in stays as checked
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if self.count < 1 or self.count > MAX_COUNT:
@@ -144,18 +139,9 @@ class SweepConfig:
         if self.eff_ns != "auto" and (self.eff_ns < EFF_MIN_NS or self.eff_ns % 2):
             raise ConfigError(f'eff_ns must be "auto" or an even integer >= {EFF_MIN_NS}')
 
+
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _integral(value):
-    # JSON may spell an integer as 48.0; any other value goes to the constructor as it is
-    return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
-def _real(value):
-    # a JSON true is no number: it goes to the constructor as it is, which rejects it
-    return value if isinstance(value, bool) else float(value)
 
 
 @dataclass
@@ -169,6 +155,7 @@ class AsymptoticsReport:
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
     partial: bool
     failures: dict = field(default_factory=dict)
+    no_fit_reason: str | None = None   # why ``fits`` is empty (too few eps solved)
     # eps -> dof, the SpectrumResult.record() of its solve, seconds
     solves: dict = field(default_factory=dict)
     effective_s: float = 0.0   # seconds spent on the effective reference
@@ -185,6 +172,7 @@ class AsymptoticsReport:
                     "j": j + 1,
                     "intercept": fit["intercept"],
                     "slope": fit["slope"],
+                    "stderr_intercept": fit["stderr_intercept"],
                     "mu_effective": self.mu_effective[j],
                     "intercept_error": abs(fit["intercept"] - self.mu_effective[j]),
                 }
@@ -211,6 +199,7 @@ class AsymptoticsReport:
             "eps": list(self.eps),
             "partial": self.partial,
             "failures": {str(k): v for k, v in self.failures.items()},
+            "no_fit_reason": self.no_fit_reason,
             "solves": {repr(k): v for k, v in self.solves.items()},
             "effective_s": self.effective_s,
             "effective_ns": self.effective_ns,
@@ -238,6 +227,12 @@ class CorollaryReport:
         # the fit needs 2 points where the sweep's needs 3, so its own partial flag does not carry over
         return bool(self.failures) or not self.linear_coeffs
 
+    @property
+    def no_fit_reason(self) -> str | None:
+        if self.linear_coeffs:
+            return None
+        return f"{len(self.lam)} of {len(self.sweep.eps)} eps solved; the corollary fit needs 2"
+
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -258,6 +253,7 @@ class CorollaryReport:
             "pairing_defect": {repr(k): v for k, v in self.pairing_defect.items()},
             "partial": self.partial,
             "failures": {str(k): v for k, v in self.failures.items()},
+            "no_fit_reason": self.no_fit_reason,
         }
 
 
@@ -319,9 +315,9 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     listed in ``failures`` under its eps, and an auto reference that has
     not converged at the cap under ``"effective"``; the report is
     ``partial`` when anything failed or fewer than 3 points solved (no
-    fit).  A curve config it cannot build, an eps at or beyond the curve's
-    injectivity guard, or ``threads`` below 1 is a ConfigError raised
-    before any solve.
+    fit; ``no_fit_reason`` says how many solved).  A curve config it
+    cannot build, an eps at or beyond the curve's injectivity guard, or
+    ``threads`` below 1 is a ConfigError raised before any solve.
     Each shell solve is given the lowest effective eigenvalue as its
     predicted level above the transverse ground level (see
     ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
@@ -330,9 +326,10 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     solve seconds, and at the top level
     ``effective_s`` (seconds spent on the effective reference),
     ``effective_ns`` (the size used), ``effective_err`` (auto: the last
-    change of the values; null for an explicit size), the numpy/scipy
-    versions and the BLAS thread settings in effect
-    (``threads.blas_threads``).
+    change of the values; null for an explicit size), ``no_fit_reason``,
+    the numpy/scipy versions and the BLAS thread settings in effect
+    (``threads.blas_threads``).  Threads change only the timings: values,
+    solve records and ``sweep.csv`` bytes are those of a serial run.
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
@@ -390,6 +387,7 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
         for j in range(cfg.count):
             ys = np.array([residuals[e][j] for e in fit_eps])
             fits.append(_affine_fit(fit_eps, ys))
+    no_fit_reason = None if fits else f"{fit_eps.size} of {len(cfg.eps)} eps solved; the affine fit needs 3"
     report = AsymptoticsReport(
         curve_id=curve.name,
         m=m,
@@ -400,6 +398,7 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
         fits=fits,
         partial=bool(failures) or not fits,
         failures=failures,
+        no_fit_reason=no_fit_reason,
         solves=solves,
         effective_s=effective_s,
         effective_ns=effective_ns,
@@ -482,8 +481,16 @@ def _build_config(args) -> SweepConfig:
             raise ConfigError(f"a job config is a JSON object, got {payload!r}")
     for f in fields(SweepConfig):
         value = getattr(args, f.name, None)  # eff_ns has no flag
-        if value is not None:
-            payload[f.name] = _load_curve_arg(value) if f.name == "curve" else value
+        if value is None:
+            continue
+        if f.name == "curve":
+            value = _load_curve_arg(value)
+        elif f.name == "eps":
+            try:
+                value = [float(e) for e in value.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"--eps: {exc}") from exc
+        payload[f.name] = value
     if "curve" not in payload:
         raise ConfigError("a job needs a curve: give --curve or a config file with one")
     return SweepConfig.from_dict(payload)
@@ -491,7 +498,8 @@ def _build_config(args) -> SweepConfig:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="diracshell", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="parallel eps jobs (1 = reproducible)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="parallel eps jobs; the results match a serial run, only the timings differ")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_check = sub.add_parser("check", help="run every property suite")
@@ -503,8 +511,7 @@ def main(argv=None) -> int:
         p.add_argument("--curve", default=None, help="curve JSON (inline or path)")
         # None: the config file's key, else the SweepConfig default
         p.add_argument("--m", type=float, default=None)
-        p.add_argument("--eps", type=lambda text: text.split(","), default=None,
-                       help="comma-separated decreasing widths")
+        p.add_argument("--eps", default=None, help="comma-separated decreasing widths")
         for flag in ("--ns", "--nt", "--count", "--seed"):
             p.add_argument(flag, type=int, default=None)
         p.add_argument("--out", default="out", help="output directory")
@@ -550,7 +557,10 @@ def main(argv=None) -> int:
             for line in lines:
                 print(line)
             if report.partial:
-                print("warning: report is partial;", report.failures)
+                reasons = [report.no_fit_reason] if report.no_fit_reason else []
+                if report.failures:
+                    reasons.append(f"failures {report.failures}")
+                print("warning: report is partial;", "; ".join(reasons))
                 return EXIT_PARTIAL
             return 0
         if args.verb == "transverse-table":

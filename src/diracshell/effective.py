@@ -22,8 +22,9 @@ blocks are isospectral: complex conjugation maps one onto the other
 (kappa is real).  ``assemble_effective`` therefore assembles the spin-up
 block only, as a ``paired`` EffectiveFormAssembly; the spin-down block is
 the same assembly with the coupling negated.  ``effective_eigenvalues``
-solves a paired block for the wanted eigenvalues alone and reports each
-twice.  ``assemble_magnetic`` returns the scalar magnetic block, unpaired.
+solves a paired block for the wanted eigenvalues alone, through the dense
+oracle ``eigsolve.dense_hermitian_eig``, and reports each twice.
+``assemble_magnetic`` returns the scalar magnetic block, unpaired.
 
 ``converged_eigenvalues`` picks the Fourier size itself: it doubles n_s
 from AUTO_NS_START until the lowest values stop moving, up to AUTO_NS_CAP.
@@ -38,10 +39,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .clifford import CliffordFamily, gamma
-from .eigsolve import HermitianPencil
+from .eigsolve import HermitianPencil, dense_hermitian_eig
 from .geometry import CurveSpec
 
 __all__ = [
@@ -153,18 +153,9 @@ def assemble_effective(
     return EffectiveFormAssembly(HermitianPencil.make(a), paired=True)
 
 
-def assemble_magnetic(
-    curve: CurveSpec, n_s: int, scheme: str = "fourier", flux: float | None = None
-) -> EffectiveFormAssembly:
-    """Scalar magnetic operator (-i d/ds + (pi-2)/L)^2 - kappa^2/pi^2.
-
-    ``flux`` overrides the default (pi-2)/L; shifting it by any integer
-    multiple of 2*pi/L relabels the Fourier modes and leaves the spectrum
-    invariant.
-    """
-    if flux is None:
-        flux = (math.pi - 2.0) / curve.length
-    a = _covariant_block(curve, n_s, scheme, 0.0, flux)
+def assemble_magnetic(curve: CurveSpec, n_s: int, scheme: str = "fourier") -> EffectiveFormAssembly:
+    """Scalar magnetic operator (-i d/ds + (pi-2)/L)^2 - kappa^2/pi^2."""
+    a = _covariant_block(curve, n_s, scheme, 0.0, (math.pi - 2.0) / curve.length)
     return EffectiveFormAssembly(HermitianPencil.make(a), paired=False)
 
 
@@ -181,23 +172,18 @@ def magnetic_circle_spectrum(radius: float, count: int) -> np.ndarray:
     return np.sort(vals)[:count]
 
 
-def _lowest_values(a: np.ndarray, count: int) -> np.ndarray:
-    return scipy.linalg.eigh(
-        a, eigvals_only=True, subset_by_index=[0, count - 1], check_finite=False
-    )
-
-
 def effective_eigenvalues(assembly: EffectiveFormAssembly, count: int) -> np.ndarray:
-    """The ``count`` lowest eigenvalues, ascending, without eigenvectors.
+    """The ``count`` lowest eigenvalues, ascending, from the dense oracle.
 
     A ``paired`` assembly holds the spin-up block; it is solved for its
     ceil(count/2) lowest eigenvalues, and each is reported twice, since the
-    spin-down block is isospectral (see the module docstring).  The scalar
-    magnetic block of ``assemble_magnetic`` is solved for ``count`` values.
+    spin-down block is isospectral (see the module docstring).  A block that
+    fails the oracle's hermiticity check raises ValueError.
     """
-    if assembly.paired:
-        return np.repeat(_lowest_values(assembly.pencil.a, (count + 1) // 2), 2)[:count]
-    return _lowest_values(assembly.pencil.a, count)
+    if not assembly.paired:
+        return dense_hermitian_eig(assembly.pencil.a, count=count).eigenvalues
+    up = dense_hermitian_eig(assembly.pencil.a, count=(count + 1) // 2).eigenvalues
+    return np.repeat(up, 2)[:count]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ __all__ = [
     "flat_strip",
     "curve_from_json",
     "mean_curvatures",
-    "boundary_mean_curvature_exact",
     "shell_metric",
 ]
 
@@ -307,23 +306,12 @@ def mean_curvatures(principal) -> list[float]:
     return coeffs[1:]
 
 
-def boundary_mean_curvature_exact(metric: "ShellMetric2D", side: int, s) -> np.ndarray:
-    """Mean curvature of the shifted boundary curve: side*kappa/(1 + side*eps*kappa).
-
-    ``metric`` comes from ``shell_metric``, which holds eps inside the guard.
-    """
-    if side not in (+1, -1):
-        raise ValueError("side must be +1 or -1")
-    kap = metric.curve.curvature(np.asarray(s, dtype=float))
-    return side * kap / (1.0 + side * metric.eps * kap)
-
-
 @dataclass(frozen=True)
 class ShellMetric2D:
     """Metric data of the thin shell of half-width eps around a curve.
 
-    The radial weight is phi(s,t) = eps*(1 + eps*t*kappa(s)) and the
-    tangential coefficient g11(s,t) = (1 + eps*t*kappa(s))^2, with kappa
+    The radial weight is sqrt(det_g(s,t)) = eps*(1 + eps*t*kappa(s)) and
+    the tangential coefficient g11(s,t) = (1 + eps*t*kappa(s))^2, with kappa
     the clockwise signed curvature.  ``tubular_map`` offsets along the
     direction for which the Jacobian determinant of the map equals
     eps*(1 + eps*t*kappa), i.e. opposite to the stored outward normal.
@@ -336,9 +324,6 @@ class ShellMetric2D:
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         return 1.0 + self.eps * t * self.curve.curvature(s)
-
-    def phi(self, s, t) -> np.ndarray:
-        return self.eps * self._w(s, t)
 
     def g11(self, s, t) -> np.ndarray:
         return self._w(s, t) ** 2

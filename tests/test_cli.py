@@ -83,13 +83,27 @@ def test_config_validation(monkeypatch, capsys):
             SweepConfig.from_dict({**SMALL, "curve": {"kind": "circle", "r": 5.0}, **bad})
     integral = SweepConfig.from_dict({**SMALL, "ns": 48.0, "eff_ns": 256.0})
     assert (integral.ns, integral.eff_ns) == (48, 256) and isinstance(integral.ns, int)
+    # a JSON string is no number, for m or a width
+    for bad in ({"eps": ["0.1", "0.05"]}, {"m": "0.5"}):
+        with pytest.raises(ConfigError):
+            SweepConfig.from_dict({**SMALL, **bad})
     # a SweepConfig built directly is checked at construction, before any solve
     for bad in ({"eff_ns": None}, {"ns": 48.5}, {"count": 2.5}, {"nt": 8.5}, {"seed": 1.5},
                 {"seed": -1}, {"m": None}, {"eps": 0.1}, {"eps": (0.1, "x")}, {"ns": 16},
                 {"count": None}, {"count": "4"}, {"m": math.nan}, {"eff_ns": "bogus"},
-                {"eps": (0.1, 0.1)}, {"eps": (0.05, 0.1)}, {"m": True}, {"eps": (True, 0.5)}):
+                {"eps": (0.1, 0.1)}, {"eps": (0.05, 0.1)}, {"m": True}, {"eps": (True, 0.5)},
+                {"eps": ("0.1", "0.05")}, {"m": "0.5"}, {"ns": "48"}):
         with pytest.raises(ConfigError):
             SweepConfig(curve=SMALL["curve"], **bad)
+    # and normalized as the JSON path normalizes: integral floats become ints, m and eps floats
+    for values in ({"ns": 48.0}, {"nt": 8.0, "count": 2.0, "seed": 3.0}, {"eff_ns": 256.0}, {"m": 1},
+                   {"eps": [1, 0.5]}, {"eps": (0.1, 0.05)}, {}):
+        direct = SweepConfig(curve=SMALL["curve"], **values)
+        assert direct == SweepConfig.from_dict({"curve": SMALL["curve"], **values})
+        assert all(type(getattr(direct, k)) is int for k in ("ns", "count", "seed"))
+        assert type(direct.m) is float and all(type(e) is float for e in direct.eps)
+    assert SweepConfig(curve=SMALL["curve"], m=1).m == 1.0
+    assert SweepConfig(curve=SMALL["curve"], nt=8.0, eff_ns=256.0).nt == 8
     # and stays as checked: no field can be set, and a list of widths is kept as a tuple
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = -1
@@ -162,7 +176,10 @@ def test_run_sweep_small(tmp_path):
     assert csv_text.splitlines()[0] == "eps,j,mu_shell,residual,mu_eff_ref"
     assert len(csv_text.splitlines()) == 1 + 3 * 2
     summary = json.loads((tmp_path / "out" / "sweep.json").read_text())
-    assert summary["partial"] is False
+    assert summary["partial"] is False and summary["no_fit_reason"] is None
+    # each verdict carries its fit's intercept standard error
+    assert [v["stderr_intercept"] for v in summary["verdicts"]] == [f["stderr_intercept"] for f in report.fits]
+    assert all(v["stderr_intercept"] > 0.0 for v in summary["verdicts"])
     # one certified solve record per eps
     assert sorted(summary["solves"]) == sorted(repr(e) for e in SMALL["eps"])
     for eps in SMALL["eps"]:
@@ -230,9 +247,10 @@ def test_thread_count_below_one_is_a_config_error(monkeypatch):
 
 
 def test_sweep_threaded_matches_serial(tmp_path):
-    # bit-identical values and solve records per eps; only the timings differ
-    serial = run_sweep(SMALL, out_dir=None, threads=1)
-    threaded = run_sweep(SMALL, out_dir=None, threads=3)
+    # bit-identical values, sweep.csv bytes and solve records per eps; only the timings differ
+    serial = run_sweep(SMALL, out_dir=tmp_path / "serial", threads=1)
+    threaded = run_sweep(SMALL, out_dir=tmp_path / "threaded", threads=3)
+    assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (tmp_path / "threaded" / "sweep.csv").read_bytes()
     assert serial.mu_shell == threaded.mu_shell
     assert serial.mu_effective == threaded.mu_effective
 
@@ -321,6 +339,7 @@ def test_corollary_partial_when_too_few_points_solve(monkeypatch):
     assert report.linear_coeffs == [] and report.references == []
     assert list(report.lam) == [0.1]
     assert list(report.failures) == [0.08, 0.06]
+    assert report.no_fit_reason == "1 of 3 eps solved; the corollary fit needs 2"
     # a single eps point is a short list, not a crash, and no fit either
     single = run_corollary({**SMALL, "eps": [0.1]})
     assert single.partial and single.linear_coeffs == []
@@ -332,6 +351,24 @@ def test_sweep_partial_report(monkeypatch):
     assert report.partial and report.fits == []
     assert list(report.failures) == [0.06]
     assert list(report.solves) == [0.1, 0.08]
+
+
+def test_sweep_without_a_fit_says_why(tmp_path, capsys):
+    # two eps solve and none fails: the sweep has no fit, is partial and says
+    # why, outside ``failures``; the corollary's two-point fit runs, not partial
+    two = {**SMALL, "eps": [0.1, 0.08]}
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(two))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == EXIT_PARTIAL
+    reason = "2 of 2 eps solved; the affine fit needs 3"
+    assert capsys.readouterr().out.splitlines()[-1] == f"warning: report is partial; {reason}"
+    summary = json.loads((tmp_path / "s" / "sweep.json").read_text())
+    assert summary["partial"] is True and summary["failures"] == {} and summary["verdicts"] == []
+    assert summary["no_fit_reason"] == reason
+    assert main(["corollary", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    corollary = json.loads((tmp_path / "c" / "corollary.json").read_text())
+    assert corollary["partial"] is False and corollary["no_fit_reason"] is None
+    assert len(corollary["linear_coeffs"]) == 1
 
 
 def test_main_partial_exit_code(tmp_path, monkeypatch, capsys):

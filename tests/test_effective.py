@@ -7,6 +7,7 @@ from diracshell import effective
 from diracshell.effective import (
     AUTO_RTOL,
     DEFAULT_COUPLING,
+    EffectiveFormAssembly,
     assemble_effective,
     assemble_magnetic,
     converged_eigenvalues,
@@ -16,7 +17,7 @@ from diracshell.effective import (
     magnetic_circle_spectrum,
     omega_oneform,
 )
-from diracshell.eigsolve import dense_hermitian_eig
+from diracshell.eigsolve import HermitianPencil, dense_hermitian_eig
 
 
 def analytic_circle_levels(count):
@@ -65,11 +66,18 @@ def test_magnetic_zero_curvature_strip():
 def test_magnetic_flux_periodicity(ellipse):
     # gauge-periodicity oracle: shifting the flux by 2*pi/L relabels modes
     base = effective_eigenvalues(assemble_magnetic(ellipse, 256), 5)
-    flux = (math.pi - 2.0) / ellipse.length
-    shifted = effective_eigenvalues(
-        assemble_magnetic(ellipse, 256, flux=flux + 2.0 * math.pi / ellipse.length), 5
-    )
-    assert np.abs(base - shifted).max() <= 1e-9
+    flux = (math.pi - 2.0) / ellipse.length + 2.0 * math.pi / ellipse.length
+    shifted = effective._covariant_block(ellipse, 256, "fourier", 0.0, flux)
+    assert np.abs(base - dense_hermitian_eig(shifted, count=5).eigenvalues).max() <= 1e-9
+
+
+def test_effective_eigenvalues_rejects_a_non_hermitian_block(fam2, circle):
+    # the reference is solved by the dense oracle, which checks hermiticity first
+    a = assemble_effective(fam2, circle, 64).pencil.a.copy()
+    a[0, 1] += 1e-9 * np.abs(a).max()
+    for paired in (True, False):
+        with pytest.raises(ValueError, match="not hermitian"):
+            effective_eigenvalues(EffectiveFormAssembly(HermitianPencil.make(a), paired), 2)
 
 
 def test_effective_circle_ground_level(fam2, circle):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,50 @@ def test_dense_rejects_indefinite_b(rng):
 def test_dense_rejects_non_hermitian():
     with pytest.raises(ValueError):
         dense_hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def test_hermiticity_check_keeps_its_relative_bound(rng):
+    # the check compares A with A^H one column block at a time, with the test
+    # max|A - A^H| <= 1e-12 * max(max|A|, 1): an entry 1e-11 of the scale off
+    # fails and 1e-13 off passes, in any block and in either memory layout
+    dim = 3 * eigsolve._CHECK_BLOCK + 5
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = a + a.conj().T
+    scale = np.abs(a).max()
+    for i, j, step in ((0, dim - 1, 1.0), (dim - 1, 2, 1.0), (20, 37, 1.0), (dim - 2, dim - 2, 1j)):
+        for rel, hermitian in ((1e-11, False), (1e-13, True)):
+            off = a.copy()
+            off[i, j] += rel * scale * step
+            for layout in (off, np.asfortranarray(off)):
+                if hermitian:
+                    eigsolve._check_hermitian(layout)
+                else:
+                    with pytest.raises(ValueError, match="not hermitian"):
+                        eigsolve._check_hermitian(layout)
+    a[0, dim - 1] += 1e-11 * scale
+    with pytest.raises(ValueError, match="not hermitian"):
+        dense_hermitian_eig(a, count=1)
+
+
+def test_hermiticity_check_allocates_nothing_of_the_matrix_size():
+    # the dim-1024 oracle of the eigensolver-agreement criterion: the check
+    # adds to the traced peak only the few hundred bytes of its Python
+    # objects, far below one 16.8 MB temporary of A's size (the full-matrix
+    # check built three and added 32.6 MB)
+    from diracshell import clifford, geometry, shell
+
+    met = geometry.shell_metric(geometry.make_curve("circle", r=1.0), 0.1)
+    asm = shell.assemble_shell(clifford.build_clifford(2), met, 0.3, 32, 8)
+    assert asm.pencil.dim == 1024
+    peaks = []
+    for check in (False, True):
+        tracemalloc.start()
+        try:
+            dense_hermitian_eig(asm.pencil.a, asm.pencil.b, check=check, count=6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 1024
 
 
 def test_dense_deterministic(rng):
@@ -263,8 +308,9 @@ def test_shift_invert_uncertified_raises(monkeypatch):
     monkeypatch.setattr(eigsolve, "MAX_SHIFTS", 1)
     with pytest.raises(EigensolveError):
         shift_invert_smallest(pen, 2, 0.01)
+    monkeypatch.setattr(eigsolve, "RESIDUAL_TOL", 1e-30)
     with pytest.raises(EigensolveError):
-        shift_invert_smallest(pen, 2, -0.01, tol=1e-30)
+        shift_invert_smallest(pen, 2, -0.01)
 
 
 def test_shift_invert_badly_scaled_b_with_a_double_level(rng):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from diracshell.geometry import (
     CurveError,
-    boundary_mean_curvature_exact,
     curve_from_json,
     flat_strip,
     make_curve,
@@ -98,46 +97,10 @@ def test_mean_curvatures_match_enumeration(principal):
         assert got[p - 1] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
-def test_boundary_curvature_circle(circle):
-    # direct evaluation oracle with kappa = -1
-    val = boundary_mean_curvature_exact(shell_metric(circle, 0.1), +1, 0.0)
-    assert val == pytest.approx(-10.0 / 9.0, abs=1e-14)
-
-
-def test_boundary_curvature_small_eps_limit(ellipse):
-    s = np.linspace(0.0, ellipse.length, 11)
-    kap = ellipse.curvature(s)
-    for side in (+1, -1):
-        vals = boundary_mean_curvature_exact(shell_metric(ellipse, 1e-9), side, s)
-        assert np.abs(vals - side * kap / (1.0 + side * 1e-9 * kap)).max() == 0.0
-        assert np.abs(vals - side * kap).max() < 1e-7
-
-
-def test_boundary_curvature_expansion_bound(circle):
-    # second-order remainder bound of the exact formula around the expansion
-    eps = 0.05
-    s = np.linspace(0.0, circle.length, 9)
-    kap = circle.curvature(s)
-    h_plus = boundary_mean_curvature_exact(shell_metric(circle, eps), +1, s)
-    expansion = kap - eps * kap**2
-    bound = 2.0 * eps**2 * np.abs(kap) ** 3 / (1.0 - eps * np.abs(kap))
-    assert np.all(np.abs(h_plus - expansion) <= bound)
-
-
-def test_boundary_curvature_guard(circle):
-    # the eps check is shell_metric's guard 0.9/max|kappa|, below the
-    # injectivity scale 1/max|kappa| = 1
-    with pytest.raises(ValueError):
-        boundary_mean_curvature_exact(shell_metric(circle, 0.9), +1, 0.0)
-    with pytest.raises(ValueError):
-        boundary_mean_curvature_exact(shell_metric(circle, 0.5), 0, 0.0)
-
-
 def test_shell_metric_values(circle):
     met = shell_metric(circle, 0.1)
-    assert met.phi(0.3, 1.0) / 0.1 == pytest.approx(0.9, abs=1e-14)
     assert met.g11(0.3, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert met.phi(1.2, 0.0) == pytest.approx(0.1, abs=1e-15)
+    assert met.det_g(0.3, 1.0) == pytest.approx((0.1 * 0.9) ** 2, abs=1e-15)
 
 
 def test_shell_metric_guard(ellipse):
@@ -175,7 +138,7 @@ def test_metric_positive_below_guard(ellipse, rng):
     met = shell_metric(ellipse, 0.4)
     s = rng.uniform(0.0, ellipse.length, size=200)
     t = rng.uniform(-1.0, 1.0, size=200)
-    assert np.all(met.phi(s, t) > 0.0)
+    assert np.all(met._w(s, t) > 0.0)  # the radial weight over eps
 
 
 def test_metric_sandwich_bound(circle, ellipse, rng):
@@ -201,7 +164,7 @@ def test_flat_strip_harness():
     assert np.all(strip.curvature(s) == 0.0)
     assert np.all(strip.normal(s) == np.array([0.0, 1.0]))
     met = shell_metric(strip, 0.3)
-    assert np.all(met.phi(s, np.array([0.5, -0.5, 1.0])) == 0.3)
+    assert np.all(met.det_g(s, np.array([0.5, -0.5, 1.0])) == 0.3**2)
 
 
 def test_factory_rejections():
