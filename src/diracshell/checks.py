@@ -29,6 +29,9 @@ from . import clifford, effective, eigsolve, geometry, shell, transverse
 
 __all__ = ["CheckResult", "format_result", "run_all", "REGISTRY"]
 
+# P2 elements on (-1, 1) of the transverse pencils behind the intertwining entry
+_N_ELEM = 64
+
 
 @dataclass
 class CheckResult:
@@ -171,7 +174,7 @@ def check_mode_perturbation():
 
 
 @functools.lru_cache(maxsize=8)
-def _p2_transverse_pencil(N: int, m: float, n_elem: int):
+def _p2_transverse_pencil(N: int, m: float):
     """The x-independent P2 matrices on (-1, 1), N spinor components per node.
 
     The stiffness and mass of the shell's P2 line (``shell.line_element``).
@@ -179,12 +182,12 @@ def _p2_transverse_pencil(N: int, m: float, n_elem: int):
     Returns the form ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2) and the
     mass, both CSR over the full node set, before the boundary elimination.
     """
-    h = 2.0 / n_elem
-    n_nodes = 2 * n_elem + 1
-    _, w, val, der, conn = shell.line_element(2, n_elem, h)
+    h = 2.0 / _N_ELEM
+    n_nodes = 2 * _N_ELEM + 1
+    _, w, val, der, conn = shell.line_element(2, _N_ELEM, h)
     # every cell has the same local stiffness and mass
     k1d, m1d = (
-        shell.scatter(np.broadcast_to(np.einsum("q,aq,bq->ab", w * h, t, t), (n_elem, 3, 3)), conn, n_nodes)
+        shell.scatter(np.broadcast_to(np.einsum("q,aq,bq->ab", w * h, t, t), (_N_ELEM, 3, 3)), conn, n_nodes)
         for t in (der, val)
     )
 
@@ -196,15 +199,15 @@ def _p2_transverse_pencil(N: int, m: float, n_elem: int):
     return a_full, b_full
 
 
-def _transverse_pencil(fam, x, m: float, n_elem: int):
+def _transverse_pencil(fam, x, m: float):
     """The P2 pencil with the boundary constraint eliminated.
 
     Node 0 is kept on the -1 and the last node on the +1 eigenspace of
     -i a_{n+1} Gamma(x), N/2 components each.
     """
     N, half = fam.N, fam.N // 2
-    n_nodes = 2 * n_elem + 1
-    a_full, b_full = _p2_transverse_pencil(N, float(m), n_elem)
+    n_nodes = 2 * _N_ELEM + 1
+    a_full, b_full = _p2_transverse_pencil(N, float(m))
     vals_b, vecs_b = np.linalg.eigh(-1.0j * fam.alpha_last @ clifford.gamma(fam, x).gamma)
     plus = vecs_b[:, np.abs(vals_b - 1) < 1e-10]
     minus = vecs_b[:, np.abs(vals_b + 1) < 1e-10]
@@ -236,7 +239,7 @@ def _certify_cut(pencil, values: np.ndarray) -> None:
         raise eigsolve.EigensolveError(f"{below} eigenvalues below the cut {cut:g}, {returned} returned")
 
 
-def discretized_transverse_energies(fam, x, m: float, count: int, n_elem: int = 64) -> np.ndarray:
+def discretized_transverse_energies(fam, x, m: float, count: int) -> np.ndarray:
     """Lowest eigenvalues of the squared transverse operator on (-1, 1).
 
     Galerkin P2 discretization of ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2)
@@ -247,7 +250,7 @@ def discretized_transverse_energies(fam, x, m: float, count: int, n_elem: int = 
     Raises EigensolveError when either certificate or the residual gate
     fails.
     """
-    pencil = eigsolve.HermitianPencil.make(*_transverse_pencil(fam, x, m, n_elem))
+    pencil = eigsolve.HermitianPencil.make(*_transverse_pencil(fam, x, m))
     # the form is positive for m >= 0, so the shift -1 certifies at once
     res = eigsolve.shift_invert_smallest(pencil, count, sigma=-1.0)
     _certify_cut(pencil, res.eigenvalues)

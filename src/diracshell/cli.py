@@ -32,7 +32,6 @@ import numbers
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -48,7 +47,7 @@ from .effective import (
     effective_eigenvalues,
     effective_spectrum_csv,
 )
-from .eigsolve import EigensolveError
+from .eigsolve import DENSE_DIM_LIMIT, EigensolveError
 from .geometry import CurveError, curve_from_json, shell_metric
 from .shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, lowest_eigenvalues
 from .threads import blas_threads, set_blas_threads
@@ -136,8 +135,13 @@ class SweepConfig:
             raise ConfigError(f"ns must be >= {MIN_NS}")
         if self.nt is not None and self.nt < MIN_NT:
             raise ConfigError(f"nt must be >= {MIN_NT}")
-        if self.eff_ns != "auto" and (self.eff_ns < EFF_MIN_NS or self.eff_ns % 2):
-            raise ConfigError(f'eff_ns must be "auto" or an even integer >= {EFF_MIN_NS}')
+        # the reference's block has dim eff_ns - 1, so the dense oracle's cap bounds it
+        if self.eff_ns != "auto" and (
+            self.eff_ns < EFF_MIN_NS or self.eff_ns % 2 or self.eff_ns - 1 > DENSE_DIM_LIMIT
+        ):
+            raise ConfigError(
+                f'eff_ns must be "auto" or an even integer >= {EFF_MIN_NS} with eff_ns - 1 <= {DENSE_DIM_LIMIT}'
+            )
 
 
 def _is_real(value) -> bool:
@@ -306,7 +310,7 @@ def _shell_job(fam, met, cfg: SweepConfig, level: float):
     return [v for v, _ in pairs], record
 
 
-def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
+def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     """Shell spectra over the eps list, residuals, and affine fits per level.
 
     The effective reference is solved at ``eff_ns`` Fourier modes, or with
@@ -316,8 +320,9 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     not converged at the cap under ``"effective"``; the report is
     ``partial`` when anything failed or fewer than 3 points solved (no
     fit; ``no_fit_reason`` says how many solved).  A curve config it
-    cannot build, an eps at or beyond the curve's injectivity guard, or
-    ``threads`` below 1 is a ConfigError raised before any solve.
+    cannot build or an eps at or beyond the curve's injectivity guard is a
+    ConfigError raised before any solve.  The eps points are solved one
+    after another.
     Each shell solve is given the lowest effective eigenvalue as its
     predicted level above the transverse ground level (see
     ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
@@ -328,12 +333,9 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     ``effective_ns`` (the size used), ``effective_err`` (auto: the last
     change of the values; null for an explicit size), ``no_fit_reason``,
     the numpy/scipy versions and the BLAS thread settings in effect
-    (``threads.blas_threads``).  Threads change only the timings: values,
-    solve records and ``sweep.csv`` bytes are those of a serial run.
+    (``threads.blas_threads``).
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     fam = build_clifford(2)
     curve = _curve(cfg.curve)
     try:
@@ -356,24 +358,11 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
 
     results: dict = {}
     solves: dict = {}
-
-    def job(eps):
+    for eps in cfg.eps:
         try:
-            return eps, *_shell_job(fam, metrics[eps], cfg, mu_eff[0]), None
+            results[eps], solves[eps] = _shell_job(fam, metrics[eps], cfg, mu_eff[0])
         except EigensolveError as exc:
-            return eps, None, None, str(exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, cfg.eps))
-    else:
-        outcomes = [job(eps) for eps in cfg.eps]
-    for eps, mus, record, error in outcomes:
-        if error is None:
-            results[eps] = mus
-            solves[eps] = record
-        else:
-            failures[eps] = error
+            failures[eps] = str(exc)
 
     m = cfg.m
     const = m * m - (4.0 / math.pi**2) * m * m
@@ -411,7 +400,7 @@ def run_sweep(config, out_dir=None, threads: int = 1) -> AsymptoticsReport:
     return report
 
 
-def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
+def run_corollary(config, out_dir=None) -> CorollaryReport:
     """First-order expansion of the nonnegative operator eigenvalues.
 
     The shell spectrum comes in near-degenerate pairs; lambda_p is the
@@ -425,7 +414,7 @@ def run_corollary(config, out_dir=None, threads: int = 1) -> CorollaryReport:
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     if cfg.count % 2:
         raise ConfigError("corollary needs an even eigenvalue count (2p pairing)")
-    base = run_sweep(cfg, out_dir=None, threads=threads)
+    base = run_sweep(cfg)
     n_p = cfg.count // 2
     lam = {}
     pairing = {}
@@ -498,8 +487,6 @@ def _build_config(args) -> SweepConfig:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="diracshell", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel eps jobs; the results match a serial run, only the timings differ")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_check = sub.add_parser("check", help="run every property suite")
@@ -534,7 +521,7 @@ def main(argv=None) -> int:
     p_dc.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    set_blas_threads(1)
+    set_blas_threads()
 
     try:
         if args.verb == "check":
@@ -542,14 +529,14 @@ def main(argv=None) -> int:
         if args.verb in ("sweep", "corollary"):
             cfg = _build_config(args)
             if args.verb == "sweep":
-                report = run_sweep(cfg, out_dir=args.out, threads=args.threads)
+                report = run_sweep(cfg, out_dir=args.out)
                 lines = [
                     f"j={v['j']}: intercept {v['intercept']:.6f} vs effective "
                     f"{v['mu_effective']:.6f} (|diff| {v['intercept_error']:.2e}), slope {v['slope']:.4f}"
                     for v in report.verdicts()
                 ]
             else:
-                report = run_corollary(cfg, out_dir=args.out, threads=args.threads)
+                report = run_corollary(cfg, out_dir=args.out)
                 lines = [
                     f"p={p}: fitted linear coefficient {coef:.6f} vs reference {ref:.6f}"
                     for p, (coef, ref) in enumerate(zip(report.linear_coeffs, report.references), start=1)
@@ -576,9 +563,13 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":
-            if args.ns < EFF_MIN_NS or args.ns % 2 or not 1 <= args.count <= args.ns - 1:
+            if (
+                args.ns < EFF_MIN_NS or args.ns % 2 or args.ns - 1 > DENSE_DIM_LIMIT
+                or not 1 <= args.count <= args.ns - 1
+            ):
                 raise ConfigError(
-                    f"--ns must be even and >= {EFF_MIN_NS}, and --count in 1..ns-1 (one spin block)"
+                    f"--ns must be even with {EFF_MIN_NS} <= ns and ns - 1 <= {DENSE_DIM_LIMIT} "
+                    "(the dense cap), and --count in 1..ns-1 (one spin block)"
                 )
             coupling = DEFAULT_COUPLING if args.coupling is None else args.coupling
             if not math.isfinite(coupling):

@@ -41,7 +41,9 @@ DENSE_DIM_LIMIT = 8192
 MAX_SHIFTS = 8
 # largest residual ||A x - mu B x|| / ||B x|| a shift-invert pair may have
 RESIDUAL_TOL = 1e-8
-# columns per block of the dense oracle's hermiticity check: its temporaries
+# relative bound of the dense oracle's hermiticity check
+_HERMITIAN_RTOL = 1e-12
+# columns per block of that check: its temporaries
 # stay below LAPACK's workspace (dim 1024: 0.7 against 1.1 MB)
 _CHECK_BLOCK = 16
 
@@ -93,15 +95,15 @@ class SpectrumResult:
         }
 
 
-def _check_hermitian(a: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise unless max|A - A^H| <= tol * max(max|A|, 1), both taken one column block at a time."""
+def _check_hermitian(a: np.ndarray) -> None:
+    """Raise unless max|A - A^H| <= _HERMITIAN_RTOL * max(max|A|, 1), both taken one column block at a time."""
     scale = dev = 0.0
     for j in range(0, a.shape[1], _CHECK_BLOCK):
         cols = a[:, j : j + _CHECK_BLOCK]
         scale = max(scale, np.abs(cols).max())
         dev = max(dev, np.abs(cols - a[j : j + _CHECK_BLOCK, :].conj().T).max())
     scale = max(scale, 1.0)
-    if dev > tol * scale:
+    if dev > _HERMITIAN_RTOL * scale:
         raise ValueError(f"matrix is not hermitian: deviation {dev:g} at scale {scale:g}")
 
 

@@ -11,7 +11,7 @@ from diracshell.clifford import build_clifford  # noqa: E402
 from diracshell.geometry import make_curve  # noqa: E402
 from diracshell.threads import set_blas_threads  # noqa: E402
 
-set_blas_threads(1)
+set_blas_threads()
 
 
 @pytest.fixture(scope="session")

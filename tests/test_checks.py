@@ -45,7 +45,7 @@ def _directions(n, count=2):
 def test_transverse_energies_match_dense_oracle(n):
     fam = clifford.build_clifford(n)
     for x in _directions(n):
-        a, b = checks._transverse_pencil(fam, x, 0.3, 64)
+        a, b = checks._transverse_pencil(fam, x, 0.3)
         # the shift -1 is certified at once: nothing below it
         assert eigsolve.inertia(eigsolve.HermitianPencil.make(a, b), -1.0)[0] == 0
         dense = eigsolve.dense_hermitian_eig(a, b).eigenvalues
@@ -58,7 +58,7 @@ def test_transverse_energies_match_dense_oracle(n):
 def test_cut_certificate_catches_a_dropped_value():
     fam = clifford.build_clifford(3)
     x = next(_directions(3))
-    pencil = eigsolve.HermitianPencil.make(*checks._transverse_pencil(fam, x, 0.3, 64))
+    pencil = eigsolve.HermitianPencil.make(*checks._transverse_pencil(fam, x, 0.3))
     vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
     checks._certify_cut(pencil, vals)
     with pytest.raises(eigsolve.EigensolveError, match="below the cut"):

@@ -18,7 +18,7 @@ from diracshell.cli import (
 )
 from diracshell.clifford import build_clifford
 from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenvalues
-from diracshell.eigsolve import EigensolveError
+from diracshell.eigsolve import DENSE_DIM_LIMIT, EigensolveError
 from diracshell.geometry import curve_from_json, shell_metric
 from diracshell.shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, ladder_shift, lowest_eigenvalues
 from diracshell.threads import blas_threads
@@ -180,8 +180,11 @@ def test_run_sweep_small(tmp_path):
     # each verdict carries its fit's intercept standard error
     assert [v["stderr_intercept"] for v in summary["verdicts"]] == [f["stderr_intercept"] for f in report.fits]
     assert all(v["stderr_intercept"] > 0.0 for v in summary["verdicts"])
-    # one certified solve record per eps
+    # one certified solve record per eps, its keys in a fixed order
     assert sorted(summary["solves"]) == sorted(repr(e) for e in SMALL["eps"])
+    assert list(report.solves[0.1]) == [
+        "dof", "shift", "negative_pivots", "factorizations", "iterations", "residual_max", "assemble_s", "solve_s"
+    ]
     for eps in SMALL["eps"]:
         rec = summary["solves"][repr(eps)]
         assert rec["dof"] == 4 * 48 * max(8, math.ceil(4.0 / math.sqrt(eps)))
@@ -231,39 +234,6 @@ def test_sweep_partial_when_effective_reference_not_converged(tmp_path, monkeypa
     summary = json.loads((tmp_path / "s" / "sweep.json").read_text())
     assert summary["partial"] is True and list(summary["failures"]) == ["effective"]
     assert summary["effective_ns"] == 64 and summary["effective_err"] is None
-
-
-def test_thread_count_below_one_is_a_config_error(monkeypatch):
-    # a count below 1 is rejected before any solve, never run serially
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the effective reference was computed for a bad thread count")
-
-    monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
-    monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
-    for threads in (0, -3, 1.5, True):
-        for run in (run_sweep, run_corollary):
-            with pytest.raises(ConfigError, match="threads"):
-                run(SMALL, threads=threads)
-
-
-def test_sweep_threaded_matches_serial(tmp_path):
-    # bit-identical values, sweep.csv bytes and solve records per eps; only the timings differ
-    serial = run_sweep(SMALL, out_dir=tmp_path / "serial", threads=1)
-    threaded = run_sweep(SMALL, out_dir=tmp_path / "threaded", threads=3)
-    assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (tmp_path / "threaded" / "sweep.csv").read_bytes()
-    assert serial.mu_shell == threaded.mu_shell
-    assert serial.mu_effective == threaded.mu_effective
-
-    def untimed(report):
-        return {
-            eps: {k: v for k, v in record.items() if k not in ("assemble_s", "solve_s")}
-            for eps, record in report.solves.items()
-        }
-
-    assert untimed(serial) == untimed(threaded)
-    assert list(untimed(serial)[0.1]) == [
-        "dof", "shift", "negative_pivots", "factorizations", "iterations", "residual_max"
-    ]
 
 
 def test_sweep_shift_at_the_predicted_level():
@@ -468,8 +438,6 @@ BAD_INVOCATIONS = {
     "effective-count-beyond-block": ["effective-spectrum", "--curve", CIRCLE, "--ns", "16", "--count", "40"],
     "clifford-n-zero": ["dump-clifford", "--n", "0"],
     "seed-negative": ["sweep", "--curve", CIRCLE, "--seed", "-1"],
-    "threads-zero": ["--threads", "0", "sweep", "--curve", CIRCLE],
-    "threads-negative": ["--threads", "-3", "corollary", "--curve", CIRCLE],
 }
 
 
@@ -491,11 +459,39 @@ def test_main_bad_option_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+def test_effective_size_above_the_dense_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # the reference block has dim n_s - 1: a size whose block the dense oracle
+    # would refuse exits 2 before any block is assembled, never after allocating it
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("an effective block was assembled for a size above the dense cap")
+
+    monkeypatch.setattr(effective, "_covariant_block", no_assembly)
+    assert SweepConfig(curve=SMALL["curve"], eff_ns=DENSE_DIM_LIMIT).eff_ns == DENSE_DIM_LIMIT
+    with pytest.raises(ConfigError, match="eff_ns"):
+        SweepConfig(curve=SMALL["curve"], eff_ns=DENSE_DIM_LIMIT + 2)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({**SMALL, "eff_ns": DENSE_DIM_LIMIT + 2}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert main(["effective-spectrum", "--curve", CIRCLE, "--ns", str(DENSE_DIM_LIMIT + 2)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: ") == 2 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
+def test_threads_flag_is_a_usage_error(capsys):
+    # the eps points are solved one after another; there is no thread-count flag
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "sweep", "--curve", CIRCLE])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: diracshell")
+
+
 def _record_configs(monkeypatch) -> list:
     """Make both verbs record the config main() built, in place of running it."""
     built = []
 
-    def record(cfg, out_dir=None, threads=1):
+    def record(cfg, out_dir=None):
         built.append(cfg)
         return SimpleNamespace(verdicts=list, partial=False, linear_coeffs=[], references=[])
 

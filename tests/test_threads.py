@@ -9,10 +9,10 @@ def test_set_blas_threads_leaves_the_environment_alone(monkeypatch):
     # without threadpoolctl nothing is limited and no thread variable is set:
     # BLAS read them when numpy loaded, so setting one now would limit nothing
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    monkeypatch.setattr(threads, "_limit", 4)
+    monkeypatch.setattr(threads, "_limiter", None)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    record = threads.set_blas_threads(1)
+    record = threads.set_blas_threads()
     assert record["threadpoolctl_limit"] is None
     assert record["env"]["OMP_NUM_THREADS"] is None
     assert record["env"]["OPENBLAS_NUM_THREADS"] == "3"
@@ -23,7 +23,7 @@ def test_set_blas_threads_leaves_the_environment_alone(monkeypatch):
 def test_blas_threads_reports_the_environment_as_it_is(monkeypatch):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    assert threads.set_blas_threads(1)["env"]["OMP_NUM_THREADS"] == "2"
+    assert threads.set_blas_threads()["env"]["OMP_NUM_THREADS"] == "2"
     monkeypatch.setenv("OMP_NUM_THREADS", "5")
     assert threads.blas_threads()["env"]["OMP_NUM_THREADS"] == "5"
 
@@ -42,16 +42,16 @@ def test_threadpoolctl_limits_the_loaded_blas(monkeypatch):
     fake.threadpool_limits = Limiter
     monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
     monkeypatch.setattr(threads, "_limiter", None)
-    monkeypatch.setattr(threads, "_limit", None)
-    assert threads.set_blas_threads(1)["threadpoolctl_limit"] == 1
+    assert threads.blas_threads()["threadpoolctl_limit"] is None
+    assert threads.set_blas_threads()["threadpoolctl_limit"] == 1
     assert threads.blas_threads()["threadpoolctl_limit"] == 1
-    # a second call replaces the first limiter instead of stacking on it
-    assert threads.set_blas_threads(2)["threadpoolctl_limit"] == 2
-    assert calls == [("limit", 1, "blas"), ("unregister",), ("limit", 2, "blas")]
+    # a second call keeps the first limit: no second registration, none undone
+    assert threads.set_blas_threads()["threadpoolctl_limit"] == 1
+    assert calls == [("limit", 1, "blas")]
 
 
 def test_blas_threads_before_any_call_reads_the_environment(monkeypatch):
-    monkeypatch.setattr(threads, "_limit", None)
+    monkeypatch.setattr(threads, "_limiter", None)
     monkeypatch.setenv("MKL_NUM_THREADS", "4")
     record = threads.blas_threads()
     assert record["threadpoolctl_limit"] is None
