@@ -32,7 +32,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -150,23 +150,32 @@ def _is_real(value) -> bool:
 
 @dataclass
 class AsymptoticsReport:
+    config: SweepConfig     # the job it ran: curve, m, eps, grids, count, seed
     curve_id: str
-    m: float
-    eps: list
     mu_shell: dict          # eps -> list of eigenvalues
     residuals: dict         # eps -> list r_j(eps)
     mu_effective: list      # reference eigenvalues of the curve operator
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
-    partial: bool
     failures: dict = field(default_factory=dict)
-    no_fit_reason: str | None = None   # why ``fits`` is empty (too few eps solved)
-    # eps -> dof, the SpectrumResult.record() of its solve, seconds
+    # eps -> grid, dof, the SpectrumResult.record() of its solve, seconds
     solves: dict = field(default_factory=dict)
     effective_s: float = 0.0   # seconds spent on the effective reference
     effective_ns: int = 0      # its Fourier size n_s
     effective_err: float | None = None  # eff_ns "auto": the last change of its values
+    effective_residual_max: float = 0.0  # the dense oracle's largest residual over mu_effective
     versions: dict = field(default_factory=dict)      # numpy and scipy
     blas_threads: dict = field(default_factory=dict)  # threads.blas_threads()
+
+    @property
+    def partial(self) -> bool:
+        return bool(self.failures) or not self.fits
+
+    @property
+    def no_fit_reason(self) -> str | None:
+        """Why ``fits`` is empty: too few eps solved."""
+        if self.fits:
+            return None
+        return f"{len(self.mu_shell)} of {len(self.config.eps)} eps solved; the affine fit needs 3"
 
     def verdicts(self) -> list:
         out = []
@@ -187,7 +196,7 @@ class AsymptoticsReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eps", "j", "mu_shell", "residual", "mu_eff_ref"])
-            for eps in self.eps:
+            for eps in self.config.eps:
                 if eps not in self.mu_shell:
                     continue
                 for j, mu in enumerate(self.mu_shell[eps]):
@@ -198,9 +207,8 @@ class AsymptoticsReport:
 
     def summary(self) -> dict:
         return {
+            "config": asdict(self.config),
             "curve": self.curve_id,
-            "m": self.m,
-            "eps": list(self.eps),
             "partial": self.partial,
             "failures": {str(k): v for k, v in self.failures.items()},
             "no_fit_reason": self.no_fit_reason,
@@ -208,6 +216,7 @@ class AsymptoticsReport:
             "effective_s": self.effective_s,
             "effective_ns": self.effective_ns,
             "effective_err": self.effective_err,
+            "effective_residual_max": self.effective_residual_max,
             "versions": self.versions,
             "blas_threads": self.blas_threads,
             "verdicts": self.verdicts(),
@@ -216,7 +225,7 @@ class AsymptoticsReport:
 
 @dataclass
 class CorollaryReport:
-    sweep: AsymptoticsReport  # the sweep whose spectra it expands: curve, m, eps, failures
+    sweep: AsymptoticsReport  # the sweep whose spectra it expands: its job, failures and record
     lam: dict               # eps -> list of lambda_p = sqrt(mu_{2p})
     pairing_defect: dict    # eps -> worst relative split of the 2p pairs
     linear_coeffs: list     # fitted eps-linear coefficient per p
@@ -235,28 +244,26 @@ class CorollaryReport:
     def no_fit_reason(self) -> str | None:
         if self.linear_coeffs:
             return None
-        return f"{len(self.lam)} of {len(self.sweep.eps)} eps solved; the corollary fit needs 2"
+        return f"{len(self.lam)} of {len(self.sweep.config.eps)} eps solved; the corollary fit needs 2"
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eps", "p", "lambda", "linear_coeff_partial"])
-            for eps in self.sweep.eps:
+            for eps in self.sweep.config.eps:
                 if eps not in self.lam:
                     continue
                 for p, lam in enumerate(self.lam[eps], start=1):
-                    partial = _corollary_ladder(lam, eps, self.sweep.m) / eps
+                    partial = _corollary_ladder(lam, eps, self.sweep.config.m) / eps
                     writer.writerow([repr(eps), p, repr(lam), repr(partial)])
 
     def summary(self) -> dict:
         return {
-            "curve": self.sweep.curve_id,
-            "m": self.sweep.m,
+            "sweep": self.sweep.summary(),
             "linear_coeffs": self.linear_coeffs,
             "references": self.references,
             "pairing_defect": {repr(k): v for k, v in self.pairing_defect.items()},
             "partial": self.partial,
-            "failures": {str(k): v for k, v in self.failures.items()},
             "no_fit_reason": self.no_fit_reason,
         }
 
@@ -300,14 +307,16 @@ def _shell_job(fam, met, cfg: SweepConfig, level: float):
     t0 = time.perf_counter()
     asm = assemble_shell(fam, met, cfg.m, cfg.ns, cfg.nt)
     t1 = time.perf_counter()
-    pairs = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed, level=level)
+    res = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed, level=level)
     record = {
+        "ns": asm.n_s,
+        "nt": asm.n_t,
         "dof": asm.dof_count,
-        **pairs.solve.record(),
+        **res.record(),
         "assemble_s": t1 - t0,
         "solve_s": time.perf_counter() - t1,
     }
-    return [v for v, _ in pairs], record
+    return res.eigenvalues.tolist(), record
 
 
 def run_sweep(config, out_dir=None) -> AsymptoticsReport:
@@ -326,13 +335,16 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     Each shell solve is given the lowest effective eigenvalue as its
     predicted level above the transverse ground level (see
     ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
-    and the run record ``sweep.json``: per eps under ``solves`` the dof,
-    the solve's ``eigsolve.SpectrumResult.record()`` and the assembly and
-    solve seconds, and at the top level
-    ``effective_s`` (seconds spent on the effective reference),
-    ``effective_ns`` (the size used), ``effective_err`` (auto: the last
-    change of the values; null for an explicit size), ``no_fit_reason``,
-    the numpy/scipy versions and the BLAS thread settings in effect
+    and the run record ``sweep.json``: the job as ``config`` (the resolved
+    SweepConfig, which ``diracshell sweep --config`` runs again), per eps
+    under ``solves`` the grid assembled (``ns``, ``nt``), the dof, the
+    solve's ``eigsolve.SpectrumResult.record()`` and the assembly and solve
+    seconds, and at the top level ``effective_s`` (seconds spent on the
+    effective reference), ``effective_ns`` (the size used),
+    ``effective_err`` (auto: the last change of the values; null for an
+    explicit size), ``effective_residual_max`` (the dense oracle's largest
+    residual over the reference values), ``no_fit_reason``, the numpy/scipy
+    versions and the BLAS thread settings in effect
     (``threads.blas_threads``).
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
@@ -346,13 +358,15 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     t0 = time.perf_counter()
     if cfg.eff_ns == "auto":
         ref = converged_eigenvalues(fam, curve, cfg.count)
-        mu_eff, effective_ns, effective_err = ref.eigenvalues.tolist(), ref.n_s, ref.err
+        mu_eff, effective_res = ref.eigenvalues.tolist(), ref.residual_max
+        effective_ns, effective_err = ref.n_s, ref.err
         if not ref.converged:
             failures["effective"] = (
                 f"effective reference not converged at the cap n_s={ref.n_s}: last change {ref.err}"
             )
     else:
-        mu_eff = effective_eigenvalues(assemble_effective(fam, curve, cfg.eff_ns), cfg.count).tolist()
+        ref = effective_eigenvalues(assemble_effective(fam, curve, cfg.eff_ns), cfg.count)
+        mu_eff, effective_res = ref.eigenvalues.tolist(), float(ref.residuals.max())
         effective_ns, effective_err = cfg.eff_ns, None
     effective_s = time.perf_counter() - t0
 
@@ -376,22 +390,19 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
         for j in range(cfg.count):
             ys = np.array([residuals[e][j] for e in fit_eps])
             fits.append(_affine_fit(fit_eps, ys))
-    no_fit_reason = None if fits else f"{fit_eps.size} of {len(cfg.eps)} eps solved; the affine fit needs 3"
     report = AsymptoticsReport(
+        config=cfg,
         curve_id=curve.name,
-        m=m,
-        eps=list(cfg.eps),
         mu_shell=results,
         residuals=residuals,
         mu_effective=mu_eff,
         fits=fits,
-        partial=bool(failures) or not fits,
         failures=failures,
-        no_fit_reason=no_fit_reason,
         solves=solves,
         effective_s=effective_s,
         effective_ns=effective_ns,
         effective_err=effective_err,
+        effective_residual_max=effective_res,
         versions={"numpy": np.__version__, "scipy": scipy.__version__},
         blas_threads=blas_threads(),
     )

@@ -23,7 +23,8 @@ blocks are isospectral: complex conjugation maps one onto the other
 block only, as a ``paired`` EffectiveFormAssembly; the spin-down block is
 the same assembly with the coupling negated.  ``effective_eigenvalues``
 solves a paired block for the wanted eigenvalues alone, through the dense
-oracle ``eigsolve.dense_hermitian_eig``, and reports each twice.
+oracle ``eigsolve.dense_hermitian_eig``, and reports each twice, with its
+residual.
 ``assemble_magnetic`` returns the scalar magnetic block, unpaired.
 
 ``converged_eigenvalues`` picks the Fourier size itself: it doubles n_s
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordFamily, gamma
-from .eigsolve import HermitianPencil, dense_hermitian_eig
+from .eigsolve import HermitianPencil, SpectrumResult, dense_hermitian_eig
 from .geometry import CurveSpec
 
 __all__ = [
@@ -172,18 +173,22 @@ def magnetic_circle_spectrum(radius: float, count: int) -> np.ndarray:
     return np.sort(vals)[:count]
 
 
-def effective_eigenvalues(assembly: EffectiveFormAssembly, count: int) -> np.ndarray:
-    """The ``count`` lowest eigenvalues, ascending, from the dense oracle.
+def effective_eigenvalues(assembly: EffectiveFormAssembly, count: int) -> SpectrumResult:
+    """The ``count`` lowest eigenvalues and their residuals, ascending, from the dense oracle.
 
     A ``paired`` assembly holds the spin-up block; it is solved for its
-    ceil(count/2) lowest eigenvalues, and each is reported twice, since the
-    spin-down block is isospectral (see the module docstring).  A block that
-    fails the oracle's hermiticity check raises ValueError.
+    ceil(count/2) lowest eigenvalues, and each is reported twice with its
+    residual, since the spin-down block is isospectral (see the module
+    docstring).  The result holds no eigenvectors.  A block that fails the
+    oracle's hermiticity check raises ValueError.
     """
-    if not assembly.paired:
-        return dense_hermitian_eig(assembly.pencil.a, count=count).eigenvalues
-    up = dense_hermitian_eig(assembly.pencil.a, count=(count + 1) // 2).eigenvalues
-    return np.repeat(up, 2)[:count]
+    copies = 2 if assembly.paired else 1
+    res = dense_hermitian_eig(assembly.pencil.a, count=-(-count // copies))
+    return SpectrumResult(
+        eigenvalues=np.repeat(res.eigenvalues, copies)[:count],
+        residuals=np.repeat(res.residuals, copies)[:count],
+        iterations=0,
+    )
 
 
 @dataclass(frozen=True)
@@ -192,6 +197,7 @@ class ConvergedReference:
     n_s: int                    # that size
     err: float | None           # largest change from the size before (None: one size only)
     converged: bool
+    residual_max: float         # the dense oracle's largest residual over the values reported
 
 
 def converged_eigenvalues(fam: CliffordFamily, curve: CurveSpec, count: int) -> ConvergedReference:
@@ -200,21 +206,24 @@ def converged_eigenvalues(fam: CliffordFamily, curve: CurveSpec, count: int) -> 
     Doubles n_s from AUTO_NS_START and at each size solves for the lowest
     ceil(count/2) + 1 spin-up values (one beyond those reported).  It stops
     once every one of them moved by at most AUTO_RTOL * max(1, |mu|) since
-    the previous size, and reports the finer size's values.  At AUTO_NS_CAP
-    without that, the values at the cap come back with ``converged`` False.
+    the previous size, and reports the finer size's values and their largest
+    residual.  At AUTO_NS_CAP without that, the values at the cap come back
+    with ``converged`` False.
     """
     wanted = 2 * ((count + 1) // 2 + 1)
     prev, err, n_s = None, None, AUTO_NS_START
     while True:
-        vals = effective_eigenvalues(assemble_effective(fam, curve, n_s), wanted)
-        up = vals[::2]
+        res = effective_eigenvalues(assemble_effective(fam, curve, n_s), wanted)
+        up = res.eigenvalues[::2]
+        converged = False
         if prev is not None:
             change = np.abs(up - prev)
             err = float(change.max())
-            if np.all(change <= AUTO_RTOL * np.maximum(1.0, np.abs(up))):
-                return ConvergedReference(vals[:count], n_s, err, True)
-        if 2 * n_s > AUTO_NS_CAP:
-            return ConvergedReference(vals[:count], n_s, err, False)
+            converged = bool(np.all(change <= AUTO_RTOL * np.maximum(1.0, np.abs(up))))
+        if converged or 2 * n_s > AUTO_NS_CAP:
+            return ConvergedReference(
+                res.eigenvalues[:count], n_s, err, converged, float(res.residuals[:count].max())
+            )
         prev, n_s = up, 2 * n_s
 
 
@@ -252,8 +261,8 @@ def gauge_transform_check(
     """
     eff = assemble_effective(fam, curve, n_s, scheme="fourier", coupling=coupling)
     mag = assemble_magnetic(curve, n_s, scheme="fourier")
-    mu_eff = effective_eigenvalues(eff, count)
-    mu_mag = effective_eigenvalues(mag, count)
+    mu_eff = effective_eigenvalues(eff, count).eigenvalues
+    mu_mag = effective_eigenvalues(mag, count).eigenvalues
     doubled = np.sort(np.concatenate([mu_mag, mu_mag]))[:count]
     distance = float(np.abs(mu_eff - doubled).max())
 

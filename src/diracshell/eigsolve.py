@@ -84,6 +84,10 @@ class SpectrumResult:
     negative_pivots: int | None = None  # the eigenvalue count below it
     factorizations: int | None = None   # and the shifts factored to find it
 
+    def __iter__(self):
+        """The ascending (eigenvalue, residual) pairs, as Python floats."""
+        return ((float(v), float(r)) for v, r in zip(self.eigenvalues, self.residuals))
+
     def record(self) -> dict:
         """The solve's facts, in the order of each ``sweep.json`` solve record."""
         return {

@@ -271,10 +271,16 @@ def flat_strip(length: float) -> CurveSpec:
     )
 
 
+# the parameters each curve config kind takes, besides "kind"
+_CURVE_KEYS = {"circle": {"r"}, "ellipse": {"a", "b"}, "fourier": {"coeffs"}, "strip": {"length"}}
+
+
 def curve_from_json(config: dict | str) -> CurveSpec:
     """Build a curve from {"kind": "ellipse", "a": 2.0, "b": 1.0}-style configs.
 
-    A config it cannot build, whatever the reason, raises CurveError.
+    Each kind takes only its own parameters (``_CURVE_KEYS``).  A config it
+    cannot build, whatever the reason, an unknown key included, raises
+    CurveError.
     """
     try:
         if isinstance(config, str):
@@ -282,17 +288,20 @@ def curve_from_json(config: dict | str) -> CurveSpec:
         if not isinstance(config, dict):
             raise CurveError(f"curve config must be a JSON object, got {config!r}")
         kind = config.get("kind")
-        if kind in ("circle", "ellipse", "fourier"):
-            return make_curve(kind, **{k: v for k, v in config.items() if k != "kind"})
+        if kind not in _CURVE_KEYS:
+            raise CurveError(f"unknown curve config kind {kind!r}")
+        unknown = sorted(map(str, set(config) - _CURVE_KEYS[kind] - {"kind"}))
+        if unknown:
+            raise CurveError(f"unknown {kind} curve config keys: " + ", ".join(unknown))
         if kind == "strip":
             return flat_strip(float(config["length"]))
+        return make_curve(kind, **{k: v for k, v in config.items() if k != "kind"})
     except CurveError:
         raise
     except KeyError as exc:
         raise CurveError(f"curve config {config!r} lacks the parameter {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CurveError(f"bad curve config {config!r}: {exc}") from exc
-    raise CurveError(f"unknown curve config kind {kind!r}")
 
 
 def mean_curvatures(principal) -> list[float]:

@@ -59,7 +59,7 @@ import scipy.sparse as sp
 
 from .clifford import CliffordFamily
 # lobpcg_smallest is None; its only reader is bench/tracer.py, which wraps it here by name
-from .eigsolve import HermitianPencil, lobpcg_smallest, shift_invert_smallest  # noqa: F401
+from .eigsolve import HermitianPencil, SpectrumResult, lobpcg_smallest, shift_invert_smallest  # noqa: F401
 from .geometry import ShellMetric2D
 from .transverse import solve_k
 
@@ -69,7 +69,6 @@ __all__ = [
     "assemble_shell",
     "assemble_sandwich",
     "lowest_eigenvalues",
-    "Eigenpairs",
     "ladder_shift",
     "default_nt",
     "flat_strip_levels",
@@ -371,19 +370,6 @@ def assemble_sandwich(
     )
 
 
-class Eigenpairs(list):
-    """Ascending (eigenvalue, residual) pairs of one certified solve.
-
-    ``solve`` is the ``eigsolve.SpectrumResult`` they come from: its
-    shift, the negative pivots there (0), the shifts factored and the
-    ARPACK applications, and its ``record()``.
-    """
-
-    def __init__(self, solve):
-        super().__init__((float(v), float(r)) for v, r in zip(solve.eigenvalues, solve.residuals))
-        self.solve = solve
-
-
 # how far below the predicted lowest eigenvalue lowest_eigenvalues puts the
 # shift; it covers the o(1) gap between a shell eigenvalue and its prediction
 LEVEL_MARGIN = 0.1
@@ -417,8 +403,8 @@ def ladder_shift(assembly) -> float:
 
 def lowest_eigenvalues(
     assembly, count: int, seed: int = 0, which: str = "shell", level: float | None = None
-) -> Eigenpairs:
-    """The count smallest (eigenvalue, residual) pairs of an assembled pencil.
+) -> SpectrumResult:
+    """The certified solve for the count smallest eigenvalues of an assembled pencil.
 
     Accepts a ShellFormAssembly (``which="shell"``) or a
     SandwichFormAssembly (pick the side with ``which="minus"``/``"plus"``);
@@ -429,10 +415,11 @@ def lowest_eigenvalues(
     level E_1(m eps)^2/eps^2, as the lowest effective eigenvalue does for
     the shell pencil; the shift then goes LEVEL_MARGIN below the predicted
     eigenvalue, never below the ladder shift, and falls back to the ladder
-    shift when the prediction cannot be certified.  The returned
-    ``Eigenpairs`` keep the solver's result as ``solve``.  A solve that
-    cannot be certified or misses the solver's residual tolerance raises
-    EigensolveError.
+    shift when the prediction cannot be certified.  The solver's
+    ``SpectrumResult`` comes back as it is: its eigenvalues and residuals,
+    ascending (iterating it gives the (eigenvalue, residual) pairs), and its
+    ``record()``.  A solve that cannot be certified or misses the solver's
+    residual tolerance raises EigensolveError.
     """
     if count > MAX_COUNT:
         raise ValueError(f"count capped at {MAX_COUNT}")
@@ -449,7 +436,7 @@ def lowest_eigenvalues(
         predicted = _ground_level(assembly) + level - LEVEL_MARGIN
         if predicted > sigma:
             sigma, fallback = predicted, sigma
-    return Eigenpairs(shift_invert_smallest(pencils[which], count, sigma, seed=seed, fallback=fallback))
+    return shift_invert_smallest(pencils[which], count, sigma, seed=seed, fallback=fallback)
 
 
 def flat_strip_levels(length: float, m: float, eps: float, count: int) -> np.ndarray:

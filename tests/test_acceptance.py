@@ -92,7 +92,7 @@ def test_criterion_11_theorem_at_desk_scale(sweep_data):
         a1, b1 = report.fits[0]["intercept"], report.fits[0]["slope"]
         mu_eff = report.mu_effective[0]
         rel = abs(a1 - mu_eff) / abs(mu_eff)
-        diffs = np.diff([report.residuals[e][0] for e in report.eps])
+        diffs = np.diff([report.residuals[e][0] for e in report.config.eps])
         monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
         oks.append(rel <= 0.10 and monotone)
         details.append(f"m={m}: a1={a1:.6f} (rel err {rel:.4f}), slope {b1:.4f}, monotone={monotone}")

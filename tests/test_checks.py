@@ -83,8 +83,8 @@ def test_shell_sandwich_fails_when_the_shell_level_leaves_the_bracket(monkeypatc
     solve = shell.lowest_eigenvalues
 
     def raised(assembly, count, *args, which="shell", **kwargs):
-        pairs = solve(assembly, count, *args, which=which, **kwargs)
-        return [(v + 2.0, r) for v, r in pairs] if which == "shell" else pairs
+        res = solve(assembly, count, *args, which=which, **kwargs)
+        return dataclasses.replace(res, eigenvalues=res.eigenvalues + 2.0) if which == "shell" else res
 
     monkeypatch.setattr(shell, "lowest_eigenvalues", raised)
     assert not checks.check_shell_sandwich().passed
@@ -122,3 +122,39 @@ def test_check_verb_exits_1_on_a_failing_suite(tmp_path, capsys, monkeypatch):
     assert list(summary) == ["first", "second"]
     assert [entry["passed"] for entry in summary.values()] == [True, False]
     assert capsys.readouterr().out.splitlines() == ["[PASS] first: stub first", "[FAIL] second: stub second"]
+
+
+def test_check_verb_fails_an_entry_that_raises_and_goes_on(tmp_path, capsys, monkeypatch):
+    # a solver that raises fails its entry with the exception text; the later
+    # entries still run and the --out file is still written
+    def refused(*args, **kwargs):
+        raise eigsolve.EigensolveError("no shift certified")
+
+    monkeypatch.setattr(shell, "lowest_eigenvalues", refused)
+    monkeypatch.setattr(
+        checks, "REGISTRY", [_stub("first", True), checks.check_eigensolver_agreement, _stub("third", True)]
+    )
+    out = tmp_path / "checks.json"
+    assert main(["check", "--out", str(out)]) == 1
+    summary = json.loads(out.read_text())
+    assert {name: entry["passed"] for name, entry in summary.items()} == {
+        "first": True, "eigensolver-agreement": False, "third": True
+    }
+    assert summary["eigensolver-agreement"]["detail"].startswith("raised EigensolveError: no shift certified in ")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[1].startswith("[FAIL] eigensolver-agreement: raised EigensolveError")
+
+
+@pytest.mark.parametrize("error", [ValueError("B is not positive definite"), np.linalg.LinAlgError("no conv")])
+def test_an_entry_fails_on_an_oracle_refusal_and_propagates_other_errors(error):
+    def raising():
+        raise error
+
+    res = checks._entry("refused")(raising)()
+    assert not res.passed and res.detail == f"raised {type(error).__name__}: {error}"
+
+    def broken():
+        raise KeyError("a bug, not a refusal")
+
+    with pytest.raises(KeyError):
+        checks._entry("broken")(broken)()

@@ -36,7 +36,7 @@ AUTO = {k: v for k, v in SMALL.items() if k != "eff_ns"}
 
 def _direct_reference(n_s):
     curve = curve_from_json(SMALL["curve"])
-    return effective_eigenvalues(assemble_effective(build_clifford(2), curve, n_s), SMALL["count"])
+    return effective_eigenvalues(assemble_effective(build_clifford(2), curve, n_s), SMALL["count"]).eigenvalues
 
 
 def test_config_validation(monkeypatch, capsys):
@@ -183,19 +183,24 @@ def test_run_sweep_small(tmp_path):
     # one certified solve record per eps, its keys in a fixed order
     assert sorted(summary["solves"]) == sorted(repr(e) for e in SMALL["eps"])
     assert list(report.solves[0.1]) == [
-        "dof", "shift", "negative_pivots", "factorizations", "iterations", "residual_max", "assemble_s", "solve_s"
+        "ns", "nt", "dof", "shift", "negative_pivots", "factorizations", "iterations", "residual_max",
+        "assemble_s", "solve_s",
     ]
     for eps in SMALL["eps"]:
         rec = summary["solves"][repr(eps)]
-        assert rec["dof"] == 4 * 48 * max(8, math.ceil(4.0 / math.sqrt(eps)))
+        # the grid assembled: nt follows eps through default_nt
+        assert (rec["ns"], rec["nt"]) == (48, max(8, math.ceil(4.0 / math.sqrt(eps))))
+        assert rec["dof"] == 4 * rec["ns"] * rec["nt"]
         assert rec["negative_pivots"] == 0
         assert rec["shift"] < report.mu_shell[eps][0]
         assert 0.0 < rec["residual_max"] <= 1e-8
         assert rec["assemble_s"] > 0.0 and rec["solve_s"] > 0.0
         assert rec["iterations"] > 0
-    # run record: effective reference time and size, versions, BLAS threads in effect
+    # run record: the job, effective reference time, size and residual, versions, BLAS threads in effect
+    assert summary["config"] == {**SMALL, "nt": None, "seed": 0} and "m" not in summary and "eps" not in summary
     assert summary["effective_s"] > 0.0
     assert summary["effective_ns"] == 256 and summary["effective_err"] is None
+    assert 0.0 < summary["effective_residual_max"] <= 1e-10
     # an explicit eff_ns is solved at that size, as by a direct call
     assert report.mu_effective == _direct_reference(256).tolist()
     assert summary["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
@@ -249,13 +254,13 @@ def test_sweep_shift_at_the_predicted_level():
         at_ladder = lowest_eigenvalues(asm, SMALL["count"], seed=0)
         assert ladder_shift(asm) < rec["shift"] < report.mu_shell[eps][0]
         assert rec["factorizations"] == 1 and rec["negative_pivots"] == 0
-        assert rec["iterations"] < at_ladder.solve.iterations
+        assert rec["iterations"] < at_ladder.iterations
         assert np.abs(np.array(report.mu_shell[eps]) - [v for v, _ in at_ladder]).max() <= 1e-10
 
 
 def test_sweep_json_solve_record_is_the_solve_record(tmp_path):
-    # each written solve record, less its dof and seconds, is the record of
-    # the same solve made directly: same assembly, count, seed and level
+    # each written solve record, less its grid, dof and seconds, is the record
+    # of the same solve made directly: same assembly, count, seed and level
     report = run_sweep(SMALL, out_dir=tmp_path)
     solves = json.loads((tmp_path / "sweep.json").read_text())["solves"]
     fam = build_clifford(2)
@@ -263,8 +268,25 @@ def test_sweep_json_solve_record_is_the_solve_record(tmp_path):
     for eps in SMALL["eps"]:
         asm = assemble_shell(fam, shell_metric(curve, eps), SMALL["m"], SMALL["ns"])
         direct = lowest_eigenvalues(asm, SMALL["count"], seed=0, level=report.mu_effective[0])
-        written = {k: v for k, v in solves[repr(eps)].items() if k not in ("dof", "assemble_s", "solve_s")}
-        assert written == direct.solve.record()
+        own = ("ns", "nt", "dof", "assemble_s", "solve_s")
+        written = {k: v for k, v in solves[repr(eps)].items() if k not in own}
+        assert written == direct.record()
+
+
+def test_sweep_json_config_reruns_the_job(tmp_path):
+    # the config block of a written sweep.json is a job config: run again, it
+    # gives the same sweep.csv bytes, and its record holds the same config
+    # (nt null: the per-eps rule)
+    job = {**SMALL, "seed": 3}
+    run_sweep(job, out_dir=tmp_path / "first")
+    config = json.loads((tmp_path / "first" / "sweep.json").read_text())["config"]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "again")]) == 0
+    first, again = ((tmp_path / d / "sweep.csv").read_bytes() for d in ("first", "again"))
+    assert first == again
+    assert json.loads((tmp_path / "again" / "sweep.json").read_text())["config"] == config
+    assert SweepConfig.from_dict(config) == SweepConfig.from_dict(job)
 
 
 def test_fit_stability_drop_largest_eps():
@@ -349,7 +371,7 @@ def test_main_partial_exit_code(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "s" / "sweep.json").read_text())["partial"] is True
     assert main(["corollary", "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_PARTIAL
     corollary = json.loads((tmp_path / "c" / "corollary.json").read_text())
-    assert corollary["partial"] is True and list(corollary["failures"]) == ["0.06"]
+    assert corollary["partial"] is True and list(corollary["sweep"]["failures"]) == ["0.06"]
     assert "partial" in capsys.readouterr().out
 
 
@@ -418,6 +440,7 @@ BAD_INVOCATIONS = {
     "curve-lacks-radius": ["sweep", "--curve", '{"kind": "circle"}'],
     "curve-negative-radius": ["sweep", "--curve", '{"kind": "circle", "r": -1}'],
     "curve-unknown-kind": ["sweep", "--curve", '{"kind": "blob"}'],
+    "curve-unknown-key": ["sweep", "--curve", '{"kind": "circle", "r": 1.0, "a": 5.0}'],
     "curve-not-an-object": ["sweep", "--config", "{config}"],
     "eps-empty-entry": ["sweep", "--curve", CIRCLE, "--eps", "0.1,,0.05"],
     "eps-beyond-guard": ["sweep", "--curve", CIRCLE, "--eps", "0.95,0.5,0.3"],
@@ -544,12 +567,16 @@ def test_main_sweep_with_config_file(tmp_path):
     for verb in ("sweep", "corollary"):
         assert main([verb, "--config", str(cfg), *flags, "--out", str(tmp_path / verb)]) == 0
     summary = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
-    assert summary["eps"] == [0.1, 0.07, 0.05] and summary["curve"] == curve_from_json(wide).name
+    assert summary["config"]["eps"] == [0.1, 0.07, 0.05] and summary["curve"] == curve_from_json(wide).name
     assert {eps: rec["dof"] for eps, rec in summary["solves"].items()} == {
         repr(e): 4 * 32 * max(8, math.ceil(4.0 / math.sqrt(e))) for e in (0.1, 0.07, 0.05)
     }
     assert len(summary["verdicts"]) == 4
     corollary = json.loads((tmp_path / "corollary" / "corollary.json").read_text())
-    assert corollary["curve"] == summary["curve"] and len(corollary["linear_coeffs"]) == 2
+    # the corollary's record nests the summary of the sweep it ran
+    assert {k: v for k, v in corollary["sweep"].items() if k not in ("effective_s", "solves")} == {
+        k: v for k, v in summary.items() if k not in ("effective_s", "solves")
+    }
+    assert len(corollary["linear_coeffs"]) == 2
     rows = [r.split(",") for r in (tmp_path / "corollary" / "corollary.csv").read_text().splitlines()[1:]]
     assert [(r[0], r[1]) for r in rows] == [(e, p) for e in ("0.1", "0.07", "0.05") for p in "12"]

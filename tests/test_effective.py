@@ -50,7 +50,7 @@ def test_omega_vanishing_curvature(fam2):
 
 def test_magnetic_circle_analytic(circle):
     mag = assemble_magnetic(circle, 512)
-    mu = effective_eigenvalues(mag, 5)
+    mu = effective_eigenvalues(mag, 5).eigenvalues
     assert np.abs(mu - analytic_circle_levels(5)).max() <= 1e-6
     assert np.abs(mu - magnetic_circle_spectrum(1.0, 5)).max() <= 1e-6
 
@@ -59,13 +59,13 @@ def test_magnetic_zero_curvature_strip():
     from diracshell.geometry import flat_strip
 
     mag = assemble_magnetic(flat_strip(2.0 * math.pi), 128)
-    mu = effective_eigenvalues(mag, 1)
+    mu = effective_eigenvalues(mag, 1).eigenvalues
     assert mu[0] == pytest.approx(((math.pi - 2.0) / (2.0 * math.pi)) ** 2, abs=1e-12)
 
 
 def test_magnetic_flux_periodicity(ellipse):
     # gauge-periodicity oracle: shifting the flux by 2*pi/L relabels modes
-    base = effective_eigenvalues(assemble_magnetic(ellipse, 256), 5)
+    base = effective_eigenvalues(assemble_magnetic(ellipse, 256), 5).eigenvalues
     flux = (math.pi - 2.0) / ellipse.length + 2.0 * math.pi / ellipse.length
     shifted = effective._covariant_block(ellipse, 256, "fourier", 0.0, flux)
     assert np.abs(base - dense_hermitian_eig(shifted, count=5).eigenvalues).max() <= 1e-9
@@ -81,7 +81,7 @@ def test_effective_eigenvalues_rejects_a_non_hermitian_block(fam2, circle):
 
 
 def test_effective_circle_ground_level(fam2, circle):
-    mu = effective_eigenvalues(assemble_effective(fam2, circle, 256), 4)
+    mu = effective_eigenvalues(assemble_effective(fam2, circle, 256), 4).eigenvalues
     expect = ((math.pi - 2.0) / (2.0 * math.pi)) ** 2 - 1.0 / math.pi**2
     assert mu[0] == pytest.approx(expect, abs=1e-10)
     assert mu[1] == pytest.approx(expect, abs=1e-10)
@@ -92,7 +92,7 @@ def test_effective_hermitian_real(fam2, ellipse):
     asm = assemble_effective(fam2, ellipse, 128)
     a = asm.pencil.a
     assert np.abs(a - a.conj().T).max() <= 1e-12 * np.abs(a).max()
-    mu = effective_eigenvalues(asm, 8)
+    mu = effective_eigenvalues(asm, 8).eigenvalues
     assert np.all(np.isreal(mu))
 
 
@@ -126,10 +126,14 @@ def test_lowest_values_match_full_dense_spectrum(request, fam2, scheme, curve_na
     for asm, pencils in ((blocks[0], blocks), (mag, [mag])):
         full = np.sort(np.concatenate([dense_hermitian_eig(p.pencil.a).eigenvalues for p in pencils]))
         for count in (1, 4, 5):
-            mu = effective_eigenvalues(asm, count)
-            assert mu.shape == (count,)
+            res = effective_eigenvalues(asm, count)
+            assert res.eigenvalues.shape == res.residuals.shape == (count,)
             scale = 1e-9 * (1.0 + np.abs(full[:count]).max())
-            assert np.abs(mu - full[:count]).max() <= scale
+            assert np.abs(res.eigenvalues - full[:count]).max() <= scale
+            # each reported value carries the oracle's residual, a pair member its partner's
+            assert 0.0 < res.residuals.max() <= scale
+            if asm.paired:
+                assert np.array_equal(res.residuals, np.repeat(res.residuals[::2], 2)[:count])
 
 
 def test_converged_reference_stops_at_128_on_the_circle(fam2, circle):
@@ -153,8 +157,11 @@ def test_converged_reference_on_the_ellipse(fam2, ellipse, monkeypatch):
     assert sizes == [64, 128, 256]
     assert ref.converged and ref.n_s == 256 and ref.err <= AUTO_RTOL
     assert ref.eigenvalues.shape == (4,)
-    fine = effective_eigenvalues(assemble_effective(fam2, ellipse, 1024), 4)
+    fine = effective_eigenvalues(assemble_effective(fam2, ellipse, 1024), 4).eigenvalues
     assert np.abs(ref.eigenvalues - fine).max() <= 1e-9
+    # the residual of the values reported, at the size reported
+    at_256 = effective_eigenvalues(assemble_effective(fam2, ellipse, 256), 6)
+    assert ref.residual_max == at_256.residuals[:4].max() > 0.0
 
 
 def test_converged_reference_not_converged_at_the_cap(fam2, ellipse, monkeypatch):
@@ -189,10 +196,10 @@ def test_coupling_tamper_breaks_gauge(fam2, ellipse):
 
 def test_link_scheme_convergence_order(fam2, ellipse):
     # three-grid convergence oracle against a converged spectral reference
-    ref = effective_eigenvalues(assemble_effective(fam2, ellipse, 1024), 5)
+    ref = effective_eigenvalues(assemble_effective(fam2, ellipse, 1024), 5).eigenvalues
     errs = []
     for n_s in (64, 128, 256):
-        mu = effective_eigenvalues(assemble_effective(fam2, ellipse, n_s, scheme="link"), 5)
+        mu = effective_eigenvalues(assemble_effective(fam2, ellipse, n_s, scheme="link"), 5).eigenvalues
         errs.append(np.abs(mu - ref).max())
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(o >= 1.9 for o in orders)

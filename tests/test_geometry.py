@@ -254,3 +254,20 @@ def test_curve_json_and_csv():
 def test_curve_from_json_rejects_what_it_cannot_build(config):
     with pytest.raises(CurveError):
         curve_from_json(config)
+
+
+def test_curve_from_json_rejects_a_key_of_another_kind():
+    # each kind takes only its own parameters; any other key is named, never ignored
+    own = {
+        "circle": {"r": 1.0},
+        "ellipse": {"a": 2.0, "b": 1.0},
+        "fourier": {"coeffs": [[1, 1.0, 0.0]]},
+        "strip": {"length": 6.0},
+    }
+    for kind, params in own.items():
+        assert curve_from_json({"kind": kind, **params}).length > 0.0
+        with pytest.raises(CurveError, match=f"unknown {kind} curve config keys: rotation$"):
+            curve_from_json({"kind": kind, **params, "rotation": 0.3})
+    # an ellipse key on a circle would otherwise build circle(1)
+    with pytest.raises(CurveError, match="unknown circle curve config keys: a, rotation$"):
+        curve_from_json({"kind": "circle", "r": 1.0, "a": 5.0, "rotation": 0.3})

@@ -113,10 +113,10 @@ def test_negative_pivots_match_dense_count(fam2, curve_name, request):
 def test_solve_record_certifies_the_shift(fam2, ellipse):
     met = shell_metric(ellipse, 0.1)
     asm = assemble_shell(fam2, met, 0.0, 32, 8)
-    pairs = lowest_eigenvalues(asm, 2)
-    assert pairs.solve.negative_pivots == 0
-    assert pairs.solve.shift == ladder_shift(asm) < pairs[0][0]
-    assert inertia(asm.pencil, pairs.solve.shift)[0] == 0
+    res = lowest_eigenvalues(asm, 2)
+    assert res.negative_pivots == 0
+    assert res.shift == ladder_shift(asm) < res.eigenvalues[0]
+    assert inertia(asm.pencil, res.shift)[0] == 0
 
 
 def test_predicted_level_too_high_falls_back_to_the_ladder_shift(fam2, ellipse):
@@ -126,11 +126,11 @@ def test_predicted_level_too_high_falls_back_to_the_ladder_shift(fam2, ellipse):
     met = shell_metric(ellipse, 0.1)
     asm = assemble_shell(fam2, met, 0.0, 32, 8)
     default = lowest_eigenvalues(asm, 2)
-    pairs = lowest_eigenvalues(asm, 2, level=5.0)
-    assert default.solve.factorizations == 1
-    assert pairs.solve.shift == ladder_shift(asm) and pairs.solve.factorizations == 2
-    assert pairs.solve.negative_pivots == 0 and all(r <= 1e-8 for _, r in pairs)
-    assert np.abs(np.array(pairs) - np.array(default)).max() <= 1e-10
+    res = lowest_eigenvalues(asm, 2, level=5.0)
+    assert default.factorizations == 1
+    assert res.shift == ladder_shift(asm) and res.factorizations == 2
+    assert res.negative_pivots == 0 and all(r <= 1e-8 for _, r in res)
+    assert np.abs(np.array(list(res)) - np.array(list(default))).max() <= 1e-10
 
 
 def test_which_must_name_a_pencil(fam2, circle):
@@ -436,9 +436,9 @@ def test_sandwich_brackets_shell(fam2, circle):
     met = shell_metric(circle, eps)
     asm = assemble_shell(fam2, met, m, 48, 13)
     sand = assemble_sandwich(fam2, met, m, c, 48, 13)
-    mu = lowest_eigenvalues(asm, 1)[0][0]
-    mu_minus = lowest_eigenvalues(sand, 1, which="minus")[0][0]
-    mu_plus = lowest_eigenvalues(sand, 1, which="plus")[0][0]
+    mu = lowest_eigenvalues(asm, 1).eigenvalues[0]
+    mu_minus = lowest_eigenvalues(sand, 1, which="minus").eigenvalues[0]
+    mu_plus = lowest_eigenvalues(sand, 1, which="plus").eigenvalues[0]
     tol = _bracket_tol(asm, mu)
     assert mu_minus - tol <= mu <= mu_plus + tol
 
