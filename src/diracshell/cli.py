@@ -11,12 +11,11 @@ operator's own nonnegative eigenvalues.
 Verbs: check, sweep, corollary, transverse-table, effective-spectrum,
 dump-clifford.  Exit codes: 0 ok, 1 check failure, 2 config error,
 3 partial report (sweep or corollary: an eps point failed to solve or to be
-certified, the effective reference with ``eff_ns="auto"`` had not converged
-at its cap, or too few points solved for the fit, which ``no_fit_reason``
-states; the outputs are still written, flagged ``partial``).  The effective
-reference's Fourier size is ``eff_ns`` in a job config; the default
-``"auto"`` doubles it until the reported values stop changing
-(``effective.converged_eigenvalues``).
+certified, the effective reference had not converged at its cap, or too few
+points solved for the fit, which ``no_fit_reason`` states; the outputs are
+still written, flagged ``partial``).  The effective reference doubles its
+Fourier size until its values stop changing (``effective.converged_eigenvalues``);
+``eff_ns`` in a job config caps that size, and its default ``"auto"`` is AUTO_NS_CAP.
 A sweep or corollary job is the ``--config`` file's keys with each flag
 given in place of its key; its ``SweepConfig`` is checked when it is built.
 """
@@ -24,6 +23,7 @@ given in place of its key; its ``SweepConfig`` is checked when it is built.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import json
@@ -42,11 +42,13 @@ from .clifford import build_clifford, family_to_json
 from .effective import (
     DEFAULT_COUPLING,
     MIN_NS as EFF_MIN_NS,
-    assemble_effective,
+    ConvergedReference,
     converged_eigenvalues,
-    effective_eigenvalues,
     effective_spectrum_csv,
+    valid_ns,
 )
+# nothing here calls these two; their only reader is bench/tracer.py, which wraps them here by name
+from .effective import assemble_effective, effective_eigenvalues  # noqa: F401
 from .eigsolve import DENSE_DIM_LIMIT, EigensolveError
 from .geometry import CurveError, curve_from_json, shell_metric
 from .shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, lowest_eigenvalues
@@ -81,7 +83,7 @@ class SweepConfig:
     ns: int = 192
     nt: int | None = None          # None: per-eps rule max(8, ceil(4/sqrt(eps)))
     count: int = 4
-    eff_ns: int | str = "auto"     # Fourier size of the effective reference; "auto": doubled until converged
+    eff_ns: int | str = "auto"     # largest Fourier size of the effective reference; "auto": AUTO_NS_CAP
     seed: int = 0                  # start vector of each shift-invert solve
 
     @staticmethod
@@ -135,10 +137,7 @@ class SweepConfig:
             raise ConfigError(f"ns must be >= {MIN_NS}")
         if self.nt is not None and self.nt < MIN_NT:
             raise ConfigError(f"nt must be >= {MIN_NT}")
-        # the reference's block has dim eff_ns - 1, so the dense oracle's cap bounds it
-        if self.eff_ns != "auto" and (
-            self.eff_ns < EFF_MIN_NS or self.eff_ns % 2 or self.eff_ns - 1 > DENSE_DIM_LIMIT
-        ):
+        if self.eff_ns != "auto" and not valid_ns(self.eff_ns):
             raise ConfigError(
                 f'eff_ns must be "auto" or an even integer >= {EFF_MIN_NS} with eff_ns - 1 <= {DENSE_DIM_LIMIT}'
             )
@@ -154,17 +153,18 @@ class AsymptoticsReport:
     curve_id: str
     mu_shell: dict          # eps -> list of eigenvalues
     residuals: dict         # eps -> list r_j(eps)
-    mu_effective: list      # reference eigenvalues of the curve operator
+    effective: ConvergedReference  # the curve operator's reference eigenvalues and their record
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
     failures: dict = field(default_factory=dict)
     # eps -> grid, dof, the SpectrumResult.record() of its solve, seconds
     solves: dict = field(default_factory=dict)
     effective_s: float = 0.0   # seconds spent on the effective reference
-    effective_ns: int = 0      # its Fourier size n_s
-    effective_err: float | None = None  # eff_ns "auto": the last change of its values
-    effective_residual_max: float = 0.0  # the dense oracle's largest residual over mu_effective
     versions: dict = field(default_factory=dict)      # numpy and scipy
     blas_threads: dict = field(default_factory=dict)  # threads.blas_threads()
+
+    @property
+    def mu_effective(self) -> list:
+        return self.effective.eigenvalues.tolist()
 
     @property
     def partial(self) -> bool:
@@ -214,9 +214,9 @@ class AsymptoticsReport:
             "no_fit_reason": self.no_fit_reason,
             "solves": {repr(k): v for k, v in self.solves.items()},
             "effective_s": self.effective_s,
-            "effective_ns": self.effective_ns,
-            "effective_err": self.effective_err,
-            "effective_residual_max": self.effective_residual_max,
+            "effective_ns": self.effective.n_s,
+            "effective_err": self.effective.err,
+            "effective_residual_max": self.effective.residual_max,
             "versions": self.versions,
             "blas_threads": self.blas_threads,
             "verdicts": self.verdicts(),
@@ -289,7 +289,6 @@ def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
 
 def _write_outputs(report, out_dir, stem: str) -> None:
     """Write ``<stem>.csv`` and the run record ``<stem>.json`` of a report into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
     report.write_csv(os.path.join(out_dir, stem + ".csv"))
     with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
         json.dump(report.summary(), fh, indent=2, sort_keys=True)
@@ -301,6 +300,23 @@ def _curve(spec):
         return curve_from_json(spec)
     except CurveError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _sweep_job(config, out_dir):
+    """The checked job, its curve and its shell metric per eps, then out_dir created.
+
+    A job it cannot run is a ConfigError, and an out_dir that cannot be a
+    directory an OSError, both raised before any solve.
+    """
+    cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
+    curve = _curve(cfg.curve)
+    try:
+        metrics = {eps: shell_metric(curve, eps) for eps in cfg.eps}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    return cfg, curve, metrics
 
 
 def _shell_job(fam, met, cfg: SweepConfig, level: float):
@@ -322,16 +338,16 @@ def _shell_job(fam, met, cfg: SweepConfig, level: float):
 def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     """Shell spectra over the eps list, residuals, and affine fits per level.
 
-    The effective reference is solved at ``eff_ns`` Fourier modes, or with
-    ``eff_ns="auto"`` at the size ``effective.converged_eigenvalues``
-    chooses.  An eps point whose solve fails or cannot be certified is
-    listed in ``failures`` under its eps, and an auto reference that has
-    not converged at the cap under ``"effective"``; the report is
-    ``partial`` when anything failed or fewer than 3 points solved (no
-    fit; ``no_fit_reason`` says how many solved).  A curve config it
-    cannot build or an eps at or beyond the curve's injectivity guard is a
-    ConfigError raised before any solve.  The eps points are solved one
-    after another.
+    The effective reference comes from ``effective.converged_eigenvalues``
+    with ``eff_ns`` as its cap (``"auto"``: ``effective.AUTO_NS_CAP``).  An
+    eps point whose solve fails or cannot be certified is listed in
+    ``failures`` under its eps, and a reference that has not converged at
+    its cap under ``"effective"``; the report is ``partial`` when anything
+    failed or fewer than 3 points solved (no fit; ``no_fit_reason`` says how
+    many solved).  A curve config it cannot build or an eps at or beyond the
+    curve's injectivity guard is a ConfigError, and an ``out_dir`` that
+    cannot be created an OSError, both raised before any solve.  The eps
+    points are solved one after another.
     Each shell solve is given the lowest effective eigenvalue as its
     predicted level above the transverse ground level (see
     ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
@@ -341,40 +357,34 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     solve's ``eigsolve.SpectrumResult.record()`` and the assembly and solve
     seconds, and at the top level ``effective_s`` (seconds spent on the
     effective reference), ``effective_ns`` (the size used),
-    ``effective_err`` (auto: the last change of the values; null for an
-    explicit size), ``effective_residual_max`` (the dense oracle's largest
-    residual over the reference values), ``no_fit_reason``, the numpy/scipy
-    versions and the BLAS thread settings in effect
+    ``effective_err`` (the last change of the values; null when the cap
+    allowed one size only), ``effective_residual_max`` (the dense oracle's
+    largest residual over the reference values), ``no_fit_reason``, the
+    numpy/scipy versions and the BLAS thread settings in effect
     (``threads.blas_threads``).
     """
-    cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
+    report = _sweep(*_sweep_job(config, out_dir))
+    if out_dir is not None:
+        _write_outputs(report, out_dir, "sweep")
+    return report
+
+
+def _sweep(cfg: SweepConfig, curve, metrics) -> AsymptoticsReport:
     fam = build_clifford(2)
-    curve = _curve(cfg.curve)
-    try:
-        metrics = {eps: shell_metric(curve, eps) for eps in cfg.eps}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     failures: dict = {}
     t0 = time.perf_counter()
-    if cfg.eff_ns == "auto":
-        ref = converged_eigenvalues(fam, curve, cfg.count)
-        mu_eff, effective_res = ref.eigenvalues.tolist(), ref.residual_max
-        effective_ns, effective_err = ref.n_s, ref.err
-        if not ref.converged:
-            failures["effective"] = (
-                f"effective reference not converged at the cap n_s={ref.n_s}: last change {ref.err}"
-            )
-    else:
-        ref = effective_eigenvalues(assemble_effective(fam, curve, cfg.eff_ns), cfg.count)
-        mu_eff, effective_res = ref.eigenvalues.tolist(), float(ref.residuals.max())
-        effective_ns, effective_err = cfg.eff_ns, None
+    ref = converged_eigenvalues(fam, curve, cfg.count, cap=None if cfg.eff_ns == "auto" else cfg.eff_ns)
     effective_s = time.perf_counter() - t0
+    if not ref.converged:
+        failures["effective"] = (
+            f"effective reference not converged at the cap n_s={ref.n_s}: last change {ref.err}"
+        )
 
     results: dict = {}
     solves: dict = {}
     for eps in cfg.eps:
         try:
-            results[eps], solves[eps] = _shell_job(fam, metrics[eps], cfg, mu_eff[0])
+            results[eps], solves[eps] = _shell_job(fam, metrics[eps], cfg, float(ref.eigenvalues[0]))
         except EigensolveError as exc:
             failures[eps] = str(exc)
 
@@ -390,25 +400,19 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
         for j in range(cfg.count):
             ys = np.array([residuals[e][j] for e in fit_eps])
             fits.append(_affine_fit(fit_eps, ys))
-    report = AsymptoticsReport(
+    return AsymptoticsReport(
         config=cfg,
         curve_id=curve.name,
         mu_shell=results,
         residuals=residuals,
-        mu_effective=mu_eff,
+        effective=ref,
         fits=fits,
         failures=failures,
         solves=solves,
         effective_s=effective_s,
-        effective_ns=effective_ns,
-        effective_err=effective_err,
-        effective_residual_max=effective_res,
         versions={"numpy": np.__version__, "scipy": scipy.__version__},
         blas_threads=blas_threads(),
     )
-    if out_dir is not None:
-        _write_outputs(report, out_dir, "sweep")
-    return report
 
 
 def run_corollary(config, out_dir=None) -> CorollaryReport:
@@ -420,12 +424,14 @@ def run_corollary(config, out_dir=None) -> CorollaryReport:
     (2/pi) mu_{2p} + (2/pi) m^2 - (16/pi^3) m^2 built from the effective
     spectrum.  The report is ``partial``, with no coefficients, when fewer
     than 2 eps points solved, and ``partial`` with coefficients from the
-    solved points when some point failed.
+    solved points when some point failed.  A job ``run_sweep`` would refuse
+    or an odd count is a ConfigError, and an ``out_dir`` that cannot be
+    created an OSError, both raised before any solve.
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     if cfg.count % 2:
         raise ConfigError("corollary needs an even eigenvalue count (2p pairing)")
-    base = run_sweep(cfg)
+    base = _sweep(*_sweep_job(cfg, out_dir))
     n_p = cfg.count // 2
     lam = {}
     pairing = {}
@@ -453,11 +459,15 @@ def run_corollary(config, out_dir=None) -> CorollaryReport:
 
 
 def run_checks(out=None) -> int:
-    """Execute every property suite; returns 0 iff all pass."""
-    results = run_all()
-    summary = {r.name: {"passed": r.passed, "detail": r.detail} for r in results}
-    if out is not None:
-        with open(out, "w") as fh:
+    """Execute every property suite; returns 0 iff all pass.
+
+    ``out`` is opened for writing before the first suite runs, so a path
+    that cannot be written fails before any work.
+    """
+    with open(out, "w") if out is not None else contextlib.nullcontext() as fh:
+        results = run_all()
+        if fh is not None:
+            summary = {r.name: {"passed": r.passed, "detail": r.detail} for r in results}
             json.dump(summary, fh, indent=2, sort_keys=True)
     return 0 if all(r.passed for r in results) else 1
 
@@ -574,10 +584,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":
-            if (
-                args.ns < EFF_MIN_NS or args.ns % 2 or args.ns - 1 > DENSE_DIM_LIMIT
-                or not 1 <= args.count <= args.ns - 1
-            ):
+            if not valid_ns(args.ns) or not 1 <= args.count <= args.ns - 1:
                 raise ConfigError(
                     f"--ns must be even with {EFF_MIN_NS} <= ns and ns - 1 <= {DENSE_DIM_LIMIT} "
                     "(the dense cap), and --count in 1..ns-1 (one spin block)"

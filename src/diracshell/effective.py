@@ -28,7 +28,7 @@ residual.
 ``assemble_magnetic`` returns the scalar magnetic block, unpaired.
 
 ``converged_eigenvalues`` picks the Fourier size itself: it doubles n_s
-from AUTO_NS_START until the lowest values stop moving, up to AUTO_NS_CAP.
+from AUTO_NS_START until the lowest values stop moving, up to its cap.
 The reference converges spectrally, so on smooth curves this stops far
 below the cap (256 on ellipse(2,1), 128 on the circle, where it is exact).
 """
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordFamily, gamma
-from .eigsolve import HermitianPencil, SpectrumResult, dense_hermitian_eig
+from .eigsolve import DENSE_DIM_LIMIT, HermitianPencil, SpectrumResult, dense_hermitian_eig
 from .geometry import CurveSpec
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "assemble_magnetic",
     "ConvergedReference",
     "converged_eigenvalues",
+    "valid_ns",
     "gauge_transform_check",
     "magnetic_circle_spectrum",
     "effective_spectrum_csv",
@@ -60,14 +61,20 @@ __all__ = [
 
 DEFAULT_COUPLING = 0.5 - 1.0 / math.pi
 
-# converged_eigenvalues doubles n_s from AUTO_NS_START up to AUTO_NS_CAP.  The
-# cap keeps the dense spin-up block at 1023^2 complex (17 MB); at 4096 it would
-# be 4095^2, about 268 MB.
+# converged_eigenvalues doubles n_s from AUTO_NS_START up to its cap, by default
+# AUTO_NS_CAP.  That default keeps the dense spin-up block at 1023^2 complex
+# (17 MB); at 4096 it would be 4095^2, about 268 MB.
 AUTO_NS_START = 64
 AUTO_NS_CAP = 1024
 AUTO_RTOL = 1e-10
-# smallest n_s an effective assembly accepts; it must also be even
+# smallest n_s an effective assembly accepts; see valid_ns
 MIN_NS = 16
+
+
+def valid_ns(n_s: int) -> bool:
+    """Whether n_s is an effective grid size: even, at least MIN_NS, and with a
+    block of dim n_s - 1 within the dense oracle's cap DENSE_DIM_LIMIT."""
+    return n_s >= MIN_NS and n_s % 2 == 0 and n_s - 1 <= DENSE_DIM_LIMIT
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,8 @@ def _covariant_block(curve: CurveSpec, n_s: int, scheme: str, alpha: float, beta
     at the grid points.  The link matrix discretizes (-i d/ds - A)^2, the
     complex-conjugate operator, which has the same spectrum.
     """
-    if n_s < MIN_NS or n_s % 2:
-        raise ValueError(f"n_s must be even and >= {MIN_NS}")
+    if not valid_ns(n_s):
+        raise ValueError(f"n_s must be even with {MIN_NS} <= n_s and n_s - 1 <= {DENSE_DIM_LIMIT}")
     if scheme == "fourier":
         fine = 4 * n_s
         kappa = curve.curvature(np.arange(fine) * (curve.length / fine))
@@ -200,18 +207,22 @@ class ConvergedReference:
     residual_max: float         # the dense oracle's largest residual over the values reported
 
 
-def converged_eigenvalues(fam: CliffordFamily, curve: CurveSpec, count: int) -> ConvergedReference:
-    """The ``count`` lowest Fourier-reference eigenvalues at a self-chosen n_s.
+def converged_eigenvalues(
+    fam: CliffordFamily, curve: CurveSpec, count: int, cap: int | None = None
+) -> ConvergedReference:
+    """The ``count`` lowest Fourier-reference eigenvalues at a self-chosen n_s <= cap.
 
-    Doubles n_s from AUTO_NS_START and at each size solves for the lowest
-    ceil(count/2) + 1 spin-up values (one beyond those reported).  It stops
-    once every one of them moved by at most AUTO_RTOL * max(1, |mu|) since
-    the previous size, and reports the finer size's values and their largest
-    residual.  At AUTO_NS_CAP without that, the values at the cap come back
-    with ``converged`` False.
+    Doubles n_s from min(AUTO_NS_START, cap) while 2 n_s <= cap (``cap``
+    None: AUTO_NS_CAP, read at the call), and at each size solves for the
+    lowest ceil(count/2) + 1 spin-up values (one beyond those reported).  It
+    stops once every one of them moved by at most AUTO_RTOL * max(1, |mu|)
+    since the previous size, and reports the finer size's values and their
+    largest residual.  Without that at the last size, its values come back
+    with ``converged`` False (and ``err`` None when it was the only size).
     """
+    cap = AUTO_NS_CAP if cap is None else cap
     wanted = 2 * ((count + 1) // 2 + 1)
-    prev, err, n_s = None, None, AUTO_NS_START
+    prev, err, n_s = None, None, min(AUTO_NS_START, cap)
     while True:
         res = effective_eigenvalues(assemble_effective(fam, curve, n_s), wanted)
         up = res.eigenvalues[::2]
@@ -220,7 +231,7 @@ def converged_eigenvalues(fam: CliffordFamily, curve: CurveSpec, count: int) -> 
             change = np.abs(up - prev)
             err = float(change.max())
             converged = bool(np.all(change <= AUTO_RTOL * np.maximum(1.0, np.abs(up))))
-        if converged or 2 * n_s > AUTO_NS_CAP:
+        if converged or 2 * n_s > cap:
             return ConvergedReference(
                 res.eigenvalues[:count], n_s, err, converged, float(res.residuals[:count].max())
             )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -188,19 +189,36 @@ def _curve_from_parametrization(name: str, par: _Parametrization) -> CurveSpec:
     )
 
 
+def _real(key: str, value) -> float:
+    """A numeric curve parameter: a finite real number, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise CurveError(f"curve parameter {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _wavenumber(key: str, value) -> int:
+    k = _real(key, value)
+    if not k.is_integer():
+        raise CurveError(f"curve parameter {key} must be an integer, got {value!r}")
+    return int(k)
+
+
 def make_curve(kind: str, **params) -> CurveSpec:
     """Factory for test geometries: circle(r), ellipse(a, b), fourier(coeffs).
 
     All curves are reparametrized to unit speed and stored clockwise, so
     convex curves carry non-positive curvature.  Fourier curves are given
     as z(theta) = sum c_k exp(i k theta) by triples (k, re, im) and are
-    rejected if the sampled polygon self-intersects.
+    rejected if the sampled polygon self-intersects.  Every parameter is a
+    finite real number and each k an integer (an integral float such as
+    2.0 is taken as 2); anything else, a bool or a string included, raises
+    CurveError naming it.
     """
     kind = kind.lower()
     if kind in ("circle", "ellipse"):
         # the circle is the ellipse with a = b = r
-        a, b = (params["r"], params["r"]) if kind == "circle" else (params["a"], params["b"])
-        a, b = float(a), float(b)
+        keys = ("r", "r") if kind == "circle" else ("a", "b")
+        a, b = (_real(key, params[key]) for key in keys)
         name = f"circle({a:g})" if kind == "circle" else f"ellipse({a:g},{b:g})"
         if a <= 0 or b <= 0:
             raise CurveError(f"{name}: radii must be positive")
@@ -211,7 +229,10 @@ def make_curve(kind: str, **params) -> CurveSpec:
         )
         return _curve_from_parametrization(name, par)
     if kind == "fourier":
-        coeffs = [(int(k), float(re), float(im)) for k, re, im in params["coeffs"]]
+        coeffs = [
+            (_wavenumber(f"coeffs[{i}] k", k), _real(f"coeffs[{i}] re", re), _real(f"coeffs[{i}] im", im))
+            for i, (k, re, im) in enumerate(params["coeffs"])
+        ]
         if not coeffs:
             raise CurveError("fourier curve needs at least one coefficient")
 
@@ -242,7 +263,7 @@ def flat_strip(length: float) -> CurveSpec:
     Test harness for separation-of-variables references; not a closed
     curve, so the total-curvature identity does not apply to it.
     """
-    if not length > 0:
+    if not _real("length", length) > 0:
         raise CurveError(f"strip length must be positive, got {length!r}")
 
     def position(s):
@@ -294,7 +315,7 @@ def curve_from_json(config: dict | str) -> CurveSpec:
         if unknown:
             raise CurveError(f"unknown {kind} curve config keys: " + ", ".join(unknown))
         if kind == "strip":
-            return flat_strip(float(config["length"]))
+            return flat_strip(config["length"])
         return make_curve(kind, **{k: v for k, v in config.items() if k != "kind"})
     except CurveError:
         raise

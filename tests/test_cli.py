@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy
+import scipy.sparse
 
 from diracshell import cli, effective
 from diracshell.cli import (
@@ -18,7 +19,7 @@ from diracshell.cli import (
 )
 from diracshell.clifford import build_clifford
 from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenvalues
-from diracshell.eigsolve import DENSE_DIM_LIMIT, EigensolveError
+from diracshell.eigsolve import DENSE_DIM_LIMIT, EigensolveError, dense_hermitian_eig
 from diracshell.geometry import curve_from_json, shell_metric
 from diracshell.shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, ladder_shift, lowest_eigenvalues
 from diracshell.threads import blas_threads
@@ -163,6 +164,13 @@ def test_config_and_assemblers_share_the_grid_minimums():
         config = _accepts(lambda: SweepConfig(curve=SMALL["curve"], eff_ns=eff_ns))
         assembly = _accepts(lambda: assemble_effective(fam, curve, eff_ns))
         assert config == assembly == (eff_ns == effective.MIN_NS)
+    # and exactly the sizes whose block, of dim eff_ns - 1, the dense oracle takes; a
+    # count of 0 makes the oracle refuse each block, but only a block above its cap as that
+    for eff_ns in (DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 2):
+        config = _accepts(lambda: SweepConfig(curve=SMALL["curve"], eff_ns=eff_ns))
+        with pytest.raises(ValueError) as refusal:
+            dense_hermitian_eig(scipy.sparse.identity(eff_ns - 1, format="csr"), count=0)
+        assert config == ("capped" not in str(refusal.value)) == (eff_ns == DENSE_DIM_LIMIT)
 
 
 def test_run_sweep_small(tmp_path):
@@ -199,10 +207,10 @@ def test_run_sweep_small(tmp_path):
     # run record: the job, effective reference time, size and residual, versions, BLAS threads in effect
     assert summary["config"] == {**SMALL, "nt": None, "seed": 0} and "m" not in summary and "eps" not in summary
     assert summary["effective_s"] > 0.0
-    assert summary["effective_ns"] == 256 and summary["effective_err"] is None
+    # eff_ns 256 caps the doubling, which stops at 128: the circle's Fourier reference is exact
+    assert summary["effective_ns"] == 128 and 0.0 <= summary["effective_err"] <= AUTO_RTOL
     assert 0.0 < summary["effective_residual_max"] <= 1e-10
-    # an explicit eff_ns is solved at that size, as by a direct call
-    assert report.mu_effective == _direct_reference(256).tolist()
+    assert np.abs(np.array(report.mu_effective) - _direct_reference(256)).max() <= 1e-9
     assert summary["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
     assert summary["blas_threads"] == blas_threads()
     assert set(summary["blas_threads"]["env"]) >= {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"}
@@ -222,23 +230,45 @@ def test_sweep_auto_effective_reference(tmp_path):
     assert not report.partial
     summary = json.loads((tmp_path / "out" / "sweep.json").read_text())
     # the circle's Fourier reference is exact, so the doubling stops at 128
-    assert summary["effective_ns"] == report.effective_ns == 128
+    assert summary["effective_ns"] == report.effective.n_s == 128
     assert 0.0 <= summary["effective_err"] <= AUTO_RTOL
     assert np.abs(np.array(report.mu_effective) - _direct_reference(256)).max() <= 1e-9
 
 
-def test_sweep_partial_when_effective_reference_not_converged(tmp_path, monkeypatch):
-    monkeypatch.setattr(effective, "AUTO_NS_CAP", 64)
-    report = run_sweep(AUTO)
-    assert report.partial and report.effective_ns == 64
+def test_sweep_partial_when_effective_reference_not_converged(tmp_path):
+    # below 128 the cap admits one size only, so the reference is never checked
+    job = {**SMALL, "eff_ns": 64}
+    report = run_sweep(job)
+    assert report.partial and report.effective.n_s == 64 and not report.effective.converged
     assert list(report.failures) == ["effective"]
     assert "not converged" in report.failures["effective"]
     cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps(AUTO))
+    cfg.write_text(json.dumps(job))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == EXIT_PARTIAL
     summary = json.loads((tmp_path / "s" / "sweep.json").read_text())
     assert summary["partial"] is True and list(summary["failures"]) == ["effective"]
     assert summary["effective_ns"] == 64 and summary["effective_err"] is None
+
+
+def test_sweep_reference_stays_within_eff_ns(monkeypatch):
+    # eff_ns caps the doubling of the one converged reference: no larger size is
+    # assembled, and a reference that has not converged within it makes the report partial
+    sizes = []
+    assemble = effective.assemble_effective
+
+    def recording(fam, curve, n_s, *args, **kwargs):
+        sizes.append(n_s)
+        return assemble(fam, curve, n_s, *args, **kwargs)
+
+    monkeypatch.setattr(effective, "assemble_effective", recording)
+    assert not run_sweep(SMALL).partial and sizes == [64, 128]
+    ellipse = {**SMALL, "curve": {"kind": "ellipse", "a": 2.0, "b": 1.0}}
+    # 64 -> 128 still moves the ellipse's values by about 5e-10, and 16 alone is 4e-4 off
+    for eff_ns, solved in ((200, [64, 128]), (16, [16])):
+        sizes.clear()
+        report = run_sweep({**ellipse, "eff_ns": eff_ns})
+        assert sizes == solved and report.effective.n_s == solved[-1]
+        assert report.partial and list(report.failures) == ["effective"] and len(report.fits) == 2
 
 
 def test_sweep_shift_at_the_predicted_level():
@@ -461,6 +491,14 @@ BAD_INVOCATIONS = {
     "effective-count-beyond-block": ["effective-spectrum", "--curve", CIRCLE, "--ns", "16", "--count", "40"],
     "clifford-n-zero": ["dump-clifford", "--n", "0"],
     "seed-negative": ["sweep", "--curve", CIRCLE, "--seed", "-1"],
+    "curve-radius-not-a-number": ["sweep", "--curve", '{"kind": "circle", "r": NaN}'],
+    "curve-radius-infinite": ["corollary", "--curve", '{"kind": "circle", "r": Infinity}'],
+    "curve-radius-true": ["sweep", "--curve", '{"kind": "circle", "r": true}'],
+    "curve-radius-string": ["sweep", "--curve", '{"kind": "circle", "r": "2"}'],
+    "curve-coefficient-not-a-number": ["sweep", "--curve", '{"kind": "fourier", "coeffs": [[1, NaN, 0]]}'],
+    "curve-wavenumber-fractional": ["sweep", "--curve", '{"kind": "fourier", "coeffs": [[1.7, 1, 0]]}'],
+    "curve-strip-infinite": ["sweep", "--curve", '{"kind": "strip", "length": Infinity}'],
+    "effective-curve-not-a-number": ["effective-spectrum", "--curve", '{"kind": "ellipse", "a": 2, "b": NaN}'],
 }
 
 
@@ -500,6 +538,24 @@ def test_effective_size_above_the_dense_cap_is_a_config_error(tmp_path, monkeypa
     err = capsys.readouterr().err
     assert err.count("config error: ") == 2 and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
+def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # an output location that cannot be written exits 2 before the first suite or solve
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done before the output location was checked")
+
+    monkeypatch.setattr(cli, "run_all", no_work)
+    monkeypatch.setattr(cli, "converged_eigenvalues", no_work)
+    monkeypatch.setattr(cli, "lowest_eigenvalues", no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    assert main(["check", "--out", str(tmp_path / "missing" / "checks.json")]) == 2
+    for verb in ("sweep", "corollary"):
+        assert main([verb, "--curve", CIRCLE, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: ") == 3 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_threads_flag_is_a_usage_error(capsys):

@@ -177,6 +177,25 @@ def test_factory_rejections():
         make_curve("fourier", coeffs=[(0, 1.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 0.0)])
     with pytest.raises(CurveError):
         make_curve("trefoil")
+    # every parameter is a finite real number, each wavenumber an integer; the error names it
+    for kind, params, key in (
+        ("circle", {"r": math.nan}, "r"),
+        ("circle", {"r": math.inf}, "r"),
+        ("circle", {"r": True}, "r"),
+        ("ellipse", {"a": 2.0, "b": "1"}, "b"),
+        ("fourier", {"coeffs": [(1, 1.0, 0.0), (-2, math.nan, 0.0)]}, r"coeffs\[1\] re"),
+        ("fourier", {"coeffs": [(1, 1.0, -math.inf)]}, r"coeffs\[0\] im"),
+        ("fourier", {"coeffs": [(1.7, 1.0, 0.0)]}, r"coeffs\[0\] k"),
+        ("fourier", {"coeffs": [(True, 1.0, 0.0)]}, r"coeffs\[0\] k"),
+    ):
+        with pytest.raises(CurveError, match=f"curve parameter {key} must be"):
+            make_curve(kind, **params)
+    for length in (math.inf, math.nan, "6", True):
+        with pytest.raises(CurveError, match="length"):
+            flat_strip(length)
+    # an integral float wavenumber is that integer
+    integral, integer = (make_curve("fourier", coeffs=[(k, 1.0, 0.0), (-2, 0.15, 0.0)]) for k in (1.0, 1))
+    assert integral.length == integer.length
 
 
 def _loop_polygon_is_simple(coeffs, n=256):
@@ -245,10 +264,19 @@ def test_curve_json_and_csv():
         {"kind": "fourier", "coeffs": 5},
         {"kind": "fourier", "coeffs": [[1, 2]]},
         {"kind": "strip", "length": 0},
+        {"kind": "circle", "r": math.nan},
+        {"kind": "circle", "r": math.inf},
+        {"kind": "circle", "r": True},
+        {"kind": "circle", "r": "2"},
+        {"kind": "fourier", "coeffs": [[1, math.nan, 0]]},
+        {"kind": "fourier", "coeffs": [[1.7, 1, 0]]},
+        {"kind": "strip", "length": math.inf},
+        {"kind": "strip", "length": "6"},
     ],
     ids=[
         "missing-key", "not-an-object", "radius-not-a-number", "coeffs-not-a-list", "short-coeff",
-        "empty-strip",
+        "empty-strip", "radius-nan", "radius-infinite", "radius-true", "radius-string",
+        "coefficient-nan", "wavenumber-fractional", "strip-infinite", "strip-string",
     ],
 )
 def test_curve_from_json_rejects_what_it_cannot_build(config):
