@@ -1,12 +1,12 @@
 """Experiment driver: eigenvalue sweeps over shell width, asymptotic fits,
 and the property-check suite.
 
-The sweep subtracts the transverse ladder pi^2/(16 eps^2) + m/eps plus the
-constant mass terms from each shell eigenvalue and fits the remaining
+The sweep subtracts the transverse ground level E_1(m eps)^2/eps^2
+(``transverse.level``) from each shell eigenvalue and fits the remaining
 residual affinely in eps; the fitted intercept is compared against the
 corresponding eigenvalue of the effective curve operator, and the square
-root of the paired shell spectrum feeds the first-order expansion of the
-operator's own nonnegative eigenvalues.
+root of the paired shell spectrum, less E_1(m eps)/eps, feeds the
+first-order expansion of the operator's own nonnegative eigenvalues.
 
 Verbs: check, sweep, corollary, transverse-table, effective-spectrum,
 dump-clifford.  Exit codes: 0 ok, 1 check failure, 2 config error,
@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import scipy
 
+from . import transverse
 from .checks import run_all
 from .clifford import build_clifford, family_to_json
 from .effective import (
@@ -53,7 +54,6 @@ from .eigsolve import DENSE_DIM_LIMIT, EigensolveError
 from .geometry import CurveError, curve_from_json, shell_metric
 from .shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, lowest_eigenvalues
 from .threads import blas_threads, set_blas_threads
-from .transverse import write_transverse_table
 
 __all__ = [
     "SweepConfig",
@@ -229,7 +229,7 @@ class CorollaryReport:
     lam: dict               # eps -> list of lambda_p = sqrt(mu_{2p})
     pairing_defect: dict    # eps -> worst relative split of the 2p pairs
     linear_coeffs: list     # fitted eps-linear coefficient per p
-    references: list        # (2/pi) mu_{2p}(Upsilon) + (2/pi) m^2 - (16/pi^3) m^2
+    references: list        # (2/pi) mu_{2p}(Upsilon), the coefficient the theorem predicts
 
     @property
     def failures(self) -> dict:
@@ -254,7 +254,7 @@ class CorollaryReport:
                 if eps not in self.lam:
                     continue
                 for p, lam in enumerate(self.lam[eps], start=1):
-                    partial = _corollary_ladder(lam, eps, self.sweep.config.m) / eps
+                    partial = (lam - math.sqrt(transverse.level(self.sweep.config.m, eps))) / eps
                     writer.writerow([repr(eps), p, repr(lam), repr(partial)])
 
     def summary(self) -> dict:
@@ -266,11 +266,6 @@ class CorollaryReport:
             "partial": self.partial,
             "no_fit_reason": self.no_fit_reason,
         }
-
-
-def _corollary_ladder(lam, eps, m):
-    """lambda_p - pi/(4 eps) - (2/pi) m: what remains of lambda_p after the corollary's ladder."""
-    return lam - math.pi / (4.0 * eps) - (2.0 / math.pi) * m
 
 
 def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
@@ -377,7 +372,7 @@ def _sweep(cfg: SweepConfig, curve, metrics) -> AsymptoticsReport:
     effective_s = time.perf_counter() - t0
     if not ref.converged:
         failures["effective"] = (
-            f"effective reference not converged at the cap n_s={ref.n_s}: last change {ref.err}"
+            f"effective reference not converged by n_s={ref.n_s} (cap {ref.cap}): last change {ref.err}"
         )
 
     results: dict = {}
@@ -388,12 +383,7 @@ def _sweep(cfg: SweepConfig, curve, metrics) -> AsymptoticsReport:
         except EigensolveError as exc:
             failures[eps] = str(exc)
 
-    m = cfg.m
-    const = m * m - (4.0 / math.pi**2) * m * m
-    residuals = {
-        eps: [mu - math.pi**2 / (16.0 * eps**2) - m / eps - const for mu in mus]
-        for eps, mus in results.items()
-    }
+    residuals = {eps: [mu - transverse.level(cfg.m, eps) for mu in mus] for eps, mus in results.items()}
     fit_eps = np.array([e for e in cfg.eps if e in results])
     fits = []
     if fit_eps.size >= 3:
@@ -420,8 +410,8 @@ def run_corollary(config, out_dir=None) -> CorollaryReport:
 
     The shell spectrum comes in near-degenerate pairs; lambda_p is the
     square root of the 2p-th eigenvalue, and the eps-linear coefficient of
-    lambda_p - pi/(4 eps) - (2/pi) m is fitted and compared against
-    (2/pi) mu_{2p} + (2/pi) m^2 - (16/pi^3) m^2 built from the effective
+    lambda_p - E_1(m eps)/eps (the square root of ``transverse.level``) is
+    fitted and compared against (2/pi) mu_{2p} built from the effective
     spectrum.  The report is ``partial``, with no coefficients, when fewer
     than 2 eps points solved, and ``partial`` with coefficients from the
     solved points when some point failed.  A job ``run_sweep`` would refuse
@@ -443,13 +433,11 @@ def run_corollary(config, out_dir=None) -> CorollaryReport:
     fit_eps = np.array([e for e in cfg.eps if e in lam])
     coeffs = []
     refs = []
-    m = cfg.m
     if fit_eps.size >= 2:
         for p in range(n_p):
-            ys = np.array([_corollary_ladder(lam[e][p], e, m) for e in fit_eps])
+            ys = np.array([lam[e][p] - math.sqrt(transverse.level(cfg.m, e)) for e in fit_eps])
             coeffs.append(_affine_fit(fit_eps, ys)["slope"])
-            mu2p = base.mu_effective[2 * p + 1]
-            refs.append((2.0 / math.pi) * mu2p + (2.0 / math.pi) * m * m - (16.0 / math.pi**3) * m * m)
+            refs.append((2.0 / math.pi) * base.mu_effective[2 * p + 1])
     report = CorollaryReport(
         sweep=base, lam=lam, pairing_defect=pairing, linear_coeffs=coeffs, references=refs
     )
@@ -461,13 +449,15 @@ def run_corollary(config, out_dir=None) -> CorollaryReport:
 def run_checks(out=None) -> int:
     """Execute every property suite; returns 0 iff all pass.
 
-    ``out`` is opened for writing before the first suite runs, so a path
-    that cannot be written fails before any work.
+    With ``out`` it writes one JSON entry per suite: ``passed``, ``detail``
+    and the suite's wall time ``seconds``.  ``out`` is opened for writing
+    before the first suite runs, so a path that cannot be written fails
+    before any work.
     """
     with open(out, "w") if out is not None else contextlib.nullcontext() as fh:
         results = run_all()
         if fh is not None:
-            summary = {r.name: {"passed": r.passed, "detail": r.detail} for r in results}
+            summary = {r.name: {"passed": r.passed, "detail": r.detail, "seconds": r.seconds} for r in results}
             json.dump(summary, fh, indent=2, sort_keys=True)
     return 0 if all(r.passed for r in results) else 1
 
@@ -580,7 +570,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--m: masses must be finite and nonnegative")
             if args.bands < 1:
                 raise ConfigError("--bands must be >= 1")
-            write_transverse_table(args.out, ms, range(1, args.bands + 1))
+            transverse.write_transverse_table(args.out, ms, range(1, args.bands + 1))
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":

@@ -202,6 +202,7 @@ def effective_eigenvalues(assembly: EffectiveFormAssembly, count: int) -> Spectr
 class ConvergedReference:
     eigenvalues: np.ndarray     # the count lowest, at the finest size solved
     n_s: int                    # that size
+    cap: int                    # the largest size it was allowed
     err: float | None           # largest change from the size before (None: one size only)
     converged: bool
     residual_max: float         # the dense oracle's largest residual over the values reported
@@ -233,7 +234,7 @@ def converged_eigenvalues(
             converged = bool(np.all(change <= AUTO_RTOL * np.maximum(1.0, np.abs(up))))
         if converged or 2 * n_s > cap:
             return ConvergedReference(
-                res.eigenvalues[:count], n_s, err, converged, float(res.residuals[:count].max())
+                res.eigenvalues[:count], n_s, cap, err, converged, float(res.residuals[:count].max())
             )
         prev, n_s = up, 2 * n_s
 

@@ -57,11 +57,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import transverse
 from .clifford import CliffordFamily
 # lobpcg_smallest is None; its only reader is bench/tracer.py, which wraps it here by name
 from .eigsolve import HermitianPencil, SpectrumResult, lobpcg_smallest, shift_invert_smallest  # noqa: F401
 from .geometry import ShellMetric2D
-from .transverse import solve_k
 
 __all__ = [
     "ShellFormAssembly",
@@ -375,14 +375,6 @@ def assemble_sandwich(
 LEVEL_MARGIN = 0.1
 
 
-def _ground_level(assembly) -> float:
-    """The transverse ground level (k^2 + (m eps)^2)/eps^2, k = solve_k(m eps, 1)."""
-    eps = assembly.metric.eps
-    me = assembly.m * eps
-    k1 = solve_k(me, 1)
-    return (k1 * k1 + me * me) / eps**2
-
-
 def ladder_shift(assembly) -> float:
     """A shift below the lowest eigenvalue of a shell or bracketing pencil.
 
@@ -395,7 +387,8 @@ def ladder_shift(assembly) -> float:
     circle and 1.94 on ellipse(2, 1)), which costs ARPACK more
     applications.
     """
-    sigma = _ground_level(assembly) - assembly.metric.curve.kappa_max**2 / 4.0 - 1.0
+    ground = transverse.level(assembly.m, assembly.metric.eps)
+    sigma = ground - assembly.metric.curve.kappa_max**2 / 4.0 - 1.0
     if isinstance(assembly, SandwichFormAssembly):
         sigma -= 2.0 * assembly.c * assembly.metric.eps
     return sigma
@@ -433,7 +426,7 @@ def lowest_eigenvalues(
         raise ValueError(f"which must be one of {sorted(pencils)} for this assembly, got {which!r}")
     sigma, fallback = ladder_shift(assembly), None
     if level is not None:
-        predicted = _ground_level(assembly) + level - LEVEL_MARGIN
+        predicted = transverse.level(assembly.m, assembly.metric.eps) + level - LEVEL_MARGIN
         if predicted > sigma:
             sigma, fallback = predicted, sigma
     return shift_invert_smallest(pencils[which], count, sigma, seed=seed, fallback=fallback)
@@ -443,13 +436,11 @@ def flat_strip_levels(length: float, m: float, eps: float, count: int) -> np.nda
     """Separated reference spectrum on the zero-curvature strip.
 
     Levels (2 pi q / L)^2 + E_p(m*eps)^2/eps^2 with multiplicity two per
-    (q, p); the transverse factor follows from the 1D operator at mass
-    m*eps.
+    (q, p); the transverse level is ``transverse.level(m, eps, p)``.
     """
     levels = []
     for p in range(1, 6):
-        kp = solve_k(m * eps, p)
-        ep2 = (m * eps) ** 2 + kp**2
+        level_p = transverse.level(m, eps, p)
         for q in range(-count, count + 1):
-            levels.extend([(2.0 * math.pi * q / length) ** 2 + ep2 / eps**2] * 2)
+            levels.extend([(2.0 * math.pi * q / length) ** 2 + level_p] * 2)
     return np.sort(np.array(levels))[:count]

@@ -26,6 +26,7 @@ __all__ = [
     "solve_k",
     "k1_series",
     "energy",
+    "level",
     "normalization",
     "TransverseMode",
     "mode",
@@ -102,6 +103,18 @@ def energy(m: float, p: int) -> float:
     return math.hypot(m, solve_k(m, p))
 
 
+def level(m: float, eps: float, p: int = 1) -> float:
+    """The p-th transverse level E_p(m eps)^2/eps^2 of a shell of width eps.
+
+    It is (k^2 + (m eps)^2)/eps^2 with k = solve_k(m eps, p).  Every shell
+    eigenvalue sits O(1) above the ground level p = 1; this is the one
+    place the package evaluates it.
+    """
+    me = m * eps
+    k = solve_k(me, p)
+    return (k * k + me * me) / eps**2
+
+
 def normalization(m: float, p: int) -> float:
     """Positive constant N with 1 = 2 N^2 (2 E^2 - m^2 sin(4k)/(2k) + m sin(2k)^2).
 
@@ -149,7 +162,7 @@ def mode(fam: CliffordFamily, x: np.ndarray, m: float, p: int, j: int, sign: int
         raise ValueError("x must be a unit vector")
     bx = gamma(fam, x).beta
     k = solve_k(m, p)
-    E = math.hypot(m, k)
+    E = energy(m, p)
     Nc = normalization(m, p)
     ej = np.zeros(half, dtype=complex)
     ej[j - 1] = 1.0
@@ -247,8 +260,7 @@ def transverse_table(ms, ps) -> list[tuple[float, int, float, float, float]]:
     rows = []
     for m in ms:
         for p in ps:
-            k = solve_k(m, p)
-            rows.append((float(m), int(p), k, math.hypot(m, k), normalization(m, p)))
+            rows.append((float(m), int(p), solve_k(m, p), energy(m, p), normalization(m, p)))
     return rows
 
 

@@ -14,6 +14,14 @@ from diracshell.threads import set_blas_threads  # noqa: E402
 set_blas_threads()
 
 
+def pytest_configure(config):
+    # a ComplexWarning (the imaginary part of a complex array dropped on a cast
+    # to real) fails the test that raised it.  The filter is added here, not in
+    # pyproject.toml, because pytest imports a filter's category when it reads
+    # the ini file, which would load numpy before the thread variables above are set
+    config.addinivalue_line("filterwarnings", "error::numpy.exceptions.ComplexWarning")
+
+
 @pytest.fixture(scope="session")
 def fam2():
     return build_clifford(2)

@@ -107,11 +107,26 @@ def test_check_verb_all_suites_pass(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(checks, "REGISTRY", [_stub("first", True), _stub("second", True)])
     out = tmp_path / "checks.json"
     assert main(["check", "--out", str(out)]) == 0
+    # a stub is no registry entry, so nothing timed it
     assert json.loads(out.read_text()) == {
-        "first": {"passed": True, "detail": "stub first"},
-        "second": {"passed": True, "detail": "stub second"},
+        "first": {"passed": True, "detail": "stub first", "seconds": None},
+        "second": {"passed": True, "detail": "stub second", "seconds": None},
     }
     assert capsys.readouterr().out.splitlines() == ["[PASS] first: stub first", "[PASS] second: stub second"]
+
+
+def test_check_out_records_each_entrys_seconds(tmp_path, monkeypatch):
+    # each registry entry times itself; a budgeted entry's detail states the same time
+    monkeypatch.setattr(checks, "REGISTRY", [checks.check_clifford_relations, checks.check_symbol_relations])
+    out = tmp_path / "checks.json"
+    assert main(["check", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert list(summary) == ["clifford-relations", "symbol-relations"]
+    for entry in summary.values():
+        assert set(entry) == {"passed", "detail", "seconds"}
+        assert isinstance(entry["seconds"], float) and entry["seconds"] > 0.0
+    clifford_entry = summary["clifford-relations"]
+    assert f"in {clifford_entry['seconds']:.2f}s (budget 1s)" in clifford_entry["detail"]
 
 
 def test_check_verb_exits_1_on_a_failing_suite(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 import scipy
 import scipy.sparse
 
-from diracshell import cli, effective
+from diracshell import cli, effective, transverse
 from diracshell.cli import (
     EXIT_PARTIAL,
     ConfigError,
@@ -250,6 +251,15 @@ def test_sweep_partial_when_effective_reference_not_converged(tmp_path):
     assert summary["effective_ns"] == 64 and summary["effective_err"] is None
 
 
+def test_unconverged_reference_names_the_size_solved_and_the_cap():
+    # eff_ns 100 admits 64 only: the message gives the size solved and the cap apart
+    report = run_sweep({**SMALL, "eff_ns": 100})
+    assert report.effective.n_s == 64 and report.effective.cap == 100
+    assert report.failures["effective"] == (
+        "effective reference not converged by n_s=64 (cap 100): last change None"
+    )
+
+
 def test_sweep_reference_stays_within_eff_ns(monkeypatch):
     # eff_ns caps the doubling of the one converged reference: no larger size is
     # assembled, and a reference that has not converged within it makes the report partial
@@ -319,6 +329,29 @@ def test_sweep_json_config_reruns_the_job(tmp_path):
     assert SweepConfig.from_dict(config) == SweepConfig.from_dict(job)
 
 
+def test_sweep_residual_is_mu_less_the_transverse_level():
+    report = run_sweep({**SMALL, "m": 0.5})
+    for eps, mus in report.mu_shell.items():
+        assert report.residuals[eps] == [mu - transverse.level(0.5, eps) for mu in mus]
+
+
+def test_massless_sweep_keeps_the_closed_form_residuals(tmp_path):
+    # at m = 0 the level is pi^2/(16 eps^2) bit for bit, so the residuals, the
+    # fits and the sweep.csv bytes are those of the closed-form ladder
+    report = run_sweep(SMALL, out_dir=tmp_path)
+    closed = {eps: [mu - math.pi**2 / (16.0 * eps**2) for mu in mus] for eps, mus in report.mu_shell.items()}
+    assert report.residuals == closed
+    eps = np.array(SMALL["eps"])
+    for j, fit in enumerate(report.fits):
+        assert fit == cli._affine_fit(eps, np.array([closed[e][j] for e in SMALL["eps"]]))
+    rows = ["eps,j,mu_shell,residual,mu_eff_ref"] + [
+        f"{e!r},{j + 1},{mu!r},{closed[e][j]!r},{report.mu_effective[j]!r}"
+        for e in SMALL["eps"]
+        for j, mu in enumerate(report.mu_shell[e])
+    ]
+    assert (tmp_path / "sweep.csv").read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
+
+
 def test_fit_stability_drop_largest_eps():
     # dropping the largest eps moves the intercept by less than 3 stderr
     cfg = SweepConfig.from_dict({**SMALL, "eps": [0.1, 0.08, 0.06, 0.045]})
@@ -340,6 +373,24 @@ def test_run_corollary_small(tmp_path):
     # leading term: lambda_1 * eps near pi/4
     lam = report.lam[0.045][0]
     assert abs(lam * 0.045 - math.pi / 4.0) <= 0.02 * (math.pi / 4.0)
+
+
+def test_corollary_subtracts_the_transverse_energy(tmp_path):
+    # lambda_p less E_1(m eps)/eps, the square root of the level, leaves (2/pi) mu_{2p} eps
+    job = {**SMALL, "m": 0.5, "eps": [0.1, 0.08, 0.06, 0.045], "count": 4}
+    report = run_corollary(job, out_dir=tmp_path)
+    mu_eff = report.sweep.mu_effective
+    assert report.references == [(2.0 / math.pi) * mu_eff[2 * p + 1] for p in range(2)]
+    rows = list(csv.reader((tmp_path / "corollary.csv").open()))[1:]
+    assert len(rows) == 8
+    for eps, p, lam, partial in rows:
+        eps, lam = float(eps), float(lam)
+        assert lam == report.lam[eps][int(p) - 1]
+        assert float(partial) == (lam - math.sqrt(transverse.level(0.5, eps))) / eps
+    for p, coeff in enumerate(report.linear_coeffs):
+        ys = [report.lam[e][p] - math.sqrt(transverse.level(0.5, e)) for e in job["eps"]]
+        assert coeff == cli._affine_fit(np.array(job["eps"]), np.array(ys))["slope"]
+        assert abs(coeff - report.references[p]) <= 0.15 * abs(report.references[p])
 
 
 def _fail_below(monkeypatch, eps_cut):

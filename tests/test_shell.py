@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from diracshell import transverse
 from diracshell.clifford import gamma
 from diracshell.eigsolve import dense_hermitian_eig, inertia
 from diracshell.geometry import flat_strip, shell_metric
@@ -52,6 +53,38 @@ def test_flat_strip_separation(fam2):
     # ground level is exactly the first transverse energy over eps^2
     k1 = solve_k(m * eps, 1)
     assert ref[0] == pytest.approx(((m * eps) ** 2 + k1**2) / eps**2, abs=1e-12)
+
+
+@pytest.mark.parametrize("curve_name", ["circle", "ellipse"])
+def test_ladder_shift_reads_the_transverse_level(fam2, curve_name, request):
+    # the shift is the ground level (k^2 + (m eps)^2)/eps^2 as the shell has
+    # always evaluated it, so every shift, and every eigenvalue solved at it,
+    # is the same float
+    crv = request.getfixturevalue(curve_name)
+    for m in (0.0, 0.5, 1.0):
+        for eps in (0.1, 0.035):
+            met = shell_metric(crv, eps)
+            me = m * eps
+            k1 = solve_k(me, 1)
+            ground = (k1 * k1 + me * me) / eps**2 - crv.kappa_max**2 / 4.0 - 1.0
+            assert ladder_shift(assemble_shell(fam2, met, m, 32, 8)) == ground
+            sand = assemble_sandwich(fam2, met, m, 2.0, 32, 8)
+            assert ladder_shift(sand) == ground - 2.0 * 2.0 * eps
+
+
+def test_flat_strip_levels_within_an_ulp_of_the_separated_formula():
+    # (m eps)^2 + k^2 against k*k + (m eps)^2: the rounding may differ in the last bit
+    rng = np.random.default_rng(0)
+    length = 2.0 * math.pi
+    for m, eps in zip(rng.uniform(0.0, 2.0, 200), rng.uniform(0.01, 0.5, 200)):
+        expected = []
+        for p in range(1, 6):
+            kp = solve_k(m * eps, p)
+            ep2 = (m * eps) ** 2 + kp**2
+            for q in range(-8, 9):
+                expected.extend([(2.0 * math.pi * q / length) ** 2 + ep2 / eps**2] * 2)
+        expected = np.sort(np.array(expected))[:8]
+        assert np.all(np.abs(flat_strip_levels(length, m, eps, 8) - expected) <= np.spacing(expected))
 
 
 def test_flat_strip_convergence_order(fam2):
@@ -410,9 +443,8 @@ def test_boundary_condition_exact_by_construction(fam2, ellipse):
 
 def _bracket_tol(asm, mu):
     # criterion 12's grid tolerance: it scales with the level left after
-    # the m = 0 ladder pi^2/(16 eps^2), not with mu itself
-    eps = asm.metric.eps
-    return 10.0 * max(asm.h_s, asm.h_t) ** 2 * max(1.0, abs(mu - math.pi**2 / (16.0 * eps**2)))
+    # the transverse ground level, not with mu itself
+    return 10.0 * max(asm.h_s, asm.h_t) ** 2 * max(1.0, abs(mu - transverse.level(0.0, asm.metric.eps)))
 
 
 def test_sandwich_brackets_shell_ellipse(fam2, ellipse):

@@ -1,6 +1,11 @@
+import json
 import os
+import subprocess
 import sys
 import types
+
+import numpy as np
+import pytest
 
 from diracshell import threads
 
@@ -56,3 +61,43 @@ def test_blas_threads_before_any_call_reads_the_environment(monkeypatch):
     record = threads.blas_threads()
     assert record["threadpoolctl_limit"] is None
     assert record["env"]["MKL_NUM_THREADS"] == "4"
+
+
+def _openblas_copies():
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS next to numpy's)
+
+    counts = threads.blas_threads()["openblas"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas["name"] != "scipy-openblas":
+        pytest.skip(f"numpy is built against {blas['name']}, not scipy-openblas")
+    return counts
+
+
+def test_blas_threads_reads_each_loaded_openblas():
+    # numpy's 64-bit-int copy and scipy's copy each answer their own thread
+    # count; the session set OPENBLAS_NUM_THREADS=1 before either loaded
+    counts = _openblas_copies()
+    assert any(name.startswith("libscipy_openblas64_") for name in counts)
+    assert any(name.startswith("libscipy_openblas-") for name in counts)
+    if os.environ["OPENBLAS_NUM_THREADS"] == "1":
+        assert set(counts.values()) == {1}
+
+
+def test_an_openblas_without_a_known_getter_reads_null(monkeypatch):
+    monkeypatch.setattr(threads, "_OPENBLAS_GETTERS", ("no_such_getter",))
+    counts = _openblas_copies()
+    assert counts and set(counts.values()) == {None}
+
+
+def test_blas_threads_loads_no_library():
+    # before numpy loads there is no OpenBLAS in the process, and reading the
+    # record maps none
+    code = (
+        "import json; from diracshell import threads; "
+        "record = threads.blas_threads()['openblas']; "
+        "mapped = [line for line in open('/proc/self/maps') if 'openblas' in line]; "
+        "print(json.dumps([record, mapped]))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [{}, []]

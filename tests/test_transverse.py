@@ -12,6 +12,7 @@ from diracshell.transverse import (
     energy,
     gauss_legendre,
     k1_series,
+    level,
     mode,
     mode_perturbation_check,
     normalization,
@@ -96,6 +97,23 @@ def test_energy_expansion_third_order():
     assert resid(0.02) / 0.02**3 < 0.5
     ratio = resid(0.02) / resid(0.01)
     assert 6.5 <= ratio <= 9.5
+
+
+def test_level_is_the_transverse_energy_squared_over_eps_squared():
+    for m in (0.0, 0.5, 1.0, 3.0):
+        for eps in (0.2, 0.1, 0.035):
+            for p in (1, 2, 4):
+                me = m * eps
+                k = solve_k(me, p)
+                assert level(m, eps, p) == (k * k + me * me) / eps**2
+                assert level(m, eps, p) == pytest.approx((energy(me, p) / eps) ** 2, rel=1e-14)
+
+
+def test_massless_level_is_the_closed_form_bit_for_bit():
+    # at m = 0 the level is (pi/4)^2/eps^2, which equals pi^2/(16 eps^2) exactly,
+    # so the massless residuals are the same floats as with the closed form
+    for eps in np.random.default_rng(0).uniform(0.001, 1.0, 10_000):
+        assert level(0.0, eps) == math.pi**2 / (16.0 * eps**2)
 
 
 def test_normalization_closed_forms():
