@@ -448,10 +448,12 @@ def check_shell_sandwich():
         c = 3.0 * (1.0 + curve.kappa_max)
         met = geometry.shell_metric(curve, eps)
         asm = shell.assemble_shell(fam, met, 0.0, n_s, n_t)
-        sand = shell.assemble_sandwich(fam, met, 0.0, c, n_s, n_t)
         mu = shell.lowest_eigenvalues(asm, 1).eigenvalues[0]
-        mu_minus = shell.lowest_eigenvalues(sand, 1, which="minus").eigenvalues[0]
-        mu_plus = shell.lowest_eigenvalues(sand, 1, which="plus").eigenvalues[0]
+        # the lower and upper bracketing forms, at slack -c and +c
+        mu_minus, mu_plus = (
+            shell.lowest_eigenvalues(shell.assemble_sandwich(fam, met, 0.0, slack, n_s, n_t), 1).eigenvalues[0]
+            for slack in (-c, c)
+        )
         # the grid error scales with the level left after the transverse
         # ground level, not with mu itself
         tol = 10.0 * max(asm.h_s, asm.h_t) ** 2 * max(1.0, abs(mu - transverse.level(0.0, eps)))

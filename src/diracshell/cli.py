@@ -41,7 +41,6 @@ from . import transverse
 from .checks import run_all
 from .clifford import build_clifford, family_to_json
 from .effective import (
-    DEFAULT_COUPLING,
     MIN_NS as EFF_MIN_NS,
     ConvergedReference,
     converged_eigenvalues,
@@ -523,8 +522,6 @@ def main(argv=None) -> int:
     p_es.add_argument("--curve", required=True)
     p_es.add_argument("--ns", type=int, default=512)
     p_es.add_argument("--count", type=int, default=8)
-    p_es.add_argument("--coupling", type=float, default=None,
-                      help="override the derived connection coefficient (sensitivity studies)")
     p_es.add_argument("--out", default="effective.csv")
 
     p_dc = sub.add_parser("dump-clifford")
@@ -579,14 +576,9 @@ def main(argv=None) -> int:
                     f"--ns must be even with {EFF_MIN_NS} <= ns and ns - 1 <= {DENSE_DIM_LIMIT} "
                     "(the dense cap), and --count in 1..ns-1 (one spin block)"
                 )
-            coupling = DEFAULT_COUPLING if args.coupling is None else args.coupling
-            if not math.isfinite(coupling):
-                raise ConfigError(f"--coupling must be finite, got {coupling!r}")
             fam = build_clifford(2)
             curve = _curve(_load_curve_arg(args.curve))
-            res = effective_spectrum_csv(
-                args.out, fam, curve, args.ns, count=args.count, coupling=coupling
-            )
+            res = effective_spectrum_csv(args.out, fam, curve, args.ns, count=args.count)
             print(f"wrote {args.out}; spectral distance {res.spectral_distance:.3e}")
             return 0
         if args.verb == "dump-clifford":

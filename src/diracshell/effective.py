@@ -306,11 +306,9 @@ def gauge_transform_check(
     )
 
 
-def effective_spectrum_csv(
-    path, fam, curve, n_s: int, count: int = 8, coupling: float = DEFAULT_COUPLING
-) -> GaugeCheckResult:
-    """Write rows (index, mu_effective, mu_magnetic_pair, abs diff)."""
-    result = gauge_transform_check(fam, curve, n_s, count=count, coupling=coupling)
+def effective_spectrum_csv(path, fam, curve, n_s: int, count: int = 8) -> GaugeCheckResult:
+    """Write rows (index, mu_effective, mu_magnetic_pair, abs diff) at the derived coupling."""
+    result = gauge_transform_check(fam, curve, n_s, count=count)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "mu_effective", "mu_magnetic_pair", "abs_diff"])

@@ -28,15 +28,19 @@ once per assembly, at the 2*n_s distinct s-abscissae (i + xi_q)*h_s, and
 broadcast over t and over every coefficient built from it.  The quadratic
 t-element keeps the transverse eigenvalue error far below the O(1)
 effective term even on the coarse sweep grids; convergence in the
-s-direction stays second order.  The shell form and both bracketing forms
+s-direction stays second order.  The shell form and the bracketing forms
 below share one gauged-frame assembler, ``_gauged_pencil``: component 1's
 form is component 0's plus the covariant term of d_s + i*kappa.
 
-The companion bracketing forms replace the exact coefficients by their
-flat-metric bounds with slack constant c:
+A bracketing form replaces the exact coefficients by their flat-metric
+bounds with a signed slack c:
 
-    (1 +- c*eps) |d_s w|^2 + (1/eps^2) |d_t w|^2 - kappa^2/4 |w|^2
-    + (m^2 +- c*eps) |w|^2 + (m*eps +- c*eps^3)/eps^2 boundary terms.
+    (1 + c*eps) |d_s w|^2 + (1/eps^2) |d_t w|^2 - kappa^2/4 |w|^2
+    + (m^2 + c*eps) |w|^2 + (m*eps + c*eps^3)/eps^2 boundary terms;
+
+c < 0 gives the lower form and c > 0 the upper one, so the shell form sits
+between the forms at -c and +c.  Every assembly holds one pencil, and a
+``ShellFormAssembly`` records its slack (0.0 for the exact form).
 
 The lowest eigenvalues of every pencil sit O(1) above the transverse
 ground level E_1(m eps)^2/eps^2; for the shell pencil that O(1) term is,
@@ -65,7 +69,6 @@ from .geometry import ShellMetric2D
 
 __all__ = [
     "ShellFormAssembly",
-    "SandwichFormAssembly",
     "assemble_shell",
     "assemble_sandwich",
     "lowest_eigenvalues",
@@ -132,28 +135,26 @@ def scatter(local: np.ndarray, conn: np.ndarray, dim: int) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class ShellFormAssembly:
-    metric: ShellMetric2D
-    m: float
-    n_s: int
-    n_t: int
-    pencil: HermitianPencil
-    dof_count: int
-    h_s: float
-    h_t: float
+    """One assembled pencil: the exact shell form (c = 0.0) or the bracketing form with slack c."""
 
-
-@dataclass(frozen=True)
-class SandwichFormAssembly:
     metric: ShellMetric2D
     m: float
     c: float
     n_s: int
     n_t: int
-    pencil_minus: HermitianPencil
-    pencil_plus: HermitianPencil
-    dof_count: int
-    h_s: float
-    h_t: float
+    pencil: HermitianPencil
+
+    @property
+    def dof_count(self) -> int:
+        return self.pencil.dim
+
+    @property
+    def h_s(self) -> float:
+        return self.metric.curve.length / self.n_s
+
+    @property
+    def h_t(self) -> float:
+        return 2.0 / self.n_t
 
 
 # boundary spinors in the gauged frame diag(1, nu(s)): constant in s
@@ -336,10 +337,7 @@ def assemble_shell(
     boundary = [m * (1.0 + side * eps * kap_s) + side * kap_s / 2.0 for side in (+1, -1)]
     b = grid.matrix(np.stack([grid.local(grid.mass_pairs, eps * w)] * 2))
     pencil = _gauged_pencil(grid, kap, eps / w, w / eps, m * m * eps * w, boundary, b)
-    return ShellFormAssembly(
-        metric=metric, m=float(m), n_s=grid.n_s, n_t=grid.n_t, pencil=pencil,
-        dof_count=pencil.dim, h_s=grid.h_s, h_t=grid.h_t,
-    )
+    return ShellFormAssembly(metric=metric, m=float(m), c=0.0, n_s=grid.n_s, n_t=grid.n_t, pencil=pencil)
 
 
 def assemble_sandwich(
@@ -349,25 +347,20 @@ def assemble_sandwich(
     c: float,
     n_s: int,
     n_t: int | None = None,
-) -> SandwichFormAssembly:
-    """The two flat-metric bracketing pencils sharing one mass matrix."""
-    if c < 0:
-        raise ValueError("slack constant c must be nonnegative")
+) -> ShellFormAssembly:
+    """Pencil of the flat-metric bracketing form with signed slack c.
+
+    c < 0 gives the lower form and c > 0 the upper one; the shell form lies
+    between the forms at -c and +c once |c| covers the metric's deviation.
+    """
     grid, _, kap = _grid(fam, metric, n_s, n_t)
     eps = metric.eps
     b = grid.matrix(np.stack([grid.local(grid.mass_pairs, 1.0)] * 2))
-    pencils = {}
-    for sign in (-1, +1):
-        bcoef = (m * eps + sign * c * eps**3) / eps**2
-        pencils[sign] = _gauged_pencil(
-            grid, kap, 1.0 + sign * c * eps, 1.0 / eps**2,
-            m * m + sign * c * eps - kap**2 / 4.0, (bcoef, bcoef), b,
-        )
-    return SandwichFormAssembly(
-        metric=metric, m=float(m), c=float(c), n_s=grid.n_s, n_t=grid.n_t,
-        pencil_minus=pencils[-1], pencil_plus=pencils[+1],
-        dof_count=pencils[+1].dim, h_s=grid.h_s, h_t=grid.h_t,
+    bcoef = (m * eps + c * eps**3) / eps**2
+    pencil = _gauged_pencil(
+        grid, kap, 1.0 + c * eps, 1.0 / eps**2, m * m + c * eps - kap**2 / 4.0, (bcoef, bcoef), b
     )
+    return ShellFormAssembly(metric=metric, m=float(m), c=float(c), n_s=grid.n_s, n_t=grid.n_t, pencil=pencil)
 
 
 # how far below the predicted lowest eigenvalue lowest_eigenvalues puts the
@@ -375,34 +368,29 @@ def assemble_sandwich(
 LEVEL_MARGIN = 0.1
 
 
-def ladder_shift(assembly) -> float:
+def ladder_shift(assembly: ShellFormAssembly) -> float:
     """A shift below the lowest eigenvalue of a shell or bracketing pencil.
 
     The transverse ground level E_1(m eps)^2/eps^2, lowered by the largest
-    curvature potential kappa_max^2/4 plus one, and for the bracketing
-    pencils also by their slack 2 c eps.  It needs no knowledge of the
-    effective operator, so it is the shift of a solve given no level and
-    the fallback of one whose predicted shift fails; it lies further below
-    the lowest eigenvalue than the prediction (about 1.18 on the unit
-    circle and 1.94 on ellipse(2, 1)), which costs ARPACK more
-    applications.
+    curvature potential kappa_max^2/4 plus one and by the slack 2 |c| eps
+    (zero for the shell form).  It needs no knowledge of the effective
+    operator, so it is the shift of a solve given no level and the fallback
+    of one whose predicted shift fails; it lies further below the lowest
+    eigenvalue than the prediction (about 1.18 on the unit circle and 1.94
+    on ellipse(2, 1)), which costs ARPACK more applications.
     """
-    ground = transverse.level(assembly.m, assembly.metric.eps)
-    sigma = ground - assembly.metric.curve.kappa_max**2 / 4.0 - 1.0
-    if isinstance(assembly, SandwichFormAssembly):
-        sigma -= 2.0 * assembly.c * assembly.metric.eps
-    return sigma
+    eps = assembly.metric.eps
+    ground = transverse.level(assembly.m, eps)
+    return ground - assembly.metric.curve.kappa_max**2 / 4.0 - 1.0 - 2.0 * abs(assembly.c) * eps
 
 
 def lowest_eigenvalues(
-    assembly, count: int, seed: int = 0, which: str = "shell", level: float | None = None
+    assembly: ShellFormAssembly, count: int, seed: int = 0, level: float | None = None
 ) -> SpectrumResult:
-    """The certified solve for the count smallest eigenvalues of an assembled pencil.
+    """The certified solve for the count smallest eigenvalues of an assembly's pencil.
 
-    Accepts a ShellFormAssembly (``which="shell"``) or a
-    SandwichFormAssembly (pick the side with ``which="minus"``/``"plus"``);
-    any other ``which`` raises ValueError.  The pencil is solved by
-    ``eigsolve.shift_invert_smallest`` with a start vector from ``seed``.
+    The pencil is solved by ``eigsolve.shift_invert_smallest`` with a start
+    vector from ``seed``; a count above MAX_COUNT raises ValueError.
     Without ``level`` the shift is ``ladder_shift(assembly)``.  ``level``
     predicts the lowest eigenvalue's height above the transverse ground
     level E_1(m eps)^2/eps^2, as the lowest effective eigenvalue does for
@@ -416,20 +404,12 @@ def lowest_eigenvalues(
     """
     if count > MAX_COUNT:
         raise ValueError(f"count capped at {MAX_COUNT}")
-    if isinstance(assembly, ShellFormAssembly):
-        pencils = {"shell": assembly.pencil}
-    elif isinstance(assembly, SandwichFormAssembly):
-        pencils = {"minus": assembly.pencil_minus, "plus": assembly.pencil_plus}
-    else:
-        raise TypeError("expected a ShellFormAssembly or a SandwichFormAssembly")
-    if which not in pencils:
-        raise ValueError(f"which must be one of {sorted(pencils)} for this assembly, got {which!r}")
     sigma, fallback = ladder_shift(assembly), None
     if level is not None:
         predicted = transverse.level(assembly.m, assembly.metric.eps) + level - LEVEL_MARGIN
         if predicted > sigma:
             sigma, fallback = predicted, sigma
-    return shift_invert_smallest(pencils[which], count, sigma, seed=seed, fallback=fallback)
+    return shift_invert_smallest(assembly.pencil, count, sigma, seed=seed, fallback=fallback)
 
 
 def flat_strip_levels(length: float, m: float, eps: float, count: int) -> np.ndarray:

@@ -3,12 +3,13 @@
 Dense kernels on the small blocks used throughout this package are faster
 and bit-reproducible with a single BLAS thread; oversubscribed thread
 pools in containers make them pathologically slow.  ``set_blas_threads``
-limits the loaded BLAS libraries to one thread through threadpoolctl when
-it is installed, and otherwise does nothing: BLAS reads the usual thread
-environment variables (``OMP_NUM_THREADS`` and friends) only when numpy
-loads, so they must be set before the process starts.  ``blas_threads``
-reports the threadpoolctl limit applied, those variables as they are, and
-the thread count each OpenBLAS copy already loaded in the process answers.
+sets each OpenBLAS copy already loaded in the process (numpy's and
+scipy's) to one thread through its own ``scipy_openblas_set_num_threads*``
+symbol.  Any other BLAS reads the usual thread environment variables
+(``OMP_NUM_THREADS`` and friends) only when numpy loads, so for those they
+must be set before the process starts.  ``blas_threads`` reports those
+variables as they are and the thread count each loaded OpenBLAS copy
+answers.
 """
 
 from __future__ import annotations
@@ -23,60 +24,56 @@ _ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-# the thread-count getters of the OpenBLAS builds numpy (64-bit ints) and scipy ship
+# the thread-count setters and getters of the OpenBLAS builds numpy (64-bit ints) and scipy ship
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
 _OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
-
-_limiter = None  # the threadpoolctl limit, once set
 
 
 def set_blas_threads() -> dict:
-    """Limit the loaded BLAS to one thread through threadpoolctl, once; returns ``blas_threads()``."""
-    global _limiter
-    if _limiter is None:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            pass
-        else:
-            _limiter = threadpool_limits(limits=1, user_api="blas")
+    """Set each OpenBLAS copy already loaded to one thread; returns ``blas_threads()``."""
+    for lib in _loaded_openblas().values():
+        setter = _symbol(lib, _OPENBLAS_SETTERS)
+        if setter is not None:
+            setter(1)
     return blas_threads()
 
 
 def blas_threads() -> dict:
     """The BLAS thread settings in effect.
 
-    ``threadpoolctl_limit`` is 1 once ``set_blas_threads`` limited the
-    loaded BLAS through threadpoolctl, else None.  ``env`` holds the thread
-    variables of the process environment (None: unset, the library default).
-    ``openblas`` maps the file name of each OpenBLAS library already loaded
-    to the thread count it reports (None: it has no known getter).
+    ``env`` holds the thread variables of the process environment (None:
+    unset, the library default).  ``openblas`` maps the file name of each
+    OpenBLAS library already loaded to the thread count it reports (None:
+    it has no known getter).
     """
-    limit = None if _limiter is None else 1
-    return {
-        "threadpoolctl_limit": limit,
-        "env": {var: os.environ.get(var) for var in _ENV_VARS},
-        "openblas": _openblas_threads(),
-    }
+    counts = {}
+    for name, lib in _loaded_openblas().items():
+        getter = _symbol(lib, _OPENBLAS_GETTERS)
+        counts[name] = None if getter is None else int(getter())
+    return {"env": {var: os.environ.get(var) for var in _ENV_VARS}, "openblas": counts}
 
 
-def _openblas_threads() -> dict:
-    """Thread count of each OpenBLAS copy in the process, by file name.
+def _loaded_openblas() -> dict:
+    """Each OpenBLAS copy in the process, by file name.
 
     The copies are the mapped files of ``/proc/self/maps`` (none where that
     cannot be read); each is opened with RTLD_NOLOAD, so a library that is
-    not already loaded stays unloaded, and nothing is set.
+    not already loaded stays unloaded.
     """
     try:
         with open("/proc/self/maps") as fh:
             mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}
     except OSError:
         return {}
-    counts = {}
+    libs = {}
     for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            libs[os.path.basename(path)] = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
         except OSError:
             continue
-        getter = next((getattr(lib, name) for name in _OPENBLAS_GETTERS if hasattr(lib, name)), None)
-        counts[os.path.basename(path)] = None if getter is None else int(getter())
-    return counts
+    return libs
+
+
+def _symbol(lib, names):
+    """The first of ``names`` that ``lib`` exports, or None."""
+    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)

@@ -18,7 +18,8 @@ def pytest_configure(config):
     # a ComplexWarning (the imaginary part of a complex array dropped on a cast
     # to real) fails the test that raised it.  The filter is added here, not in
     # pyproject.toml, because pytest imports a filter's category when it reads
-    # the ini file, which would load numpy before the thread variables above are set
+    # the ini file, which would load numpy before the thread variables above are
+    # set; the builtin categories there load nothing
     config.addinivalue_line("filterwarnings", "error::numpy.exceptions.ComplexWarning")
 
 

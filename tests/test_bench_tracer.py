@@ -42,8 +42,8 @@ def test_traced_sandwich_counts_dof_and_nnz(fam2, circle):
     tracer = _load_tracer()
     with tracer.Tracer().installed() as tr:
         met = geometry.shell_metric(circle, 0.1)
-        sand = shell.assemble_sandwich(fam2, met, 0.0, 6.0, 32, 8)
-        shell.lowest_eigenvalues(sand, 1, which="minus")
+        sand = shell.assemble_sandwich(fam2, met, 0.0, -6.0, 32, 8)
+        shell.lowest_eigenvalues(sand, 1)
     counts = {name: c for name, _, _, _, _, c in tr.spans}
     assert counts[tracer._SHELL]["dof"] == sand.dof_count > 0
     assert counts[tracer._SHELL]["nnz"] > 0

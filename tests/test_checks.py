@@ -82,9 +82,10 @@ def test_intertwining_fails_when_the_solver_skips_a_value(monkeypatch):
 def test_shell_sandwich_fails_when_the_shell_level_leaves_the_bracket(monkeypatch):
     solve = shell.lowest_eigenvalues
 
-    def raised(assembly, count, *args, which="shell", **kwargs):
-        res = solve(assembly, count, *args, which=which, **kwargs)
-        return dataclasses.replace(res, eigenvalues=res.eigenvalues + 2.0) if which == "shell" else res
+    def raised(assembly, count, *args, **kwargs):
+        # raise the exact form's level (slack 0.0), not the bracketing ones
+        res = solve(assembly, count, *args, **kwargs)
+        return dataclasses.replace(res, eigenvalues=res.eigenvalues + 2.0) if assembly.c == 0.0 else res
 
     monkeypatch.setattr(shell, "lowest_eigenvalues", raised)
     assert not checks.check_shell_sandwich().passed

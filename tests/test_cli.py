@@ -534,8 +534,6 @@ BAD_INVOCATIONS = {
     "masses-not-numbers": ["transverse-table", "--m", "a"],
     "mass-negative": ["transverse-table", "--m", "-1"],
     "mass-infinite": ["transverse-table", "--m", "0,inf"],
-    "effective-coupling-not-a-number": ["effective-spectrum", "--curve", CIRCLE, "--coupling", "nan"],
-    "effective-coupling-infinite": ["effective-spectrum", "--curve", CIRCLE, "--coupling", "inf"],
     "eps-empty": ["sweep", "--curve", CIRCLE, "--eps", ""],
     "flag-overrides-with-bad-value": ["corollary", "--config", "{config}", "--curve", CIRCLE, "--count", "3"],
     "bands-zero": ["transverse-table", "--bands", "0"],
@@ -613,6 +611,18 @@ def test_threads_flag_is_a_usage_error(capsys):
     # the eps points are solved one after another; there is no thread-count flag
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "sweep", "--curve", CIRCLE])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: diracshell")
+
+
+@pytest.mark.parametrize(
+    "value", ["inf", "nan"], ids=["effective-coupling-infinite", "effective-coupling-not-a-number"]
+)
+def test_coupling_flag_is_a_usage_error(value, capsys):
+    # effective-spectrum compares against the magnetic operator of the derived
+    # coupling; there is no flag to set another one, whatever its value
+    with pytest.raises(SystemExit) as exc:
+        main(["effective-spectrum", "--curve", CIRCLE, "--coupling", value])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage: diracshell")
 

@@ -68,8 +68,9 @@ def test_ladder_shift_reads_the_transverse_level(fam2, curve_name, request):
             k1 = solve_k(me, 1)
             ground = (k1 * k1 + me * me) / eps**2 - crv.kappa_max**2 / 4.0 - 1.0
             assert ladder_shift(assemble_shell(fam2, met, m, 32, 8)) == ground
-            sand = assemble_sandwich(fam2, met, m, 2.0, 32, 8)
-            assert ladder_shift(sand) == ground - 2.0 * 2.0 * eps
+            # either bracketing form lies 2|c| eps further down
+            for c in (-2.0, 2.0):
+                assert ladder_shift(assemble_sandwich(fam2, met, m, c, 32, 8)) == ground - 2.0 * abs(c) * eps
 
 
 def test_flat_strip_levels_within_an_ulp_of_the_separated_formula():
@@ -127,15 +128,19 @@ def test_dense_vs_iterative_paths(fam2, circle):
     assert np.abs(production - dense.eigenvalues).max() <= 1e-8
 
 
+def _sides(fam, met, m, c, n_s, n_t):
+    """The lower and upper bracketing assemblies, at slack -c and +c."""
+    return tuple(assemble_sandwich(fam, met, m, slack, n_s, n_t) for slack in (-c, c))
+
+
 @pytest.mark.parametrize("curve_name", ["circle", "ellipse"])
 def test_negative_pivots_match_dense_count(fam2, curve_name, request):
     # spectrum slicing: the inertia of A - sigma B counts the eigenvalues
     # below sigma, on the shell pencil and both bracketing pencils
     crv = request.getfixturevalue(curve_name)
     met = shell_metric(crv, 0.1)
-    asm = assemble_shell(fam2, met, 0.3, 32, 8)
-    sand = assemble_sandwich(fam2, met, 0.3, 3.0 * (1.0 + crv.kappa_max), 32, 8)
-    for pen in (asm.pencil, sand.pencil_minus, sand.pencil_plus):
+    asms = (assemble_shell(fam2, met, 0.3, 32, 8), *_sides(fam2, met, 0.3, 3.0 * (1.0 + crv.kappa_max), 32, 8))
+    for pen in (asm.pencil for asm in asms):
         # every sigma lies below lam[4], so the lowest five decide each count
         lam = dense_hermitian_eig(pen.a, pen.b, check=False, count=5).eigenvalues
         for sigma, expected in ((lam[0] - 0.5, 0), (0.5 * (lam[1] + lam[2]), 2), (0.5 * (lam[3] + lam[4]), 4)):
@@ -166,19 +171,11 @@ def test_predicted_level_too_high_falls_back_to_the_ladder_shift(fam2, ellipse):
     assert np.abs(np.array(list(res)) - np.array(list(default))).max() <= 1e-10
 
 
-def test_which_must_name_a_pencil(fam2, circle):
+def test_count_is_capped_at_max_count(fam2, circle):
     met = shell_metric(circle, 0.1)
-    asm = assemble_shell(fam2, met, 0.0, 32, 8)
-    sand = assemble_sandwich(fam2, met, 0.0, 6.0, 32, 8)
-    for bad in ("shell", "lower", "Minus"):
+    for asm in (assemble_shell(fam2, met, 0.0, 32, 8), assemble_sandwich(fam2, met, 0.0, -6.0, 32, 8)):
         with pytest.raises(ValueError):
-            lowest_eigenvalues(sand, 1, which=bad)
-    with pytest.raises(ValueError):
-        lowest_eigenvalues(asm, 1, which="plus")
-    with pytest.raises(ValueError):
-        lowest_eigenvalues(asm, MAX_COUNT + 1)
-    with pytest.raises(TypeError):
-        lowest_eigenvalues(asm.pencil, 1)
+            lowest_eigenvalues(asm, MAX_COUNT + 1)
 
 
 def _counting_curvature(curve):
@@ -376,7 +373,7 @@ def _gauged_by_scatter(grid, kap, tan, trans, mass, boundary):
 
 
 def _pencils_by_scatter(curve, m, eps, c, n_s, n_t):
-    # reference: the shell (A, B) and both bracketing A, assembled per component and reduced
+    # reference: the shell (A, B) and both bracketing (A, B), assembled per component and reduced
     from diracshell.shell import _TensorGalerkin
 
     grid = _TensorGalerkin(curve.length, n_s, n_t)
@@ -387,13 +384,14 @@ def _pencils_by_scatter(curve, m, eps, c, n_s, n_t):
     out = {
         "shell a": _gauged_by_scatter(grid, kap, eps / w, w / eps, m * m * eps * w, boundary),
         "shell b": _reduce_by_product(grid, *[_volume_by_scatter(grid, None, None, eps * w)] * 2),
-        "sandwich b": _reduce_by_product(grid, *[_volume_by_scatter(grid, None, None, 1.0)] * 2),
     }
-    for sign, name in ((-1, "minus a"), (+1, "plus a")):
+    flat_b = _reduce_by_product(grid, *[_volume_by_scatter(grid, None, None, 1.0)] * 2)
+    for sign, name in ((-1, "minus"), (+1, "plus")):
         bcoef = (m * eps + sign * c * eps**3) / eps**2
-        out[name] = _gauged_by_scatter(
+        out[f"{name} a"] = _gauged_by_scatter(
             grid, kap, 1.0 + sign * c * eps, 1.0 / eps**2, m * m + sign * c * eps - kap**2 / 4.0, (bcoef, bcoef)
         )
+        out[f"{name} b"] = flat_b
     return out
 
 
@@ -409,9 +407,9 @@ def test_reduced_assembly_matches_scatter_and_product(fam2, request, curve_name,
     met = shell_metric(curve, eps)
     c = 3.0 * (1.0 + curve.kappa_max)
     asm = assemble_shell(fam2, met, m, n_s, n_t)
-    sand = assemble_sandwich(fam2, met, m, c, n_s, n_t)
-    got = {"shell a": asm.pencil.a, "shell b": asm.pencil.b, "sandwich b": sand.pencil_plus.b,
-           "minus a": sand.pencil_minus.a, "plus a": sand.pencil_plus.a}
+    lower, upper = _sides(fam2, met, m, c, n_s, n_t)
+    got = {"shell a": asm.pencil.a, "shell b": asm.pencil.b, "minus a": lower.pencil.a, "minus b": lower.pencil.b,
+           "plus a": upper.pencil.a, "plus b": upper.pencil.b}
     ref = _pencils_by_scatter(curve, m, eps, c, n_s, asm.n_t)
     for name, matrix in got.items():
         assert matrix.shape == ref[name].shape, name
@@ -453,10 +451,10 @@ def test_sandwich_brackets_shell_ellipse(fam2, ellipse):
     c = 3.0 * (1.0 + ellipse.kappa_max)
     met = shell_metric(ellipse, eps)
     asm = assemble_shell(fam2, met, m, 64, 13)
-    sand = assemble_sandwich(fam2, met, m, c, 64, 13)
+    lower, upper = _sides(fam2, met, m, c, 64, 13)
     mus = [v for v, _ in lowest_eigenvalues(asm, 2)]
-    lo = [v for v, _ in lowest_eigenvalues(sand, 2, which="minus")]
-    hi = [v for v, _ in lowest_eigenvalues(sand, 2, which="plus")]
+    lo = [v for v, _ in lowest_eigenvalues(lower, 2)]
+    hi = [v for v, _ in lowest_eigenvalues(upper, 2)]
     tol = [_bracket_tol(asm, v) for v in mus]
     for j in range(2):
         assert lo[j] - tol[j] <= mus[j] <= hi[j] + tol[j]
@@ -467,36 +465,36 @@ def test_sandwich_brackets_shell(fam2, circle):
     c = 3.0 * (1.0 + circle.kappa_max)
     met = shell_metric(circle, eps)
     asm = assemble_shell(fam2, met, m, 48, 13)
-    sand = assemble_sandwich(fam2, met, m, c, 48, 13)
+    lower, upper = _sides(fam2, met, m, c, 48, 13)
     mu = lowest_eigenvalues(asm, 1).eigenvalues[0]
-    mu_minus = lowest_eigenvalues(sand, 1, which="minus").eigenvalues[0]
-    mu_plus = lowest_eigenvalues(sand, 1, which="plus").eigenvalues[0]
+    mu_minus = lowest_eigenvalues(lower, 1).eigenvalues[0]
+    mu_plus = lowest_eigenvalues(upper, 1).eigenvalues[0]
     tol = _bracket_tol(asm, mu)
     assert mu_minus - tol <= mu <= mu_plus + tol
 
 
 def test_sandwich_difference_positive(fam2, circle):
     met = shell_metric(circle, 0.1)
-    sand = assemble_sandwich(fam2, met, 0.3, 6.0, 32, 8)
-    diff = (sand.pencil_plus.a - sand.pencil_minus.a).toarray()
+    lower, upper = _sides(fam2, met, 0.3, 6.0, 32, 8)
+    diff = (upper.pencil.a - lower.pencil.a).toarray()
     vals = np.linalg.eigvalsh(diff)
     assert vals[0] >= -1e-10
 
 
 def test_sandwich_degenerate_at_zero_slack(fam2, circle):
     met = shell_metric(circle, 0.1)
-    sand = assemble_sandwich(fam2, met, 0.3, 0.0, 32, 8)
-    assert np.abs((sand.pencil_plus.a - sand.pencil_minus.a)).max() == 0.0
+    lower, upper = _sides(fam2, met, 0.3, 0.0, 32, 8)
+    assert np.abs((upper.pencil.a - lower.pencil.a)).max() == 0.0
 
 
 def test_form_ordering_all_vectors(fam2, circle, rng):
     # c_minus[w] <= c_plus[w] for arbitrary admissible discrete vectors
     met = shell_metric(circle, 0.1)
-    sand = assemble_sandwich(fam2, met, 0.2, 4.0, 32, 8)
+    lower, upper = _sides(fam2, met, 0.2, 4.0, 32, 8)
     for _ in range(20):
-        w = rng.standard_normal(sand.dof_count) + 1j * rng.standard_normal(sand.dof_count)
-        lo = np.real(w.conj() @ (sand.pencil_minus.a @ w))
-        hi = np.real(w.conj() @ (sand.pencil_plus.a @ w))
+        w = rng.standard_normal(upper.dof_count) + 1j * rng.standard_normal(upper.dof_count)
+        lo = np.real(w.conj() @ (lower.pencil.a @ w))
+        hi = np.real(w.conj() @ (upper.pencil.a @ w))
         assert lo <= hi + 1e-10 * abs(hi)
 
 
@@ -512,5 +510,3 @@ def test_grid_and_guard_validation(fam2, circle, ellipse):
         assemble_shell(fam2, met, math.nan, 32, 8)
     with pytest.raises(ValueError):
         shell_metric(ellipse, 0.5)
-    with pytest.raises(ValueError):
-        assemble_sandwich(fam2, met, 0.0, -1.0, 32, 8)

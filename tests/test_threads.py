@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -11,14 +10,11 @@ from diracshell import threads
 
 
 def test_set_blas_threads_leaves_the_environment_alone(monkeypatch):
-    # without threadpoolctl nothing is limited and no thread variable is set:
-    # BLAS read them when numpy loaded, so setting one now would limit nothing
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    monkeypatch.setattr(threads, "_limiter", None)
+    # no thread variable is set: BLAS read them when numpy loaded, so setting
+    # one now would limit nothing
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     record = threads.set_blas_threads()
-    assert record["threadpoolctl_limit"] is None
     assert record["env"]["OMP_NUM_THREADS"] is None
     assert record["env"]["OPENBLAS_NUM_THREADS"] == "3"
     assert "OMP_NUM_THREADS" not in os.environ
@@ -26,40 +22,16 @@ def test_set_blas_threads_leaves_the_environment_alone(monkeypatch):
 
 
 def test_blas_threads_reports_the_environment_as_it_is(monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     assert threads.set_blas_threads()["env"]["OMP_NUM_THREADS"] == "2"
     monkeypatch.setenv("OMP_NUM_THREADS", "5")
     assert threads.blas_threads()["env"]["OMP_NUM_THREADS"] == "5"
 
 
-def test_threadpoolctl_limits_the_loaded_blas(monkeypatch):
-    calls = []
-
-    class Limiter:
-        def __init__(self, limits, user_api):
-            calls.append(("limit", limits, user_api))
-
-        def unregister(self):
-            calls.append(("unregister",))
-
-    fake = types.ModuleType("threadpoolctl")
-    fake.threadpool_limits = Limiter
-    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-    monkeypatch.setattr(threads, "_limiter", None)
-    assert threads.blas_threads()["threadpoolctl_limit"] is None
-    assert threads.set_blas_threads()["threadpoolctl_limit"] == 1
-    assert threads.blas_threads()["threadpoolctl_limit"] == 1
-    # a second call keeps the first limit: no second registration, none undone
-    assert threads.set_blas_threads()["threadpoolctl_limit"] == 1
-    assert calls == [("limit", 1, "blas")]
-
-
 def test_blas_threads_before_any_call_reads_the_environment(monkeypatch):
-    monkeypatch.setattr(threads, "_limiter", None)
     monkeypatch.setenv("MKL_NUM_THREADS", "4")
     record = threads.blas_threads()
-    assert record["threadpoolctl_limit"] is None
+    assert set(record) == {"env", "openblas"}
     assert record["env"]["MKL_NUM_THREADS"] == "4"
 
 
@@ -101,3 +73,21 @@ def test_blas_threads_loads_no_library():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == [{}, []]
+
+
+def test_set_blas_threads_sets_each_loaded_openblas():
+    # a process started with OPENBLAS_NUM_THREADS=2 runs both copies at 2
+    # threads (on a machine with at least 2 cores) until the call sets them
+    code = (
+        "import json, numpy, scipy.linalg; from diracshell import threads; "
+        "blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']['name']; "
+        "before = threads.blas_threads()['openblas']; "
+        "print(json.dumps([blas, before, threads.set_blas_threads()['openblas']]))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "2"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    blas, before, after = json.loads(out.stdout)
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy is built against {blas}, not scipy-openblas")
+    assert after and after.keys() == before.keys()
+    assert set(after.values()) == {1}
