@@ -214,19 +214,13 @@ def _transverse_pencil(fam, x, m: float):
     Node 0 is kept on the -1 and the last node on the +1 eigenspace of
     -i a_{n+1} Gamma(x), N/2 components each.
     """
-    N, half = fam.N, fam.N // 2
-    n_nodes = 2 * _N_ELEM + 1
-    a_full, b_full = _p2_transverse_pencil(N, float(m))
+    a_full, b_full = _p2_transverse_pencil(fam.N, float(m))
     vals_b, vecs_b = np.linalg.eigh(-1.0j * fam.alpha_last @ clifford.gamma(fam, x).gamma)
     plus = vecs_b[:, np.abs(vals_b - 1) < 1e-10]
     minus = vecs_b[:, np.abs(vals_b + 1) < 1e-10]
-    # component c of an end node enters reduced column j with weight basis[c, j]
-    comp, basis_col = np.repeat(np.arange(N), half), np.tile(np.arange(half), N)
-    inner = np.arange(N, (n_nodes - 1) * N)
-    rows = np.concatenate([(n_nodes - 1) * N + comp, comp, inner])
-    cols = np.concatenate([basis_col, half + basis_col, inner])
-    vals = np.concatenate([plus.ravel(), minus.ravel(), np.ones(inner.size)])
-    z = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes * N, (n_nodes - 1) * N))
+    # rows: node 0, the interior nodes, the last node; columns: plus, minus, interior
+    interior = sp.identity((2 * _N_ELEM - 1) * fam.N)
+    z = sp.bmat([[None, minus, None], [None, None, interior], [plus, None, None]], format="csr")
     zh = z.conj().T.tocsr()
     return (zh @ a_full @ z).tocsr(), (zh @ b_full @ z).tocsr()
 
@@ -347,12 +341,11 @@ def check_metric_sandwich():
 
 @_entry("gauge-equivalence", budget_s=30.0)
 def check_gauge_equivalence(coupling: float = effective.DEFAULT_COUPLING, grids=(256, 512)):
-    fam = clifford.build_clifford(2)
     curve = geometry.make_curve("ellipse", a=2.0, b=1.0)
     ok = True
     details = []
     for n_s in grids:
-        res = effective.gauge_transform_check(fam, curve, n_s, coupling=coupling)
+        res = effective.gauge_transform_check(curve, n_s, coupling=coupling)
         ok = ok and (
             res.spectral_distance <= 1e-5
             and res.phase_residual <= 1e-8
@@ -379,11 +372,10 @@ def check_magnetic_circle():
 def check_effective_degeneracy():
     # both spin blocks, assembled separately, from the dense oracle:
     # effective_eigenvalues assumes the pairing this check certifies
-    fam = clifford.build_clifford(2)
     curve = geometry.make_curve("ellipse", a=2.0, b=1.0)
 
     def lowest(coupling):
-        asm = effective.assemble_effective(fam, curve, 256, coupling=coupling)
+        asm = effective.assemble_effective(curve, 256, coupling=coupling)
         return eigsolve.dense_hermitian_eig(asm.pencil.a, count=4).eigenvalues
 
     up, down = lowest(effective.DEFAULT_COUPLING), lowest(-effective.DEFAULT_COUPLING)
@@ -394,14 +386,13 @@ def check_effective_degeneracy():
 
 @_entry("effective-convergence")
 def check_effective_convergence():
-    fam = clifford.build_clifford(2)
     curve = geometry.make_curve("ellipse", a=2.0, b=1.0)
-    ref = effective.converged_eigenvalues(fam, curve, 5)
+    ref = effective.converged_eigenvalues(curve, 5)
     if not ref.converged:
         return False, f"Fourier reference not converged by n_s={ref.n_s} (cap {ref.cap})"
     errs = []
     for n_s in (64, 128, 256):
-        link = effective.assemble_effective(fam, curve, n_s, scheme="link")
+        link = effective.assemble_effective(curve, n_s, scheme="link")
         mu = effective.effective_eigenvalues(link, 5).eigenvalues
         errs.append(float(np.abs(mu - ref.eigenvalues).max()))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]

@@ -18,6 +18,8 @@ Fourier size until its values stop changing (``effective.converged_eigenvalues``
 ``eff_ns`` in a job config caps that size, and its default ``"auto"`` is AUTO_NS_CAP.
 A sweep or corollary job is the ``--config`` file's keys with each flag
 given in place of its key; its ``SweepConfig`` is checked when it is built.
+``run_sweep``, ``run_corollary`` and ``run_checks`` set BLAS to one thread
+(``threads.set_blas_threads``) before their first solve, as ``main`` does.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .effective import (
 from .effective import assemble_effective, effective_eigenvalues  # noqa: F401
 from .eigsolve import DENSE_DIM_LIMIT, EigensolveError
 from .geometry import CurveError, curve_from_json, shell_metric
-from .shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, lowest_eigenvalues
-from .threads import blas_threads, set_blas_threads
+from .shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, checked_grid, lowest_eigenvalues
+from .threads import set_blas_threads
 
 __all__ = [
     "SweepConfig",
@@ -159,7 +161,7 @@ class AsymptoticsReport:
     solves: dict = field(default_factory=dict)
     effective_s: float = 0.0   # seconds spent on the effective reference
     versions: dict = field(default_factory=dict)      # numpy and scipy
-    blas_threads: dict = field(default_factory=dict)  # threads.blas_threads()
+    blas_threads: dict = field(default_factory=dict)  # threads.set_blas_threads(), before the solves
 
     @property
     def mu_effective(self) -> list:
@@ -300,7 +302,9 @@ def _sweep_job(config, out_dir):
     """The checked job, its curve and its shell metric per eps, then out_dir created.
 
     A job it cannot run is a ConfigError, and an out_dir that cannot be a
-    directory an OSError, both raised before any solve.
+    directory an OSError, both raised before any solve.  That includes an
+    eps whose transverse level is not a finite float, or whose grid
+    ``shell.checked_grid`` refuses (above ``shell.MAX_DOF`` dofs).
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     curve = _curve(cfg.curve)
@@ -308,6 +312,19 @@ def _sweep_job(config, out_dir):
         metrics = {eps: shell_metric(curve, eps) for eps in cfg.eps}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for eps in cfg.eps:
+        try:
+            finite = math.isfinite(transverse.level(cfg.m, eps))
+        except ArithmeticError:  # eps^2 underflows to 0 or overflows
+            finite = False
+        if not finite:
+            raise ConfigError(
+                f"eps={eps!r}, m={cfg.m!r}: the transverse level E_1(m eps)^2/eps^2 is not a finite float"
+            )
+        try:
+            checked_grid(eps, cfg.ns, cfg.nt)
+        except ValueError as exc:
+            raise ConfigError(f"eps={eps!r}: {exc}") from exc
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     return cfg, curve, metrics
@@ -354,8 +371,8 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     ``effective_err`` (the last change of the values; null when the cap
     allowed one size only), ``effective_residual_max`` (the dense oracle's
     largest residual over the reference values), ``no_fit_reason``, the
-    numpy/scipy versions and the BLAS thread settings in effect
-    (``threads.blas_threads``).
+    numpy/scipy versions and the BLAS thread settings the solves ran with
+    (the record ``threads.set_blas_threads`` returns).
     """
     report = _sweep(*_sweep_job(config, out_dir))
     if out_dir is not None:
@@ -364,10 +381,11 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
 
 
 def _sweep(cfg: SweepConfig, curve, metrics) -> AsymptoticsReport:
-    fam = build_clifford(2)
+    threads_in_effect = set_blas_threads()
+    fam = build_clifford(2)  # read by the shell assemblies only
     failures: dict = {}
     t0 = time.perf_counter()
-    ref = converged_eigenvalues(fam, curve, cfg.count, cap=None if cfg.eff_ns == "auto" else cfg.eff_ns)
+    ref = converged_eigenvalues(curve, cfg.count, cap=None if cfg.eff_ns == "auto" else cfg.eff_ns)
     effective_s = time.perf_counter() - t0
     if not ref.converged:
         failures["effective"] = (
@@ -400,7 +418,7 @@ def _sweep(cfg: SweepConfig, curve, metrics) -> AsymptoticsReport:
         solves=solves,
         effective_s=effective_s,
         versions={"numpy": np.__version__, "scipy": scipy.__version__},
-        blas_threads=blas_threads(),
+        blas_threads=threads_in_effect,
     )
 
 
@@ -454,6 +472,7 @@ def run_checks(out=None) -> int:
     before any work.
     """
     with open(out, "w") if out is not None else contextlib.nullcontext() as fh:
+        set_blas_threads()
         results = run_all()
         if fh is not None:
             summary = {r.name: {"passed": r.passed, "detail": r.detail, "seconds": r.seconds} for r in results}
@@ -576,9 +595,8 @@ def main(argv=None) -> int:
                     f"--ns must be even with {EFF_MIN_NS} <= ns and ns - 1 <= {DENSE_DIM_LIMIT} "
                     "(the dense cap), and --count in 1..ns-1 (one spin block)"
                 )
-            fam = build_clifford(2)
             curve = _curve(_load_curve_arg(args.curve))
-            res = effective_spectrum_csv(args.out, fam, curve, args.ns, count=args.count)
+            res = effective_spectrum_csv(args.out, curve, args.ns, count=args.count)
             print(f"wrote {args.out}; spectral distance {res.spectral_distance:.3e}")
             return 0
         if args.verb == "dump-clifford":

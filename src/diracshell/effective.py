@@ -26,6 +26,10 @@ solves a paired block for the wanted eigenvalues alone, through the dense
 oracle ``eigsolve.dense_hermitian_eig``, and reports each twice, with its
 residual.
 ``assemble_magnetic`` returns the scalar magnetic block, unpaired.
+Every assembler takes the curve alone: the curve operator is the n = 2
+operator by construction, its one-form -kappa*a_3 written into the blocks.
+Only ``omega_oneform``, which evaluates that one-form from the Clifford
+matrices, takes a family.
 
 ``converged_eigenvalues`` picks the Fourier size itself: it doubles n_s
 from AUTO_NS_START until the lowest values stop moving, up to its cap.
@@ -143,20 +147,14 @@ def _link_block(link_angles: np.ndarray, potential: np.ndarray, h: float) -> np.
 
 
 def assemble_effective(
-    fam: CliffordFamily,
-    curve: CurveSpec,
-    n_s: int,
-    scheme: str = "fourier",
-    coupling: float = DEFAULT_COUPLING,
+    curve: CurveSpec, n_s: int, scheme: str = "fourier", coupling: float = DEFAULT_COUPLING
 ) -> EffectiveFormAssembly:
-    """Hermitian pencil of the spin-up block of the covariant curve operator.
+    """Hermitian pencil of the spin-up block of the covariant curve operator on ``curve``.
 
     The block has gauge field -coupling*kappa.  The spin-down block, with
     gauge field +coupling*kappa, is ``assemble_effective(..., coupling=-coupling)``
     and has the same spectrum (see the module docstring).
     """
-    if fam.n != 2:
-        raise ValueError("effective assembly is implemented for n = 2")
     a = _covariant_block(curve, n_s, scheme, -coupling, 0.0)
     return EffectiveFormAssembly(HermitianPencil.make(a), paired=True)
 
@@ -208,9 +206,7 @@ class ConvergedReference:
     residual_max: float         # the dense oracle's largest residual over the values reported
 
 
-def converged_eigenvalues(
-    fam: CliffordFamily, curve: CurveSpec, count: int, cap: int | None = None
-) -> ConvergedReference:
+def converged_eigenvalues(curve: CurveSpec, count: int, cap: int | None = None) -> ConvergedReference:
     """The ``count`` lowest Fourier-reference eigenvalues at a self-chosen n_s <= cap.
 
     Doubles n_s from min(AUTO_NS_START, cap) while 2 n_s <= cap (``cap``
@@ -225,7 +221,7 @@ def converged_eigenvalues(
     wanted = 2 * ((count + 1) // 2 + 1)
     prev, err, n_s = None, None, min(AUTO_NS_START, cap)
     while True:
-        res = effective_eigenvalues(assemble_effective(fam, curve, n_s), wanted)
+        res = effective_eigenvalues(assemble_effective(curve, n_s), wanted)
         up = res.eigenvalues[::2]
         converged = False
         if prev is not None:
@@ -249,11 +245,7 @@ class GaugeCheckResult:
 
 
 def gauge_transform_check(
-    fam: CliffordFamily,
-    curve: CurveSpec,
-    n_s: int,
-    count: int = 8,
-    coupling: float = DEFAULT_COUPLING,
+    curve: CurveSpec, n_s: int, count: int = 8, coupling: float = DEFAULT_COUPLING
 ) -> GaugeCheckResult:
     """Three observables of the splitting into two scalar magnetic copies.
 
@@ -271,7 +263,7 @@ def gauge_transform_check(
        512, but 5.06e-9 on ellipse(4,1) at n_s=256 (the sum misses -2*pi
        by 5.6e-8 there) and 1.1e-15 at 512.
     """
-    eff = assemble_effective(fam, curve, n_s, scheme="fourier", coupling=coupling)
+    eff = assemble_effective(curve, n_s, scheme="fourier", coupling=coupling)
     mag = assemble_magnetic(curve, n_s, scheme="fourier")
     mu_eff = effective_eigenvalues(eff, count).eigenvalues
     mu_mag = effective_eigenvalues(mag, count).eigenvalues
@@ -282,8 +274,8 @@ def gauge_transform_check(
     phase_residual = abs(coupling * (total + 2.0 * math.pi))
 
     # exact discrete identity on the link scheme
-    up = assemble_effective(fam, curve, n_s, scheme="link", coupling=coupling).pencil.a
-    down = assemble_effective(fam, curve, n_s, scheme="link", coupling=-coupling).pencil.a
+    up = assemble_effective(curve, n_s, scheme="link", coupling=coupling).pencil.a
+    down = assemble_effective(curve, n_s, scheme="link", coupling=-coupling).pencil.a
     mag_link = assemble_magnetic(curve, n_s, scheme="link").pencil.a
     h = curve.length / n_s
     angles = curve.curvature((np.arange(n_s) + 0.5) * h) * h
@@ -306,9 +298,9 @@ def gauge_transform_check(
     )
 
 
-def effective_spectrum_csv(path, fam, curve, n_s: int, count: int = 8) -> GaugeCheckResult:
+def effective_spectrum_csv(path, curve: CurveSpec, n_s: int, count: int = 8) -> GaugeCheckResult:
     """Write rows (index, mu_effective, mu_magnetic_pair, abs diff) at the derived coupling."""
-    result = gauge_transform_check(fam, curve, n_s, count=count)
+    result = gauge_transform_check(curve, n_s, count=count)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "mu_effective", "mu_magnetic_pair", "abs_diff"])

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +41,7 @@ AUTO = {k: v for k, v in SMALL.items() if k != "eff_ns"}
 
 def _direct_reference(n_s):
     curve = curve_from_json(SMALL["curve"])
-    return effective_eigenvalues(assemble_effective(build_clifford(2), curve, n_s), SMALL["count"]).eigenvalues
+    return effective_eigenvalues(assemble_effective(curve, n_s), SMALL["count"]).eigenvalues
 
 
 def test_config_validation(monkeypatch, capsys):
@@ -163,7 +166,7 @@ def test_config_and_assemblers_share_the_grid_minimums():
         assert config == assembly == (ns >= MIN_NS and nt >= MIN_NT)
     for eff_ns in (effective.MIN_NS - 2, effective.MIN_NS - 1, effective.MIN_NS, effective.MIN_NS + 1):
         config = _accepts(lambda: SweepConfig(curve=SMALL["curve"], eff_ns=eff_ns))
-        assembly = _accepts(lambda: assemble_effective(fam, curve, eff_ns))
+        assembly = _accepts(lambda: assemble_effective(curve, eff_ns))
         assert config == assembly == (eff_ns == effective.MIN_NS)
     # and exactly the sizes whose block, of dim eff_ns - 1, the dense oracle takes; a
     # count of 0 makes the oracle refuse each block, but only a block above its cap as that
@@ -217,6 +220,25 @@ def test_run_sweep_small(tmp_path):
     assert set(summary["blas_threads"]["env"]) >= {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"}
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one core whatever it is asked")
+def test_run_sweep_runs_blas_on_one_thread():
+    # run_sweep called from Python, not through main, in a process started with
+    # OPENBLAS_NUM_THREADS=2: each OpenBLAS copy records one thread for its solves
+    code = (
+        "import json, sys, numpy; from diracshell.cli import run_sweep; "
+        "blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']['name']; "
+        "print(json.dumps([blas, run_sweep(json.loads(sys.argv[1])).blas_threads['openblas']]))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "2"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(SMALL)], env=env, capture_output=True, text=True, check=True
+    )
+    blas, counts = json.loads(out.stdout)
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy is built against {blas}, not scipy-openblas")
+    assert counts and set(counts.values()) == {1}
+
+
 def test_sweep_reproducible_bytes(tmp_path):
     r1 = run_sweep(SMALL, out_dir=tmp_path / "a")
     r2 = run_sweep(SMALL, out_dir=tmp_path / "b")
@@ -266,9 +288,9 @@ def test_sweep_reference_stays_within_eff_ns(monkeypatch):
     sizes = []
     assemble = effective.assemble_effective
 
-    def recording(fam, curve, n_s, *args, **kwargs):
+    def recording(curve, n_s, *args, **kwargs):
         sizes.append(n_s)
-        return assemble(fam, curve, n_s, *args, **kwargs)
+        return assemble(curve, n_s, *args, **kwargs)
 
     monkeypatch.setattr(effective, "assemble_effective", recording)
     assert not run_sweep(SMALL).partial and sizes == [64, 128]
@@ -296,6 +318,23 @@ def test_sweep_shift_at_the_predicted_level():
         assert rec["factorizations"] == 1 and rec["negative_pivots"] == 0
         assert rec["iterations"] < at_ladder.iterations
         assert np.abs(np.array(report.mu_shell[eps]) - [v for v, _ in at_ladder]).max() <= 1e-10
+
+
+def test_sweep_falls_back_to_the_ladder_shift_at_large_mass():
+    # at m = 3 the predicted shift lies above the lowest shell eigenvalue, so
+    # each solve's first factorization fails to certify and the second, at the
+    # ladder shift, succeeds; the eigenvalues still match the dense oracle
+    job = {"curve": SMALL["curve"], "m": 3.0, "eps": [0.8, 0.6, 0.4], "ns": 32, "count": 4}
+    report = run_sweep(job)
+    assert not report.partial
+    fam = build_clifford(2)
+    curve = curve_from_json(job["curve"])
+    for eps, rec in report.solves.items():
+        asm = assemble_shell(fam, shell_metric(curve, eps), job["m"], job["ns"])
+        assert rec["factorizations"] == 2 and rec["shift"] == ladder_shift(asm)
+        assert rec["iterations"] == 35
+    dense = dense_hermitian_eig(asm.pencil.a, asm.pencil.b, count=job["count"]).eigenvalues
+    assert np.abs(np.array(report.mu_shell[0.4]) - dense).max() <= 1e-10
 
 
 def test_sweep_json_solve_record_is_the_solve_record(tmp_path):
@@ -381,7 +420,7 @@ def test_corollary_subtracts_the_transverse_energy(tmp_path):
     report = run_corollary(job, out_dir=tmp_path)
     mu_eff = report.sweep.mu_effective
     assert report.references == [(2.0 / math.pi) * mu_eff[2 * p + 1] for p in range(2)]
-    rows = list(csv.reader((tmp_path / "corollary.csv").open()))[1:]
+    rows = list(csv.reader((tmp_path / "corollary.csv").read_text().splitlines()))[1:]
     assert len(rows) == 8
     for eps, p, lam, partial in rows:
         eps, lam = float(eps), float(lam)
@@ -548,6 +587,13 @@ BAD_INVOCATIONS = {
     "curve-wavenumber-fractional": ["sweep", "--curve", '{"kind": "fourier", "coeffs": [[1.7, 1, 0]]}'],
     "curve-strip-infinite": ["sweep", "--curve", '{"kind": "strip", "length": Infinity}'],
     "effective-curve-not-a-number": ["effective-spectrum", "--curve", '{"kind": "ellipse", "a": 2, "b": NaN}'],
+    # eps^2 underflows to 0, so the transverse level divides by zero (and default_nt asks for 4e100 cells)
+    "eps-level-underflows": ["sweep", "--curve", CIRCLE, "--ns", "32", "--eps", "1e-200,1e-201,1e-202"],
+    "eps-level-underflows-fixed-nt": [
+        "sweep", "--curve", CIRCLE, "--ns", "32", "--nt", "8", "--eps", "1e-200,1e-201,1e-202"
+    ],
+    "mass-level-overflows": ["sweep", "--curve", CIRCLE, "--ns", "32", "--m", "1e200"],
+    "eps-grid-above-max-dof": ["sweep", "--curve", CIRCLE, "--ns", "32", "--eps", "1e-6,9e-7,8e-7"],
 }
 
 

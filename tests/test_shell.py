@@ -11,8 +11,10 @@ from diracshell.eigsolve import dense_hermitian_eig, inertia
 from diracshell.geometry import flat_strip, shell_metric
 from diracshell.shell import (
     MAX_COUNT,
+    MAX_DOF,
     assemble_sandwich,
     assemble_shell,
+    checked_grid,
     default_nt,
     flat_strip_levels,
     ladder_shift,
@@ -496,6 +498,24 @@ def test_form_ordering_all_vectors(fam2, circle, rng):
         lo = np.real(w.conj() @ (lower.pencil.a @ w))
         hi = np.real(w.conj() @ (upper.pencil.a @ w))
         assert lo <= hi + 1e-10 * abs(hi)
+
+
+def test_checked_grid_counts_the_assembled_dofs(fam2, circle):
+    # 4 n_s n_t is the dim of every assembled pencil, and MAX_DOF caps it
+    met = shell_metric(circle, 0.1)
+    for n_s, n_t in ((32, 8), (40, 9), (48, 13)):
+        assert checked_grid(0.1, n_s, n_t) == (n_s, n_t)
+        assert assemble_shell(fam2, met, 0.0, n_s, n_t).dof_count == 4 * n_s * n_t
+        assert assemble_sandwich(fam2, met, 0.0, 1.0, n_s, n_t).dof_count == 4 * n_s * n_t
+    assert checked_grid(0.1, 32) == (32, default_nt(0.1))
+    # the largest grid in use, and the finest n_t at its n_s
+    assert checked_grid(0.02, 512, 29) == (512, 29)
+    n_t = MAX_DOF // (4 * 512)
+    assert checked_grid(0.02, 512, n_t) == (512, n_t)
+    with pytest.raises(ValueError, match="too fine"):
+        checked_grid(0.02, 512, n_t + 1)
+    with pytest.raises(ValueError, match="too fine"):
+        assemble_shell(fam2, met, 0.0, MAX_DOF, 8)
 
 
 def test_grid_and_guard_validation(fam2, circle, ellipse):
