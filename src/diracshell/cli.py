@@ -17,7 +17,9 @@ still written, flagged ``partial``).  The effective reference doubles its
 Fourier size until its values stop changing (``effective.converged_eigenvalues``);
 ``eff_ns`` in a job config caps that size, and its default ``"auto"`` is AUTO_NS_CAP.
 A sweep or corollary job is the ``--config`` file's keys with each flag
-given in place of its key; its ``SweepConfig`` is checked when it is built.
+given in place of its key; its ``SweepConfig`` is checked when it is built,
+each eps's transverse level and grid included, and only the curve's
+injectivity guard waits for the curve, which ``_sweep`` builds before any solve.
 ``run_sweep``, ``run_corollary`` and ``run_checks`` set BLAS to one thread
 (``threads.set_blas_threads``) before their first solve, as ``main`` does.
 """
@@ -53,7 +55,7 @@ from .effective import (
 from .effective import assemble_effective, effective_eigenvalues  # noqa: F401
 from .eigsolve import DENSE_DIM_LIMIT, EigensolveError
 from .geometry import CurveError, curve_from_json, shell_metric
-from .shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, checked_grid, lowest_eigenvalues
+from .shell import MAX_COUNT, assemble_shell, checked_grid, lowest_eigenvalues
 from .threads import set_blas_threads
 
 __all__ = [
@@ -76,7 +78,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep job; a value the sweep cannot run is a ConfigError at construction."""
+    """One sweep job; a value the sweep cannot run is a ConfigError at construction.
+
+    That includes each eps whose ``transverse.level`` or its square is not a
+    finite float, or whose grid ``shell.checked_grid`` refuses.  Only the
+    curve's injectivity guard eps < 0.9/max|kappa| waits for the curve.
+    """
 
     curve: dict
     m: float = 0.0
@@ -134,14 +141,22 @@ class SweepConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if self.count < 1 or self.count > MAX_COUNT:
             raise ConfigError(f"count must lie in 1..{MAX_COUNT}")
-        if self.ns < MIN_NS:
-            raise ConfigError(f"ns must be >= {MIN_NS}")
-        if self.nt is not None and self.nt < MIN_NT:
-            raise ConfigError(f"nt must be >= {MIN_NT}")
         if self.eff_ns != "auto" and not valid_ns(self.eff_ns):
             raise ConfigError(
                 f'eff_ns must be "auto" or an even integer >= {EFF_MIN_NS} with eff_ns - 1 <= {DENSE_DIM_LIMIT}'
             )
+        for eps in self.eps:
+            try:
+                ground = transverse.level(self.m, eps)
+            except ArithmeticError:  # eps^2 underflows to 0 or overflows
+                ground = math.nan
+            if not math.isfinite(ground * ground):  # the residual norm squares entries of order eps_mach*level
+                which = f"level {ground:.3g} squared" if math.isfinite(ground) else "level E_1(m eps)^2/eps^2"
+                raise ConfigError(f"eps={eps!r}, m={self.m!r}: the transverse {which} is not a finite float")
+            try:
+                checked_grid(eps, self.ns, self.nt)
+            except ValueError as exc:
+                raise ConfigError(f"eps={eps!r}: {exc}") from exc
 
 
 def _is_real(value) -> bool:
@@ -298,54 +313,6 @@ def _curve(spec):
         raise ConfigError(str(exc)) from exc
 
 
-def _sweep_job(config, out_dir):
-    """The checked job, its curve and its shell metric per eps, then out_dir created.
-
-    A job it cannot run is a ConfigError, and an out_dir that cannot be a
-    directory an OSError, both raised before any solve.  That includes an
-    eps whose transverse level is not a finite float, or whose grid
-    ``shell.checked_grid`` refuses (above ``shell.MAX_DOF`` dofs).
-    """
-    cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
-    curve = _curve(cfg.curve)
-    try:
-        metrics = {eps: shell_metric(curve, eps) for eps in cfg.eps}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    for eps in cfg.eps:
-        try:
-            finite = math.isfinite(transverse.level(cfg.m, eps))
-        except ArithmeticError:  # eps^2 underflows to 0 or overflows
-            finite = False
-        if not finite:
-            raise ConfigError(
-                f"eps={eps!r}, m={cfg.m!r}: the transverse level E_1(m eps)^2/eps^2 is not a finite float"
-            )
-        try:
-            checked_grid(eps, cfg.ns, cfg.nt)
-        except ValueError as exc:
-            raise ConfigError(f"eps={eps!r}: {exc}") from exc
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    return cfg, curve, metrics
-
-
-def _shell_job(fam, met, cfg: SweepConfig, level: float):
-    t0 = time.perf_counter()
-    asm = assemble_shell(fam, met, cfg.m, cfg.ns, cfg.nt)
-    t1 = time.perf_counter()
-    res = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed, level=level)
-    record = {
-        "ns": asm.n_s,
-        "nt": asm.n_t,
-        "dof": asm.dof_count,
-        **res.record(),
-        "assemble_s": t1 - t0,
-        "solve_s": time.perf_counter() - t1,
-    }
-    return res.eigenvalues.tolist(), record
-
-
 def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     """Shell spectra over the eps list, residuals, and affine fits per level.
 
@@ -355,10 +322,11 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     ``failures`` under its eps, and a reference that has not converged at
     its cap under ``"effective"``; the report is ``partial`` when anything
     failed or fewer than 3 points solved (no fit; ``no_fit_reason`` says how
-    many solved).  A curve config it cannot build or an eps at or beyond the
-    curve's injectivity guard is a ConfigError, and an ``out_dir`` that
-    cannot be created an OSError, both raised before any solve.  The eps
-    points are solved one after another.
+    many solved).  A dict ``config`` is built into a ``SweepConfig``, whose
+    own rules are checked then; a curve config it cannot build or an eps at
+    or beyond the curve's injectivity guard is a ConfigError, and an
+    ``out_dir`` that cannot be created an OSError, both raised before any
+    solve.  The eps points are solved one after another.
     Each shell solve is given the lowest effective eigenvalue as its
     predicted level above the transverse ground level (see
     ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
@@ -374,13 +342,22 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     numpy/scipy versions and the BLAS thread settings the solves ran with
     (the record ``threads.set_blas_threads`` returns).
     """
-    report = _sweep(*_sweep_job(config, out_dir))
+    report = _sweep(config, out_dir)
     if out_dir is not None:
         _write_outputs(report, out_dir, "sweep")
     return report
 
 
-def _sweep(cfg: SweepConfig, curve, metrics) -> AsymptoticsReport:
+def _sweep(config, out_dir) -> AsymptoticsReport:
+    """The report of ``run_sweep`` and ``run_corollary``; every refusal comes before the first solve."""
+    cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
+    curve = _curve(cfg.curve)
+    try:
+        metrics = {eps: shell_metric(curve, eps) for eps in cfg.eps}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     threads_in_effect = set_blas_threads()
     fam = build_clifford(2)  # read by the shell assemblies only
     failures: dict = {}
@@ -393,14 +370,29 @@ def _sweep(cfg: SweepConfig, curve, metrics) -> AsymptoticsReport:
         )
 
     results: dict = {}
+    residuals: dict = {}
     solves: dict = {}
     for eps in cfg.eps:
+        asm = None  # the last eps's assembly is freed before this one is built
         try:
-            results[eps], solves[eps] = _shell_job(fam, metrics[eps], cfg, float(ref.eigenvalues[0]))
+            t0 = time.perf_counter()
+            asm = assemble_shell(fam, metrics[eps], cfg.m, cfg.ns, cfg.nt)
+            t1 = time.perf_counter()
+            res = lowest_eigenvalues(asm, cfg.count, seed=cfg.seed, level=float(ref.eigenvalues[0]))
         except EigensolveError as exc:
             failures[eps] = str(exc)
-
-    residuals = {eps: [mu - transverse.level(cfg.m, eps) for mu in mus] for eps, mus in results.items()}
+            continue
+        solves[eps] = {
+            "ns": asm.n_s,
+            "nt": asm.n_t,
+            "dof": asm.dof_count,
+            **res.record(),
+            "assemble_s": t1 - t0,
+            "solve_s": time.perf_counter() - t1,
+        }
+        results[eps] = res.eigenvalues.tolist()
+        ground = transverse.level(cfg.m, eps)
+        residuals[eps] = [mu - ground for mu in results[eps]]
     fit_eps = np.array([e for e in cfg.eps if e in results])
     fits = []
     if fit_eps.size >= 3:
@@ -431,14 +423,14 @@ def run_corollary(config, out_dir=None) -> CorollaryReport:
     fitted and compared against (2/pi) mu_{2p} built from the effective
     spectrum.  The report is ``partial``, with no coefficients, when fewer
     than 2 eps points solved, and ``partial`` with coefficients from the
-    solved points when some point failed.  A job ``run_sweep`` would refuse
-    or an odd count is a ConfigError, and an ``out_dir`` that cannot be
-    created an OSError, both raised before any solve.
+    solved points when some point failed.  It runs the sweep of
+    ``run_sweep``, so refuses what that refuses, and an odd count too
+    (a ConfigError), before any solve.
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     if cfg.count % 2:
         raise ConfigError("corollary needs an even eigenvalue count (2p pairing)")
-    base = _sweep(*_sweep_job(cfg, out_dir))
+    base = _sweep(cfg, out_dir)
     n_p = cfg.count // 2
     lam = {}
     pairing = {}

@@ -30,12 +30,13 @@ _OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_nu
 
 
 def set_blas_threads() -> dict:
-    """Set each OpenBLAS copy already loaded to one thread; returns ``blas_threads()``."""
-    for lib in _loaded_openblas().values():
+    """Set each OpenBLAS copy already loaded to one thread, then read it back: ``blas_threads()``."""
+    libs = _loaded_openblas()
+    for lib in libs.values():
         setter = _symbol(lib, _OPENBLAS_SETTERS)
         if setter is not None:
             setter(1)
-    return blas_threads()
+    return _record(libs)
 
 
 def blas_threads() -> dict:
@@ -46,8 +47,13 @@ def blas_threads() -> dict:
     OpenBLAS library already loaded to the thread count it reports (None:
     it has no known getter).
     """
+    return _record(_loaded_openblas())
+
+
+def _record(libs: dict) -> dict:
+    """The ``blas_threads()`` record of the OpenBLAS handles ``libs``, by file name."""
     counts = {}
-    for name, lib in _loaded_openblas().items():
+    for name, lib in libs.items():
         getter = _symbol(lib, _OPENBLAS_GETTERS)
         counts[name] = None if getter is None else int(getter())
     return {"env": {var: os.environ.get(var) for var in _ENV_VARS}, "openblas": counts}

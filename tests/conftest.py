@@ -16,11 +16,14 @@ set_blas_threads()
 
 def pytest_configure(config):
     # a ComplexWarning (the imaginary part of a complex array dropped on a cast
-    # to real) fails the test that raised it.  The filter is added here, not in
+    # to real) fails the test that raised it.  These filters are added here, not in
     # pyproject.toml, because pytest imports a filter's category when it reads
     # the ini file, which would load numpy before the thread variables above are
     # set; the builtin categories there load nothing
     config.addinivalue_line("filterwarnings", "error::numpy.exceptions.ComplexWarning")
+    # and a silent sparse-format conversion (say splu handed a CSR matrix, which
+    # pays a CSC copy per factorization) fails the test that made it
+    config.addinivalue_line("filterwarnings", "error::scipy.sparse.SparseEfficiencyWarning")
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from diracshell.clifford import build_clifford
 from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenvalues
 from diracshell.eigsolve import DENSE_DIM_LIMIT, EigensolveError, dense_hermitian_eig
 from diracshell.geometry import curve_from_json, shell_metric
-from diracshell.shell import MAX_COUNT, MIN_NS, MIN_NT, assemble_shell, ladder_shift, lowest_eigenvalues
+from diracshell.shell import MAX_COUNT, MAX_DOF, MIN_NS, MIN_NT, assemble_shell, ladder_shift, lowest_eigenvalues
 from diracshell.threads import blas_threads
 
 SMALL = {
@@ -175,6 +175,18 @@ def test_config_and_assemblers_share_the_grid_minimums():
         with pytest.raises(ValueError) as refusal:
             dense_hermitian_eig(scipy.sparse.identity(eff_ns - 1, format="csr"), count=0)
         assert config == ("capped" not in str(refusal.value)) == (eff_ns == DENSE_DIM_LIMIT)
+
+
+def test_config_checks_each_eps_at_construction():
+    # every per-eps rule that needs no curve refuses the config itself, before a sweep is called
+    with pytest.raises(ConfigError, match=f"eps=1e-06: grid too fine: .* above {MAX_DOF}"):
+        SweepConfig(curve=SMALL["curve"], eps=(1e-6,), ns=32)
+    with pytest.raises(ConfigError, match="eps=1e-200, .*the transverse level .* is not a finite float"):
+        SweepConfig(curve=SMALL["curve"], eps=(1e-200,))
+    # the level is finite, but the residual norm would square it out of range
+    with pytest.raises(ConfigError, match=r"eps=0.1, m=1e\+100: the transverse level 1e\+200 squared is not"):
+        SweepConfig(curve=SMALL["curve"], m=1e100)
+    assert SweepConfig(curve=SMALL["curve"], m=1e70).m == 1e70
 
 
 def test_run_sweep_small(tmp_path):
@@ -594,6 +606,8 @@ BAD_INVOCATIONS = {
     ],
     "mass-level-overflows": ["sweep", "--curve", CIRCLE, "--ns", "32", "--m", "1e200"],
     "eps-grid-above-max-dof": ["sweep", "--curve", CIRCLE, "--ns", "32", "--eps", "1e-6,9e-7,8e-7"],
+    # the level is finite but its square is not, so the residual norm would overflow
+    "mass-residual-overflows": ["sweep", "--curve", CIRCLE, "--ns", "32", "--m", "1e100"],
 }
 
 

@@ -21,6 +21,21 @@ def test_set_blas_threads_leaves_the_environment_alone(monkeypatch):
     assert threads.blas_threads() == record
 
 
+def test_set_blas_threads_scans_the_libraries_once(monkeypatch):
+    # one read of the process's libraries both sets each copy and reads it back
+    calls = []
+    scan = threads._loaded_openblas
+
+    def counted():
+        calls.append(1)
+        return scan()
+
+    monkeypatch.setattr(threads, "_loaded_openblas", counted)
+    record = threads.set_blas_threads()
+    assert len(calls) == 1
+    assert record == threads.blas_threads()
+
+
 def test_blas_threads_reports_the_environment_as_it_is(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     assert threads.set_blas_threads()["env"]["OMP_NUM_THREADS"] == "2"
