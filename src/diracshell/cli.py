@@ -333,7 +333,8 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     and the run record ``sweep.json``: the job as ``config`` (the resolved
     SweepConfig, which ``diracshell sweep --config`` runs again), per eps
     under ``solves`` the grid assembled (``ns``, ``nt``), the dof, the
-    solve's ``eigsolve.SpectrumResult.record()`` and the assembly and solve
+    solve's ``eigsolve.SpectrumResult.record()`` (its ``factor_s``: the
+    seconds of the solve spent factoring) and the assembly and solve
     seconds, and at the top level ``effective_s`` (seconds spent on the
     effective reference), ``effective_ns`` (the size used),
     ``effective_err`` (the last change of the values; null when the cap
@@ -472,9 +473,10 @@ def run_checks(out=None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _load_curve_arg(arg: str) -> dict:
+def _load_curve_arg(arg: str):
+    """Inline JSON (an object or an array) or the JSON of the file named; the caller checks its type."""
     text = arg.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         return json.loads(text)
     with open(text) as fh:
         return json.load(fh)

@@ -19,6 +19,7 @@ return the same SpectrumResult record with per-pair residuals
 from __future__ import annotations
 
 import gc
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ class EigensolveError(RuntimeError):
 class HermitianPencil:
     """Pair (A, B) with A hermitian and B hermitian positive definite.
 
-    ``b`` may be None, meaning the identity (standard problem).  Matrices
-    may be dense arrays or scipy sparse.
+    ``b`` None means the identity (a standard problem), for the dense oracle
+    only; the sparse solver needs B.  Matrices may be dense or scipy sparse.
     """
 
     a: object
@@ -82,7 +83,8 @@ class SpectrumResult:
     vectors: np.ndarray | None = None   # dense oracle only
     shift: float | None = None          # shift-invert: the certified shift,
     negative_pivots: int | None = None  # the eigenvalue count below it
-    factorizations: int | None = None   # and the shifts factored to find it
+    factorizations: int | None = None   # and the shifts factored to find it,
+    factor_s: float | None = None       # in this many seconds of inertia calls
 
     def __iter__(self):
         """The ascending (eigenvalue, residual) pairs, as Python floats."""
@@ -96,6 +98,7 @@ class SpectrumResult:
             "factorizations": self.factorizations,
             "iterations": self.iterations,
             "residual_max": float(self.residuals.max()),
+            "factor_s": self.factor_s,
         }
 
 
@@ -155,7 +158,7 @@ def dense_hermitian_eig(a, b=None, check: bool = True, count: int | None = None)
 
 
 def inertia(pencil: HermitianPencil, sigma: float):
-    """Factor M = A - sigma B (B = I for a standard pencil) and count the eigenvalues below sigma.
+    """Factor M = A - sigma B and count the eigenvalues below sigma.
 
     Returns ``(below, lu)``.  The sparse LU takes a minimum-degree ordering
     on M + M^H, a symmetric permutation and no pivoting; when its row and
@@ -164,8 +167,7 @@ def inertia(pencil: HermitianPencil, sigma: float):
     pencil below sigma (spectrum slicing).  A pivot taken off the diagonal
     or a singular pivot raises EigensolveError.
     """
-    b = sp.identity(pencil.dim, format="csr") if pencil.b is None else pencil.b
-    shifted = pencil.a - sigma * b
+    shifted = pencil.a - sigma * pencil.b
     try:
         lu = spla.splu(sp.csc_matrix(shifted), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -205,7 +207,8 @@ def shift_invert_smallest(
     from ``default_rng(seed)``; with no eigenvalue below sigma these are
     the lowest lambda = sigma + 1/nu.  The result holds no eigenvectors;
     its ``iterations`` counts the applications of OP, which repeat exactly
-    for a fixed seed, and ``factorizations`` the shifts factored.  Raises
+    for a fixed seed, ``factorizations`` the shifts factored and
+    ``factor_s`` the seconds spent in those ``inertia`` calls.  Raises
     EigensolveError when no shift can be certified, when ARPACK does not
     converge, or when a residual exceeds RESIDUAL_TOL.
     """
@@ -220,11 +223,14 @@ def shift_invert_smallest(
         shifts.append(sigma)
         sigma -= step
         step *= 2.0
+    factor_s = 0.0
     for factorizations, sigma in enumerate(shifts, start=1):
+        t0 = time.perf_counter()
         try:
             below, lu = inertia(pencil, sigma)
         except EigensolveError:
             below, lu = None, None  # a singular or off-diagonal pivot
+        factor_s += time.perf_counter() - t0
         if below == 0:
             break
         del lu  # the rejected factor is freed before the next one is built
@@ -244,7 +250,7 @@ def shift_invert_smallest(
     def apply_op(x):
         nonlocal applied
         applied += 1
-        return factor[0].solve(x if pencil.b is None else pencil.b @ x)
+        return factor[0].solve(pencil.b @ x)
 
     op = spla.LinearOperator((dim, dim), matvec=apply_op, dtype=complex)
     try:
@@ -271,6 +277,7 @@ def shift_invert_smallest(
         shift=float(sigma),
         negative_pivots=0,
         factorizations=factorizations,
+        factor_s=factor_s,
     )
 
 

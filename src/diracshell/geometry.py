@@ -3,7 +3,8 @@
 Curves are stored clockwise with unit-speed arclength parametrization, so
 the signed curvature of a circle of radius R is -1/R and the total
 curvature of every simple closed curve is -2*pi.  The outward normal of
-the bounded domain is nu = (-tau_2, tau_1).
+the bounded domain, nu = (-tau_2, tau_1), is derived from the tangent; the
+shell metric's stretch 1 + eps*t*kappa is stated once, in ShellMetric2D.
 
 Arclength reparametrization: the generating parametrization p(theta) is
 integrated with composite Gauss-Legendre panels into a cumulative length
@@ -47,9 +48,10 @@ class CurveError(ValueError):
 class CurveSpec:
     """A planar curve in unit-speed parametrization.
 
-    ``position``, ``tangent``, ``normal`` and ``curvature`` accept arrays of
-    arclength values and broadcast; ``normal_derivative`` returns nu'(s),
-    which for a clockwise curve equals -kappa(s) * tangent(s).
+    ``position``, ``tangent`` and ``curvature`` accept arrays of arclength
+    values and broadcast.  The rest is derived from them: ``normal``
+    returns nu(s) = (-tau_2, tau_1) and ``normal_derivative`` nu'(s), which
+    for a clockwise curve equals -kappa(s) * tangent(s).
     """
 
     name: str
@@ -57,14 +59,14 @@ class CurveSpec:
     kappa_max: float
     position: Callable[[np.ndarray], np.ndarray]
     tangent: Callable[[np.ndarray], np.ndarray]
-    normal: Callable[[np.ndarray], np.ndarray]
     curvature: Callable[[np.ndarray], np.ndarray]
 
-    def normal_derivative(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        kap = self.curvature(s)
+    def normal(self, s: np.ndarray) -> np.ndarray:
         tau = self.tangent(s)
-        return -kap[..., None] * tau
+        return np.stack([-tau[..., 1], tau[..., 0]], axis=-1)
+
+    def normal_derivative(self, s: np.ndarray) -> np.ndarray:
+        return -self.curvature(s)[..., None] * self.tangent(s)
 
     def total_curvature(self) -> float:
         """Periodic trapezoid quadrature of kappa over one period."""
@@ -158,20 +160,14 @@ def _curve_from_parametrization(name: str, par: _Parametrization) -> CurveSpec:
     def kappa_theta(theta):
         d = par.dp(theta)
         dd = par.ddp(theta)
-        sp = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
-        return (d[..., 0] * dd[..., 1] - d[..., 1] * dd[..., 0]) / sp**3
+        return (d[..., 0] * dd[..., 1] - d[..., 1] * dd[..., 0]) / par.speed(theta) ** 3
 
     def position(s):
         return par.p(table.theta_of_s(np.asarray(s, dtype=float)))
 
     def tangent(s):
-        d = par.dp(table.theta_of_s(np.asarray(s, dtype=float)))
-        sp = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
-        return d / sp[..., None]
-
-    def normal(s):
-        tau = tangent(s)
-        return np.stack([-tau[..., 1], tau[..., 0]], axis=-1)
+        theta = table.theta_of_s(np.asarray(s, dtype=float))
+        return par.dp(theta) / par.speed(theta)[..., None]
 
     def curvature(s):
         return kappa_theta(table.theta_of_s(np.asarray(s, dtype=float)))
@@ -184,7 +180,6 @@ def _curve_from_parametrization(name: str, par: _Parametrization) -> CurveSpec:
         kappa_max=kappa_max,
         position=position,
         tangent=tangent,
-        normal=normal,
         curvature=curvature,
     )
 
@@ -274,10 +269,6 @@ def flat_strip(length: float) -> CurveSpec:
         s = np.asarray(s, dtype=float)
         return np.stack([np.ones_like(s), np.zeros_like(s)], axis=-1)
 
-    def normal(s):
-        s = np.asarray(s, dtype=float)
-        return np.stack([np.zeros_like(s), np.ones_like(s)], axis=-1)
-
     def curvature(s):
         return np.zeros_like(np.asarray(s, dtype=float))
 
@@ -287,7 +278,6 @@ def flat_strip(length: float) -> CurveSpec:
         kappa_max=0.0,
         position=position,
         tangent=tangent,
-        normal=normal,
         curvature=curvature,
     )
 
@@ -340,33 +330,29 @@ def mean_curvatures(principal) -> list[float]:
 class ShellMetric2D:
     """Metric data of the thin shell of half-width eps around a curve.
 
-    The radial weight is sqrt(det_g(s,t)) = eps*(1 + eps*t*kappa(s)) and
-    the tangential coefficient g11(s,t) = (1 + eps*t*kappa(s))^2, with kappa
-    the clockwise signed curvature.  ``tubular_map`` offsets along the
-    direction for which the Jacobian determinant of the map equals
-    eps*(1 + eps*t*kappa), i.e. opposite to the stored outward normal.
+    ``stretch`` = 1 + eps*t*kappa, kappa the clockwise signed curvature, is
+    the one statement of the metric: sqrt(det_g) = eps*stretch, g11 =
+    stretch^2, and ``shell.assemble_shell`` integrates the same stretch.
+    ``tubular_map`` offsets along -nu, the direction for which the Jacobian
+    determinant of the map equals eps*stretch.
     """
 
     curve: CurveSpec
     eps: float
 
-    def _w(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return 1.0 + self.eps * t * self.curve.curvature(s)
+    def stretch(self, t, kappa):
+        """The radial weight over eps, 1 + eps*t*kappa, at transverse t and curvature values kappa."""
+        return 1.0 + self.eps * t * kappa
 
     def g11(self, s, t) -> np.ndarray:
-        return self._w(s, t) ** 2
+        return self.stretch(np.asarray(t, dtype=float), self.curve.curvature(s)) ** 2
 
     def det_g(self, s, t) -> np.ndarray:
-        return self.eps**2 * self._w(s, t) ** 2
+        return self.eps**2 * self.g11(s, t)
 
     def tubular_map(self, s, t) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        pos = self.curve.position(s)
-        nu = self.curve.normal(s)
-        return pos - self.eps * t[..., None] * nu
+        offset = self.eps * np.asarray(t, dtype=float)[..., None]
+        return self.curve.position(s) - offset * self.curve.normal(s)
 
 
 def shell_metric(curve: CurveSpec, eps: float) -> ShellMetric2D:

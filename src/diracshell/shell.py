@@ -7,7 +7,9 @@ component,
     + m^2 eps (1+eps*t*kappa) |v|^2
     + boundary terms  (m (1 +- eps*kappa) +- kappa/2) |v(s, +-1)|^2,
 
-with the L^2 weight eps*(1+eps*t*kappa).  The spinor boundary constraint
+with the L^2 weight eps*(1+eps*t*kappa), each coefficient built from the
+stretch 1+eps*t*kappa that ``ShellMetric2D.stretch`` states and the
+metric-identity check certifies.  The spinor boundary constraint
 -i a_3 Gamma(nu(s)) w(s, +-1) = +- w(s, +-1) is imposed by construction:
 in the gauged frame diag(1, nu(s)) its +-1 eigenspaces are constant in s,
 and each boundary node carries a single complex DOF along one of them.  The
@@ -350,10 +352,10 @@ def assemble_shell(
         raise ValueError("mass must be nonnegative")
     grid, kap_s, kap = _grid(fam, metric, n_s, n_t)
     eps = metric.eps
-    w = 1.0 + eps * grid.quad_t * kap
+    w = metric.stretch(grid.quad_t, kap)
     # (m + H/2)*h with the exact curvature H = side*kappa/(1+side*eps*kappa)
-    # and weight h = 1+side*eps*kappa collapses to m*h + side*kappa/2
-    boundary = [m * (1.0 + side * eps * kap_s) + side * kap_s / 2.0 for side in (+1, -1)]
+    # and weight h = stretch(side, kappa) collapses to m*h + side*kappa/2
+    boundary = [m * metric.stretch(side, kap_s) + side * kap_s / 2.0 for side in (+1, -1)]
     b = grid.matrix(np.stack([grid.local(grid.mass_pairs, eps * w)] * 2))
     pencil = _gauged_pencil(grid, kap, eps / w, w / eps, m * m * eps * w, boundary, b)
     return ShellFormAssembly(metric=metric, m=float(m), c=0.0, n_s=grid.n_s, n_t=grid.n_t, pencil=pencil)

@@ -208,7 +208,7 @@ def test_run_sweep_small(tmp_path):
     assert sorted(summary["solves"]) == sorted(repr(e) for e in SMALL["eps"])
     assert list(report.solves[0.1]) == [
         "ns", "nt", "dof", "shift", "negative_pivots", "factorizations", "iterations", "residual_max",
-        "assemble_s", "solve_s",
+        "factor_s", "assemble_s", "solve_s",
     ]
     for eps in SMALL["eps"]:
         rec = summary["solves"][repr(eps)]
@@ -219,6 +219,8 @@ def test_run_sweep_small(tmp_path):
         assert rec["shift"] < report.mu_shell[eps][0]
         assert 0.0 < rec["residual_max"] <= 1e-8
         assert rec["assemble_s"] > 0.0 and rec["solve_s"] > 0.0
+        # the inertia calls of a solve, a part of its seconds
+        assert 0.0 < rec["factor_s"] < rec["solve_s"]
         assert rec["iterations"] > 0
     # run record: the job, effective reference time, size and residual, versions, BLAS threads in effect
     assert summary["config"] == {**SMALL, "nt": None, "seed": 0} and "m" not in summary and "eps" not in summary
@@ -359,9 +361,9 @@ def test_sweep_json_solve_record_is_the_solve_record(tmp_path):
     for eps in SMALL["eps"]:
         asm = assemble_shell(fam, shell_metric(curve, eps), SMALL["m"], SMALL["ns"])
         direct = lowest_eigenvalues(asm, SMALL["count"], seed=0, level=report.mu_effective[0])
-        own = ("ns", "nt", "dof", "assemble_s", "solve_s")
+        own = ("ns", "nt", "dof", "factor_s", "assemble_s", "solve_s")
         written = {k: v for k, v in solves[repr(eps)].items() if k not in own}
-        assert written == direct.record()
+        assert written == {k: v for k, v in direct.record().items() if k not in own}
 
 
 def test_sweep_json_config_reruns_the_job(tmp_path):
@@ -609,6 +611,18 @@ BAD_INVOCATIONS = {
     # the level is finite but its square is not, so the residual norm would overflow
     "mass-residual-overflows": ["sweep", "--curve", CIRCLE, "--ns", "32", "--m", "1e100"],
 }
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--curve", "[1,2]", "--ns", "32"],
+    ["effective-spectrum", "--curve", "[1,2]"],
+], ids=["sweep", "effective-spectrum"])
+def test_curve_given_as_a_json_array_is_a_wrong_type(argv, tmp_path, monkeypatch, capsys):
+    # an inline JSON array is read as JSON and refused as not a curve object, not looked up as a file
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: curve") and "must be a JSON object" in err and "[1, 2]" in err
 
 
 @pytest.mark.parametrize("argv", BAD_INVOCATIONS.values(), ids=BAD_INVOCATIONS)

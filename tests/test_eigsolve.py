@@ -200,6 +200,11 @@ def dirichlet_laplacian(n):
     return sp.diags([[-1.0] * (n - 1), [2.0] * n, [-1.0] * (n - 1)], [-1, 0, 1]).tocsr().astype(complex)
 
 
+def standard(a) -> HermitianPencil:
+    """The standard pencil (A, I): the sparse solver takes a generalized pencil."""
+    return HermitianPencil.make(a, sp.identity(a.shape[0], format="csr"))
+
+
 def random_ring(rng, blocks, size):
     """Hermitian matrix whose blocks couple only to their ring neighbours."""
     dim = blocks * size
@@ -232,7 +237,7 @@ def test_inertia_matches_eigvalsh(rng):
     for m in cases:
         for b in (None, positive_tridiagonal(rng, m.shape[0])):
             lam = scipy.linalg.eigvalsh(m, None if b is None else b.toarray())
-            pencil = HermitianPencil.make(sp.csr_matrix(m), b)
+            pencil = standard(sp.csr_matrix(m)) if b is None else HermitianPencil.make(sp.csr_matrix(m), b)
             for shift in (lam[0] - 1.0, 0.0, 0.5 * (lam[4] + lam[5]), lam[-1] + 1.0):
                 assert inertia(pencil, shift)[0] == np.count_nonzero(lam < shift)
 
@@ -242,11 +247,11 @@ def test_inertia_rejects_singular_and_off_diagonal_pivots():
     # off-diagonal pivot
     for m in (np.diag([1.0, 0.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])):
         with pytest.raises(EigensolveError):
-            inertia(HermitianPencil.make(sp.csr_matrix(m.astype(complex))), 0.0)
+            inertia(standard(sp.csr_matrix(m.astype(complex))), 0.0)
 
 
 def test_shift_invert_factors_once_per_tried_shift(monkeypatch):
-    pen = HermitianPencil.make(dirichlet_laplacian(128))
+    pen = standard(dirichlet_laplacian(128))
     splu = eigsolve.spla.splu
     calls = []
 
@@ -272,7 +277,7 @@ def test_shift_invert_factors_once_per_tried_shift(monkeypatch):
 
 def test_shift_invert_laplacian_closed_form():
     n = 128
-    pen = HermitianPencil.make(dirichlet_laplacian(n))
+    pen = standard(dirichlet_laplacian(n))
     exact = np.array([4.0 * math.sin(math.pi * j / (2 * (n + 1))) ** 2 for j in (1, 2, 3)])
     res = shift_invert_smallest(pen, 3, -0.01, seed=1)
     assert res.negative_pivots == 0 and res.shift == -0.01
@@ -295,7 +300,7 @@ def test_shift_invert_matches_dense_generalized():
 
 
 def test_shift_invert_seed_reproducible():
-    pen = HermitianPencil.make(dirichlet_laplacian(128))
+    pen = standard(dirichlet_laplacian(128))
     r1 = shift_invert_smallest(pen, 2, -0.01, seed=7)
     r2 = shift_invert_smallest(pen, 2, -0.01, seed=7)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
@@ -304,7 +309,7 @@ def test_shift_invert_seed_reproducible():
 
 
 def test_shift_invert_uncertified_raises(monkeypatch):
-    pen = HermitianPencil.make(dirichlet_laplacian(128))
+    pen = standard(dirichlet_laplacian(128))
     monkeypatch.setattr(eigsolve, "MAX_SHIFTS", 1)
     with pytest.raises(EigensolveError):
         shift_invert_smallest(pen, 2, 0.01)

@@ -138,7 +138,7 @@ def test_metric_positive_below_guard(ellipse, rng):
     met = shell_metric(ellipse, 0.4)
     s = rng.uniform(0.0, ellipse.length, size=200)
     t = rng.uniform(-1.0, 1.0, size=200)
-    assert np.all(met._w(s, t) > 0.0)  # the radial weight over eps
+    assert np.all(met.stretch(t, ellipse.curvature(s)) > 0.0)  # the radial weight over eps
 
 
 def test_metric_sandwich_bound(circle, ellipse, rng):

@@ -221,6 +221,31 @@ def test_curvature_broadcast_matches_quadrature_points():
     assert grid.at_quad(grid.s_abscissae).shape == grid.quad_t.shape
 
 
+def test_shell_assembly_integrates_the_metric_stretch(fam2, ellipse, monkeypatch):
+    # the shell pencil reads 1 + eps*t*kappa from ShellMetric2D.stretch, the
+    # weight the metric-identity check certifies, and states none of its own
+    from diracshell.geometry import ShellMetric2D
+    from diracshell.shell import _TensorGalerkin
+
+    eps, n_s, n_t = 0.1, 32, 8
+    met = shell_metric(ellipse, eps)
+    stretch, seen = ShellMetric2D.stretch, []
+
+    def recording(self, t, kappa):
+        seen.append(t)
+        return stretch(self, t, kappa)
+
+    monkeypatch.setattr(ShellMetric2D, "stretch", recording)
+    assemble_shell(fam2, met, 0.5, n_s, n_t)
+    quad_t = _TensorGalerkin(ellipse.length, n_s, n_t).quad_t
+    assert len(seen) == 3 and np.array_equal(seen[0], quad_t) and seen[1:] == [1, -1]
+    # a unit stretch leaves eps times the flat mass matrix of the bracketing forms
+    monkeypatch.setattr(ShellMetric2D, "stretch", lambda self, t, kappa: np.ones(np.broadcast(t, kappa).shape))
+    b = assemble_shell(fam2, met, 0.5, n_s, n_t).pencil.b
+    flat = assemble_sandwich(fam2, met, 0.5, 1.0, n_s, n_t).pencil.b
+    assert abs(b - eps * flat).max() <= 1e-15 * abs(flat).max()
+
+
 # reference: the closed forms of the P1 and P2 elements on [0, 1] at their Gauss points
 def _p1_closed_form(h):
     x = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
