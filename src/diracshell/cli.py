@@ -4,23 +4,24 @@ and the property-check suite.
 The sweep subtracts the transverse ground level E_1(m eps)^2/eps^2
 (``transverse.level``) from each shell eigenvalue and fits the remaining
 residual affinely in eps; the fitted intercept is compared against the
-corresponding eigenvalue of the effective curve operator, and the square
-root of the paired shell spectrum, less E_1(m eps)/eps, feeds the
-first-order expansion of the operator's own nonnegative eigenvalues.
+corresponding eigenvalue of the effective curve operator.  With an even
+count the same report carries the corollary: the square root of the
+paired shell spectrum, less E_1(m eps)/eps, feeds the first-order
+expansion of the operator's own nonnegative eigenvalues.
 
-Verbs: check, sweep, corollary, transverse-table, effective-spectrum,
-dump-clifford.  Exit codes: 0 ok, 1 check failure, 2 config error,
-3 partial report (sweep or corollary: an eps point failed to solve or to be
-certified, the effective reference had not converged at its cap, or too few
-points solved for the fit, which ``no_fit_reason`` states; the outputs are
-still written, flagged ``partial``).  The effective reference doubles its
+Verbs: check, sweep, transverse-table, effective-spectrum, dump-clifford.
+Exit codes: 0 ok, 1 check failure, 2 config error, 3 partial sweep (an eps
+point failed to solve or to be certified, the effective reference had not
+converged at its cap, or too few points solved for the fit, which
+``no_fit_reason`` states; the outputs are still written, flagged
+``partial``).  The effective reference doubles its
 Fourier size until its values stop changing (``effective.converged_eigenvalues``);
 ``eff_ns`` in a job config caps that size, and its default ``"auto"`` is AUTO_NS_CAP.
-A sweep or corollary job is the ``--config`` file's keys with each flag
+A sweep job is the ``--config`` file's keys with each flag
 given in place of its key; its ``SweepConfig`` is checked when it is built,
 each eps's transverse level and grid included, and only the curve's
-injectivity guard waits for the curve, which ``_sweep`` builds before any solve.
-``run_sweep``, ``run_corollary`` and ``run_checks`` set BLAS to one thread
+injectivity guard waits for the curve, which ``run_sweep`` builds before any solve.
+``run_sweep`` and ``run_checks`` set BLAS to one thread
 (``threads.set_blas_threads``) before their first solve, as ``main`` does.
 """
 
@@ -61,9 +62,7 @@ from .threads import set_blas_threads
 __all__ = [
     "SweepConfig",
     "AsymptoticsReport",
-    "CorollaryReport",
     "run_sweep",
-    "run_corollary",
     "run_checks",
     "main",
 ]
@@ -171,6 +170,7 @@ class AsymptoticsReport:
     residuals: dict         # eps -> list r_j(eps)
     effective: ConvergedReference  # the curve operator's reference eigenvalues and their record
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
+    corollary: dict | None = None  # an even count's first-order expansion (see _corollary); None for an odd count
     failures: dict = field(default_factory=dict)
     # eps -> grid, dof, the SpectrumResult.record() of its solve, seconds
     solves: dict = field(default_factory=dict)
@@ -208,8 +208,9 @@ class AsymptoticsReport:
             )
         return out
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+    def write(self, out_dir) -> None:
+        """Write ``sweep.csv``, ``corollary.csv`` when there is a corollary, and the run record ``sweep.json``."""
+        with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["eps", "j", "mu_shell", "residual", "mu_eff_ref"])
             for eps in self.config.eps:
@@ -220,8 +221,21 @@ class AsymptoticsReport:
                         [repr(eps), j + 1, repr(mu), repr(self.residuals[eps][j]),
                          repr(self.mu_effective[j])]
                     )
+        if self.corollary is not None:
+            with open(os.path.join(out_dir, "corollary.csv"), "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["eps", "p", "lambda", "linear_coeff_partial"])
+                for eps in self.config.eps:
+                    if eps not in self.corollary["lam"]:
+                        continue
+                    pairs = zip(self.corollary["lam"][eps], self.corollary["excess"][eps])
+                    for p, (lam, excess) in enumerate(pairs, start=1):
+                        writer.writerow([repr(eps), p, repr(lam), repr(excess / eps)])
+        with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
+            json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
     def summary(self) -> dict:
+        cor = self.corollary
         return {
             "config": asdict(self.config),
             "curve": self.curve_id,
@@ -236,51 +250,14 @@ class AsymptoticsReport:
             "versions": self.versions,
             "blas_threads": self.blas_threads,
             "verdicts": self.verdicts(),
-        }
-
-
-@dataclass
-class CorollaryReport:
-    sweep: AsymptoticsReport  # the sweep whose spectra it expands: its job, failures and record
-    lam: dict               # eps -> list of lambda_p = sqrt(mu_{2p})
-    pairing_defect: dict    # eps -> worst relative split of the 2p pairs
-    linear_coeffs: list     # fitted eps-linear coefficient per p
-    references: list        # (2/pi) mu_{2p}(Upsilon), the coefficient the theorem predicts
-
-    @property
-    def failures(self) -> dict:
-        return self.sweep.failures
-
-    @property
-    def partial(self) -> bool:
-        # the fit needs 2 points where the sweep's needs 3, so its own partial flag does not carry over
-        return bool(self.failures) or not self.linear_coeffs
-
-    @property
-    def no_fit_reason(self) -> str | None:
-        if self.linear_coeffs:
-            return None
-        return f"{len(self.lam)} of {len(self.sweep.config.eps)} eps solved; the corollary fit needs 2"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "p", "lambda", "linear_coeff_partial"])
-            for eps in self.sweep.config.eps:
-                if eps not in self.lam:
-                    continue
-                for p, lam in enumerate(self.lam[eps], start=1):
-                    partial = (lam - math.sqrt(transverse.level(self.sweep.config.m, eps))) / eps
-                    writer.writerow([repr(eps), p, repr(lam), repr(partial)])
-
-    def summary(self) -> dict:
-        return {
-            "sweep": self.sweep.summary(),
-            "linear_coeffs": self.linear_coeffs,
-            "references": self.references,
-            "pairing_defect": {repr(k): v for k, v in self.pairing_defect.items()},
-            "partial": self.partial,
-            "no_fit_reason": self.no_fit_reason,
+            # lambda_p and the excess per eps are the rows of corollary.csv
+            "corollary": None if cor is None else {
+                "linear_coeffs": cor["linear_coeffs"],
+                "references": cor["references"],
+                "pairing_defect": {repr(k): v for k, v in cor["pairing_defect"].items()},
+                "partial": cor["partial"],
+                "no_fit_reason": cor["no_fit_reason"],
+            },
         }
 
 
@@ -296,13 +273,6 @@ def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
         "slope": float(coef[1]),
         "stderr_intercept": float(math.sqrt(max(cov[0, 0], 0.0))),
     }
-
-
-def _write_outputs(report, out_dir, stem: str) -> None:
-    """Write ``<stem>.csv`` and the run record ``<stem>.json`` of a report into out_dir."""
-    report.write_csv(os.path.join(out_dir, stem + ".csv"))
-    with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
-        json.dump(report.summary(), fh, indent=2, sort_keys=True)
 
 
 def _curve(spec):
@@ -341,16 +311,11 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     allowed one size only), ``effective_residual_max`` (the dense oracle's
     largest residual over the reference values), ``no_fit_reason``, the
     numpy/scipy versions and the BLAS thread settings the solves ran with
-    (the record ``threads.set_blas_threads`` returns).
+    (the record ``threads.set_blas_threads`` returns).  With an even count
+    the report's ``corollary`` (see ``_corollary``) is written too: its
+    lambda_p and partial coefficients as ``corollary.csv``, the rest as
+    the ``corollary`` block of ``sweep.json``, null for an odd count.
     """
-    report = _sweep(config, out_dir)
-    if out_dir is not None:
-        _write_outputs(report, out_dir, "sweep")
-    return report
-
-
-def _sweep(config, out_dir) -> AsymptoticsReport:
-    """The report of ``run_sweep`` and ``run_corollary``; every refusal comes before the first solve."""
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     curve = _curve(cfg.curve)
     try:
@@ -372,6 +337,7 @@ def _sweep(config, out_dir) -> AsymptoticsReport:
 
     results: dict = {}
     residuals: dict = {}
+    levels: dict = {}
     solves: dict = {}
     for eps in cfg.eps:
         asm = None  # the last eps's assembly is freed before this one is built
@@ -392,68 +358,72 @@ def _sweep(config, out_dir) -> AsymptoticsReport:
             "solve_s": time.perf_counter() - t1,
         }
         results[eps] = res.eigenvalues.tolist()
-        ground = transverse.level(cfg.m, eps)
-        residuals[eps] = [mu - ground for mu in results[eps]]
+        levels[eps] = transverse.level(cfg.m, eps)
+        residuals[eps] = [mu - levels[eps] for mu in results[eps]]
     fit_eps = np.array([e for e in cfg.eps if e in results])
     fits = []
     if fit_eps.size >= 3:
         for j in range(cfg.count):
             ys = np.array([residuals[e][j] for e in fit_eps])
             fits.append(_affine_fit(fit_eps, ys))
-    return AsymptoticsReport(
+    report = AsymptoticsReport(
         config=cfg,
         curve_id=curve.name,
         mu_shell=results,
         residuals=residuals,
         effective=ref,
         fits=fits,
+        corollary=None if cfg.count % 2 else _corollary(cfg, results, levels, ref.eigenvalues.tolist(), failures),
         failures=failures,
         solves=solves,
         effective_s=effective_s,
         versions={"numpy": np.__version__, "scipy": scipy.__version__},
         blas_threads=threads_in_effect,
     )
+    if out_dir is not None:
+        report.write(out_dir)
+    return report
 
 
-def run_corollary(config, out_dir=None) -> CorollaryReport:
+def _corollary(cfg: SweepConfig, mu_shell: dict, levels: dict, mu_effective: list, failures: dict) -> dict:
     """First-order expansion of the nonnegative operator eigenvalues.
 
-    The shell spectrum comes in near-degenerate pairs; lambda_p is the
-    square root of the 2p-th eigenvalue, and the eps-linear coefficient of
-    lambda_p - E_1(m eps)/eps (the square root of ``transverse.level``) is
-    fitted and compared against (2/pi) mu_{2p} built from the effective
-    spectrum.  The report is ``partial``, with no coefficients, when fewer
-    than 2 eps points solved, and ``partial`` with coefficients from the
-    solved points when some point failed.  It runs the sweep of
-    ``run_sweep``, so refuses what that refuses, and an odd count too
-    (a ConfigError), before any solve.
+    The shell spectrum comes in near-degenerate pairs; ``lam`` holds per
+    eps lambda_p, the square root of the 2p-th eigenvalue, and ``excess``
+    lambda_p - E_1(m eps)/eps, E_1(m eps)/eps being the square root of the
+    sweep's transverse level.  ``linear_coeffs`` are the eps-slopes of the excess fitted per p,
+    and ``references`` the (2/pi) mu_{2p} of the effective spectrum they
+    are compared with; ``pairing_defect`` is per eps the worst relative
+    split of the pairs.  The fit needs 2 solved eps where the sweep's needs
+    3, so the block has its own ``partial`` (a failure, or no fit) and
+    ``no_fit_reason``.
     """
-    cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
-    if cfg.count % 2:
-        raise ConfigError("corollary needs an even eigenvalue count (2p pairing)")
-    base = _sweep(cfg, out_dir)
     n_p = cfg.count // 2
-    lam = {}
-    pairing = {}
-    for eps, mus in base.mu_shell.items():
+    lam: dict = {}
+    excess: dict = {}
+    pairing: dict = {}
+    for eps, mus in mu_shell.items():
         arr = np.array(mus)
         pairs = arr.reshape(n_p, 2)
         pairing[eps] = float((np.abs(pairs[:, 1] - pairs[:, 0]) / np.abs(arr).max()).max())
         lam[eps] = [math.sqrt(pairs[p, 1]) for p in range(n_p)]
+        excess[eps] = [value - math.sqrt(levels[eps]) for value in lam[eps]]
     fit_eps = np.array([e for e in cfg.eps if e in lam])
     coeffs = []
     refs = []
     if fit_eps.size >= 2:
         for p in range(n_p):
-            ys = np.array([lam[e][p] - math.sqrt(transverse.level(cfg.m, e)) for e in fit_eps])
-            coeffs.append(_affine_fit(fit_eps, ys)["slope"])
-            refs.append((2.0 / math.pi) * base.mu_effective[2 * p + 1])
-    report = CorollaryReport(
-        sweep=base, lam=lam, pairing_defect=pairing, linear_coeffs=coeffs, references=refs
-    )
-    if out_dir is not None:
-        _write_outputs(report, out_dir, "corollary")
-    return report
+            coeffs.append(_affine_fit(fit_eps, np.array([excess[e][p] for e in fit_eps]))["slope"])
+            refs.append((2.0 / math.pi) * mu_effective[2 * p + 1])
+    return {
+        "lam": lam,
+        "excess": excess,
+        "pairing_defect": pairing,
+        "linear_coeffs": coeffs,
+        "references": refs,
+        "partial": bool(failures) or not coeffs,
+        "no_fit_reason": None if coeffs else f"{len(lam)} of {len(cfg.eps)} eps solved; the corollary fit needs 2",
+    }
 
 
 def run_checks(out=None) -> int:
@@ -474,17 +444,28 @@ def run_checks(out=None) -> int:
 
 
 def _load_curve_arg(arg: str):
-    """Inline JSON (an object or an array) or the JSON of the file named; the caller checks its type."""
+    """The JSON value of a --curve text; the caller checks its type.
+
+    Text that starts with ``{`` or ``[`` is inline JSON.  Other text names
+    a file; when no such file exists and the text is JSON (a bare ``5``),
+    it is that value, so the caller refuses it by type, not as a missing file.
+    """
     text = arg.strip()
     if text.startswith(("{", "[")):
         return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
+    try:
+        with open(text) as fh:
+            return json.load(fh)
+    except FileNotFoundError as missing:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise missing from None
 
 
 def _build_config(args) -> SweepConfig:
-    """The job of a sweep or corollary call: the keys of the config file, if
-    one is given, each replaced by the flag of the same name if that was given."""
+    """The job of a sweep call: the keys of the config file, if one is
+    given, each replaced by the flag of the same name if that was given."""
     payload = {}
     if args.config is not None:
         with open(args.config) as fh:
@@ -515,16 +496,15 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run every property suite")
     p_check.add_argument("--out", default=None, help="write a JSON summary here")
 
-    for name in ("sweep", "corollary"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="job config JSON file")
-        p.add_argument("--curve", default=None, help="curve JSON (inline or path)")
-        # None: the config file's key, else the SweepConfig default
-        p.add_argument("--m", type=float, default=None)
-        p.add_argument("--eps", default=None, help="comma-separated decreasing widths")
-        for flag in ("--ns", "--nt", "--count", "--seed"):
-            p.add_argument(flag, type=int, default=None)
-        p.add_argument("--out", default="out", help="output directory")
+    p_sw = sub.add_parser("sweep", help="eps sweep; an even count adds the corollary")
+    p_sw.add_argument("--config", default=None, help="job config JSON file")
+    p_sw.add_argument("--curve", default=None, help="curve JSON (inline or path)")
+    # None: the config file's key, else the SweepConfig default
+    p_sw.add_argument("--m", type=float, default=None)
+    p_sw.add_argument("--eps", default=None, help="comma-separated decreasing widths")
+    for flag in ("--ns", "--nt", "--count", "--seed"):
+        p_sw.add_argument(flag, type=int, default=None)
+    p_sw.add_argument("--out", default="out", help="output directory")
 
     p_tt = sub.add_parser("transverse-table")
     p_tt.add_argument("--m", default="0,0.1,0.5,1.0", help="comma-separated masses")
@@ -547,23 +527,17 @@ def main(argv=None) -> int:
     try:
         if args.verb == "check":
             return run_checks(out=args.out)
-        if args.verb in ("sweep", "corollary"):
-            cfg = _build_config(args)
-            if args.verb == "sweep":
-                report = run_sweep(cfg, out_dir=args.out)
-                lines = [
+        if args.verb == "sweep":
+            report = run_sweep(_build_config(args), out_dir=args.out)
+            for v in report.verdicts():
+                print(
                     f"j={v['j']}: intercept {v['intercept']:.6f} vs effective "
                     f"{v['mu_effective']:.6f} (|diff| {v['intercept_error']:.2e}), slope {v['slope']:.4f}"
-                    for v in report.verdicts()
-                ]
-            else:
-                report = run_corollary(cfg, out_dir=args.out)
-                lines = [
-                    f"p={p}: fitted linear coefficient {coef:.6f} vs reference {ref:.6f}"
-                    for p, (coef, ref) in enumerate(zip(report.linear_coeffs, report.references), start=1)
-                ]
-            for line in lines:
-                print(line)
+                )
+            if report.corollary is not None:
+                fitted = zip(report.corollary["linear_coeffs"], report.corollary["references"])
+                for p, (coef, ref) in enumerate(fitted, start=1):
+                    print(f"p={p}: fitted linear coefficient {coef:.6f} vs reference {ref:.6f}")
             if report.partial:
                 reasons = [report.no_fit_reason] if report.no_fit_reason else []
                 if report.failures:

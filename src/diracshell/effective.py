@@ -28,8 +28,6 @@ residual.
 ``assemble_magnetic`` returns the scalar magnetic block, unpaired.
 Every assembler takes the curve alone: the curve operator is the n = 2
 operator by construction, its one-form -kappa*a_3 written into the blocks.
-Only ``omega_oneform``, which evaluates that one-form from the Clifford
-matrices, takes a family.
 
 ``converged_eigenvalues`` picks the Fourier size itself: it doubles n_s
 from AUTO_NS_START until the lowest values stop moving, up to its cap.
@@ -45,14 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordFamily, gamma
 from .eigsolve import DENSE_DIM_LIMIT, HermitianPencil, SpectrumResult, dense_hermitian_eig
 from .geometry import CurveSpec
 
 __all__ = [
     "DEFAULT_COUPLING",
     "EffectiveFormAssembly",
-    "omega_oneform",
     "assemble_effective",
     "assemble_magnetic",
     "ConvergedReference",
@@ -85,19 +81,6 @@ def valid_ns(n_s: int) -> bool:
 class EffectiveFormAssembly:
     pencil: HermitianPencil
     paired: bool    # True: the spin-up block, each eigenvalue counted twice
-
-
-def omega_oneform(fam: CliffordFamily, curve: CurveSpec, s) -> np.ndarray:
-    """The matrix one-form -i Gamma(nu'(s)) Gamma(nu(s)); equals -kappa(s)*a_3 in 2D."""
-    if fam.n != 2:
-        raise ValueError("the curve pipeline requires the n=2 matrix family")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty((s_arr.size, fam.N, fam.N), dtype=complex)
-    nu = curve.normal(s_arr)
-    dnu = curve.normal_derivative(s_arr)
-    for i in range(s_arr.size):
-        out[i] = -1.0j * gamma(fam, dnu[i]).gamma @ gamma(fam, nu[i]).gamma
-    return out[0] if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
 
 def _covariant_block(curve: CurveSpec, n_s: int, scheme: str, alpha: float, beta: float) -> np.ndarray:

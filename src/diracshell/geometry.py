@@ -29,7 +29,6 @@ __all__ = [
     "make_curve",
     "flat_strip",
     "curve_from_json",
-    "mean_curvatures",
     "shell_metric",
 ]
 
@@ -49,9 +48,8 @@ class CurveSpec:
     """A planar curve in unit-speed parametrization.
 
     ``position``, ``tangent`` and ``curvature`` accept arrays of arclength
-    values and broadcast.  The rest is derived from them: ``normal``
-    returns nu(s) = (-tau_2, tau_1) and ``normal_derivative`` nu'(s), which
-    for a clockwise curve equals -kappa(s) * tangent(s).
+    values and broadcast.  ``normal`` is derived from the tangent: nu(s) =
+    (-tau_2, tau_1), whose derivative is kappa(s) * (-nu_2, nu_1).
     """
 
     name: str
@@ -64,9 +62,6 @@ class CurveSpec:
     def normal(self, s: np.ndarray) -> np.ndarray:
         tau = self.tangent(s)
         return np.stack([-tau[..., 1], tau[..., 0]], axis=-1)
-
-    def normal_derivative(self, s: np.ndarray) -> np.ndarray:
-        return -self.curvature(s)[..., None] * self.tangent(s)
 
     def total_curvature(self) -> float:
         """Periodic trapezoid quadrature of kappa over one period."""
@@ -313,17 +308,6 @@ def curve_from_json(config: dict | str) -> CurveSpec:
         raise CurveError(f"curve config {config!r} lacks the parameter {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CurveError(f"bad curve config {config!r}: {exc}") from exc
-
-
-def mean_curvatures(principal) -> list[float]:
-    """Elementary symmetric polynomials H_1..H_{n-1} of the principal curvatures."""
-    principal = list(map(float, principal))
-    coeffs = [1.0]
-    for kappa in principal:
-        coeffs = [coeffs[0]] + [coeffs[i] + kappa * coeffs[i - 1] for i in range(1, len(coeffs))] + [
-            kappa * coeffs[-1]
-        ]
-    return coeffs[1:]
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,9 @@ def test_criterion_12_sandwich_inequality():
 
 
 def test_criterion_13_corollary_leading_term(sweep_data):
-    mu1, mu2 = sweep_data[0.0].mu_shell[0.035]
-    pairing = abs(mu2 - mu1) / abs(mu2)
-    lam1 = math.sqrt(mu2)
+    corollary = sweep_data[0.0].corollary
+    pairing = corollary["pairing_defect"][0.035]
+    lam1 = corollary["lam"][0.035][0]
     rel = abs(lam1 * 0.035 - math.pi / 4.0) / (math.pi / 4.0)
     ok = rel <= 0.02 and pairing <= 1e-6
     _report(CheckResult("criterion-13", ok,

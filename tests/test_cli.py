@@ -18,7 +18,6 @@ from diracshell.cli import (
     ConfigError,
     SweepConfig,
     main,
-    run_corollary,
     run_sweep,
 )
 from diracshell.clifford import build_clifford
@@ -122,9 +121,8 @@ def test_config_validation(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
     monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
-    for run in (run_sweep, run_corollary):
-        with pytest.raises(ConfigError, match="seed"):
-            run({**SMALL, "seed": -1})
+    with pytest.raises(ConfigError, match="seed"):
+        run_sweep({**SMALL, "seed": -1})
     assert main(["sweep", "--curve", json.dumps(SMALL["curve"]), "--seed", "-1"]) == 2
     assert capsys.readouterr().err.startswith("config error: seed")
 
@@ -415,35 +413,36 @@ def test_fit_stability_drop_largest_eps():
 
 
 def test_run_corollary_small(tmp_path):
-    report = run_corollary({**SMALL, "eps": [0.1, 0.08, 0.06, 0.045]}, out_dir=tmp_path / "out")
-    assert len(report.linear_coeffs) == 1
-    assert abs(report.linear_coeffs[0] - report.references[0]) <= 0.15 * abs(report.references[0])
+    cor = run_sweep({**SMALL, "eps": [0.1, 0.08, 0.06, 0.045]}, out_dir=tmp_path / "out").corollary
+    assert len(cor["linear_coeffs"]) == 1
+    assert abs(cor["linear_coeffs"][0] - cor["references"][0]) <= 0.15 * abs(cor["references"][0])
     # pair split closes like h_s^2: ~2e-5 on this miniature grid, <1e-8 at
     # the production grid asserted in the acceptance suite
-    assert max(report.pairing_defect.values()) <= 1e-4
+    assert max(cor["pairing_defect"].values()) <= 1e-4
     rows = (tmp_path / "out" / "corollary.csv").read_text().splitlines()
     assert rows[0] == "eps,p,lambda,linear_coeff_partial"
     # leading term: lambda_1 * eps near pi/4
-    lam = report.lam[0.045][0]
+    lam = cor["lam"][0.045][0]
     assert abs(lam * 0.045 - math.pi / 4.0) <= 0.02 * (math.pi / 4.0)
 
 
 def test_corollary_subtracts_the_transverse_energy(tmp_path):
     # lambda_p less E_1(m eps)/eps, the square root of the level, leaves (2/pi) mu_{2p} eps
     job = {**SMALL, "m": 0.5, "eps": [0.1, 0.08, 0.06, 0.045], "count": 4}
-    report = run_corollary(job, out_dir=tmp_path)
-    mu_eff = report.sweep.mu_effective
-    assert report.references == [(2.0 / math.pi) * mu_eff[2 * p + 1] for p in range(2)]
+    report = run_sweep(job, out_dir=tmp_path)
+    cor = report.corollary
+    mu_eff = report.mu_effective
+    assert cor["references"] == [(2.0 / math.pi) * mu_eff[2 * p + 1] for p in range(2)]
     rows = list(csv.reader((tmp_path / "corollary.csv").read_text().splitlines()))[1:]
     assert len(rows) == 8
     for eps, p, lam, partial in rows:
         eps, lam = float(eps), float(lam)
-        assert lam == report.lam[eps][int(p) - 1]
+        assert lam == cor["lam"][eps][int(p) - 1]
         assert float(partial) == (lam - math.sqrt(transverse.level(0.5, eps))) / eps
-    for p, coeff in enumerate(report.linear_coeffs):
-        ys = [report.lam[e][p] - math.sqrt(transverse.level(0.5, e)) for e in job["eps"]]
+    for p, coeff in enumerate(cor["linear_coeffs"]):
+        ys = [cor["lam"][e][p] - math.sqrt(transverse.level(0.5, e)) for e in job["eps"]]
         assert coeff == cli._affine_fit(np.array(job["eps"]), np.array(ys))["slope"]
-        assert abs(coeff - report.references[p]) <= 0.15 * abs(report.references[p])
+        assert abs(coeff - cor["references"][p]) <= 0.15 * abs(cor["references"][p])
 
 
 def _fail_below(monkeypatch, eps_cut):
@@ -460,15 +459,16 @@ def _fail_below(monkeypatch, eps_cut):
 
 def test_corollary_partial_when_too_few_points_solve(monkeypatch):
     _fail_below(monkeypatch, 0.09)
-    report = run_corollary(SMALL)
-    assert report.partial
-    assert report.linear_coeffs == [] and report.references == []
-    assert list(report.lam) == [0.1]
+    report = run_sweep(SMALL)
+    cor = report.corollary
+    assert cor["partial"]
+    assert cor["linear_coeffs"] == [] and cor["references"] == []
+    assert list(cor["lam"]) == [0.1]
     assert list(report.failures) == [0.08, 0.06]
-    assert report.no_fit_reason == "1 of 3 eps solved; the corollary fit needs 2"
+    assert cor["no_fit_reason"] == "1 of 3 eps solved; the corollary fit needs 2"
     # a single eps point is a short list, not a crash, and no fit either
-    single = run_corollary({**SMALL, "eps": [0.1]})
-    assert single.partial and single.linear_coeffs == []
+    single = run_sweep({**SMALL, "eps": [0.1]}).corollary
+    assert single["partial"] and single["linear_coeffs"] == []
 
 
 def test_sweep_partial_report(monkeypatch):
@@ -481,7 +481,7 @@ def test_sweep_partial_report(monkeypatch):
 
 def test_sweep_without_a_fit_says_why(tmp_path, capsys):
     # two eps solve and none fails: the sweep has no fit, is partial and says
-    # why, outside ``failures``; the corollary's two-point fit runs, not partial
+    # why, outside ``failures``; the corollary block's two-point fit runs, not partial
     two = {**SMALL, "eps": [0.1, 0.08]}
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(two))
@@ -491,8 +491,7 @@ def test_sweep_without_a_fit_says_why(tmp_path, capsys):
     summary = json.loads((tmp_path / "s" / "sweep.json").read_text())
     assert summary["partial"] is True and summary["failures"] == {} and summary["verdicts"] == []
     assert summary["no_fit_reason"] == reason
-    assert main(["corollary", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-    corollary = json.loads((tmp_path / "c" / "corollary.json").read_text())
+    corollary = summary["corollary"]
     assert corollary["partial"] is False and corollary["no_fit_reason"] is None
     assert len(corollary["linear_coeffs"]) == 1
 
@@ -502,16 +501,26 @@ def test_main_partial_exit_code(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps(SMALL))
     _fail_below(monkeypatch, 0.07)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == EXIT_PARTIAL
-    assert json.loads((tmp_path / "s" / "sweep.json").read_text())["partial"] is True
-    assert main(["corollary", "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_PARTIAL
-    corollary = json.loads((tmp_path / "c" / "corollary.json").read_text())
-    assert corollary["partial"] is True and list(corollary["sweep"]["failures"]) == ["0.06"]
+    summary = json.loads((tmp_path / "s" / "sweep.json").read_text())
+    assert summary["partial"] is True
+    assert summary["corollary"]["partial"] is True and list(summary["failures"]) == ["0.06"]
     assert "partial" in capsys.readouterr().out
 
 
-def test_corollary_needs_even_count():
-    with pytest.raises(ConfigError):
-        run_corollary({**SMALL, "count": 3})
+def test_corollary_needs_even_count(tmp_path):
+    # the corollary pairs the spectrum 2p-1, 2p: an odd count gives no block and no corollary.csv
+    report = run_sweep({**SMALL, "count": 3}, out_dir=tmp_path)
+    assert report.corollary is None
+    assert json.loads((tmp_path / "sweep.json").read_text())["corollary"] is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.json"]
+
+
+def test_corollary_verb_is_a_usage_error(capsys):
+    # the corollary is a block of the sweep's report; there is no verb of its own
+    with pytest.raises(SystemExit) as exc:
+        main(["corollary", "--curve", CIRCLE])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: diracshell")
 
 
 def test_main_dump_clifford(capsys):
@@ -563,8 +572,7 @@ def test_main_config_errors(tmp_path, capsys):
     # a config file holds one JSON object, and a job has a curve from it or from --curve
     for payload in ([SMALL], 5, {k: v for k, v in SMALL.items() if k != "curve"}):
         bad.write_text(json.dumps(payload))
-        for verb in ("sweep", "corollary"):
-            assert main([verb, "--config", str(bad)]) == 2
+        assert main(["sweep", "--config", str(bad)]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -581,20 +589,19 @@ BAD_INVOCATIONS = {
     "eps-not-a-number": ["sweep", "--curve", CIRCLE, "--eps", "nan,0.1"],
     "eps-infinite": ["sweep", "--curve", '{"kind": "strip", "length": 6}', "--eps", "inf,0.1,0.05"],
     "mass-not-a-number": ["sweep", "--curve", CIRCLE, "--m", "nan"],
-    "corollary-bad-curve": ["corollary", "--curve", '{"kind": "blob"}'],
     "effective-odd-ns": ["effective-spectrum", "--curve", CIRCLE, "--ns", "15"],
     "effective-bad-curve": ["effective-spectrum", "--curve", '{"kind": "circle", "r": -1}'],
     "masses-not-numbers": ["transverse-table", "--m", "a"],
     "mass-negative": ["transverse-table", "--m", "-1"],
     "mass-infinite": ["transverse-table", "--m", "0,inf"],
     "eps-empty": ["sweep", "--curve", CIRCLE, "--eps", ""],
-    "flag-overrides-with-bad-value": ["corollary", "--config", "{config}", "--curve", CIRCLE, "--count", "3"],
+    "flag-overrides-with-bad-value": ["sweep", "--config", "{config}", "--curve", CIRCLE, "--count", "0"],
     "bands-zero": ["transverse-table", "--bands", "0"],
     "effective-count-beyond-block": ["effective-spectrum", "--curve", CIRCLE, "--ns", "16", "--count", "40"],
     "clifford-n-zero": ["dump-clifford", "--n", "0"],
     "seed-negative": ["sweep", "--curve", CIRCLE, "--seed", "-1"],
     "curve-radius-not-a-number": ["sweep", "--curve", '{"kind": "circle", "r": NaN}'],
-    "curve-radius-infinite": ["corollary", "--curve", '{"kind": "circle", "r": Infinity}'],
+    "curve-radius-infinite": ["sweep", "--curve", '{"kind": "circle", "r": Infinity}'],
     "curve-radius-true": ["sweep", "--curve", '{"kind": "circle", "r": true}'],
     "curve-radius-string": ["sweep", "--curve", '{"kind": "circle", "r": "2"}'],
     "curve-coefficient-not-a-number": ["sweep", "--curve", '{"kind": "fourier", "coeffs": [[1, NaN, 0]]}'],
@@ -623,6 +630,23 @@ def test_curve_given_as_a_json_array_is_a_wrong_type(argv, tmp_path, monkeypatch
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: curve") and "must be a JSON object" in err and "[1, 2]" in err
+
+
+@pytest.mark.parametrize("verb", [["sweep", "--ns", "32"], ["effective-spectrum"]], ids=["sweep", "effective-spectrum"])
+@pytest.mark.parametrize("text, file, expected", [
+    ("5", None, ("config error: curve", "must be a JSON object", "got 5\n")),
+    ("5", '{"kind": "blob"}', ("config error: unknown curve config kind 'blob'\n",)),
+    ("nofile.json", None, ("config error: [Errno 2] No such file or directory: 'nofile.json'\n",)),
+], ids=["number", "file-named-5", "missing-file"])
+def test_curve_text_is_a_path_before_it_is_json(verb, text, file, expected, tmp_path, monkeypatch, capsys):
+    # text that does not start with { or [ names a file; only when no such file
+    # exists is it read as JSON, so a bare 5 is refused by type, not as a missing file
+    monkeypatch.chdir(tmp_path)
+    if file is not None:
+        (tmp_path / text).write_text(file)
+    assert main([*verb, "--curve", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(expected[0]) and all(part in err for part in expected) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", BAD_INVOCATIONS.values(), ids=BAD_INVOCATIONS)
@@ -674,10 +698,9 @@ def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory")
     assert main(["check", "--out", str(tmp_path / "missing" / "checks.json")]) == 2
-    for verb in ("sweep", "corollary"):
-        assert main([verb, "--curve", CIRCLE, "--out", str(taken)]) == 2
+    assert main(["sweep", "--curve", CIRCLE, "--out", str(taken)]) == 2
     err = capsys.readouterr().err
-    assert err.count("config error: ") == 3 and "Traceback" not in err
+    assert err.count("config error: ") == 2 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
@@ -702,15 +725,14 @@ def test_coupling_flag_is_a_usage_error(value, capsys):
 
 
 def _record_configs(monkeypatch) -> list:
-    """Make both verbs record the config main() built, in place of running it."""
+    """Make the sweep verb record the config main() built, in place of running it."""
     built = []
 
     def record(cfg, out_dir=None):
         built.append(cfg)
-        return SimpleNamespace(verdicts=list, partial=False, linear_coeffs=[], references=[])
+        return SimpleNamespace(verdicts=list, partial=False, corollary=None)
 
     monkeypatch.setattr(cli, "run_sweep", record)
-    monkeypatch.setattr(cli, "run_corollary", record)
     return built
 
 
@@ -718,9 +740,8 @@ def test_main_defaults_are_the_config_defaults(monkeypatch):
     # the CLI options restate no default: without flags the config is SweepConfig(curve=...)
     built = _record_configs(monkeypatch)
     curve = {"kind": "circle", "r": 1.0}
-    for verb in ("sweep", "corollary"):
-        assert main([verb, "--curve", json.dumps(curve)]) == 0
-    assert built == [SweepConfig(curve=curve)] * 2
+    assert main(["sweep", "--curve", json.dumps(curve)]) == 0
+    assert built == [SweepConfig(curve=curve)]
 
 
 def test_main_flags_replace_config_keys(tmp_path, monkeypatch):
@@ -734,19 +755,18 @@ def test_main_flags_replace_config_keys(tmp_path, monkeypatch):
             "--ns", "32", "--nt", "10", "--count", "4", "--seed", "7"]
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
-    for verb in ("sweep", "corollary"):
-        assert main([verb, "--config", str(path)]) == 0
-        assert main([verb, "--config", str(path), *argv]) == 0
-        assert main([verb, "--config", str(path), "--ns", "64"]) == 0
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert main(["sweep", "--config", str(path), *argv]) == 0
+    assert main(["sweep", "--config", str(path), "--ns", "64"]) == 0
     assert built == [
         SweepConfig.from_dict(job),
         SweepConfig.from_dict({**job, **flags}),
         SweepConfig.from_dict({**job, "ns": 64}),
-    ] * 2
+    ]
     assert built[1].eff_ns == SMALL["eff_ns"]
 
 
-def test_main_sweep_with_config_file(tmp_path):
+def test_main_sweep_with_config_file(tmp_path, capsys):
     # with no flags the run is the config's own; flags reach the written outputs
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(SMALL))
@@ -755,19 +775,19 @@ def test_main_sweep_with_config_file(tmp_path):
     assert (tmp_path / "out" / "sweep.csv").read_bytes() == (tmp_path / "direct" / "sweep.csv").read_bytes()
     wide = {"kind": "circle", "r": 2.0}
     flags = ["--curve", json.dumps(wide), "--eps", "0.1,0.07,0.05", "--ns", "32", "--count", "4"]
-    for verb in ("sweep", "corollary"):
-        assert main([verb, "--config", str(cfg), *flags, "--out", str(tmp_path / verb)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), *flags, "--out", str(tmp_path / "sweep")]) == 0
+    # an even count prints one p= line per pair of the corollary after the j= lines
+    out = capsys.readouterr().out.splitlines()
+    assert [line[:2] for line in out] == ["j="] * 4 + ["p="] * 2
+    assert out[4].startswith("p=1: fitted linear coefficient ") and out[5].startswith("p=2: ")
     summary = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert summary["config"]["eps"] == [0.1, 0.07, 0.05] and summary["curve"] == curve_from_json(wide).name
     assert {eps: rec["dof"] for eps, rec in summary["solves"].items()} == {
         repr(e): 4 * 32 * max(8, math.ceil(4.0 / math.sqrt(e))) for e in (0.1, 0.07, 0.05)
     }
     assert len(summary["verdicts"]) == 4
-    corollary = json.loads((tmp_path / "corollary" / "corollary.json").read_text())
-    # the corollary's record nests the summary of the sweep it ran
-    assert {k: v for k, v in corollary["sweep"].items() if k not in ("effective_s", "solves")} == {
-        k: v for k, v in summary.items() if k not in ("effective_s", "solves")
-    }
-    assert len(corollary["linear_coeffs"]) == 2
-    rows = [r.split(",") for r in (tmp_path / "corollary" / "corollary.csv").read_text().splitlines()[1:]]
+    # the sweep's record holds the corollary block of its even count
+    assert len(summary["corollary"]["linear_coeffs"]) == 2
+    rows = [r.split(",") for r in (tmp_path / "sweep" / "corollary.csv").read_text().splitlines()[1:]]
     assert [(r[0], r[1]) for r in rows] == [(e, p) for e in ("0.1", "0.07", "0.05") for p in "12"]

@@ -15,7 +15,6 @@ from diracshell.effective import (
     effective_spectrum_csv,
     gauge_transform_check,
     magnetic_circle_spectrum,
-    omega_oneform,
 )
 from diracshell.eigsolve import HermitianPencil, dense_hermitian_eig
 
@@ -25,27 +24,6 @@ def analytic_circle_levels(count):
     ns = np.arange(-count - 2, count + 3)
     vals = ((2.0 * math.pi * ns + math.pi - 2.0) / (2.0 * math.pi)) ** 2 - 1.0 / math.pi**2
     return np.sort(vals)[:count]
-
-
-def test_omega_circle_is_alpha3(fam2, circle):
-    om = omega_oneform(fam2, circle, 0.5)
-    assert np.abs(om - np.diag([1.0, -1.0])).max() <= 1e-12
-
-
-def test_omega_structure_matches_curvature(fam2, ellipse):
-    # two independent formulas: -i Gamma(nu') Gamma(nu) versus -kappa a_3
-    for s in (0.0, 1.3, 4.0, 7.7):
-        om = omega_oneform(fam2, ellipse, s)
-        kap = float(ellipse.curvature(np.array([s]))[0])
-        assert np.abs(om - (-kap) * np.diag([1.0, -1.0])).max() <= 1e-10
-        assert np.abs(om - om.conj().T).max() <= 1e-12
-
-
-def test_omega_vanishing_curvature(fam2):
-    from diracshell.geometry import flat_strip
-
-    om = omega_oneform(fam2, flat_strip(5.0), 1.0)
-    assert np.abs(om).max() == 0.0
 
 
 def test_magnetic_circle_analytic(circle):

@@ -1,17 +1,13 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from diracshell.geometry import (
     CurveError,
     curve_from_json,
     flat_strip,
     make_curve,
-    mean_curvatures,
     shell_metric,
 )
 
@@ -39,7 +35,6 @@ def test_unit_speed_and_frenet(name, request):
     nu = curve.normal(s)
     frenet = np.stack([-kap * nu[:, 1], kap * nu[:, 0]], axis=-1)
     assert np.abs(nu_fd - frenet).max() < 1e-6
-    assert np.abs(curve.normal_derivative(s) - nu_fd).max() < 1e-6
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "wobble"])
@@ -75,26 +70,6 @@ def test_ellipse_curvature_extremes(ellipse):
     assert abs(kap.max() + b / a**2) < 1e-9
     assert abs(kap.min() + a / b**2) < 1e-9
     assert abs(ellipse.kappa_max - 2.0) < 1e-9
-
-
-def test_mean_curvatures_small_cases():
-    assert mean_curvatures([0.7]) == [0.7]
-    assert mean_curvatures([1.0, 1.0]) == [2.0, 1.0]
-    assert mean_curvatures([2.0, 3.0, 5.0]) == [10.0, 31.0, 30.0]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=1, max_size=6)
-)
-def test_mean_curvatures_match_enumeration(principal):
-    # brute-force subset enumeration oracle
-    got = mean_curvatures(principal)
-    for p in range(1, len(principal) + 1):
-        expect = sum(
-            math.prod(combo) for combo in itertools.combinations(principal, p)
-        )
-        assert got[p - 1] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_shell_metric_values(circle):

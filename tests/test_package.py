@@ -58,3 +58,47 @@ def test_no_module_reads_a_siblings_private_name():
                     and aliases.get(node.value.id, name) != name and _private(node.attr)):
                 reads.append(f"{name}: {aliases[node.value.id]}.{node.attr}")
     assert reads == []
+
+
+def _exports(tree: ast.Module) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _uses(node: ast.AST, enclosing: tuple = ()) -> set:
+    """(name, enclosing def/class names) of every read of a name, attribute or imported alias under node."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            found.add((child.id, enclosing))
+        elif isinstance(child, ast.Attribute):
+            found.add((child.attr, enclosing))
+        elif isinstance(child, ast.ImportFrom):
+            found.update((alias.name, enclosing) for alias in child.names)
+        defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        found |= _uses(child, enclosing + (child.name,) if defines else enclosing)
+    return found
+
+
+def test_every_exported_name_has_a_caller():
+    # each name in a module's __all__ is read by the package or the bench
+    # outside its own def or class; its own unit tests, docstrings and the
+    # __all__ string do not count
+    package = pathlib.Path(diracshell.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    bench = sorted((package.parents[1] / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in modules + bench}
+    uses = {path: _uses(tree) for path, tree in trees.items()}
+    uncalled = [
+        f"{path.stem}.{name}"
+        for path in modules
+        for name in _exports(trees[path])
+        if not any(
+            used == name and not (other == path and name in enclosing)
+            for other, found in uses.items()
+            for used, enclosing in found
+        )
+    ]
+    assert uncalled == []
