@@ -23,6 +23,11 @@ each eps's transverse level and grid included, and only the curve's
 injectivity guard waits for the curve, which ``run_sweep`` builds before any solve.
 ``run_sweep`` and ``run_checks`` set BLAS to one thread
 (``threads.set_blas_threads``) before their first solve, as ``main`` does.
+This is the one module that reads or writes a file format (JSON, and
+every CSV through ``_write_csv``, each float as ``repr(float(v))``).
+``effective-spectrum`` refuses a curve whose total curvature misses -2*pi
+by more than ``geometry.CLOSURE_TOL``: the magnetic flux (pi-2)/L it
+compares against assumes -2*pi.
 """
 
 from __future__ import annotations
@@ -44,18 +49,18 @@ import scipy
 
 from . import transverse
 from .checks import run_all
-from .clifford import build_clifford, family_to_json
+from .clifford import build_clifford
 from .effective import (
     MIN_NS as EFF_MIN_NS,
     ConvergedReference,
     converged_eigenvalues,
-    effective_spectrum_csv,
+    gauge_transform_check,
     valid_ns,
 )
 # nothing here calls these two; their only reader is bench/tracer.py, which wraps them here by name
 from .effective import assemble_effective, effective_eigenvalues  # noqa: F401
 from .eigsolve import DENSE_DIM_LIMIT, EigensolveError
-from .geometry import CurveError, curve_from_json, shell_metric
+from .geometry import CLOSURE_TOL, CurveError, curve_from_json, shell_metric
 from .shell import MAX_COUNT, assemble_shell, checked_grid, lowest_eigenvalues
 from .threads import set_blas_threads
 
@@ -209,28 +214,26 @@ class AsymptoticsReport:
         return out
 
     def write(self, out_dir) -> None:
-        """Write ``sweep.csv``, ``corollary.csv`` when there is a corollary, and the run record ``sweep.json``."""
-        with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "j", "mu_shell", "residual", "mu_eff_ref"])
-            for eps in self.config.eps:
-                if eps not in self.mu_shell:
-                    continue
-                for j, mu in enumerate(self.mu_shell[eps]):
-                    writer.writerow(
-                        [repr(eps), j + 1, repr(mu), repr(self.residuals[eps][j]),
-                         repr(self.mu_effective[j])]
-                    )
-        if self.corollary is not None:
-            with open(os.path.join(out_dir, "corollary.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["eps", "p", "lambda", "linear_coeff_partial"])
-                for eps in self.config.eps:
-                    if eps not in self.corollary["lam"]:
-                        continue
-                    pairs = zip(self.corollary["lam"][eps], self.corollary["excess"][eps])
-                    for p, (lam, excess) in enumerate(pairs, start=1):
-                        writer.writerow([repr(eps), p, repr(lam), repr(excess / eps)])
+        """Write ``sweep.csv``, ``corollary.csv`` when there is a corollary, and the run record ``sweep.json``.
+
+        An odd count removes an earlier run's ``corollary.csv``, which ``"corollary": null`` would contradict.
+        """
+        solved = [eps for eps in self.config.eps if eps in self.mu_shell]  # the keys of the corollary's lam too
+        mu_eff, cor = self.mu_effective, self.corollary
+        _write_csv(os.path.join(out_dir, "sweep.csv"), ["eps", "j", "mu_shell", "residual", "mu_eff_ref"], [
+            [eps, j + 1, mu, self.residuals[eps][j], mu_eff[j]]
+            for eps in solved
+            for j, mu in enumerate(self.mu_shell[eps])
+        ])
+        if cor is None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, "corollary.csv"))
+        else:
+            _write_csv(os.path.join(out_dir, "corollary.csv"), ["eps", "p", "lambda", "linear_coeff_partial"], [
+                [eps, p, lam, excess / eps]
+                for eps in solved
+                for p, (lam, excess) in enumerate(zip(cor["lam"][eps], cor["excess"][eps]), start=1)
+            ])
         with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
             json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
@@ -259,6 +262,15 @@ class AsymptoticsReport:
                 "no_fit_reason": cor["no_fit_reason"],
             },
         }
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write one CSV table; every float cell, numpy's included, as ``repr(float(v))``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
 def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
@@ -554,7 +566,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--m: masses must be finite and nonnegative")
             if args.bands < 1:
                 raise ConfigError("--bands must be >= 1")
-            transverse.write_transverse_table(args.out, ms, range(1, args.bands + 1))
+            _write_csv(args.out, ["m", "p", "k", "E", "N"], transverse.transverse_table(ms, range(1, args.bands + 1)))
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":
@@ -564,7 +576,14 @@ def main(argv=None) -> int:
                     "(the dense cap), and --count in 1..ns-1 (one spin block)"
                 )
             curve = _curve(_load_curve_arg(args.curve))
-            res = effective_spectrum_csv(args.out, curve, args.ns, count=args.count)
+            total = curve.total_curvature()
+            if abs(total + 2.0 * math.pi) > CLOSURE_TOL:  # the magnetic flux (pi-2)/L assumes -2*pi
+                raise ConfigError(f"effective-spectrum needs a closed curve of total curvature -2*pi; "
+                                  f"{curve.name} has total curvature {total:.6g}")
+            res = gauge_transform_check(curve, args.ns, count=args.count)
+            pairs = enumerate(zip(res.eigenvalues_effective, res.eigenvalues_magnetic_pair), start=1)
+            _write_csv(args.out, ["index", "mu_effective", "mu_magnetic_pair", "abs_diff"],
+                       [[i, a, b, abs(a - b)] for i, (a, b) in pairs])
             print(f"wrote {args.out}; spectral distance {res.spectral_distance:.3e}")
             return 0
         if args.verb == "dump-clifford":
@@ -572,7 +591,9 @@ def main(argv=None) -> int:
                 fam = build_clifford(args.n)
             except ValueError as exc:
                 raise ConfigError(f"--n: {exc}") from exc
-            text = family_to_json(fam)
+            # each alpha as rows of [re, im] pairs, which restore it exactly
+            alphas = [[[[float(v.real), float(v.imag)] for v in row] for row in a] for a in fam.alphas]
+            text = json.dumps({"n": fam.n, "N": fam.N, "alphas": alphas})
             if args.out is None:
                 print(text)
             else:

@@ -11,7 +11,6 @@ exactly in floating point and tests may demand bitwise equality.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "build_clifford",
     "gamma",
     "theta",
-    "family_to_json",
 ]
 
 # dense-storage cap on the spatial dimension: N = 2^6 = 64 at n = MAX_N
@@ -140,15 +138,3 @@ def theta(fam: CliffordFamily, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     gy = gamma(fam, y).gamma
     return 0.5 * (eye + 1.0j * gy) @ (eye - 1.0j * gx)
 
-
-def family_to_json(fam: CliffordFamily) -> str:
-    """Serialize a family as {"n":…, "N":…, "alphas":[[[re,im],…],…]}."""
-    payload = {
-        "n": fam.n,
-        "N": fam.N,
-        "alphas": [
-            [[[float(v.real), float(v.imag)] for v in row] for row in a]
-            for a in fam.alphas
-        ],
-    }
-    return json.dumps(payload)

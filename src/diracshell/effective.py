@@ -33,11 +33,12 @@ operator by construction, its one-form -kappa*a_3 written into the blocks.
 from AUTO_NS_START until the lowest values stop moving, up to its cap.
 The reference converges spectrally, so on smooth curves this stops far
 below the cap (256 on ellipse(2,1), 128 on the circle, where it is exact).
+The module writes no file: ``diracshell effective-spectrum`` writes the
+eigenvalues ``gauge_transform_check`` returns.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,6 @@ __all__ = [
     "valid_ns",
     "gauge_transform_check",
     "magnetic_circle_spectrum",
-    "effective_spectrum_csv",
 ]
 
 DEFAULT_COUPLING = 0.5 - 1.0 / math.pi
@@ -280,15 +280,3 @@ def gauge_transform_check(
         eigenvalues_magnetic_pair=doubled,
     )
 
-
-def effective_spectrum_csv(path, curve: CurveSpec, n_s: int, count: int = 8) -> GaugeCheckResult:
-    """Write rows (index, mu_effective, mu_magnetic_pair, abs diff) at the derived coupling."""
-    result = gauge_transform_check(curve, n_s, count=count)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "mu_effective", "mu_magnetic_pair", "abs_diff"])
-        for i in range(count):
-            a = result.eigenvalues_effective[i]
-            b = result.eigenvalues_magnetic_pair[i]
-            writer.writerow([i + 1, repr(a), repr(b), repr(abs(a - b))])
-    return result

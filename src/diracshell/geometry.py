@@ -15,7 +15,6 @@ composed with theta(s); no finite differences enter the primary path.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,6 +36,8 @@ _TWO_PI = 2.0 * math.pi
 _PANELS, _SAMPLES = 2048, 4096  # arclength-table theta panels; samples of periodic sums
 # shell_metric admits eps < GUARD/max|kappa|, inside the injectivity scale 1/max|kappa|
 GUARD = 0.9
+# |total curvature + 2*pi| a closed curve may show: the total-curvature check's bound
+CLOSURE_TOL = 1e-8
 
 
 class CurveError(ValueError):
@@ -281,16 +282,14 @@ def flat_strip(length: float) -> CurveSpec:
 _CURVE_KEYS = {"circle": {"r"}, "ellipse": {"a", "b"}, "fourier": {"coeffs"}, "strip": {"length"}}
 
 
-def curve_from_json(config: dict | str) -> CurveSpec:
-    """Build a curve from {"kind": "ellipse", "a": 2.0, "b": 1.0}-style configs.
+def curve_from_json(config: dict) -> CurveSpec:
+    """Build a curve from a parsed {"kind": "ellipse", "a": 2.0, "b": 1.0}-style config.
 
     Each kind takes only its own parameters (``_CURVE_KEYS``).  A config it
-    cannot build, whatever the reason, an unknown key included, raises
-    CurveError.
+    cannot build, whatever the reason, an unknown key or a value that is not
+    a dict (JSON text included: ``cli`` parses it) included, raises CurveError.
     """
     try:
-        if isinstance(config, str):
-            config = json.loads(config)
         if not isinstance(config, dict):
             raise CurveError(f"curve config must be a JSON object, got {config!r}")
         kind = config.get("kind")
@@ -315,10 +314,12 @@ class ShellMetric2D:
     """Metric data of the thin shell of half-width eps around a curve.
 
     ``stretch`` = 1 + eps*t*kappa, kappa the clockwise signed curvature, is
-    the one statement of the metric: sqrt(det_g) = eps*stretch, g11 =
-    stretch^2, and ``shell.assemble_shell`` integrates the same stretch.
-    ``tubular_map`` offsets along -nu, the direction for which the Jacobian
-    determinant of the map equals eps*stretch.
+    the one statement of the metric: the volume factor sqrt(det g) is
+    eps*stretch, the tangential coefficient g11 is stretch^2, and
+    ``shell.assemble_shell`` integrates the same stretch.  ``tubular_map``
+    offsets along -nu, the direction for which the Jacobian determinant of
+    the map equals eps*stretch; the ``metric-identity`` and
+    ``metric-sandwich`` checks read ``stretch`` itself.
     """
 
     curve: CurveSpec
@@ -327,12 +328,6 @@ class ShellMetric2D:
     def stretch(self, t, kappa):
         """The radial weight over eps, 1 + eps*t*kappa, at transverse t and curvature values kappa."""
         return 1.0 + self.eps * t * kappa
-
-    def g11(self, s, t) -> np.ndarray:
-        return self.stretch(np.asarray(t, dtype=float), self.curve.curvature(s)) ** 2
-
-    def det_g(self, s, t) -> np.ndarray:
-        return self.eps**2 * self.g11(s, t)
 
     def tubular_map(self, s, t) -> np.ndarray:
         offset = self.eps * np.asarray(t, dtype=float)[..., None]

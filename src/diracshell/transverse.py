@@ -12,7 +12,6 @@ Eigenmodes are trigonometric, so every integral here uses a fixed
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -263,10 +262,3 @@ def transverse_table(ms, ps) -> list[tuple[float, int, float, float, float]]:
             rows.append((float(m), int(p), solve_k(m, p), energy(m, p), normalization(m, p)))
     return rows
 
-
-def write_transverse_table(path, ms, ps) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "p", "k", "E", "N"])
-        for row in transverse_table(ms, ps):
-            writer.writerow([repr(v) for v in row])

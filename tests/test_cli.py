@@ -21,7 +21,7 @@ from diracshell.cli import (
     run_sweep,
 )
 from diracshell.clifford import build_clifford
-from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenvalues
+from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenvalues, gauge_transform_check
 from diracshell.eigsolve import DENSE_DIM_LIMIT, EigensolveError, dense_hermitian_eig
 from diracshell.geometry import curve_from_json, shell_metric
 from diracshell.shell import MAX_COUNT, MAX_DOF, MIN_NS, MIN_NT, assemble_shell, ladder_shift, lowest_eigenvalues
@@ -515,6 +515,16 @@ def test_corollary_needs_even_count(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.json"]
 
 
+def test_odd_count_removes_an_earlier_corollary_csv(tmp_path):
+    # an even-count run then an odd-count run into one directory: no corollary.csv
+    # is left beside a sweep.json whose corollary is null
+    run_sweep({**SMALL, "count": 2}, out_dir=tmp_path)
+    assert (tmp_path / "corollary.csv").exists()
+    run_sweep({**SMALL, "count": 3}, out_dir=tmp_path)
+    assert json.loads((tmp_path / "sweep.json").read_text())["corollary"] is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.json"]
+
+
 def test_corollary_verb_is_a_usage_error(capsys):
     # the corollary is a block of the sweep's report; there is no verb of its own
     with pytest.raises(SystemExit) as exc:
@@ -535,6 +545,9 @@ def test_main_dump_clifford(capsys):
         for k, ak in enumerate(alphas):
             anti = aj @ ak + ak @ aj
             assert np.abs(anti - 2.0 * (j == k) * np.eye(4)).max() == 0.0
+    # the [re, im] pairs restore every matrix exactly
+    assert len(alphas) == 4
+    assert all(np.array_equal(a, back) for a, back in zip(build_clifford(3).alphas, alphas))
 
 
 def test_main_transverse_table(tmp_path):
@@ -555,6 +568,28 @@ def test_main_effective_spectrum(tmp_path):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 5
+
+
+def test_effective_csv_cells_are_the_checked_eigenvalues(tmp_path):
+    # every value cell is a plain float: the gauge_transform_check eigenvalue it came from, never np.float64(...)
+    out = tmp_path / "eff.csv"
+    assert main(["effective-spectrum", "--curve", CIRCLE, "--ns", "128", "--count", "6", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["index", "mu_effective", "mu_magnetic_pair", "abs_diff"]
+    assert len(rows) == 7
+    res = gauge_transform_check(curve_from_json(SMALL["curve"]), 128, count=6)
+    for i, (index, mu_eff, mu_mag, diff) in enumerate(rows[1:]):
+        a, b = res.eigenvalues_effective[i], res.eigenvalues_magnetic_pair[i]
+        assert int(index) == i + 1
+        assert (float(mu_eff), float(mu_mag), float(diff)) == (a, b, abs(a - b))
+    assert max(float(row[3]) for row in rows[1:]) == res.spectral_distance <= 1e-8
+
+
+def test_effective_spectrum_names_the_curve_that_is_not_closed(capsys):
+    # exit 2 before any assembly is BAD_INVOCATIONS' effective-curve-not-closed; the message names the curve
+    assert main(["effective-spectrum", "--curve", '{"kind": "strip", "length": 6.28}']) == 2
+    assert capsys.readouterr().err == ("config error: effective-spectrum needs a closed curve of total curvature "
+                                       "-2*pi; strip(6.28) has total curvature 0\n")
 
 
 def test_main_config_errors(tmp_path, capsys):
@@ -608,6 +643,8 @@ BAD_INVOCATIONS = {
     "curve-wavenumber-fractional": ["sweep", "--curve", '{"kind": "fourier", "coeffs": [[1.7, 1, 0]]}'],
     "curve-strip-infinite": ["sweep", "--curve", '{"kind": "strip", "length": Infinity}'],
     "effective-curve-not-a-number": ["effective-spectrum", "--curve", '{"kind": "ellipse", "a": 2, "b": NaN}'],
+    # the magnetic operator's flux assumes total curvature -2*pi; a strip has 0
+    "effective-curve-not-closed": ["effective-spectrum", "--curve", '{"kind": "strip", "length": 6.28}'],
     # eps^2 underflows to 0, so the transverse level divides by zero (and default_nt asks for 4e100 cells)
     "eps-level-underflows": ["sweep", "--curve", CIRCLE, "--ns", "32", "--eps", "1e-200,1e-201,1e-202"],
     "eps-level-underflows-fixed-nt": [

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from diracshell.clifford import (
     MAX_N,
     build_clifford,
-    family_to_json,
     gamma,
     theta,
 )
@@ -133,16 +130,6 @@ def test_theta_unitary_and_intertwines(n, rng):
 def test_theta_rejects_non_unit(fam2):
     with pytest.raises(ValueError):
         theta(fam2, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-
-
-def test_json_round_trip(fam3):
-    payload = json.loads(family_to_json(fam3))
-    assert payload["n"] == 3 and payload["N"] == 4
-    assert len(payload["alphas"]) == 4
-    # the [re, im] pairs restore every matrix exactly
-    for a, rows in zip(fam3.alphas, payload["alphas"]):
-        back = np.array([[complex(re, im) for re, im in row] for row in rows])
-        assert np.array_equal(a, back)
 
 
 def test_matrices_immutable(fam2):

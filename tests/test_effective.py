@@ -12,7 +12,6 @@ from diracshell.effective import (
     assemble_magnetic,
     converged_eigenvalues,
     effective_eigenvalues,
-    effective_spectrum_csv,
     gauge_transform_check,
     magnetic_circle_spectrum,
 )
@@ -229,15 +228,6 @@ def test_assembly_validation(circle):
         assemble_effective(circle, 33)
     with pytest.raises(ValueError):
         assemble_effective(circle, 64, scheme="chebyshev")
-
-
-def test_effective_spectrum_csv(tmp_path, circle):
-    path = tmp_path / "eff.csv"
-    res = effective_spectrum_csv(path, circle, 128, count=6)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "index,mu_effective,mu_magnetic_pair,abs_diff"
-    assert len(rows) == 7
-    assert res.spectral_distance <= 1e-8
 
 
 def test_coupling_constant_value():

@@ -74,8 +74,9 @@ def test_ellipse_curvature_extremes(ellipse):
 
 def test_shell_metric_values(circle):
     met = shell_metric(circle, 0.1)
-    assert met.g11(0.3, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert met.det_g(0.3, 1.0) == pytest.approx((0.1 * 0.9) ** 2, abs=1e-15)
+    # the tangential coefficient stretch^2 and the volume factor eps*stretch
+    assert met.stretch(0.0, circle.curvature(0.3)) ** 2 == pytest.approx(1.0, abs=1e-14)
+    assert (met.eps * met.stretch(1.0, circle.curvature(0.3))) ** 2 == pytest.approx((0.1 * 0.9) ** 2, abs=1e-15)
 
 
 def test_shell_metric_guard(ellipse):
@@ -104,7 +105,7 @@ def test_det_g_matches_jacobian(circle, ellipse, rng):
             - met.tubular_map(np.array([s0]), np.array([t0 - h]))[0]
         ) / (2.0 * h)
         det_fd = abs(np.linalg.det(jac))
-        det_formula = math.sqrt(float(met.det_g(s0, t0)))
+        det_formula = met.eps * float(met.stretch(t0, crv.curvature(s0)))
         worst = max(worst, abs(det_fd - det_formula) / det_formula)
     assert worst <= 1e-9
 
@@ -127,7 +128,7 @@ def test_metric_sandwich_bound(circle, ellipse, rng):
             met = shell_metric(crv, eps)
             s0 = float(rng.uniform(0.0, crv.length))
             t0 = float(rng.uniform(-1.0, 1.0))
-            ratio = 1.0 / float(met.g11(s0, t0))
+            ratio = 1.0 / float(met.stretch(t0, crv.curvature(s0))) ** 2
             assert 1.0 - c * eps <= ratio <= 1.0 + c * eps
 
 
@@ -139,7 +140,7 @@ def test_flat_strip_harness():
     assert np.all(strip.curvature(s) == 0.0)
     assert np.all(strip.normal(s) == np.array([0.0, 1.0]))
     met = shell_metric(strip, 0.3)
-    assert np.all(met.det_g(s, np.array([0.5, -0.5, 1.0])) == 0.3**2)
+    assert np.all((met.eps * met.stretch(np.array([0.5, -0.5, 1.0]), strip.curvature(s))) ** 2 == 0.3**2)
 
 
 def test_factory_rejections():
@@ -224,8 +225,11 @@ def test_orientation_forced_clockwise():
 def test_curve_json_and_csv():
     crv = curve_from_json({"kind": "ellipse", "a": 2.0, "b": 1.0})
     assert abs(crv.kappa_max - 2.0) < 1e-9
-    crv2 = curve_from_json('{"kind": "circle", "r": 2.0}')
+    crv2 = curve_from_json({"kind": "circle", "r": 2.0})
     assert abs(crv2.length - 2.0 * TWO_PI) < 1e-10
+    # JSON text is parsed by the CLI, never here
+    with pytest.raises(CurveError, match="must be a JSON object"):
+        curve_from_json('{"kind": "circle", "r": 2.0}')
     with pytest.raises(CurveError):
         curve_from_json({"kind": "pentagon"})
 

@@ -102,3 +102,19 @@ def test_every_exported_name_has_a_caller():
         )
     ]
     assert uncalled == []
+
+
+def test_only_cli_knows_file_formats():
+    # cli reads and writes every file; no other module imports csv or json
+    package = pathlib.Path(diracshell.__file__).parent
+    imports = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{path.stem}: {n}" for n in names if n.split(".")[0] in ("csv", "json")]
+    assert [entry for entry in imports if not entry.startswith("cli: ")] == []
