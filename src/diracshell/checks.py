@@ -10,8 +10,9 @@ secular root residuals, quadrature normalization, gauge equivalence of the
 effective operator, sandwich ordering of the bracketing forms, and the
 cross-check of the production shift-invert solver against the dense
 oracle.  The transverse spectra of the intertwining entry come from that
-same certified shift-invert solver, with an inertia cut below the top
-returned value; a unit test checks them against the dense oracle.
+same certified shift-invert solver, handed the one shift -1 (the
+transverse form is positive), with an inertia cut below the top returned
+value; a unit test checks them against the dense oracle.
 """
 
 from __future__ import annotations
@@ -248,14 +249,14 @@ def discretized_transverse_energies(fam, x, m: float, count: int) -> np.ndarray:
     Galerkin P2 discretization of ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2)
     over spinors with the boundary constraint eliminated against the
     +-1 eigenspaces of -i a_{n+1} Gamma(x), solved by the production
-    shift-invert solver (seed 0) and certified from both sides: no
-    eigenvalue below the shift, none missing below the top returned one.
-    Raises EigensolveError when either certificate or the residual gate
-    fails.
+    shift-invert solver (seed 0) at the one shift -1 and certified from
+    both sides: no eigenvalue below the shift, none missing below the top
+    returned one.  Raises EigensolveError when either certificate or the
+    residual gate fails; an uncertified shift fails after one factorization.
     """
     pencil = eigsolve.HermitianPencil.make(*_transverse_pencil(fam, x, m))
-    # the form is positive for m >= 0, so the shift -1 certifies at once
-    res = eigsolve.shift_invert_smallest(pencil, count, sigma=-1.0)
+    # the form is positive for m >= 0, so the one shift -1 certifies at once
+    res = eigsolve.shift_invert_smallest(pencil, count, [-1.0])
     _certify_cut(pencil, res.eigenvalues)
     return res.eigenvalues
 

@@ -50,16 +50,10 @@ import scipy
 from . import transverse
 from .checks import run_all
 from .clifford import build_clifford
-from .effective import (
-    MIN_NS as EFF_MIN_NS,
-    ConvergedReference,
-    converged_eigenvalues,
-    gauge_transform_check,
-    valid_ns,
-)
+from .effective import ConvergedReference, checked_ns, converged_eigenvalues, gauge_transform_check
 # nothing here calls these two; their only reader is bench/tracer.py, which wraps them here by name
 from .effective import assemble_effective, effective_eigenvalues  # noqa: F401
-from .eigsolve import DENSE_DIM_LIMIT, EigensolveError
+from .eigsolve import EigensolveError
 from .geometry import CLOSURE_TOL, CurveError, curve_from_json, shell_metric
 from .shell import MAX_COUNT, assemble_shell, checked_grid, lowest_eigenvalues
 from .threads import set_blas_threads
@@ -145,10 +139,11 @@ class SweepConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if self.count < 1 or self.count > MAX_COUNT:
             raise ConfigError(f"count must lie in 1..{MAX_COUNT}")
-        if self.eff_ns != "auto" and not valid_ns(self.eff_ns):
-            raise ConfigError(
-                f'eff_ns must be "auto" or an even integer >= {EFF_MIN_NS} with eff_ns - 1 <= {DENSE_DIM_LIMIT}'
-            )
+        if self.eff_ns != "auto":
+            try:
+                checked_ns(self.eff_ns)
+            except ValueError as exc:
+                raise ConfigError(f'eff_ns, when not "auto": {exc}') from exc
         for eps in self.eps:
             try:
                 ground = transverse.level(self.m, eps)
@@ -570,11 +565,12 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":
-            if not valid_ns(args.ns) or not 1 <= args.count <= args.ns - 1:
-                raise ConfigError(
-                    f"--ns must be even with {EFF_MIN_NS} <= ns and ns - 1 <= {DENSE_DIM_LIMIT} "
-                    "(the dense cap), and --count in 1..ns-1 (one spin block)"
-                )
+            try:
+                checked_ns(args.ns)
+            except ValueError as exc:
+                raise ConfigError(f"--ns: {exc}") from exc
+            if not 1 <= args.count <= args.ns - 1:
+                raise ConfigError("--count must lie in 1..ns-1 (one spin block)")
             curve = _curve(_load_curve_arg(args.curve))
             total = curve.total_curvature()
             if abs(total + 2.0 * math.pi) > CLOSURE_TOL:  # the magnetic flux (pi-2)/L assumes -2*pi

@@ -54,7 +54,7 @@ __all__ = [
     "assemble_magnetic",
     "ConvergedReference",
     "converged_eigenvalues",
-    "valid_ns",
+    "checked_ns",
     "gauge_transform_check",
     "magnetic_circle_spectrum",
 ]
@@ -67,14 +67,17 @@ DEFAULT_COUPLING = 0.5 - 1.0 / math.pi
 AUTO_NS_START = 64
 AUTO_NS_CAP = 1024
 AUTO_RTOL = 1e-10
-# smallest n_s an effective assembly accepts; see valid_ns
+# smallest n_s an effective assembly accepts; see checked_ns
 MIN_NS = 16
 
 
-def valid_ns(n_s: int) -> bool:
-    """Whether n_s is an effective grid size: even, at least MIN_NS, and with a
-    block of dim n_s - 1 within the dense oracle's cap DENSE_DIM_LIMIT."""
-    return n_s >= MIN_NS and n_s % 2 == 0 and n_s - 1 <= DENSE_DIM_LIMIT
+def checked_ns(n_s: int) -> int:
+    """n_s, if it is an effective grid size: even, at least MIN_NS, and with a
+    block of dim n_s - 1 within the dense oracle's cap DENSE_DIM_LIMIT; else ValueError."""
+    if not (n_s >= MIN_NS and n_s % 2 == 0 and n_s - 1 <= DENSE_DIM_LIMIT):
+        raise ValueError(f"n_s must be even with {MIN_NS} <= n_s and n_s - 1 <= {DENSE_DIM_LIMIT} "
+                         f"(the dense cap), got {n_s!r}")
+    return n_s
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,7 @@ def _covariant_block(curve: CurveSpec, n_s: int, scheme: str, alpha: float, beta
     at the grid points.  The link matrix discretizes (-i d/ds - A)^2, the
     complex-conjugate operator, which has the same spectrum.
     """
-    if not valid_ns(n_s):
-        raise ValueError(f"n_s must be even with {MIN_NS} <= n_s and n_s - 1 <= {DENSE_DIM_LIMIT}")
+    checked_ns(n_s)
     if scheme == "fourier":
         fine = 4 * n_s
         kappa = curve.curvature(np.arange(fine) * (curve.length / fine))

@@ -2,18 +2,19 @@
 
 The production route for the shell-scale sparse pencils is shift-invert
 ARPACK (spectral transformation, Ericsson & Ruhe 1980; Lehoucq, Sorensen
-& Yang 1998) at a shift sigma below the wanted cluster.  ARPACK iterates
-with OP = (A - sigma B)^{-1} B, whose eigenvalues nu = 1/(lambda - sigma)
-are largest for the lambda nearest sigma, and lambda = sigma + 1/nu.  The
-inverse is applied through a symmetric, unpivoted sparse LU, and the
-signs of that factorization's pivots are the inertia of A - sigma B
-(spectrum slicing by Sylvester's law, Parlett): with none negative, no
-eigenvalue lies below sigma, so the eigenvalues nearest sigma are the
-lowest ones and none is skipped.  A dense path (LAPACK via scipy, with
-Cholesky reduction for generalized pencils) is the oracle the production
-route is tested against; it can return the lowest few pairs only.  Both
-return the same SpectrumResult record with per-pair residuals
-||A x - mu B x|| / ||B x||.
+& Yang 1998) at a shift sigma below the wanted cluster: the first that
+certifies of the shifts the caller hands it (``shell`` builds them).
+ARPACK iterates with OP = (A - sigma B)^{-1} B, whose eigenvalues
+nu = 1/(lambda - sigma) are largest for the lambda nearest sigma, and
+lambda = sigma + 1/nu.  The inverse is applied through a symmetric,
+unpivoted sparse LU, and the signs of that factorization's pivots are the
+inertia of A - sigma B (spectrum slicing by Sylvester's law, Parlett):
+with none negative, no eigenvalue lies below sigma, so the eigenvalues
+nearest sigma are the lowest ones and none is skipped.  A dense path
+(LAPACK via scipy, with Cholesky reduction for generalized pencils) is the
+oracle the production route is tested against; it can return the lowest
+few pairs only.  Both return the same SpectrumResult record with per-pair
+residuals ||A x - mu B x|| / ||B x||.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ __all__ = [
 ]
 
 DENSE_DIM_LIMIT = 8192
-# shifts tried down the doubling steps, each lower than the last, before a
-# solve is uncertified (a guess tried before them adds one)
-MAX_SHIFTS = 8
 # largest residual ||A x - mu B x|| / ||B x|| a shift-invert pair may have
 RESIDUAL_TOL = 1e-8
 # relative bound of the dense oracle's hermiticity check
@@ -182,47 +180,32 @@ def inertia(pencil: HermitianPencil, sigma: float):
     return int(np.count_nonzero(d < 0.0)), lu
 
 
-def shift_invert_smallest(
-    pencil: HermitianPencil,
-    count: int,
-    sigma: float,
-    seed: int = 0,
-    fallback: float | None = None,
-) -> SpectrumResult:
+def shift_invert_smallest(pencil: HermitianPencil, count: int, shifts: list[float], seed: int = 0) -> SpectrumResult:
     """The ``count`` smallest eigenpairs by shift-invert ARPACK below a certified shift.
 
-    ``sigma`` should lie just below the wanted cluster.  Each tried shift
-    is factored once by ``inertia``: while A - sigma B has negative pivots
-    (eigenvalues below sigma) or a singular or off-diagonal pivot, the
-    next shift is tried.  Without ``fallback`` these are sigma lowered by
-    a doubling step, MAX_SHIFTS shifts in all.  With ``fallback`` sigma is
-    a guess tried once, and the first retry lands on ``fallback``, from
-    which the same MAX_SHIFTS shifts follow as from a call with sigma =
-    fallback.  The factor whose pivots are all positive is the certificate
-    and the inverse ARPACK applies; its minimum-degree ordering on A + A^H
-    keeps about half the fill of the default COLAMD ordering.  ARPACK's
-    standard-mode Arnoldi iteration then finds the ``count`` eigenvalues
-    nu of largest magnitude of OP = (A - sigma B)^{-1} B, one B product
-    and one triangular solve per application, from a start vector drawn
-    from ``default_rng(seed)``; with no eigenvalue below sigma these are
-    the lowest lambda = sigma + 1/nu.  The result holds no eigenvectors;
-    its ``iterations`` counts the applications of OP, which repeat exactly
-    for a fixed seed, ``factorizations`` the shifts factored and
-    ``factor_s`` the seconds spent in those ``inertia`` calls.  Raises
-    EigensolveError when no shift can be certified, when ARPACK does not
-    converge, or when a residual exceeds RESIDUAL_TOL.
+    ``shifts`` is the ordered, non-empty list of shifts to try, the
+    first just below the wanted cluster; the caller owns that policy.  Each
+    is factored once by ``inertia``, in order, until one has no negative
+    pivot (no eigenvalue below it) and no singular or off-diagonal pivot.
+    That factor is the certificate and the inverse ARPACK applies; its
+    minimum-degree ordering on A + A^H keeps about half the fill of the
+    default COLAMD ordering.  ARPACK's standard-mode Arnoldi iteration then
+    finds the ``count`` eigenvalues nu of largest magnitude of OP =
+    (A - sigma B)^{-1} B, one B product and one triangular solve per
+    application, from a start vector drawn from ``default_rng(seed)``; with
+    no eigenvalue below sigma these are the lowest lambda = sigma + 1/nu.
+    The result holds no eigenvectors; its ``iterations`` counts the
+    applications of OP, which repeat exactly for a fixed seed,
+    ``factorizations`` the shifts factored and ``factor_s`` the seconds
+    spent in those ``inertia`` calls.  An empty ``shifts`` raises
+    ValueError; EigensolveError is raised when no shift can be certified,
+    when ARPACK does not converge, or when a residual exceeds RESIDUAL_TOL.
     """
     dim = pencil.dim
     if count < 1 or count >= dim - 1:
         raise ValueError("count must lie in 1..dim-2")
-    shifts = []
-    if fallback is not None:
-        shifts, sigma = [sigma], fallback
-    step = 1e-2 * max(1.0, abs(sigma))
-    for _ in range(MAX_SHIFTS):
-        shifts.append(sigma)
-        sigma -= step
-        step *= 2.0
+    if not shifts:
+        raise ValueError("shifts must hold at least one shift")
     factor_s = 0.0
     for factorizations, sigma in enumerate(shifts, start=1):
         t0 = time.perf_counter()

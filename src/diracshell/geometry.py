@@ -2,9 +2,10 @@
 
 Curves are stored clockwise with unit-speed arclength parametrization, so
 the signed curvature of a circle of radius R is -1/R and the total
-curvature of every simple closed curve is -2*pi.  The outward normal of
-the bounded domain, nu = (-tau_2, tau_1), is derived from the tangent; the
-shell metric's stretch 1 + eps*t*kappa is stated once, in ShellMetric2D.
+curvature of every simple closed curve is -2*pi: ``make_curve`` builds
+each clockwise.  The outward normal of the bounded domain, nu = (-tau_2,
+tau_1), is derived from the tangent; the shell metric's stretch
+1 + eps*t*kappa is stated once, in ShellMetric2D.
 
 Arclength reparametrization: the generating parametrization p(theta) is
 integrated with composite Gauss-Legendre panels into a cumulative length
@@ -80,19 +81,6 @@ class _Parametrization:
         d = self.dp(np.asarray(theta, dtype=float))
         return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
 
-    def signed_area(self) -> float:
-        theta = np.arange(_SAMPLES) * (_TWO_PI / _SAMPLES)
-        p = self.p(theta)
-        d = self.dp(theta)
-        return float(0.5 * np.sum(p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]) * _TWO_PI / _SAMPLES)
-
-    def flipped(self) -> "_Parametrization":
-        return _Parametrization(
-            p=lambda th: self.p(-np.asarray(th, dtype=float)),
-            dp=lambda th: -self.dp(-np.asarray(th, dtype=float)),
-            ddp=lambda th: self.ddp(-np.asarray(th, dtype=float)),
-        )
-
 
 def _orient(a, b, c):
     return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
@@ -148,8 +136,7 @@ class _ArclengthTable:
 
 
 def _curve_from_parametrization(name: str, par: _Parametrization) -> CurveSpec:
-    if par.signed_area() > 0.0:
-        par = par.flipped()
+    """The unit-speed curve of a clockwise parametrization."""
     table = _ArclengthTable(par)
     length = table.length
 
@@ -198,9 +185,11 @@ def make_curve(kind: str, **params) -> CurveSpec:
     """Factory for test geometries: circle(r), ellipse(a, b), fourier(coeffs).
 
     All curves are reparametrized to unit speed and stored clockwise, so
-    convex curves carry non-positive curvature.  Fourier curves are given
-    as z(theta) = sum c_k exp(i k theta) by triples (k, re, im) and are
-    rejected if the sampled polygon self-intersects.  Every parameter is a
+    convex curves carry non-positive curvature; circle and ellipse are so by
+    construction.  Fourier curves are given as z(theta) = sum c_k exp(i k
+    theta) by triples (k, re, im); one whose signed area pi sum_k k |c_k|^2
+    (c_k summed per k) is positive is stored with every k negated.  They
+    are rejected if the sampled polygon self-intersects.  Every parameter is a
     finite real number and each k an integer (an integral float such as
     2.0 is taken as 2); anything else, a bool or a string included, raises
     CurveError naming it.
@@ -226,6 +215,11 @@ def make_curve(kind: str, **params) -> CurveSpec:
         ]
         if not coeffs:
             raise CurveError("fourier curve needs at least one coefficient")
+        merged = {}  # the signed area needs c_k summed per k: a config may repeat one
+        for k, re, im in coeffs:
+            merged[k] = merged.get(k, 0.0) + complex(re, im)
+        if sum(k * abs(c) ** 2 for k, c in merged.items()) > 0.0:  # counterclockwise: take z(-theta)
+            coeffs = [(-k, re, im) for k, re, im in coeffs]
 
         def z(th, order):
             th = np.asarray(th, dtype=float)

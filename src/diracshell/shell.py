@@ -47,12 +47,12 @@ between the forms at -c and +c.  Every assembly holds one pencil, and a
 The lowest eigenvalues of every pencil sit O(1) above the transverse
 ground level E_1(m eps)^2/eps^2; for the shell pencil that O(1) term is,
 up to o(1), an eigenvalue of the effective curve operator.
-``lowest_eigenvalues`` hands the pencil to the certified shift-invert
-solver in ``eigsolve``.  Given that predicted level, it puts the shift
+``lowest_eigenvalues`` alone chooses the shifts the certified shift-invert
+solver in ``eigsolve`` tries.  Given that predicted level, the first goes
 LEVEL_MARGIN below the predicted lowest eigenvalue, where ARPACK sees the
 wanted cluster well separated next to the shift; without one, or when the
-predicted shift cannot be certified, it uses ``ladder_shift``, a shift
-below the ground level lowered by a curvature bound.
+predicted shift cannot be certified, the ladder down from ``ladder_shift``
+(below the ground level, lowered by a curvature bound) follows.
 """
 
 from __future__ import annotations
@@ -387,6 +387,8 @@ def assemble_sandwich(
 # how far below the predicted lowest eigenvalue lowest_eigenvalues puts the
 # shift; it covers the o(1) gap between a shell eigenvalue and its prediction
 LEVEL_MARGIN = 0.1
+# shifts lowest_eigenvalues tries down the ladder before a solve is uncertified
+MAX_SHIFTS = 8
 
 
 def ladder_shift(assembly: ShellFormAssembly) -> float:
@@ -395,9 +397,8 @@ def ladder_shift(assembly: ShellFormAssembly) -> float:
     The transverse ground level E_1(m eps)^2/eps^2, lowered by the largest
     curvature potential kappa_max^2/4 plus one and by the slack 2 |c| eps
     (zero for the shell form).  It needs no knowledge of the effective
-    operator, so it is the shift of a solve given no level and the fallback
-    of one whose predicted shift fails; it lies further below the lowest
-    eigenvalue than the prediction (about 1.18 on the unit circle and 1.94
+    operator, so it heads the ladder of shifts ``lowest_eigenvalues`` tries;
+    it lies further below the lowest eigenvalue than the prediction (about 1.18 on the unit circle and 1.94
     on ellipse(2, 1)), which costs ARPACK more applications.
     """
     eps = assembly.metric.eps
@@ -411,13 +412,13 @@ def lowest_eigenvalues(
     """The certified solve for the count smallest eigenvalues of an assembly's pencil.
 
     The pencil is solved by ``eigsolve.shift_invert_smallest`` with a start
-    vector from ``seed``; a count above MAX_COUNT raises ValueError.
-    Without ``level`` the shift is ``ladder_shift(assembly)``.  ``level``
-    predicts the lowest eigenvalue's height above the transverse ground
-    level E_1(m eps)^2/eps^2, as the lowest effective eigenvalue does for
-    the shell pencil; the shift then goes LEVEL_MARGIN below the predicted
-    eigenvalue, never below the ladder shift, and falls back to the ladder
-    shift when the prediction cannot be certified.  The solver's
+    vector from ``seed``; a count above MAX_COUNT raises ValueError.  It
+    tries the ladder: MAX_SHIFTS shifts down from sigma = ``ladder_shift``,
+    the first step 1e-2 max(1, |sigma|) and each step twice the last.
+    ``level`` predicts the lowest eigenvalue's height above the transverse
+    ground level E_1(m eps)^2/eps^2, as the lowest effective eigenvalue does
+    for the shell pencil; the shift LEVEL_MARGIN below the predicted
+    eigenvalue, when above the ladder, is tried before it.  The solver's
     ``SpectrumResult`` comes back as it is: its eigenvalues and residuals,
     ascending (iterating it gives the (eigenvalue, residual) pairs), and its
     ``record()``.  A solve that cannot be certified or misses the solver's
@@ -425,12 +426,15 @@ def lowest_eigenvalues(
     """
     if count > MAX_COUNT:
         raise ValueError(f"count capped at {MAX_COUNT}")
-    sigma, fallback = ladder_shift(assembly), None
+    shifts = [ladder_shift(assembly)]
+    step = 1e-2 * max(1.0, abs(shifts[0]))
+    for k in range(MAX_SHIFTS - 1):
+        shifts.append(shifts[-1] - step * 2.0**k)
     if level is not None:
         predicted = transverse.level(assembly.m, assembly.metric.eps) + level - LEVEL_MARGIN
-        if predicted > sigma:
-            sigma, fallback = predicted, sigma
-    return shift_invert_smallest(assembly.pencil, count, sigma, seed=seed, fallback=fallback)
+        if predicted > shifts[0]:
+            shifts.insert(0, predicted)
+    return shift_invert_smallest(assembly.pencil, count, shifts, seed=seed)
 
 
 def flat_strip_levels(length: float, m: float, eps: float, count: int) -> np.ndarray:

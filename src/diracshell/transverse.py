@@ -130,15 +130,11 @@ def normalization(m: float, p: int) -> float:
 class TransverseMode:
     """One explicit eigenmode of the transverse operator.
 
-    ``profile`` maps an array of t values to spinor samples of shape
-    (len(t), N); ``derivative`` is its exact t-derivative.
+    ``E`` is E_p(m), the mode's eigenvalue up to its sign; ``profile`` maps
+    an array of t values to spinor samples of shape (len(t), N);
+    ``derivative`` is its exact t-derivative.
     """
 
-    m: float
-    p: int
-    sign: int
-    j: int
-    k: float
     E: float
     profile: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
@@ -188,10 +184,7 @@ def mode(fam: CliffordFamily, x: np.ndarray, m: float, p: int, j: int, sign: int
             + k * np.cos(phase)[..., None] * sin_vec
         )
 
-    return TransverseMode(
-        m=float(m), p=int(p), sign=int(sign), j=int(j), k=k, E=E,
-        profile=profile, derivative=derivative,
-    )
+    return TransverseMode(E=E, profile=profile, derivative=derivative)
 
 
 def boundary_residual(fam: CliffordFamily, x: np.ndarray, f: Callable) -> float:

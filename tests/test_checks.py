@@ -79,6 +79,21 @@ def test_intertwining_fails_when_the_solver_skips_a_value(monkeypatch):
     assert "below the cut" in res.detail
 
 
+def test_intertwining_fails_after_one_factorization_when_its_shift_does_not_certify(monkeypatch):
+    # the transverse form is positive, so -1 is the one shift tried: a failed
+    # certificate fails the entry at once, with no lower shift factored
+    tried = []
+
+    def uncertified(pencil, sigma):
+        tried.append(sigma)
+        return 1, None
+
+    monkeypatch.setattr(eigsolve, "inertia", uncertified)
+    res = checks.check_intertwining()
+    assert not res.passed and "no shift certified in 1 tries" in res.detail
+    assert tried == [-1.0]
+
+
 def test_shell_sandwich_fails_when_the_shell_level_leaves_the_bracket(monkeypatch):
     solve = shell.lowest_eigenvalues
 

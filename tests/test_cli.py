@@ -612,6 +612,21 @@ def test_main_config_errors(tmp_path, capsys):
 
 
 CIRCLE = json.dumps(SMALL["curve"])
+
+
+def test_eff_ns_and_ns_refusals_print_the_one_grid_rule(tmp_path, capsys):
+    # the sweep's eff_ns and effective-spectrum's --ns are refused with the same rule text
+    with pytest.raises(ValueError) as refusal:
+        effective.checked_ns(15)
+    rule = str(refusal.value)
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({**SMALL, "eff_ns": 15}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    sweep = capsys.readouterr().err
+    assert main(["effective-spectrum", "--curve", CIRCLE, "--ns", "15"]) == 2
+    spectrum = capsys.readouterr().err
+    assert sweep.startswith("config error: eff_ns") and spectrum.startswith("config error: --ns")
+    assert rule in sweep and rule in spectrum and "15" in rule
 # "{config}" stands for a job config whose curve is the number 5
 BAD_INVOCATIONS = {
     "curve-lacks-radius": ["sweep", "--curve", '{"kind": "circle"}'],

@@ -261,17 +261,18 @@ def test_shift_invert_factors_once_per_tried_shift(monkeypatch):
 
     monkeypatch.setattr(eigsolve.spla, "splu", counting)
     # an already-certified shift: the certificate's factor is the one ARPACK uses
-    res = shift_invert_smallest(pen, 2, -0.01, seed=1)
+    res = shift_invert_smallest(pen, 2, [-0.01], seed=1)
     assert len(calls) == 1 and res.shift == -0.01 and res.factorizations == 1
     # 0.025 and 0.015 lie above eigenvalues; the third try, -0.005, certifies
     calls.clear()
-    res = shift_invert_smallest(pen, 2, 0.025, seed=1)
+    res = shift_invert_smallest(pen, 2, [0.025, 0.025 - 0.01, 0.025 - 0.01 - 0.02], seed=1)
     assert len(calls) == res.factorizations == 3 and abs(res.shift + 0.005) < 1e-15
-    # a failed guess retries at the fallback itself, then steps down from it
-    # exactly as a call at the fallback would: 0.015, 0.005, then -0.015
-    for fallback, tries, shift in ((-0.01, 2, -0.01), (0.015, 4, 0.015 - 0.01 - 0.02)):
+    # the shifts are tried in the order given, and the first certified one is kept:
+    # after 0.025, -0.01 at once; or 0.015 and 0.005 first, then -0.015
+    for shifts, tries, shift in (([0.025, -0.01], 2, -0.01),
+                                 ([0.025, 0.015, 0.015 - 0.01, 0.015 - 0.01 - 0.02], 4, 0.015 - 0.01 - 0.02)):
         calls.clear()
-        res = shift_invert_smallest(pen, 2, 0.025, seed=1, fallback=fallback)
+        res = shift_invert_smallest(pen, 2, shifts, seed=1)
         assert len(calls) == res.factorizations == tries and res.shift == shift
 
 
@@ -279,12 +280,12 @@ def test_shift_invert_laplacian_closed_form():
     n = 128
     pen = standard(dirichlet_laplacian(n))
     exact = np.array([4.0 * math.sin(math.pi * j / (2 * (n + 1))) ** 2 for j in (1, 2, 3)])
-    res = shift_invert_smallest(pen, 3, -0.01, seed=1)
+    res = shift_invert_smallest(pen, 3, [-0.01], seed=1)
     assert res.negative_pivots == 0 and res.shift == -0.01
     assert np.abs(res.eigenvalues - exact).max() < 1e-12
     assert res.residuals.max() <= 1e-8
-    # a shift above the lowest eigenvalue is lowered until certified
-    raised = shift_invert_smallest(pen, 3, exact[1], seed=1)
+    # a shift above the lowest eigenvalue gives way to the next one, which certifies
+    raised = shift_invert_smallest(pen, 3, [exact[1], exact[1] - 0.01], seed=1)
     assert raised.shift < exact[0]
     assert np.abs(raised.eigenvalues - exact).max() < 1e-12
 
@@ -294,15 +295,15 @@ def test_shift_invert_matches_dense_generalized():
     a = dirichlet_laplacian(n) + sp.diags(np.linspace(0.0, 1.0, n)).astype(complex)
     b = sp.diags(np.linspace(1.0, 2.0, n)).tocsr().astype(complex)
     pen = HermitianPencil.make(a.tocsr(), b)
-    res = shift_invert_smallest(pen, 4, 0.0, seed=0)
+    res = shift_invert_smallest(pen, 4, [0.0], seed=0)
     dense = dense_hermitian_eig(a.toarray(), b.toarray())
     assert np.abs(res.eigenvalues - dense.eigenvalues[:4]).max() <= 1e-10
 
 
 def test_shift_invert_seed_reproducible():
     pen = standard(dirichlet_laplacian(128))
-    r1 = shift_invert_smallest(pen, 2, -0.01, seed=7)
-    r2 = shift_invert_smallest(pen, 2, -0.01, seed=7)
+    r1 = shift_invert_smallest(pen, 2, [-0.01], seed=7)
+    r2 = shift_invert_smallest(pen, 2, [-0.01], seed=7)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     # the count of inverse applications repeats exactly
     assert r1.iterations == r2.iterations > 0
@@ -310,12 +311,20 @@ def test_shift_invert_seed_reproducible():
 
 def test_shift_invert_uncertified_raises(monkeypatch):
     pen = standard(dirichlet_laplacian(128))
-    monkeypatch.setattr(eigsolve, "MAX_SHIFTS", 1)
     with pytest.raises(EigensolveError):
-        shift_invert_smallest(pen, 2, 0.01)
+        shift_invert_smallest(pen, 2, [0.01])
     monkeypatch.setattr(eigsolve, "RESIDUAL_TOL", 1e-30)
     with pytest.raises(EigensolveError):
-        shift_invert_smallest(pen, 2, -0.01)
+        shift_invert_smallest(pen, 2, [-0.01])
+
+
+def test_shift_invert_rejects_empty_shifts(monkeypatch):
+    def no_factor(*args):
+        raise AssertionError("a shift was factored")
+
+    monkeypatch.setattr(eigsolve, "inertia", no_factor)
+    with pytest.raises(ValueError, match="at least one shift"):
+        shift_invert_smallest(standard(dirichlet_laplacian(128)), 2, [])
 
 
 def test_shift_invert_badly_scaled_b_with_a_double_level(rng):
@@ -330,7 +339,7 @@ def test_shift_invert_badly_scaled_b_with_a_double_level(rng):
     a = 0.5 * (a + a.conj().T)
     b = sp.diags(s**2).tocsr().astype(complex)
     pen = HermitianPencil.make(sp.csr_matrix(a), b)
-    res = shift_invert_smallest(pen, 4, 0.5, seed=0)
+    res = shift_invert_smallest(pen, 4, [0.5], seed=0)
     dense = dense_hermitian_eig(a, b.toarray(), count=4)
     assert res.shift == 0.5 and res.negative_pivots == 0
     assert np.abs(res.eigenvalues - dense.eigenvalues).max() <= 1e-10

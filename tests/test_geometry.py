@@ -216,10 +216,25 @@ def test_self_intersection_test_matches_loop_reference():
 
 
 def test_orientation_forced_clockwise():
-    # counterclockwise input coefficients are flipped on construction
-    ccw = make_curve("fourier", coeffs=[(-1, 1.0, 0.0)])
-    assert abs(ccw.total_curvature() + TWO_PI) < 1e-9
-    assert np.abs(ccw.curvature(np.array([0.0, 1.0])) + 1.0).max() < 1e-10
+    # the unit circle traversed clockwise (k = -1) is kept, counterclockwise (k = 1) flipped
+    for k in (-1, 1):
+        crv = make_curve("fourier", coeffs=[(k, 1.0, 0.0)])
+        assert abs(crv.total_curvature() + TWO_PI) < 1e-9
+        assert np.abs(crv.curvature(np.array([0.0, 1.0])) + 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("merged", [
+    [(1, 1.0, 0.0), (-2, 0.15, 0.0)],
+    # counterclockwise only once the repeated k = 1 is summed: term by term, the
+    # area pi * sum k |c|^2 would read pi * (0.25 + 0.25 - 0.5625) < 0
+    [(1, 1.0, 0.0), (-1, 0.75, 0.0)],
+], ids=["wobble", "ellipse"])
+def test_repeated_wavenumber_is_stored_clockwise(merged):
+    (k, re, im), rest = merged[0], merged[1:]
+    split = make_curve("fourier", coeffs=[(k, re / 2, im / 2), (k, re / 2, im / 2), *rest])
+    assert abs(split.total_curvature() + TWO_PI) < 1e-9
+    s = np.linspace(0.0, 20.0, 2001)
+    assert np.array_equal(split.curvature(s), make_curve("fourier", coeffs=merged).curvature(s))
 
 
 def test_curve_json_and_csv():

@@ -1,7 +1,11 @@
 import ast
 import importlib
+import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import diracshell
 
@@ -118,3 +122,18 @@ def test_only_cli_knows_file_formats():
                 continue
             imports += [f"{path.stem}: {n}" for n in names if n.split(".")[0] in ("csv", "json")]
     assert [entry for entry in imports if not entry.startswith("cli: ")] == []
+
+
+def test_cli_import_loads_only_the_scipy_it_uses():
+    # every run pays its imports before it starts (the bench's setup_s):
+    # scipy.optimize alone takes about 0.25-0.35 s to import on a 2-core x86-64
+    # machine.  A submodule used by one function is imported inside it, or this
+    # list is widened on purpose.
+    code = (
+        "import json, sys, diracshell.cli; "
+        "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    public = [name for name in json.loads(out.stdout) if not name.startswith("_")]
+    assert public == ["linalg", "sparse", "version"]

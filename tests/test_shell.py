@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from diracshell import transverse
+from diracshell import shell, transverse
 from diracshell.clifford import gamma
 from diracshell.eigsolve import dense_hermitian_eig, inertia
 from diracshell.geometry import flat_strip, shell_metric
@@ -171,6 +171,28 @@ def test_predicted_level_too_high_falls_back_to_the_ladder_shift(fam2, ellipse):
     assert res.shift == ladder_shift(asm) and res.factorizations == 2
     assert res.negative_pivots == 0 and all(r <= 1e-8 for _, r in res)
     assert np.abs(np.array(list(res)) - np.array(list(default))).max() <= 1e-10
+
+
+def test_lowest_eigenvalues_hands_the_solver_the_ladder_after_the_prediction(fam2, ellipse, monkeypatch):
+    # the ladder is MAX_SHIFTS = 8 shifts down from ladder_shift, the first step
+    # 1e-2 max(1, |sigma|) and each step twice the last; a predicted shift above
+    # it is tried first, and one below it is not tried at all
+    handed = []
+    monkeypatch.setattr(shell, "shift_invert_smallest",
+                        lambda pencil, count, shifts, seed=0: handed.append(list(shifts)))
+    asm = assemble_shell(fam2, shell_metric(ellipse, 0.1), 0.5, 32, 8)
+    sigma = top = ladder_shift(asm)
+    step = 1e-2 * max(1.0, abs(sigma))
+    ladder = []
+    for _ in range(8):
+        ladder.append(sigma)
+        sigma -= step
+        step *= 2.0
+    predicted = transverse.level(0.5, 0.1) + 1.0 - shell.LEVEL_MARGIN
+    assert predicted > top > transverse.level(0.5, 0.1) - 5.0 - shell.LEVEL_MARGIN
+    for level in (None, 1.0, -5.0):
+        lowest_eigenvalues(asm, 2, level=level)
+    assert handed == [ladder, [predicted, *ladder], ladder]
 
 
 def test_count_is_capped_at_max_count(fam2, circle):
