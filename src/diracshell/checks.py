@@ -371,8 +371,8 @@ def check_magnetic_circle():
 
 @_entry("effective-degeneracy")
 def check_effective_degeneracy():
-    # both spin blocks, assembled separately, from the dense oracle:
-    # effective_eigenvalues assumes the pairing this check certifies
+    # both spin blocks, assembled separately, from the dense oracle: the sweep maps
+    # each pair of shell eigenvalues onto one spin-up value, the pairing certified here
     curve = geometry.make_curve("ellipse", a=2.0, b=1.0)
 
     def lowest(coupling):
@@ -388,13 +388,13 @@ def check_effective_degeneracy():
 @_entry("effective-convergence")
 def check_effective_convergence():
     curve = geometry.make_curve("ellipse", a=2.0, b=1.0)
-    ref = effective.converged_eigenvalues(curve, 5)
+    ref = effective.converged_eigenvalues(curve, 3)
     if not ref.converged:
         return False, f"Fourier reference not converged by n_s={ref.n_s} (cap {ref.cap})"
     errs = []
     for n_s in (64, 128, 256):
         link = effective.assemble_effective(curve, n_s, scheme="link")
-        mu = effective.effective_eigenvalues(link, 5).eigenvalues
+        mu = effective.effective_eigenvalues(link, 3).eigenvalues
         errs.append(float(np.abs(mu - ref.eigenvalues).max()))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     return all(o >= 1.9 for o in orders), "orders " + ", ".join(f"{o:.2f}" for o in orders)

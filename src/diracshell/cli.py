@@ -7,7 +7,10 @@ residual affinely in eps; the fitted intercept is compared against the
 corresponding eigenvalue of the effective curve operator.  With an even
 count the same report carries the corollary: the square root of the
 paired shell spectrum, less E_1(m eps)/eps, feeds the first-order
-expansion of the operator's own nonnegative eigenvalues.
+expansion of the operator's own nonnegative eigenvalues.  ``effective``
+reports values of one of the operator's two isospectral spin blocks; this
+module alone maps shell levels 2p and 2p + 1 (from 0) onto block value p,
+and ``effective-spectrum`` writes each block value on two rows.
 
 Verbs: check, sweep, transverse-table, effective-spectrum, dump-clifford.
 Exit codes: 0 ok, 1 check failure, 2 config error, 3 partial sweep (an eps
@@ -168,7 +171,7 @@ class AsymptoticsReport:
     curve_id: str
     mu_shell: dict          # eps -> list of eigenvalues
     residuals: dict         # eps -> list r_j(eps)
-    effective: ConvergedReference  # the curve operator's reference eigenvalues and their record
+    effective: ConvergedReference  # the reference's spin-up block values and their record
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
     corollary: dict | None = None  # an even count's first-order expansion (see _corollary); None for an odd count
     failures: dict = field(default_factory=dict)
@@ -180,7 +183,7 @@ class AsymptoticsReport:
 
     @property
     def mu_effective(self) -> list:
-        return self.effective.eigenvalues.tolist()
+        return np.repeat(self.effective.eigenvalues, 2)[: self.config.count].tolist()
 
     @property
     def partial(self) -> bool:
@@ -335,7 +338,7 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     fam = build_clifford(2)  # read by the shell assemblies only
     failures: dict = {}
     t0 = time.perf_counter()
-    ref = converged_eigenvalues(curve, cfg.count, cap=None if cfg.eff_ns == "auto" else cfg.eff_ns)
+    ref = converged_eigenvalues(curve, (cfg.count + 1) // 2, cap=None if cfg.eff_ns == "auto" else cfg.eff_ns)
     effective_s = time.perf_counter() - t0
     if not ref.converged:
         failures["effective"] = (
@@ -392,16 +395,16 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     return report
 
 
-def _corollary(cfg: SweepConfig, mu_shell: dict, levels: dict, mu_effective: list, failures: dict) -> dict:
+def _corollary(cfg: SweepConfig, mu_shell: dict, levels: dict, mu_block: list, failures: dict) -> dict:
     """First-order expansion of the nonnegative operator eigenvalues.
 
     The shell spectrum comes in near-degenerate pairs; ``lam`` holds per
     eps lambda_p, the square root of the 2p-th eigenvalue, and ``excess``
     lambda_p - E_1(m eps)/eps, E_1(m eps)/eps being the square root of the
     sweep's transverse level.  ``linear_coeffs`` are the eps-slopes of the excess fitted per p,
-    and ``references`` the (2/pi) mu_{2p} of the effective spectrum they
-    are compared with; ``pairing_defect`` is per eps the worst relative
-    split of the pairs.  The fit needs 2 solved eps where the sweep's needs
+    and ``references`` the (2/pi) mu_{2p} they are compared with, the p-th value of
+    ``mu_block``, the spin-up block; ``pairing_defect`` is per eps the worst relative split
+    of the pairs.  The fit needs 2 solved eps where the sweep's needs
     3, so the block has its own ``partial`` (a failure, or no fit) and
     ``no_fit_reason``.
     """
@@ -421,7 +424,7 @@ def _corollary(cfg: SweepConfig, mu_shell: dict, levels: dict, mu_effective: lis
     if fit_eps.size >= 2:
         for p in range(n_p):
             coeffs.append(_affine_fit(fit_eps, np.array([excess[e][p] for e in fit_eps]))["slope"])
-            refs.append((2.0 / math.pi) * mu_effective[2 * p + 1])
+            refs.append((2.0 / math.pi) * mu_block[p])
     return {
         "lam": lam,
         "excess": excess,
@@ -576,10 +579,10 @@ def main(argv=None) -> int:
             if abs(total + 2.0 * math.pi) > CLOSURE_TOL:  # the magnetic flux (pi-2)/L assumes -2*pi
                 raise ConfigError(f"effective-spectrum needs a closed curve of total curvature -2*pi; "
                                   f"{curve.name} has total curvature {total:.6g}")
-            res = gauge_transform_check(curve, args.ns, count=args.count)
-            pairs = enumerate(zip(res.eigenvalues_effective, res.eigenvalues_magnetic_pair), start=1)
+            res = gauge_transform_check(curve, args.ns, count=(args.count + 1) // 2)
+            doubled = np.repeat([res.eigenvalues_effective, res.eigenvalues_magnetic], 2, axis=1)[:, : args.count]
             _write_csv(args.out, ["index", "mu_effective", "mu_magnetic_pair", "abs_diff"],
-                       [[i, a, b, abs(a - b)] for i, (a, b) in pairs])
+                       [[i, a, b, abs(a - b)] for i, (a, b) in enumerate(doubled.T, start=1)])
             print(f"wrote {args.out}; spectral distance {res.spectral_distance:.3e}")
             return 0
         if args.verb == "dump-clifford":

@@ -60,13 +60,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _gamma_tower(n: int) -> list[np.ndarray]:
     """Hermitian matrices g_1(n)..g_n(n) of size 2^floor(n/2), built recursively.
 
-    Base cases are g_1(1) = (1) and the two off-diagonal Pauli matrices for
-    n = 2.  The even step stacks the previous family off-diagonally and
-    appends offdiag(-iI, iI); the odd step keeps the previous family and
-    appends diag(I, -I).
+    The base case is the two off-diagonal Pauli matrices for n = 2, which
+    ``build_clifford`` reaches from every n >= 1.  The even step stacks the
+    previous family off-diagonally and appends offdiag(-iI, iI); the odd
+    step keeps the previous family and appends diag(I, -I).
     """
-    if n == 1:
-        return [np.array([[1.0]], dtype=complex)]
     if n == 2:
         return [_PAULI_X.copy(), _PAULI_Y.copy()]
     prev = _gamma_tower(n - 1)

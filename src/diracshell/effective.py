@@ -19,13 +19,12 @@ The one-form is diagonal in spin, so the operator is the direct sum of two
 scalar blocks with gauge fields -/+ coupling*kappa, and both
 discretizations assemble one scalar routine, ``_covariant_block``.  The
 blocks are isospectral: complex conjugation maps one onto the other
-(kappa is real).  ``assemble_effective`` therefore assembles the spin-up
-block only, as a ``paired`` EffectiveFormAssembly; the spin-down block is
-the same assembly with the coupling negated.  ``effective_eigenvalues``
-solves a paired block for the wanted eigenvalues alone, through the dense
-oracle ``eigsolve.dense_hermitian_eig``, and reports each twice, with its
-residual.
-``assemble_magnetic`` returns the scalar magnetic block, unpaired.
+(kappa is real), so each eigenvalue of the C^2 operator is a block value
+counted twice.  The module works in one block: ``assemble_effective``
+assembles the spin-up block (the spin-down block is the same assembly with
+the coupling negated), ``assemble_magnetic`` the scalar magnetic block, and
+``effective_eigenvalues`` solves either through the dense oracle
+``eigsolve.dense_hermitian_eig``; ``cli`` alone maps shell pairs onto them.
 Every assembler takes the curve alone: the curve operator is the n = 2
 operator by construction, its one-form -kappa*a_3 written into the blocks.
 
@@ -82,8 +81,7 @@ def checked_ns(n_s: int) -> int:
 
 @dataclass(frozen=True)
 class EffectiveFormAssembly:
-    pencil: HermitianPencil
-    paired: bool    # True: the spin-up block, each eigenvalue counted twice
+    pencil: HermitianPencil     # one scalar block
 
 
 def _covariant_block(curve: CurveSpec, n_s: int, scheme: str, alpha: float, beta: float) -> np.ndarray:
@@ -110,9 +108,8 @@ def _covariant_block(curve: CurveSpec, n_s: int, scheme: str, alpha: float, beta
     if scheme == "link":
         h = curve.length / n_s
         # even samples are the grid points, odd ones the link midpoints
-        kappa = curve.curvature(np.arange(2 * n_s) * (h / 2.0))
-        angles = (alpha * kappa[1::2] + beta) * h
-        return _link_block(angles, -kappa[::2] ** 2 / math.pi**2, h)
+        at_grid, at_mid = curve.curvature(np.arange(2 * n_s) * (h / 2.0)).reshape(n_s, 2).T
+        return _link_block((alpha * at_mid + beta) * h, -at_grid**2 / math.pi**2, h)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -141,13 +138,13 @@ def assemble_effective(
     and has the same spectrum (see the module docstring).
     """
     a = _covariant_block(curve, n_s, scheme, -coupling, 0.0)
-    return EffectiveFormAssembly(HermitianPencil.make(a), paired=True)
+    return EffectiveFormAssembly(HermitianPencil.make(a))
 
 
 def assemble_magnetic(curve: CurveSpec, n_s: int, scheme: str = "fourier") -> EffectiveFormAssembly:
     """Scalar magnetic operator (-i d/ds + (pi-2)/L)^2 - kappa^2/pi^2."""
     a = _covariant_block(curve, n_s, scheme, 0.0, (math.pi - 2.0) / curve.length)
-    return EffectiveFormAssembly(HermitianPencil.make(a), paired=False)
+    return EffectiveFormAssembly(HermitianPencil.make(a))
 
 
 def magnetic_circle_spectrum(radius: float, count: int) -> np.ndarray:
@@ -164,21 +161,13 @@ def magnetic_circle_spectrum(radius: float, count: int) -> np.ndarray:
 
 
 def effective_eigenvalues(assembly: EffectiveFormAssembly, count: int) -> SpectrumResult:
-    """The ``count`` lowest eigenvalues and their residuals, ascending, from the dense oracle.
+    """The block's ``count`` lowest eigenvalues and their residuals, ascending, from the dense oracle.
 
-    A ``paired`` assembly holds the spin-up block; it is solved for its
-    ceil(count/2) lowest eigenvalues, and each is reported twice with its
-    residual, since the spin-down block is isospectral (see the module
-    docstring).  The result holds no eigenvectors.  A block that fails the
-    oracle's hermiticity check raises ValueError.
+    The result holds no eigenvectors.  A block that fails the oracle's
+    hermiticity check raises ValueError.
     """
-    copies = 2 if assembly.paired else 1
-    res = dense_hermitian_eig(assembly.pencil.a, count=-(-count // copies))
-    return SpectrumResult(
-        eigenvalues=np.repeat(res.eigenvalues, copies)[:count],
-        residuals=np.repeat(res.residuals, copies)[:count],
-        iterations=0,
-    )
+    res = dense_hermitian_eig(assembly.pencil.a, count=count)
+    return SpectrumResult(eigenvalues=res.eigenvalues, residuals=res.residuals, iterations=0)
 
 
 @dataclass(frozen=True)
@@ -192,32 +181,29 @@ class ConvergedReference:
 
 
 def converged_eigenvalues(curve: CurveSpec, count: int, cap: int | None = None) -> ConvergedReference:
-    """The ``count`` lowest Fourier-reference eigenvalues at a self-chosen n_s <= cap.
+    """The ``count`` lowest spin-up Fourier-reference eigenvalues at a self-chosen n_s <= cap.
 
     Doubles n_s from min(AUTO_NS_START, cap) while 2 n_s <= cap (``cap``
     None: AUTO_NS_CAP, read at the call), and at each size solves for the
-    lowest ceil(count/2) + 1 spin-up values (one beyond those reported).  It
-    stops once every one of them moved by at most AUTO_RTOL * max(1, |mu|)
-    since the previous size, and reports the finer size's values and their
-    largest residual.  Without that at the last size, its values come back
-    with ``converged`` False (and ``err`` None when it was the only size).
+    lowest count + 1 values (one beyond those reported).  It stops once
+    every one of them moved by at most AUTO_RTOL * max(1, |mu|) since the
+    previous size, and reports the finer size's values and their largest
+    residual.  Without that at the last size, its values come back with
+    ``converged`` False (and ``err`` None when it was the only size).
     """
     cap = AUTO_NS_CAP if cap is None else cap
-    wanted = 2 * ((count + 1) // 2 + 1)
     prev, err, n_s = None, None, min(AUTO_NS_START, cap)
     while True:
-        res = effective_eigenvalues(assemble_effective(curve, n_s), wanted)
-        up = res.eigenvalues[::2]
+        res = effective_eigenvalues(assemble_effective(curve, n_s), count + 1)
+        mu = res.eigenvalues
         converged = False
         if prev is not None:
-            change = np.abs(up - prev)
+            change = np.abs(mu - prev)
             err = float(change.max())
-            converged = bool(np.all(change <= AUTO_RTOL * np.maximum(1.0, np.abs(up))))
+            converged = bool(np.all(change <= AUTO_RTOL * np.maximum(1.0, np.abs(mu))))
         if converged or 2 * n_s > cap:
-            return ConvergedReference(
-                res.eigenvalues[:count], n_s, cap, err, converged, float(res.residuals[:count].max())
-            )
-        prev, n_s = up, 2 * n_s
+            return ConvergedReference(mu[:count], n_s, cap, err, converged, float(res.residuals[:count].max()))
+        prev, n_s = mu, 2 * n_s
 
 
 @dataclass(frozen=True)
@@ -225,18 +211,17 @@ class GaugeCheckResult:
     spectral_distance: float
     phase_residual: float
     similarity_residual: float
-    eigenvalues_effective: np.ndarray
-    eigenvalues_magnetic_pair: np.ndarray
+    eigenvalues_effective: np.ndarray   # the spin-up block's count lowest
+    eigenvalues_magnetic: np.ndarray    # the magnetic block's count lowest
 
 
 def gauge_transform_check(
-    curve: CurveSpec, n_s: int, count: int = 8, coupling: float = DEFAULT_COUPLING
+    curve: CurveSpec, n_s: int, count: int = 4, coupling: float = DEFAULT_COUPLING
 ) -> GaugeCheckResult:
     """Three observables of the splitting into two scalar magnetic copies.
 
     1. max distance between the lowest ``count`` eigenvalues of the
-       covariant operator and of the doubled magnetic operator (spectral
-       Galerkin for both);
+       spin-up block and of the magnetic block (spectral Galerkin for both);
     2. the periodicity defect of the gauge phase, |V(L)|, which vanishes
        with the total-curvature identity;
     3. the matrix identity for the link scheme: conjugating the spin-up
@@ -252,8 +237,7 @@ def gauge_transform_check(
     mag = assemble_magnetic(curve, n_s, scheme="fourier")
     mu_eff = effective_eigenvalues(eff, count).eigenvalues
     mu_mag = effective_eigenvalues(mag, count).eigenvalues
-    doubled = np.sort(np.concatenate([mu_mag, mu_mag]))[:count]
-    distance = float(np.abs(mu_eff - doubled).max())
+    distance = float(np.abs(mu_eff - mu_mag).max())
 
     total = curve.total_curvature()
     phase_residual = abs(coupling * (total + 2.0 * math.pi))
@@ -267,7 +251,7 @@ def gauge_transform_check(
     # accumulated gauge phases: V_{i+1} - V_i = coupling*(I_i + 2*pi*h/L), with
     # I_i = kappa(mid_i)*h the midpoint link integral of kappa
     incr = coupling * (angles + 2.0 * math.pi * h / curve.length)
-    v = np.concatenate([[0.0], np.cumsum(incr)])[:-1]
+    v = np.cumsum(np.append(0.0, incr[:-1]))
     # D^H M D with D = diag(phase), as row and column phase factors
     phase = np.exp(-1.0j * v)
     sim_up = np.abs(phase.conj()[:, None] * up * phase[None, :] - mag_link).max()
@@ -279,6 +263,6 @@ def gauge_transform_check(
         phase_residual=float(phase_residual),
         similarity_residual=similarity,
         eigenvalues_effective=mu_eff,
-        eigenvalues_magnetic_pair=doubled,
+        eigenvalues_magnetic=mu_mag,
     )
 

@@ -136,9 +136,12 @@ class _ArclengthTable:
 
 
 def _curve_from_parametrization(name: str, par: _Parametrization) -> CurveSpec:
-    """The unit-speed curve of a clockwise parametrization."""
-    table = _ArclengthTable(par)
-    length = table.length
+    """The unit-speed curve of a clockwise parametrization.
+
+    Every closed curve has max|kappa| * L >= the integral of |kappa| ds >= 2*pi, so a
+    length or max|kappa| that is not finite, or a product below 2*pi (1 - 1e-9), is
+    an overflow in the curve's construction: CurveError.
+    """
 
     def kappa_theta(theta):
         d = par.dp(theta)
@@ -155,8 +158,12 @@ def _curve_from_parametrization(name: str, par: _Parametrization) -> CurveSpec:
     def curvature(s):
         return kappa_theta(table.theta_of_s(np.asarray(s, dtype=float)))
 
-    theta_dense = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
-    kappa_max = float(np.max(np.abs(kappa_theta(theta_dense))))
+    with np.errstate(all="ignore"):  # an overflow here is refused below
+        table = _ArclengthTable(par)
+        kappa_max = float(np.max(np.abs(kappa_theta(np.linspace(0.0, _TWO_PI, 4096, endpoint=False)))))
+    length = table.length
+    if not (math.isfinite(length) and math.isfinite(kappa_max) and kappa_max * length >= _TWO_PI * (1.0 - 1e-9)):
+        raise CurveError(f"{name} is out of double range: length {length:g}, max|kappa| {kappa_max:g}")
     return CurveSpec(
         name=name,
         length=length,

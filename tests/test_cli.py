@@ -39,8 +39,9 @@ AUTO = {k: v for k, v in SMALL.items() if k != "eff_ns"}
 
 
 def _direct_reference(n_s):
+    # the spin-up block values behind SMALL's paired levels
     curve = curve_from_json(SMALL["curve"])
-    return effective_eigenvalues(assemble_effective(curve, n_s), SMALL["count"]).eigenvalues
+    return effective_eigenvalues(assemble_effective(curve, n_s), SMALL["count"] // 2).eigenvalues
 
 
 def test_config_validation(monkeypatch, capsys):
@@ -120,7 +121,6 @@ def test_config_validation(monkeypatch, capsys):
         raise AssertionError("the effective reference was computed for a bad config")
 
     monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
-    monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
     with pytest.raises(ConfigError, match="seed"):
         run_sweep({**SMALL, "seed": -1})
     assert main(["sweep", "--curve", json.dumps(SMALL["curve"]), "--seed", "-1"]) == 2
@@ -226,7 +226,7 @@ def test_run_sweep_small(tmp_path):
     # eff_ns 256 caps the doubling, which stops at 128: the circle's Fourier reference is exact
     assert summary["effective_ns"] == 128 and 0.0 <= summary["effective_err"] <= AUTO_RTOL
     assert 0.0 < summary["effective_residual_max"] <= 1e-10
-    assert np.abs(np.array(report.mu_effective) - _direct_reference(256)).max() <= 1e-9
+    assert np.abs(np.array(report.mu_effective) - np.repeat(_direct_reference(256), 2)).max() <= 1e-9
     assert summary["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
     assert summary["blas_threads"] == blas_threads()
     assert set(summary["blas_threads"]["env"]) >= {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"}
@@ -267,7 +267,7 @@ def test_sweep_auto_effective_reference(tmp_path):
     # the circle's Fourier reference is exact, so the doubling stops at 128
     assert summary["effective_ns"] == report.effective.n_s == 128
     assert 0.0 <= summary["effective_err"] <= AUTO_RTOL
-    assert np.abs(np.array(report.mu_effective) - _direct_reference(256)).max() <= 1e-9
+    assert np.abs(np.array(report.mu_effective) - np.repeat(_direct_reference(256), 2)).max() <= 1e-9
 
 
 def test_sweep_partial_when_effective_reference_not_converged(tmp_path):
@@ -533,6 +533,15 @@ def test_corollary_verb_is_a_usage_error(capsys):
     assert capsys.readouterr().err.startswith("usage: diracshell")
 
 
+def test_dump_clifford_out_writes_what_stdout_prints(tmp_path, capsys):
+    assert main(["dump-clifford", "--n", "3"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "clifford.json"
+    assert main(["dump-clifford", "--n", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() + "\n" == printed
+
+
 def test_main_dump_clifford(capsys):
     assert main(["dump-clifford", "--n", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -577,9 +586,10 @@ def test_effective_csv_cells_are_the_checked_eigenvalues(tmp_path):
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["index", "mu_effective", "mu_magnetic_pair", "abs_diff"]
     assert len(rows) == 7
-    res = gauge_transform_check(curve_from_json(SMALL["curve"]), 128, count=6)
+    # each row pair holds one block value of each operator
+    res = gauge_transform_check(curve_from_json(SMALL["curve"]), 128, count=3)
     for i, (index, mu_eff, mu_mag, diff) in enumerate(rows[1:]):
-        a, b = res.eigenvalues_effective[i], res.eigenvalues_magnetic_pair[i]
+        a, b = res.eigenvalues_effective[i // 2], res.eigenvalues_magnetic[i // 2]
         assert int(index) == i + 1
         assert (float(mu_eff), float(mu_mag), float(diff)) == (a, b, abs(a - b))
     assert max(float(row[3]) for row in rows[1:]) == res.spectral_distance <= 1e-8
@@ -672,6 +682,23 @@ BAD_INVOCATIONS = {
 }
 
 
+@pytest.mark.parametrize("curve", [
+    {"kind": "circle", "r": 1e150}, {"kind": "ellipse", "a": 1e-300, "b": 1}, {"kind": "circle", "r": 1e300},
+], ids=["kappa-overflows", "kappa-underflows", "length-overflows"])
+@pytest.mark.parametrize("verb", [
+    ["sweep", "--eps", "0.1,0.07,0.05", "--ns", "32", "--count", "2"], ["effective-spectrum"],
+], ids=["sweep", "effective-spectrum"])
+def test_curve_out_of_double_range_is_a_config_error(verb, curve, tmp_path, monkeypatch, capsys):
+    # a curve whose length or curvature left double range exits 2 naming it,
+    # never a sweep of the wrong curve or a traceback, and writes nothing
+    monkeypatch.chdir(tmp_path)
+    assert main([verb[0], "--curve", json.dumps(curve), *verb[1:]]) == 2
+    err = capsys.readouterr().err
+    name = f"{curve['kind']}({','.join(f'{v:g}' for k, v in curve.items() if k != 'kind')})"
+    assert err.startswith(f"config error: {name} is out of double range") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--curve", "[1,2]", "--ns", "32"],
     ["effective-spectrum", "--curve", "[1,2]"],
@@ -708,7 +735,7 @@ def test_main_bad_option_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
         raise AssertionError("the effective reference was computed for a bad option")
 
     monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
-    monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
+    monkeypatch.setattr(cli, "gauge_transform_check", no_solve)
     config = tmp_path / "job.json"
     config.write_text(json.dumps({**SMALL, "curve": 5}))
     monkeypatch.chdir(tmp_path)

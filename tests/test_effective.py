@@ -52,17 +52,16 @@ def test_effective_eigenvalues_rejects_a_non_hermitian_block(circle):
     # the reference is solved by the dense oracle, which checks hermiticity first
     a = assemble_effective(circle, 64).pencil.a.copy()
     a[0, 1] += 1e-9 * np.abs(a).max()
-    for paired in (True, False):
-        with pytest.raises(ValueError, match="not hermitian"):
-            effective_eigenvalues(EffectiveFormAssembly(HermitianPencil.make(a), paired), 2)
+    with pytest.raises(ValueError, match="not hermitian"):
+        effective_eigenvalues(EffectiveFormAssembly(HermitianPencil.make(a)), 2)
 
 
 def test_effective_circle_ground_level(circle):
-    mu = effective_eigenvalues(assemble_effective(circle, 256), 4).eigenvalues
+    # block values: the ground level, then a gap to the next level
+    mu = effective_eigenvalues(assemble_effective(circle, 256), 2).eigenvalues
     expect = ((math.pi - 2.0) / (2.0 * math.pi)) ** 2 - 1.0 / math.pi**2
     assert mu[0] == pytest.approx(expect, abs=1e-10)
-    assert mu[1] == pytest.approx(expect, abs=1e-10)
-    assert mu[2] - mu[1] > 1e-3
+    assert mu[1] - mu[0] > 1e-3
 
 
 def test_effective_hermitian_real(ellipse):
@@ -83,7 +82,7 @@ def _spin_blocks(curve, n_s, scheme="fourier"):
 
 def test_effective_even_multiplicity(ellipse):
     # the C^2 spectrum from the dense oracle on both blocks, independent of
-    # the doubling that effective_eigenvalues relies on
+    # the pairing that the sweep relies on
     blocks = _spin_blocks(ellipse, 256)
     mu = np.sort(np.concatenate([dense_hermitian_eig(b.pencil.a).eigenvalues for b in blocks]))[:8]
     pairs = mu.reshape(4, 2)
@@ -94,31 +93,32 @@ def test_effective_even_multiplicity(ellipse):
 @pytest.mark.parametrize("scheme", ["fourier", "link"])
 @pytest.mark.parametrize("curve_name", ["circle", "ellipse", "wobble"])
 def test_lowest_values_match_full_dense_spectrum(request, scheme, curve_name):
-    # the spin-up block solve, doubled, against the C^2 spectrum (both
-    # blocks from the dense oracle); and the single-block magnetic solve
-    # against its own full spectrum
+    # the spin-up and the magnetic block solves against their own full
+    # spectra; and the spin-up values, doubled, against the C^2 spectrum
+    # (both blocks from the dense oracle)
     curve = request.getfixturevalue(curve_name)
     blocks = _spin_blocks(curve, 128, scheme)
     mag = assemble_magnetic(curve, 128, scheme=scheme)
-    for asm, pencils in ((blocks[0], blocks), (mag, [mag])):
-        full = np.sort(np.concatenate([dense_hermitian_eig(p.pencil.a).eigenvalues for p in pencils]))
+    c2 = np.sort(np.concatenate([dense_hermitian_eig(b.pencil.a).eigenvalues for b in blocks]))
+    for asm in (blocks[0], mag):
+        full = dense_hermitian_eig(asm.pencil.a).eigenvalues
         for count in (1, 4, 5):
             res = effective_eigenvalues(asm, count)
             assert res.eigenvalues.shape == res.residuals.shape == (count,)
             scale = 1e-9 * (1.0 + np.abs(full[:count]).max())
             assert np.abs(res.eigenvalues - full[:count]).max() <= scale
-            # each reported value carries the oracle's residual, a pair member its partner's
+            # each reported value carries the oracle's residual
             assert 0.0 < res.residuals.max() <= scale
-            if asm.paired:
-                assert np.array_equal(res.residuals, np.repeat(res.residuals[::2], 2)[:count])
+            if asm is blocks[0]:
+                assert np.abs(np.repeat(res.eigenvalues, 2) - c2[: 2 * count]).max() <= scale
 
 
 def test_converged_reference_stops_at_128_on_the_circle(circle):
     # the Fourier reference is exact on the circle: 64 and 128 agree to rounding
-    ref = converged_eigenvalues(circle, 4)
+    ref = converged_eigenvalues(circle, 2)
     assert ref.converged and ref.n_s == 128
     assert ref.err <= AUTO_RTOL
-    assert np.abs(ref.eigenvalues - analytic_circle_levels(2).repeat(2)).max() <= 1e-12
+    assert np.abs(ref.eigenvalues - analytic_circle_levels(2)).max() <= 1e-12
 
 
 def test_converged_reference_on_the_ellipse(ellipse, monkeypatch):
@@ -130,15 +130,15 @@ def test_converged_reference_on_the_ellipse(ellipse, monkeypatch):
         return assemble_effective(curve, n_s, *args, **kwargs)
 
     monkeypatch.setattr(effective, "assemble_effective", recording)
-    ref = converged_eigenvalues(ellipse, 4)
+    ref = converged_eigenvalues(ellipse, 2)
     assert sizes == [64, 128, 256]
     assert ref.converged and ref.n_s == 256 and ref.err <= AUTO_RTOL
-    assert ref.eigenvalues.shape == (4,)
-    fine = effective_eigenvalues(assemble_effective(ellipse, 1024), 4).eigenvalues
+    assert ref.eigenvalues.shape == (2,)
+    fine = effective_eigenvalues(assemble_effective(ellipse, 1024), 2).eigenvalues
     assert np.abs(ref.eigenvalues - fine).max() <= 1e-9
-    # the residual of the values reported, at the size reported
-    at_256 = effective_eigenvalues(assemble_effective(ellipse, 256), 6)
-    assert ref.residual_max == at_256.residuals[:4].max() > 0.0
+    # the residual of the values reported, at the size reported, solved with one value beyond them
+    at_256 = effective_eigenvalues(assemble_effective(ellipse, 256), 3)
+    assert ref.residual_max == at_256.residuals[:2].max() > 0.0
 
 
 def test_converged_reference_not_converged_at_the_cap(ellipse, monkeypatch):

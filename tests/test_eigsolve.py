@@ -250,6 +250,23 @@ def test_inertia_rejects_singular_and_off_diagonal_pivots():
             inertia(standard(sp.csr_matrix(m.astype(complex))), 0.0)
 
 
+def test_inertia_rejects_a_near_singular_pivot():
+    # a pivot of 1e-14 relative to the largest: SuperLU factors it, the inertia refuses it
+    with pytest.raises(EigensolveError, match="singular pivot"):
+        inertia(standard(sp.diags([1.0, 1e-14, 2.0]).tocsr().astype(complex)), 0.0)
+
+
+def test_shift_invert_moves_past_a_refused_factor():
+    # a shift on an eigenvalue of diag(1..32) has an exactly singular factor: the
+    # next shift is tried; when every shift is refused, the error says why
+    pen = standard(sp.diags(np.arange(1.0, 33.0)).tocsr().astype(complex))
+    res = shift_invert_smallest(pen, 2, [1.0, 0.5], seed=0)
+    assert res.shift == 0.5 and res.factorizations == 2
+    assert np.abs(res.eigenvalues - [1.0, 2.0]).max() <= 1e-12
+    with pytest.raises(EigensolveError, match="no shift certified in 2 tries; sigma=2 has a singular or off-diagonal"):
+        shift_invert_smallest(pen, 2, [1.0, 2.0], seed=0)
+
+
 def test_shift_invert_factors_once_per_tried_shift(monkeypatch):
     pen = standard(dirichlet_laplacian(128))
     splu = eigsolve.spla.splu

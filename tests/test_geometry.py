@@ -174,6 +174,22 @@ def test_factory_rejections():
     assert integral.length == integer.length
 
 
+def test_curve_out_of_double_range_is_refused(ellipse, wobble):
+    # every closed curve has max|kappa| * L >= 2*pi; computed values short of that,
+    # or not finite, mean the curve left double range
+    for kind, params in (
+        ("circle", {"r": 1e150}),           # speed^3 overflows, so kappa reads 0
+        ("ellipse", {"a": 1e-300, "b": 1.0}),  # max|kappa| b/a^2 = 1e300 reads 4e-252
+        ("circle", {"r": 1e300}),           # infinite length, kappa NaN
+    ):
+        with pytest.raises(CurveError, match="out of double range"):
+            make_curve(kind, **params)
+    # the bound holds to rounding on curves inside that range
+    curves = [make_curve("circle", r=r) for r in (1e-100, 1e-10, 1.0, 1e10, 1e100)]
+    curves += [make_curve("ellipse", a=a, b=b) for a, b in ((1.0, 2.0), (30.0, 1.0))] + [ellipse, wobble]
+    assert min(c.kappa_max * c.length / TWO_PI for c in curves) - 1.0 >= -1e-12
+
+
 def _loop_polygon_is_simple(coeffs, n=256):
     # reference: the pairwise segment test, one pair at a time
     th = np.arange(n) * (TWO_PI / n)

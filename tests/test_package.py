@@ -34,6 +34,21 @@ def _sibling(node: ast.ImportFrom) -> str | None:
     return None
 
 
+def _module_aliases(tree: ast.Module) -> dict:
+    """Local name -> the package module it is bound to, by "from . import x" or "import diracshell.x as y"."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 1 and node.module is None) or (node.level == 0 and node.module == "diracshell")
+        ):
+            aliases.update({alias.asname or alias.name: alias.name for alias in node.names if alias.name in MODULES})
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith("diracshell."):
+                    aliases[alias.asname] = alias.name.split(".")[1]
+    return aliases
+
+
 def test_no_module_reads_a_siblings_private_name():
     # a module uses only the public names of another module of the package:
     # neither "from .shell import _x" nor "shell._x" after "from . import shell"
@@ -41,22 +56,11 @@ def test_no_module_reads_a_siblings_private_name():
     reads = []
     for name in MODULES:
         tree = ast.parse((package / f"{name}.py").read_text())
-        aliases = {}  # local name -> the sibling module it is bound to
+        aliases = _module_aliases(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                sibling = _sibling(node)
-                package_import = (node.level == 1 and node.module is None) or (
-                    node.level == 0 and node.module == "diracshell"
-                )
-                for alias in node.names:
-                    if package_import and alias.name in MODULES:
-                        aliases[alias.asname or alias.name] = alias.name
-                    elif sibling in MODULES and _private(alias.name):
-                        reads.append(f"{name}: from {sibling} import {alias.name}")
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname and alias.name.startswith("diracshell."):
-                        aliases[alias.asname] = alias.name.split(".")[1]
+            if isinstance(node, ast.ImportFrom) and _sibling(node) in MODULES:
+                reads += [f"{name}: from {_sibling(node)} import {alias.name}"
+                          for alias in node.names if _private(alias.name)]
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and aliases.get(node.value.id, name) != name and _private(node.attr)):
@@ -137,3 +141,31 @@ def test_cli_import_loads_only_the_scipy_it_uses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     public = [name for name in json.loads(out.stdout) if not name.startswith("_")]
     assert public == ["linalg", "sparse", "version"]
+
+
+def test_every_monkeypatched_name_is_read_through_its_module():
+    # monkeypatch.setattr(<module>, "<name>", ...) in a test guards nothing
+    # unless the package reads <name> through that module: a bare load inside
+    # it, or <module>.<name> in a sibling ("from .x import name" does not see the patch)
+    package = pathlib.Path(diracshell.__file__).parent
+    reads = set()
+    for name in MODULES:
+        tree = ast.parse((package / f"{name}.py").read_text())
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(f"{name}.{node.id}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                reads.add(f"{aliases[node.value.id]}.{node.attr}")
+    patched = set()
+    for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "setattr" and getattr(node.func.value, "id", None) == "monkeypatch"
+                    and len(node.args) >= 2 and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in aliases and isinstance(node.args[1], ast.Constant)):
+                patched.add(f"{aliases[node.args[0].id]}.{node.args[1].value}")
+    assert sorted(patched - reads) == []
