@@ -22,8 +22,8 @@ Fourier size until its values stop changing (``effective.converged_eigenvalues``
 ``eff_ns`` in a job config caps that size, and its default ``"auto"`` is AUTO_NS_CAP.
 A sweep job is the ``--config`` file's keys with each flag
 given in place of its key; its ``SweepConfig`` is checked when it is built,
-each eps's transverse level and grid included, and only the curve's
-injectivity guard waits for the curve, which ``run_sweep`` builds before any solve.
+each eps's transverse level and grid included; only the curve's injectivity
+guard and length rule wait for the curve, which ``run_sweep`` builds before any solve.
 ``run_sweep`` and ``run_checks`` set BLAS to one thread
 (``threads.set_blas_threads``) before their first solve, as ``main`` does.
 This is the one module that reads or writes a file format (JSON, and
@@ -53,7 +53,7 @@ import scipy
 from . import transverse
 from .checks import run_all
 from .clifford import build_clifford
-from .effective import ConvergedReference, checked_ns, converged_eigenvalues, gauge_transform_check
+from .effective import AUTO_NS_CAP, ConvergedReference, checked_ns, converged_eigenvalues, gauge_transform_check
 # nothing here calls these two; their only reader is bench/tracer.py, which wraps them here by name
 from .effective import assemble_effective, effective_eigenvalues  # noqa: F401
 from .eigsolve import EigensolveError
@@ -83,7 +83,7 @@ class SweepConfig:
 
     That includes each eps whose ``transverse.level`` or its square is not a
     finite float, or whose grid ``shell.checked_grid`` refuses.  Only the
-    curve's injectivity guard eps < 0.9/max|kappa| waits for the curve.
+    curve's guards, eps < 0.9/max|kappa| and its length, wait for the curve.
     """
 
     curve: dict
@@ -303,9 +303,10 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     its cap under ``"effective"``; the report is ``partial`` when anything
     failed or fewer than 3 points solved (no fit; ``no_fit_reason`` says how
     many solved).  A dict ``config`` is built into a ``SweepConfig``, whose
-    own rules are checked then; a curve config it cannot build or an eps at
-    or beyond the curve's injectivity guard is a ConfigError, and an
-    ``out_dir`` that cannot be created an OSError, both raised before any
+    own rules are checked then; a curve config it cannot build, a curve so
+    short that the reference's largest mode (pi*cap/L)^2 overflows, or an
+    eps at or beyond the curve's injectivity guard is a ConfigError, and an
+    ``out_dir`` that cannot be created an OSError, all raised before any
     solve.  The eps points are solved one after another.
     Each shell solve is given the lowest effective eigenvalue as its
     predicted level above the transverse ground level (see
@@ -328,6 +329,11 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     """
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     curve = _curve(cfg.curve)
+    cap = AUTO_NS_CAP if cfg.eff_ns == "auto" else cfg.eff_ns
+    mode = math.pi * cap / curve.length
+    if not math.isfinite(mode * mode):
+        raise ConfigError(f"curve length {curve.length!r} is too short: the effective reference's "
+                          f"largest mode (pi*{cap}/L)^2 overflows")
     try:
         metrics = {eps: shell_metric(curve, eps) for eps in cfg.eps}
     except ValueError as exc:
@@ -338,7 +344,7 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     fam = build_clifford(2)  # read by the shell assemblies only
     failures: dict = {}
     t0 = time.perf_counter()
-    ref = converged_eigenvalues(curve, (cfg.count + 1) // 2, cap=None if cfg.eff_ns == "auto" else cfg.eff_ns)
+    ref = converged_eigenvalues(curve, (cfg.count + 1) // 2, cap=cap)
     effective_s = time.perf_counter() - t0
     if not ref.converged:
         failures["effective"] = (

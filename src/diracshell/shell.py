@@ -31,8 +31,9 @@ broadcast over t and over every coefficient built from it.  The quadratic
 t-element keeps the transverse eigenvalue error far below the O(1)
 effective term even on the coarse sweep grids; convergence in the
 s-direction stays second order.  The shell form and the bracketing forms
-below share one gauged-frame assembler, ``_gauged_pencil``: component 1's
-form is component 0's plus the covariant term of d_s + i*kappa.
+below share one covariant assembler, ``_covariant_pencil``: the same code
+builds each component c's form from its connection A_c in d_s + i*A_c
+((0, kappa) in the gauged frame), and B from the form's L^2 weight.
 
 A bracketing form replaces the exact coefficients by their flat-metric
 bounds with a signed slack c:
@@ -187,6 +188,7 @@ _GAUGED_SPINORS = {
     -1: np.array([1.0, -1.0j]) / math.sqrt(2.0),
     +1: np.array([1.0, +1.0j]) / math.sqrt(2.0),
 }
+_GAUGED_CONNECTION = (0.0, 1.0)  # the frame's connection (0, kappa), per component in units of kappa
 
 
 def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -203,8 +205,10 @@ class _TensorGalerkin:
     per-cell arrays; its local nodes and quadrature points are the (s, t)
     pairs, the t index running fastest.
 
-    Z is index arithmetic on the node layout, and only it knows the reduced
-    layout: node (i, jt) of component c holds reduced DOF
+    It knows no form: ``local`` and ``add_boundary`` turn an assembler's
+    coefficients into per-cell matrices, and ``matrix`` reduces one set per
+    component.  Z is index arithmetic on the node layout, and only it knows
+    the reduced layout: node (i, jt) of component c holds reduced DOF
     ``column[c, i*n_tn + jt]`` times ``weight[c, i*n_tn + jt]``.  The two
     components of a boundary node share a column, weighted by its side's
     ``_GAUGED_SPINORS``; every other node has its own, weight 1.  For each
@@ -313,30 +317,28 @@ def _line_pattern(keys: np.ndarray, n: int):
 
 def _grid(fam: CliffordFamily, metric: ShellMetric2D, n_s: int, n_t: int | None):
     """The validated grid, the curvature (one call) at its s-abscissae and at
-    its quadrature points."""
+    its quadrature points, and the gauged frame's connection there."""
     if fam.n != 2:
         raise ValueError("shell assembly is implemented for n = 2")
     grid = _TensorGalerkin(metric.curve.length, *checked_grid(metric.eps, n_s, n_t))
     kap_s = metric.curve.curvature(grid.s_abscissae)
-    return grid, kap_s, grid.at_quad(kap_s)
+    kap = grid.at_quad(kap_s)
+    return grid, kap_s, kap, [f * kap for f in _GAUGED_CONNECTION]
 
 
-def _gauged_pencil(grid, kap, tan, trans, mass, boundary, b) -> HermitianPencil:
-    """The reduced pencil of a form written in the gauged frame diag(1, nu(s)).
+def _covariant_pencil(grid, connection, tan, trans, mass, boundary, weight) -> HermitianPencil:
+    """The reduced pencil of a form with one connection A_c per spinor component.
 
-    Component 0 carries tan|d_s u|^2 + trans|d_t u|^2 + mass|u|^2.  The
-    frame makes the boundary constraint s-independent, so the discrete space
-    satisfies it at every s; the price is the covariant d_s + i*kappa on
-    component 1, whose form is component 0's plus tan*(kappa^2|u|^2 + the
-    cross term i*kappa*(du/ds v - u dv/ds)).  ``boundary`` holds the
-    coefficients on the t = +1 and t = -1 lines, ``b`` is the reduced mass
-    matrix.
+    Component c carries tan|(d_s + i*A_c)u|^2 + trans|d_t u|^2 + mass|u|^2:
+    tan*A_c^2 on the mass pairs and the cross term tan*A_c*i(du/ds v - u dv/ds).
+    ``boundary`` holds the coefficients on the t = +1 and t = -1 lines, and
+    ``weight`` the L^2 weight of the mass matrix B.
     """
-    a0 = grid.local(grid.form_pairs, tan, trans, mass)
-    grid.add_boundary(a0, boundary)
-    re = np.stack([a0, a0 + grid.local(grid.mass_pairs, tan * kap**2)])
-    im = np.zeros_like(re)
-    im[1] = grid.local(grid.cross_pairs, tan * kap)
+    a = grid.local(grid.form_pairs, tan, trans, mass)
+    grid.add_boundary(a, boundary)
+    re = np.stack([a + grid.local(grid.mass_pairs, tan * conn**2) for conn in connection])
+    im = np.stack([grid.local(grid.cross_pairs, tan * conn) for conn in connection])
+    b = grid.matrix(np.stack([grid.local(grid.mass_pairs, weight)] * 2))
     return HermitianPencil.make(grid.matrix(re, im), b)
 
 
@@ -350,14 +352,13 @@ def assemble_shell(
     """Pencil of the exact tubular-coordinate form with eliminated boundary DOFs."""
     if not m >= 0:
         raise ValueError("mass must be nonnegative")
-    grid, kap_s, kap = _grid(fam, metric, n_s, n_t)
+    grid, kap_s, kap, connection = _grid(fam, metric, n_s, n_t)
     eps = metric.eps
     w = metric.stretch(grid.quad_t, kap)
     # (m + H/2)*h with the exact curvature H = side*kappa/(1+side*eps*kappa)
     # and weight h = stretch(side, kappa) collapses to m*h + side*kappa/2
     boundary = [m * metric.stretch(side, kap_s) + side * kap_s / 2.0 for side in (+1, -1)]
-    b = grid.matrix(np.stack([grid.local(grid.mass_pairs, eps * w)] * 2))
-    pencil = _gauged_pencil(grid, kap, eps / w, w / eps, m * m * eps * w, boundary, b)
+    pencil = _covariant_pencil(grid, connection, eps / w, w / eps, m * m * eps * w, boundary, eps * w)
     return ShellFormAssembly(metric=metric, m=float(m), c=0.0, n_s=grid.n_s, n_t=grid.n_t, pencil=pencil)
 
 
@@ -374,13 +375,11 @@ def assemble_sandwich(
     c < 0 gives the lower form and c > 0 the upper one; the shell form lies
     between the forms at -c and +c once |c| covers the metric's deviation.
     """
-    grid, _, kap = _grid(fam, metric, n_s, n_t)
+    grid, _, kap, connection = _grid(fam, metric, n_s, n_t)
     eps = metric.eps
-    b = grid.matrix(np.stack([grid.local(grid.mass_pairs, 1.0)] * 2))
     bcoef = (m * eps + c * eps**3) / eps**2
-    pencil = _gauged_pencil(
-        grid, kap, 1.0 + c * eps, 1.0 / eps**2, m * m + c * eps - kap**2 / 4.0, (bcoef, bcoef), b
-    )
+    pencil = _covariant_pencil(grid, connection, 1.0 + c * eps, 1.0 / eps**2, m * m + c * eps - kap**2 / 4.0,
+                               (bcoef, bcoef), 1.0)
     return ShellFormAssembly(metric=metric, m=float(m), c=float(c), n_s=grid.n_s, n_t=grid.n_t, pencil=pencil)
 
 

@@ -7,15 +7,17 @@ sets each OpenBLAS copy already loaded in the process (numpy's and
 scipy's) to one thread through its own ``scipy_openblas_set_num_threads*``
 symbol.  Any other BLAS reads the usual thread environment variables
 (``OMP_NUM_THREADS`` and friends) only when numpy loads, so for those they
-must be set before the process starts.  ``blas_threads`` reports those
-variables as they are and the thread count each loaded OpenBLAS copy
-answers.
+must be set before the process starts.  The record it returns reports
+those variables as they are and the thread count each loaded OpenBLAS
+copy answers.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+
+__all__ = ["set_blas_threads"]
 
 _ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -30,31 +32,18 @@ _OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_nu
 
 
 def set_blas_threads() -> dict:
-    """Set each OpenBLAS copy already loaded to one thread, then read it back: ``blas_threads()``."""
-    libs = _loaded_openblas()
-    for lib in libs.values():
-        setter = _symbol(lib, _OPENBLAS_SETTERS)
-        if setter is not None:
-            setter(1)
-    return _record(libs)
-
-
-def blas_threads() -> dict:
-    """The BLAS thread settings in effect.
+    """Set each OpenBLAS copy already loaded to one thread, then read back the settings in effect.
 
     ``env`` holds the thread variables of the process environment (None:
     unset, the library default).  ``openblas`` maps the file name of each
     OpenBLAS library already loaded to the thread count it reports (None:
     it has no known getter).
     """
-    return _record(_loaded_openblas())
-
-
-def _record(libs: dict) -> dict:
-    """The ``blas_threads()`` record of the OpenBLAS handles ``libs``, by file name."""
     counts = {}
-    for name, lib in libs.items():
-        getter = _symbol(lib, _OPENBLAS_GETTERS)
+    for name, lib in _loaded_openblas().items():
+        setter, getter = _symbol(lib, _OPENBLAS_SETTERS), _symbol(lib, _OPENBLAS_GETTERS)
+        if setter is not None:
+            setter(1)
         counts[name] = None if getter is None else int(getter())
     return {"env": {var: os.environ.get(var) for var in _ENV_VARS}, "openblas": counts}
 

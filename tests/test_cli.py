@@ -25,7 +25,7 @@ from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenv
 from diracshell.eigsolve import DENSE_DIM_LIMIT, EigensolveError, dense_hermitian_eig
 from diracshell.geometry import curve_from_json, shell_metric
 from diracshell.shell import MAX_COUNT, MAX_DOF, MIN_NS, MIN_NT, assemble_shell, ladder_shift, lowest_eigenvalues
-from diracshell.threads import blas_threads
+from diracshell.threads import set_blas_threads
 
 SMALL = {
     "curve": {"kind": "circle", "r": 1.0},
@@ -228,7 +228,7 @@ def test_run_sweep_small(tmp_path):
     assert 0.0 < summary["effective_residual_max"] <= 1e-10
     assert np.abs(np.array(report.mu_effective) - np.repeat(_direct_reference(256), 2)).max() <= 1e-9
     assert summary["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
-    assert summary["blas_threads"] == blas_threads()
+    assert summary["blas_threads"] == set_blas_threads()
     assert set(summary["blas_threads"]["env"]) >= {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"}
 
 
@@ -697,6 +697,21 @@ def test_curve_out_of_double_range_is_a_config_error(verb, curve, tmp_path, monk
     name = f"{curve['kind']}({','.join(f'{v:g}' for k, v in curve.items() if k != 'kind')})"
     assert err.startswith(f"config error: {name} is out of double range") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("length, eff_ns", [(1e-300, "auto"), (1e-152, "auto"), (1e-300, 64)])
+def test_strip_too_short_for_the_reference_is_a_config_error(length, eff_ns, tmp_path, monkeypatch, capsys):
+    # the reference's largest mode (pi*cap/L)^2 overflows, so the sweep exits 2 naming
+    # the length and the cap before any solve, never a traceback, and writes nothing
+    monkeypatch.chdir(tmp_path)
+    config = {"curve": {"kind": "strip", "length": length}, "eps": [0.1, 0.07, 0.05], "ns": 32, "count": 2,
+              "eff_ns": eff_ns}
+    (tmp_path / "job.json").write_text(json.dumps(config))
+    assert main(["sweep", "--config", "job.json", "--out", "out"]) == 2
+    cap = effective.AUTO_NS_CAP if eff_ns == "auto" else eff_ns
+    assert capsys.readouterr().err == (f"config error: curve length {length!r} is too short: the effective "
+                                       f"reference's largest mode (pi*{cap}/L)^2 overflows\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,13 @@ def test_every_exported_name_exists():
     assert missing == []
 
 
+def test_every_module_declares_its_exports():
+    # the caller test below reads __all__; a module without one escapes it
+    package = pathlib.Path(diracshell.__file__).parent
+    undeclared = [name for name in MODULES if not _exports(ast.parse((package / f"{name}.py").read_text()))]
+    assert undeclared == []
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

@@ -101,6 +101,24 @@ def test_flat_strip_convergence_order(fam2):
     assert math.log2(errs[0] / errs[1]) >= 1.9
 
 
+def test_constant_connection_shifts_the_flat_strip_momenta(fam2):
+    # both components on d_s + i*beta: the separated levels (2 pi q/L + beta)^2
+    # + E_p(m eps)^2/eps^2, two per (q, p), approached at second order in h
+    length, m, eps = 2.0 * math.pi, 0.3, 0.2
+    met = shell_metric(flat_strip(length), eps)
+    for beta in (0.3, 0.5, 1.0):
+        ref = np.sort([(2.0 * math.pi * q / length + beta) ** 2 + transverse.level(m, eps, p)
+                       for p in (1, 2) for q in range(-4, 5) for _ in range(2)])[:4]
+        errs = []
+        for n_s, n_t in ((32, 8), (64, 16), (128, 32)):
+            grid = shell._TensorGalerkin(length, n_s, n_t)
+            # the exact form on the flat strip: stretch 1, boundary coefficient m on either side
+            pencil = shell._covariant_pencil(grid, (beta, beta), eps, 1.0 / eps, m * m * eps, (m, m), eps)
+            asm = shell.ShellFormAssembly(metric=met, m=m, c=0.0, n_s=n_s, n_t=n_t, pencil=pencil)
+            errs.append(np.abs(lowest_eigenvalues(asm, 4).eigenvalues - ref).max())
+        assert min(math.log2(errs[i] / errs[i + 1]) for i in range(2)) >= 1.9, (beta, errs)
+
+
 def test_circle_leading_order(fam2, circle):
     # mu_1 * eps^2 lands near pi^2/16 with the O(1) shift of the curve term
     met = shell_metric(circle, 0.05)
@@ -415,10 +433,13 @@ def _reduce_by_product(grid, a_comp0, a_comp1):
     return out
 
 
-def _gauged_by_scatter(grid, kap, tan, trans, mass, boundary):
+def _gauged_by_scatter(grid, connection, tan, trans, mass, boundary):
+    # component c's form: tan|(d_s + i A_c)u|^2 + trans|d_t u|^2 + mass|u|^2 plus the boundary lines
     bnd = _boundary_by_scatter(grid, +1, boundary[0]) + _boundary_by_scatter(grid, -1, boundary[1])
-    a0 = _volume_by_scatter(grid, tan, trans, mass) + bnd
-    return _reduce_by_product(grid, a0, a0 + _volume_by_scatter(grid, None, None, tan * kap**2, c_cross=tan * kap))
+    a = _volume_by_scatter(grid, tan, trans, mass) + bnd
+    return _reduce_by_product(
+        grid, *[a + _volume_by_scatter(grid, None, None, tan * conn**2, c_cross=tan * conn) for conn in connection]
+    )
 
 
 def _pencils_by_scatter(curve, m, eps, c, n_s, n_t):
@@ -429,16 +450,17 @@ def _pencils_by_scatter(curve, m, eps, c, n_s, n_t):
     kap_s = curve.curvature(grid.s_abscissae)
     kap = grid.at_quad(kap_s)
     w = 1.0 + eps * grid.quad_t * kap
+    connection = (0.0, kap)  # the gauged frame diag(1, nu(s))
     boundary = [m * (1.0 + side * eps * kap_s) + side * kap_s / 2.0 for side in (+1, -1)]
     out = {
-        "shell a": _gauged_by_scatter(grid, kap, eps / w, w / eps, m * m * eps * w, boundary),
+        "shell a": _gauged_by_scatter(grid, connection, eps / w, w / eps, m * m * eps * w, boundary),
         "shell b": _reduce_by_product(grid, *[_volume_by_scatter(grid, None, None, eps * w)] * 2),
     }
     flat_b = _reduce_by_product(grid, *[_volume_by_scatter(grid, None, None, 1.0)] * 2)
     for sign, name in ((-1, "minus"), (+1, "plus")):
         bcoef = (m * eps + sign * c * eps**3) / eps**2
         out[f"{name} a"] = _gauged_by_scatter(
-            grid, kap, 1.0 + sign * c * eps, 1.0 / eps**2, m * m + sign * c * eps - kap**2 / 4.0, (bcoef, bcoef)
+            grid, connection, 1.0 + sign * c * eps, 1.0 / eps**2, m * m + sign * c * eps - kap**2 / 4.0, (bcoef, bcoef)
         )
         out[f"{name} b"] = flat_b
     return out

@@ -18,7 +18,7 @@ def test_set_blas_threads_leaves_the_environment_alone(monkeypatch):
     assert record["env"]["OMP_NUM_THREADS"] is None
     assert record["env"]["OPENBLAS_NUM_THREADS"] == "3"
     assert "OMP_NUM_THREADS" not in os.environ
-    assert threads.blas_threads() == record
+    assert threads.set_blas_threads() == record
 
 
 def test_set_blas_threads_scans_the_libraries_once(monkeypatch):
@@ -33,37 +33,39 @@ def test_set_blas_threads_scans_the_libraries_once(monkeypatch):
     monkeypatch.setattr(threads, "_loaded_openblas", counted)
     record = threads.set_blas_threads()
     assert len(calls) == 1
-    assert record == threads.blas_threads()
+    assert record == threads.set_blas_threads()
 
 
 def test_blas_threads_reports_the_environment_as_it_is(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     assert threads.set_blas_threads()["env"]["OMP_NUM_THREADS"] == "2"
     monkeypatch.setenv("OMP_NUM_THREADS", "5")
-    assert threads.blas_threads()["env"]["OMP_NUM_THREADS"] == "5"
+    assert threads.set_blas_threads()["env"]["OMP_NUM_THREADS"] == "5"
 
 
 def test_blas_threads_before_any_call_reads_the_environment(monkeypatch):
     monkeypatch.setenv("MKL_NUM_THREADS", "4")
-    record = threads.blas_threads()
+    record = threads.set_blas_threads()
     assert set(record) == {"env", "openblas"}
     assert record["env"]["MKL_NUM_THREADS"] == "4"
 
 
-def _openblas_copies():
+def _openblas_copies(monkeypatch):
+    # each copy's thread count as it is: with no known setter the call only reads
     import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS next to numpy's)
 
-    counts = threads.blas_threads()["openblas"]
+    monkeypatch.setattr(threads, "_OPENBLAS_SETTERS", ())
+    counts = threads.set_blas_threads()["openblas"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if blas["name"] != "scipy-openblas":
         pytest.skip(f"numpy is built against {blas['name']}, not scipy-openblas")
     return counts
 
 
-def test_blas_threads_reads_each_loaded_openblas():
+def test_blas_threads_reads_each_loaded_openblas(monkeypatch):
     # numpy's 64-bit-int copy and scipy's copy each answer their own thread
     # count; the session set OPENBLAS_NUM_THREADS=1 before either loaded
-    counts = _openblas_copies()
+    counts = _openblas_copies(monkeypatch)
     assert any(name.startswith("libscipy_openblas64_") for name in counts)
     assert any(name.startswith("libscipy_openblas-") for name in counts)
     if os.environ["OPENBLAS_NUM_THREADS"] == "1":
@@ -72,16 +74,16 @@ def test_blas_threads_reads_each_loaded_openblas():
 
 def test_an_openblas_without_a_known_getter_reads_null(monkeypatch):
     monkeypatch.setattr(threads, "_OPENBLAS_GETTERS", ("no_such_getter",))
-    counts = _openblas_copies()
+    counts = _openblas_copies(monkeypatch)
     assert counts and set(counts.values()) == {None}
 
 
 def test_blas_threads_loads_no_library():
-    # before numpy loads there is no OpenBLAS in the process, and reading the
-    # record maps none
+    # before numpy loads there is no OpenBLAS in the process, and setting and
+    # reading the record maps none
     code = (
         "import json; from diracshell import threads; "
-        "record = threads.blas_threads()['openblas']; "
+        "record = threads.set_blas_threads()['openblas']; "
         "mapped = [line for line in open('/proc/self/maps') if 'openblas' in line]; "
         "print(json.dumps([record, mapped]))"
     )
@@ -96,7 +98,8 @@ def test_set_blas_threads_sets_each_loaded_openblas():
     code = (
         "import json, numpy, scipy.linalg; from diracshell import threads; "
         "blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']['name']; "
-        "before = threads.blas_threads()['openblas']; "
+        "setters, threads._OPENBLAS_SETTERS = threads._OPENBLAS_SETTERS, (); "
+        "before = threads.set_blas_threads()['openblas']; threads._OPENBLAS_SETTERS = setters; "
         "print(json.dumps([blas, before, threads.set_blas_threads()['openblas']]))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "2"}
