@@ -10,7 +10,8 @@ paired shell spectrum, less E_1(m eps)/eps, feeds the first-order
 expansion of the operator's own nonnegative eigenvalues.  ``effective``
 reports values of one of the operator's two isospectral spin blocks; this
 module alone maps shell levels 2p and 2p + 1 (from 0) onto block value p,
-and ``effective-spectrum`` writes each block value on two rows.
+and ``effective-spectrum`` writes each value of the spin-up and magnetic
+blocks it solves on two rows.
 
 Verbs: check, sweep, transverse-table, effective-spectrum, dump-clifford.
 Exit codes: 0 ok, 1 check failure, 2 config error, 3 partial sweep (an eps
@@ -24,6 +25,8 @@ A sweep job is the ``--config`` file's keys with each flag
 given in place of its key; its ``SweepConfig`` is checked when it is built,
 each eps's transverse level and grid included; only the curve's injectivity
 guard and length rule wait for the curve, which ``run_sweep`` builds before any solve.
+Both the eps rule and the length rule are ``_finite_square``: a level the job
+puts on a pencil's diagonal must have a finite square.
 ``run_sweep`` and ``run_checks`` set BLAS to one thread
 (``threads.set_blas_threads``) before their first solve, as ``main`` does.
 This is the one module that reads or writes a file format (JSON, and
@@ -53,9 +56,8 @@ import scipy
 from . import transverse
 from .checks import run_all
 from .clifford import build_clifford
-from .effective import AUTO_NS_CAP, ConvergedReference, checked_ns, converged_eigenvalues, gauge_transform_check
-# nothing here calls these two; their only reader is bench/tracer.py, which wraps them here by name
-from .effective import assemble_effective, effective_eigenvalues  # noqa: F401
+from .effective import (AUTO_NS_CAP, ConvergedReference, assemble_effective, assemble_magnetic, checked_ns,
+                        converged_eigenvalues, effective_eigenvalues)
 from .eigsolve import EigensolveError
 from .geometry import CLOSURE_TOL, CurveError, curve_from_json, shell_metric
 from .shell import MAX_COUNT, assemble_shell, checked_grid, lowest_eigenvalues
@@ -81,8 +83,8 @@ class ConfigError(ValueError):
 class SweepConfig:
     """One sweep job; a value the sweep cannot run is a ConfigError at construction.
 
-    That includes each eps whose ``transverse.level`` or its square is not a
-    finite float, or whose grid ``shell.checked_grid`` refuses.  Only the
+    That includes each eps whose ``transverse.level`` fails ``_finite_square``,
+    or whose grid ``shell.checked_grid`` refuses.  Only the
     curve's guards, eps < 0.9/max|kappa| and its length, wait for the curve.
     """
 
@@ -152,7 +154,7 @@ class SweepConfig:
                 ground = transverse.level(self.m, eps)
             except ArithmeticError:  # eps^2 underflows to 0 or overflows
                 ground = math.nan
-            if not math.isfinite(ground * ground):  # the residual norm squares entries of order eps_mach*level
+            if not _finite_square(ground):
                 which = f"level {ground:.3g} squared" if math.isfinite(ground) else "level E_1(m eps)^2/eps^2"
                 raise ConfigError(f"eps={eps!r}, m={self.m!r}: the transverse {which} is not a finite float")
             try:
@@ -165,6 +167,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _finite_square(level: float) -> bool:
+    """A level the job puts on a pencil's diagonal must have a finite square: the residual
+    norm squares entries of order eps_mach*level, and an infinite norm is never certified."""
+    return math.isfinite(level * level)
+
+
 @dataclass
 class AsymptoticsReport:
     config: SweepConfig     # the job it ran: curve, m, eps, grids, count, seed
@@ -173,6 +181,7 @@ class AsymptoticsReport:
     residuals: dict         # eps -> list r_j(eps)
     effective: ConvergedReference  # the reference's spin-up block values and their record
     fits: list              # per j: dict(intercept, slope, stderr_intercept)
+    no_fit_reason: str | None = None  # why ``fits`` is empty: too few eps solved (see _eps_fits)
     corollary: dict | None = None  # an even count's first-order expansion (see _corollary); None for an odd count
     failures: dict = field(default_factory=dict)
     # eps -> grid, dof, the SpectrumResult.record() of its solve, seconds
@@ -189,27 +198,11 @@ class AsymptoticsReport:
     def partial(self) -> bool:
         return bool(self.failures) or not self.fits
 
-    @property
-    def no_fit_reason(self) -> str | None:
-        """Why ``fits`` is empty: too few eps solved."""
-        if self.fits:
-            return None
-        return f"{len(self.mu_shell)} of {len(self.config.eps)} eps solved; the affine fit needs 3"
-
     def verdicts(self) -> list:
-        out = []
-        for j, fit in enumerate(self.fits):
-            out.append(
-                {
-                    "j": j + 1,
-                    "intercept": fit["intercept"],
-                    "slope": fit["slope"],
-                    "stderr_intercept": fit["stderr_intercept"],
-                    "mu_effective": self.mu_effective[j],
-                    "intercept_error": abs(fit["intercept"] - self.mu_effective[j]),
-                }
-            )
-        return out
+        """Per fitted level j (from 1): its fit and the effective value it is compared with."""
+        mu_eff = self.mu_effective
+        return [{"j": j + 1, **fit, "mu_effective": mu_eff[j], "intercept_error": abs(fit["intercept"] - mu_eff[j])}
+                for j, fit in enumerate(self.fits)]
 
     def write(self, out_dir) -> None:
         """Write ``sweep.csv``, ``corollary.csv`` when there is a corollary, and the run record ``sweep.json``.
@@ -285,6 +278,15 @@ def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
     }
 
 
+def _eps_fits(eps_order, series: dict, minimum: int, what: str) -> tuple:
+    """Affine fits in eps, one per level, of ``series`` (solved eps -> per-level values) over
+    its eps in ``eps_order``, and None; or, with fewer than ``minimum`` eps, no fits and why."""
+    fit_eps = np.array([e for e in eps_order if e in series])
+    if fit_eps.size < minimum:
+        return [], f"{fit_eps.size} of {len(eps_order)} eps solved; the {what} needs {minimum}"
+    return [_affine_fit(fit_eps, np.array(ys)) for ys in zip(*(series[e] for e in fit_eps))], None
+
+
 def _curve(spec):
     """The curve of a JSON curve config; a config it cannot build is a ConfigError."""
     try:
@@ -304,10 +306,10 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     failed or fewer than 3 points solved (no fit; ``no_fit_reason`` says how
     many solved).  A dict ``config`` is built into a ``SweepConfig``, whose
     own rules are checked then; a curve config it cannot build, a curve so
-    short that the reference's largest mode (pi*cap/L)^2 overflows, or an
-    eps at or beyond the curve's injectivity guard is a ConfigError, and an
-    ``out_dir`` that cannot be created an OSError, all raised before any
-    solve.  The eps points are solved one after another.
+    short that the reference's largest mode (pi*cap/L)^2 fails
+    ``_finite_square``, or an eps at or beyond the curve's injectivity guard
+    is a ConfigError, and an ``out_dir`` that cannot be created an OSError,
+    all raised before any solve.  The eps points are solved one after another.
     Each shell solve is given the lowest effective eigenvalue as its
     predicted level above the transverse ground level (see
     ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
@@ -331,9 +333,11 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     curve = _curve(cfg.curve)
     cap = AUTO_NS_CAP if cfg.eff_ns == "auto" else cfg.eff_ns
     mode = math.pi * cap / curve.length
-    if not math.isfinite(mode * mode):
+    top = mode * mode  # the reference block's largest diagonal level
+    if not _finite_square(top):
+        which = f"= {top:.3g} squared is not a finite float" if math.isfinite(top) else "overflows"
         raise ConfigError(f"curve length {curve.length!r} is too short: the effective reference's "
-                          f"largest mode (pi*{cap}/L)^2 overflows")
+                          f"largest mode (pi*{cap}/L)^2 {which}")
     try:
         metrics = {eps: shell_metric(curve, eps) for eps in cfg.eps}
     except ValueError as exc:
@@ -376,12 +380,7 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
         results[eps] = res.eigenvalues.tolist()
         levels[eps] = transverse.level(cfg.m, eps)
         residuals[eps] = [mu - levels[eps] for mu in results[eps]]
-    fit_eps = np.array([e for e in cfg.eps if e in results])
-    fits = []
-    if fit_eps.size >= 3:
-        for j in range(cfg.count):
-            ys = np.array([residuals[e][j] for e in fit_eps])
-            fits.append(_affine_fit(fit_eps, ys))
+    fits, no_fit_reason = _eps_fits(cfg.eps, residuals, 3, "affine fit")
     report = AsymptoticsReport(
         config=cfg,
         curve_id=curve.name,
@@ -389,6 +388,7 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
         residuals=residuals,
         effective=ref,
         fits=fits,
+        no_fit_reason=no_fit_reason,
         corollary=None if cfg.count % 2 else _corollary(cfg, results, levels, ref.eigenvalues.tolist(), failures),
         failures=failures,
         solves=solves,
@@ -424,21 +424,15 @@ def _corollary(cfg: SweepConfig, mu_shell: dict, levels: dict, mu_block: list, f
         pairing[eps] = float((np.abs(pairs[:, 1] - pairs[:, 0]) / np.abs(arr).max()).max())
         lam[eps] = [math.sqrt(pairs[p, 1]) for p in range(n_p)]
         excess[eps] = [value - math.sqrt(levels[eps]) for value in lam[eps]]
-    fit_eps = np.array([e for e in cfg.eps if e in lam])
-    coeffs = []
-    refs = []
-    if fit_eps.size >= 2:
-        for p in range(n_p):
-            coeffs.append(_affine_fit(fit_eps, np.array([excess[e][p] for e in fit_eps]))["slope"])
-            refs.append((2.0 / math.pi) * mu_block[p])
+    fits, no_fit_reason = _eps_fits(cfg.eps, excess, 2, "corollary fit")
     return {
         "lam": lam,
         "excess": excess,
         "pairing_defect": pairing,
-        "linear_coeffs": coeffs,
-        "references": refs,
-        "partial": bool(failures) or not coeffs,
-        "no_fit_reason": None if coeffs else f"{len(lam)} of {len(cfg.eps)} eps solved; the corollary fit needs 2",
+        "linear_coeffs": [fit["slope"] for fit in fits],
+        "references": [(2.0 / math.pi) * mu for mu in mu_block[: len(fits)]],
+        "partial": bool(failures) or not fits,
+        "no_fit_reason": no_fit_reason,
     }
 
 
@@ -585,11 +579,13 @@ def main(argv=None) -> int:
             if abs(total + 2.0 * math.pi) > CLOSURE_TOL:  # the magnetic flux (pi-2)/L assumes -2*pi
                 raise ConfigError(f"effective-spectrum needs a closed curve of total curvature -2*pi; "
                                   f"{curve.name} has total curvature {total:.6g}")
-            res = gauge_transform_check(curve, args.ns, count=(args.count + 1) // 2)
-            doubled = np.repeat([res.eigenvalues_effective, res.eigenvalues_magnetic], 2, axis=1)[:, : args.count]
+            blocks = [effective_eigenvalues(asm, (args.count + 1) // 2).eigenvalues
+                      for asm in (assemble_effective(curve, args.ns), assemble_magnetic(curve, args.ns))]
+            distance = float(np.abs(blocks[0] - blocks[1]).max())
+            doubled = np.repeat(blocks, 2, axis=1)[:, : args.count]
             _write_csv(args.out, ["index", "mu_effective", "mu_magnetic_pair", "abs_diff"],
                        [[i, a, b, abs(a - b)] for i, (a, b) in enumerate(doubled.T, start=1)])
-            print(f"wrote {args.out}; spectral distance {res.spectral_distance:.3e}")
+            print(f"wrote {args.out}; spectral distance {distance:.3e}")
             return 0
         if args.verb == "dump-clifford":
             try:

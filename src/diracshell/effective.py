@@ -32,8 +32,10 @@ operator by construction, its one-form -kappa*a_3 written into the blocks.
 from AUTO_NS_START until the lowest values stop moving, up to its cap.
 The reference converges spectrally, so on smooth curves this stops far
 below the cap (256 on ellipse(2,1), 128 on the circle, where it is exact).
-The module writes no file: ``diracshell effective-spectrum`` writes the
-eigenvalues ``gauge_transform_check`` returns.
+The module writes no file: ``diracshell effective-spectrum`` solves the
+spin-up and magnetic blocks it writes through ``effective_eigenvalues``.
+``gauge_transform_check`` only checks the splitting; no result is read
+from it.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ AUTO_NS_CAP = 1024
 AUTO_RTOL = 1e-10
 # smallest n_s an effective assembly accepts; see checked_ns
 MIN_NS = 16
+# gauge_transform_check compares this many lowest values of the two blocks
+GAUGE_CHECK_COUNT = 4
 
 
 def checked_ns(n_s: int) -> int:
@@ -161,13 +165,13 @@ def magnetic_circle_spectrum(radius: float, count: int) -> np.ndarray:
 
 
 def effective_eigenvalues(assembly: EffectiveFormAssembly, count: int) -> SpectrumResult:
-    """The block's ``count`` lowest eigenvalues and their residuals, ascending, from the dense oracle.
+    """The block's ``count`` lowest eigenpairs and their residuals, ascending, from the dense oracle.
 
-    The result holds no eigenvectors.  A block that fails the oracle's
-    hermiticity check raises ValueError.
+    The oracle's result as it is: ``vectors`` holds the block eigenvectors,
+    one column per value.  A block that fails the oracle's hermiticity
+    check raises ValueError.
     """
-    res = dense_hermitian_eig(assembly.pencil.a, count=count)
-    return SpectrumResult(eigenvalues=res.eigenvalues, residuals=res.residuals, iterations=0)
+    return dense_hermitian_eig(assembly.pencil.a, count=count)
 
 
 @dataclass(frozen=True)
@@ -208,19 +212,17 @@ def converged_eigenvalues(curve: CurveSpec, count: int, cap: int | None = None) 
 
 @dataclass(frozen=True)
 class GaugeCheckResult:
+    """The three observables of ``gauge_transform_check``; the values it compares are not kept."""
+
     spectral_distance: float
     phase_residual: float
     similarity_residual: float
-    eigenvalues_effective: np.ndarray   # the spin-up block's count lowest
-    eigenvalues_magnetic: np.ndarray    # the magnetic block's count lowest
 
 
-def gauge_transform_check(
-    curve: CurveSpec, n_s: int, count: int = 4, coupling: float = DEFAULT_COUPLING
-) -> GaugeCheckResult:
+def gauge_transform_check(curve: CurveSpec, n_s: int, coupling: float = DEFAULT_COUPLING) -> GaugeCheckResult:
     """Three observables of the splitting into two scalar magnetic copies.
 
-    1. max distance between the lowest ``count`` eigenvalues of the
+    1. max distance between the GAUGE_CHECK_COUNT lowest eigenvalues of the
        spin-up block and of the magnetic block (spectral Galerkin for both);
     2. the periodicity defect of the gauge phase, |V(L)|, which vanishes
        with the total-curvature identity;
@@ -235,8 +237,8 @@ def gauge_transform_check(
     """
     eff = assemble_effective(curve, n_s, scheme="fourier", coupling=coupling)
     mag = assemble_magnetic(curve, n_s, scheme="fourier")
-    mu_eff = effective_eigenvalues(eff, count).eigenvalues
-    mu_mag = effective_eigenvalues(mag, count).eigenvalues
+    mu_eff = effective_eigenvalues(eff, GAUGE_CHECK_COUNT).eigenvalues
+    mu_mag = effective_eigenvalues(mag, GAUGE_CHECK_COUNT).eigenvalues
     distance = float(np.abs(mu_eff - mu_mag).max())
 
     total = curve.total_curvature()
@@ -262,7 +264,5 @@ def gauge_transform_check(
         spectral_distance=distance,
         phase_residual=float(phase_residual),
         similarity_residual=similarity,
-        eigenvalues_effective=mu_eff,
-        eigenvalues_magnetic=mu_mag,
     )
 

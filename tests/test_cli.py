@@ -21,7 +21,7 @@ from diracshell.cli import (
     run_sweep,
 )
 from diracshell.clifford import build_clifford
-from diracshell.effective import AUTO_RTOL, assemble_effective, effective_eigenvalues, gauge_transform_check
+from diracshell.effective import AUTO_RTOL, assemble_effective, assemble_magnetic, effective_eigenvalues
 from diracshell.eigsolve import DENSE_DIM_LIMIT, EigensolveError, dense_hermitian_eig
 from diracshell.geometry import curve_from_json, shell_metric
 from diracshell.shell import MAX_COUNT, MAX_DOF, MIN_NS, MIN_NT, assemble_shell, ladder_shift, lowest_eigenvalues
@@ -580,19 +580,37 @@ def test_main_effective_spectrum(tmp_path):
 
 
 def test_effective_csv_cells_are_the_checked_eigenvalues(tmp_path):
-    # every value cell is a plain float: the gauge_transform_check eigenvalue it came from, never np.float64(...)
+    # every value cell is a plain float: the block eigenvalue it came from, never np.float64(...)
     out = tmp_path / "eff.csv"
     assert main(["effective-spectrum", "--curve", CIRCLE, "--ns", "128", "--count", "6", "--out", str(out)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["index", "mu_effective", "mu_magnetic_pair", "abs_diff"]
     assert len(rows) == 7
-    # each row pair holds one block value of each operator
-    res = gauge_transform_check(curve_from_json(SMALL["curve"]), 128, count=3)
-    for i, (index, mu_eff, mu_mag, diff) in enumerate(rows[1:]):
-        a, b = res.eigenvalues_effective[i // 2], res.eigenvalues_magnetic[i // 2]
+    # each row pair holds one value of each block, solved directly
+    curve = curve_from_json(SMALL["curve"])
+    mu_eff = effective_eigenvalues(assemble_effective(curve, 128), 3).eigenvalues
+    mu_mag = effective_eigenvalues(assemble_magnetic(curve, 128), 3).eigenvalues
+    for i, (index, cell_eff, cell_mag, diff) in enumerate(rows[1:]):
+        a, b = mu_eff[i // 2], mu_mag[i // 2]
         assert int(index) == i + 1
-        assert (float(mu_eff), float(mu_mag), float(diff)) == (a, b, abs(a - b))
-    assert max(float(row[3]) for row in rows[1:]) == res.spectral_distance <= 1e-8
+        assert (float(cell_eff), float(cell_mag), float(diff)) == (a, b, abs(a - b))
+    assert max(float(row[3]) for row in rows[1:]) == float(np.abs(mu_eff - mu_mag).max()) <= 1e-8
+
+
+def test_effective_spectrum_runs_no_gauge_check(tmp_path, monkeypatch, capsys):
+    # the verb solves the two blocks it writes; the link scheme, which only the
+    # gauge check assembles, is never built, and the CSV and its line stay the same
+    argv = ["effective-spectrum", "--curve", CIRCLE, "--ns", "64", "--count", "4", "--out"]
+    assert main([*argv, str(tmp_path / "plain.csv")]) == 0
+    plain = capsys.readouterr().out
+
+    def no_link(*args, **kwargs):
+        raise AssertionError("effective-spectrum assembled the link scheme")
+
+    monkeypatch.setattr(effective, "_link_block", no_link)
+    assert main([*argv, str(tmp_path / "patched.csv")]) == 0
+    assert capsys.readouterr().out == plain.replace("plain.csv", "patched.csv")
+    assert (tmp_path / "patched.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_effective_spectrum_names_the_curve_that_is_not_closed(capsys):
@@ -699,18 +717,20 @@ def test_curve_out_of_double_range_is_a_config_error(verb, curve, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("length, eff_ns", [(1e-300, "auto"), (1e-152, "auto"), (1e-300, 64)])
+@pytest.mark.parametrize("length, eff_ns", [(1e-300, "auto"), (1e-152, "auto"), (1e-300, 64), (1e-100, "auto")])
 def test_strip_too_short_for_the_reference_is_a_config_error(length, eff_ns, tmp_path, monkeypatch, capsys):
-    # the reference's largest mode (pi*cap/L)^2 overflows, so the sweep exits 2 naming
-    # the length and the cap before any solve, never a traceback, and writes nothing
+    # the reference's largest mode (pi*cap/L)^2 overflows, or at 1e-100 its square
+    # does (the residual norm squares it), so the sweep exits 2 naming the length
+    # and the cap before any solve, never a traceback, and writes nothing
     monkeypatch.chdir(tmp_path)
     config = {"curve": {"kind": "strip", "length": length}, "eps": [0.1, 0.07, 0.05], "ns": 32, "count": 2,
               "eff_ns": eff_ns}
     (tmp_path / "job.json").write_text(json.dumps(config))
     assert main(["sweep", "--config", "job.json", "--out", "out"]) == 2
     cap = effective.AUTO_NS_CAP if eff_ns == "auto" else eff_ns
+    rule = "= 1.03e+207 squared is not a finite float" if length == 1e-100 else "overflows"
     assert capsys.readouterr().err == (f"config error: curve length {length!r} is too short: the effective "
-                                       f"reference's largest mode (pi*{cap}/L)^2 overflows\n")
+                                       f"reference's largest mode (pi*{cap}/L)^2 {rule}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
 
 
@@ -750,7 +770,7 @@ def test_main_bad_option_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
         raise AssertionError("the effective reference was computed for a bad option")
 
     monkeypatch.setattr(cli, "converged_eigenvalues", no_solve)
-    monkeypatch.setattr(cli, "gauge_transform_check", no_solve)
+    monkeypatch.setattr(cli, "effective_eigenvalues", no_solve)
     config = tmp_path / "job.json"
     config.write_text(json.dumps({**SMALL, "curve": 5}))
     monkeypatch.chdir(tmp_path)

@@ -113,6 +113,17 @@ def test_lowest_values_match_full_dense_spectrum(request, scheme, curve_name):
                 assert np.abs(np.repeat(res.eigenvalues, 2) - c2[: 2 * count]).max() <= scale
 
 
+def test_effective_eigenvalues_keeps_the_oracle_vectors(ellipse):
+    # one block eigenvector per value, each giving the residual the oracle reports for it
+    asm = assemble_effective(ellipse, 128)
+    res = effective_eigenvalues(asm, 3)
+    assert res.vectors.shape == (127, 3)
+    a, vecs = asm.pencil.a, res.vectors
+    again = np.linalg.norm(a @ vecs - vecs * res.eigenvalues[None, :], axis=0) / np.linalg.norm(vecs, axis=0)
+    assert np.array_equal(again, res.residuals)
+    assert res.residuals.max() <= 1e-9 * np.abs(res.eigenvalues).max()
+
+
 def test_converged_reference_stops_at_128_on_the_circle(circle):
     # the Fourier reference is exact on the circle: 64 and 128 agree to rounding
     ref = converged_eigenvalues(circle, 2)

@@ -135,6 +135,22 @@ def test_only_cli_knows_file_formats():
     assert [entry for entry in imports if not entry.startswith("cli: ")] == []
 
 
+def test_only_checks_calls_a_check():
+    # a function named *_check checks; no producer path outside the checks
+    # module takes a result from one
+    package = pathlib.Path(diracshell.__file__).parent
+    calls = []
+    for name in MODULES:
+        if name == "checks":
+            continue
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called and called.endswith("_check"):
+                    calls.append(f"{name}: {called}")
+    assert calls == []
+
+
 def test_cli_import_loads_only_the_scipy_it_uses():
     # every run pays its imports before it starts (the bench's setup_s):
     # scipy.optimize alone takes about 0.25-0.35 s to import on a 2-core x86-64
