@@ -564,7 +564,11 @@ def main(argv=None) -> int:
                 raise ConfigError("--m: masses must be finite and nonnegative")
             if args.bands < 1:
                 raise ConfigError("--bands must be >= 1")
-            _write_csv(args.out, ["m", "p", "k", "E", "N"], transverse.transverse_table(ms, range(1, args.bands + 1)))
+            try:
+                rows = transverse.transverse_table(ms, range(1, args.bands + 1))
+            except ArithmeticError as exc:  # a normalization out of double range
+                raise ConfigError(f"--m: {exc}") from exc
+            _write_csv(args.out, ["m", "p", "k", "E", "N"], rows)
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":

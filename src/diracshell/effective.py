@@ -32,10 +32,10 @@ operator by construction, its one-form -kappa*a_3 written into the blocks.
 from AUTO_NS_START until the lowest values stop moving, up to its cap.
 The reference converges spectrally, so on smooth curves this stops far
 below the cap (256 on ellipse(2,1), 128 on the circle, where it is exact).
-The module writes no file: ``diracshell effective-spectrum`` solves the
-spin-up and magnetic blocks it writes through ``effective_eigenvalues``.
-``gauge_transform_check`` only checks the splitting; no result is read
-from it.
+The module writes no file and makes no comparison: ``diracshell
+effective-spectrum`` solves the spin-up and magnetic blocks it writes
+through ``effective_eigenvalues``, and the ``gauge-equivalence`` entry of
+``checks`` compares the blocks and tests the link scheme's splitting.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "ConvergedReference",
     "converged_eigenvalues",
     "checked_ns",
-    "gauge_transform_check",
     "magnetic_circle_spectrum",
 ]
 
@@ -70,8 +69,6 @@ AUTO_NS_CAP = 1024
 AUTO_RTOL = 1e-10
 # smallest n_s an effective assembly accepts; see checked_ns
 MIN_NS = 16
-# gauge_transform_check compares this many lowest values of the two blocks
-GAUGE_CHECK_COUNT = 4
 
 
 def checked_ns(n_s: int) -> int:
@@ -208,61 +205,3 @@ def converged_eigenvalues(curve: CurveSpec, count: int, cap: int | None = None) 
         if converged or 2 * n_s > cap:
             return ConvergedReference(mu[:count], n_s, cap, err, converged, float(res.residuals[:count].max()))
         prev, n_s = mu, 2 * n_s
-
-
-@dataclass(frozen=True)
-class GaugeCheckResult:
-    """The three observables of ``gauge_transform_check``; the values it compares are not kept."""
-
-    spectral_distance: float
-    phase_residual: float
-    similarity_residual: float
-
-
-def gauge_transform_check(curve: CurveSpec, n_s: int, coupling: float = DEFAULT_COUPLING) -> GaugeCheckResult:
-    """Three observables of the splitting into two scalar magnetic copies.
-
-    1. max distance between the GAUGE_CHECK_COUNT lowest eigenvalues of the
-       spin-up block and of the magnetic block (spectral Galerkin for both);
-    2. the periodicity defect of the gauge phase, |V(L)|, which vanishes
-       with the total-curvature identity;
-    3. the matrix identity for the link scheme: conjugating the spin-up
-       and spin-down blocks by the accumulated link-phase gauge must
-       reproduce the magnetic matrix and its conjugate entrywise.  It is
-       exact only as far as the midpoint sum of kappa(mid_i)*h closes to
-       -2*pi; otherwise the wrap-around link keeps that phase defect.  The
-       similarity residual is about 1e-15 on ellipse(2,1) at n_s 256 and
-       512, but 5.06e-9 on ellipse(4,1) at n_s=256 (the sum misses -2*pi
-       by 5.6e-8 there) and 1.1e-15 at 512.
-    """
-    eff = assemble_effective(curve, n_s, scheme="fourier", coupling=coupling)
-    mag = assemble_magnetic(curve, n_s, scheme="fourier")
-    mu_eff = effective_eigenvalues(eff, GAUGE_CHECK_COUNT).eigenvalues
-    mu_mag = effective_eigenvalues(mag, GAUGE_CHECK_COUNT).eigenvalues
-    distance = float(np.abs(mu_eff - mu_mag).max())
-
-    total = curve.total_curvature()
-    phase_residual = abs(coupling * (total + 2.0 * math.pi))
-
-    # exact discrete identity on the link scheme
-    up = assemble_effective(curve, n_s, scheme="link", coupling=coupling).pencil.a
-    down = assemble_effective(curve, n_s, scheme="link", coupling=-coupling).pencil.a
-    mag_link = assemble_magnetic(curve, n_s, scheme="link").pencil.a
-    h = curve.length / n_s
-    angles = curve.curvature((np.arange(n_s) + 0.5) * h) * h
-    # accumulated gauge phases: V_{i+1} - V_i = coupling*(I_i + 2*pi*h/L), with
-    # I_i = kappa(mid_i)*h the midpoint link integral of kappa
-    incr = coupling * (angles + 2.0 * math.pi * h / curve.length)
-    v = np.cumsum(np.append(0.0, incr[:-1]))
-    # D^H M D with D = diag(phase), as row and column phase factors
-    phase = np.exp(-1.0j * v)
-    sim_up = np.abs(phase.conj()[:, None] * up * phase[None, :] - mag_link).max()
-    sim_down = np.abs(phase[:, None] * down * phase.conj()[None, :] - mag_link.conj()).max()
-    # rounding floor scales with the 1/h^2 hopping entries, so normalize
-    similarity = float(max(sim_up, sim_down) / max(1.0, np.abs(mag_link).max()))
-    return GaugeCheckResult(
-        spectral_distance=distance,
-        phase_residual=float(phase_residual),
-        similarity_residual=similarity,
-    )
-

@@ -163,8 +163,11 @@ def inertia(pencil: HermitianPencil, sigma: float):
     column permutations agree, P M P^T = L D L^H, so by Sylvester's law the
     negative entries of D, the diagonal of U, count the eigenvalues of the
     pencil below sigma (spectrum slicing).  A pivot taken off the diagonal
-    or a singular pivot raises EigensolveError.
+    or a singular pivot raises EigensolveError, and a pencil without B
+    (the dense oracle's standard problem) ValueError.
     """
+    if pencil.b is None:
+        raise ValueError("inertia needs the pencil's B; a standard pencil passes the identity")
     shifted = pencil.a - sigma * pencil.b
     try:
         lu = spla.splu(sp.csc_matrix(shifted), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -197,8 +200,8 @@ def shift_invert_smallest(pencil: HermitianPencil, count: int, shifts: list[floa
     The result holds no eigenvectors; its ``iterations`` counts the
     applications of OP, which repeat exactly for a fixed seed,
     ``factorizations`` the shifts factored and ``factor_s`` the seconds
-    spent in those ``inertia`` calls.  An empty ``shifts`` raises
-    ValueError; EigensolveError is raised when no shift can be certified,
+    spent in those ``inertia`` calls.  An empty ``shifts`` or a pencil
+    without B raises ValueError; EigensolveError is raised when no shift can be certified,
     when ARPACK does not converge, or when a residual exceeds RESIDUAL_TOL.
     """
     dim = pencil.dim

@@ -6,8 +6,9 @@ boundary constraint -i a_{n+1} Gamma(x) f(+-1) = +-f(+-1).  Its spectrum
 is {+-E_p(m)} with E_p = sqrt(m^2 + k_p^2) and k_p the unique root of
 m sin(2k) + k cos(2k) = 0 in [(2p-1)pi/4, p*pi/2].
 
-Eigenmodes are trigonometric, so every integral here uses a fixed
-64-node Gauss-Legendre rule on (-1, 1).
+The module holds closed forms only: momenta, energies, levels, the
+normalization and the explicit eigenmodes.  ``checks`` integrates them and
+compares them with the operator.
 """
 
 from __future__ import annotations
@@ -29,18 +30,8 @@ __all__ = [
     "normalization",
     "TransverseMode",
     "mode",
-    "quadratic_form_identity_check",
-    "mode_perturbation_check",
     "transverse_table",
-    "gauss_legendre",
 ]
-
-_GL64 = np.polynomial.legendre.leggauss(64)
-
-
-def gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 64-node rule on (-1, 1)."""
-    return _GL64
 
 
 def secular(k: float, m: float) -> float:
@@ -119,10 +110,15 @@ def normalization(m: float, p: int) -> float:
 
     This closed form makes the explicit eigenmodes L^2-normalized on
     (-1, 1); at m = 0 it reduces to 1/(2 E_p), i.e. 2/pi for the first band.
+    Raises OverflowError where 2 N^-2, about 4 E_p(m)^2, leaves double range
+    (m from about 6.7e153 on): 1/sqrt would return 0.0 there in place of
+    N ~ 1/(2m).
     """
     k = solve_k(m, p)
     e2 = m * m + k * k
     val = 2.0 * e2 - m * m * math.sin(4.0 * k) / (2.0 * k) + m * math.sin(2.0 * k) ** 2
+    if not math.isfinite(2.0 * val):
+        raise OverflowError(f"normalization at m={m!r}, p={p}: 4 E_p(m)^2 is not a finite float")
     return 1.0 / math.sqrt(2.0 * val)
 
 
@@ -185,66 +181,6 @@ def mode(fam: CliffordFamily, x: np.ndarray, m: float, p: int, j: int, sign: int
         )
 
     return TransverseMode(E=E, profile=profile, derivative=derivative)
-
-
-def boundary_residual(fam: CliffordFamily, x: np.ndarray, f: Callable) -> float:
-    """Max-norm violation of -i a_{n+1} Gamma(x) f(+-1) = +- f(+-1)."""
-    bmat = -1.0j * fam.alpha_last @ gamma(fam, x).gamma
-    res = 0.0
-    for t, sgn in ((1.0, +1.0), (-1.0, -1.0)):
-        val = np.atleast_2d(f(np.array([t])))[0]
-        res = max(res, float(np.abs(bmat @ val - sgn * val).max()))
-    return res
-
-
-def quadratic_form_identity_check(
-    fam: CliffordFamily, x: np.ndarray, m: float, f: Callable, fprime: Callable
-) -> tuple[float, float]:
-    """Both sides of ||T f||^2 = ||f'||^2 + m^2 ||f||^2 + m(|f(1)|^2 + |f(-1)|^2).
-
-    f and fprime map t-arrays to spinor samples of shape (len(t), N); f must
-    satisfy the boundary constraint to within 1e-8.
-    """
-    if boundary_residual(fam, x, f) > 1e-8:
-        raise ValueError("spinor violates the boundary constraint")
-    nodes, weights = _GL64
-    gx = gamma(fam, x).gamma
-    fv = f(nodes)
-    dv = fprime(nodes)
-    tf = (-1.0j) * dv @ gx.T + m * fv @ fam.alpha_last.T
-    lhs = float(weights @ np.sum(np.abs(tf) ** 2, axis=1))
-    rhs = float(
-        weights @ np.sum(np.abs(dv) ** 2, axis=1)
-        + m * m * (weights @ np.sum(np.abs(fv) ** 2, axis=1))
-    )
-    for t in (1.0, -1.0):
-        val = np.atleast_2d(f(np.array([t])))[0]
-        rhs += m * float(np.sum(np.abs(val) ** 2))
-    return lhs, rhs
-
-
-def mode_perturbation_check(fam: CliffordFamily, x: np.ndarray, deltas) -> dict:
-    """Sup-norm distances ||phi^delta - phi^0||_inf and their log-log slope.
-
-    The distances of the first plus-mode (p = j = 1, on 1001 points of
-    [-1, 1]) scale linearly in delta; the fitted growth order over the
-    given delta grid is returned alongside the table.
-    """
-    deltas = [float(d) for d in deltas]
-    t = np.linspace(-1.0, 1.0, 1001)
-    base = mode(fam, x, 0.0, 1, 1, +1).profile(t)
-    distances = []
-    for d in deltas:
-        pert = mode(fam, x, d, 1, 1, +1).profile(t)
-        distances.append(float(np.linalg.norm(pert - base, axis=1).max()))
-    positive = [(d, v) for d, v in zip(deltas, distances) if d > 0 and v > 0]
-    if len(positive) >= 2:
-        ld = np.log([d for d, _ in positive])
-        lv = np.log([v for _, v in positive])
-        order = float(np.polyfit(ld, lv, 1)[0])
-    else:
-        order = math.nan
-    return {"deltas": deltas, "distances": distances, "order": order}
 
 
 def transverse_table(ms, ps) -> list[tuple[float, int, float, float, float]]:

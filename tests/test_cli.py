@@ -569,6 +569,20 @@ def test_main_transverse_table(tmp_path):
     assert float(first[2]) == math.pi / 4.0
 
 
+def test_transverse_table_normalization_out_of_double_range_is_a_config_error(tmp_path, capsys):
+    # N = 1/sqrt(2*val) with 2*val about 4 E_1(m)^2, which overflows for m = 1e200:
+    # the verb exits 2 naming the mass and writes nothing, never N = 0.0
+    out = tmp_path / "tt.csv"
+    assert main(["transverse-table", "--m", "0,1e200", "--bands", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --m: normalization at m=1e+200, p=1: 4 E_p(m)^2 is not a finite float\n")
+    assert not out.exists()
+    # at m = 1e150, 4 E^2 = 4e300 is finite and N is 1/(2m)
+    assert main(["transverse-table", "--m", "1e150", "--bands", "1", "--out", str(out)]) == 0
+    n = float(out.read_text().splitlines()[1].split(",")[4])
+    assert abs(n - 1.0 / (2.0 * 1e150)) <= 1e-15 * n
+
+
 def test_main_effective_spectrum(tmp_path):
     out = tmp_path / "eff.csv"
     code = main(

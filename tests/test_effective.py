@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracshell import effective
+from diracshell import checks, effective
 from diracshell.effective import (
     AUTO_RTOL,
     DEFAULT_COUPLING,
@@ -12,7 +12,6 @@ from diracshell.effective import (
     assemble_magnetic,
     converged_eigenvalues,
     effective_eigenvalues,
-    gauge_transform_check,
     magnetic_circle_spectrum,
 )
 from diracshell.eigsolve import HermitianPencil, dense_hermitian_eig
@@ -165,21 +164,21 @@ def test_converged_reference_not_converged_at_the_cap(ellipse, monkeypatch):
 
 def test_effective_agrees_with_doubled_magnetic(circle, ellipse):
     for curve, tol in ((circle, 1e-6), (ellipse, 1e-5)):
-        res = gauge_transform_check(curve, 512)
-        assert res.spectral_distance <= tol
-        assert res.phase_residual <= 1e-8
-        assert res.similarity_residual <= 1e-12
+        spectral, phase, similarity = checks._gauge_observables(curve, 512)
+        assert spectral <= tol
+        assert phase <= 1e-8
+        assert similarity <= 1e-12
 
 
 def test_phase_periodicity_uses_total_curvature(wobble):
-    res = gauge_transform_check(wobble, 128)
-    assert res.phase_residual <= 1e-8
+    _, phase, _ = checks._gauge_observables(wobble, 128)
+    assert phase <= 1e-8
 
 
 def test_coupling_tamper_breaks_gauge(ellipse):
     # negative control: any coupling other than the derived one must fail
-    res = gauge_transform_check(ellipse, 128, coupling=0.30)
-    assert res.spectral_distance > 1e-3
+    spectral, _, _ = checks._gauge_observables(ellipse, 128, coupling=0.30)
+    assert spectral > 1e-3
 
 
 def test_link_scheme_convergence_order(ellipse):
@@ -194,8 +193,8 @@ def test_link_scheme_convergence_order(ellipse):
 
 
 def test_link_scheme_gauge_similarity_exact(wobble):
-    res = gauge_transform_check(wobble, 256)
-    assert res.similarity_residual <= 1e-12
+    _, _, similarity = checks._gauge_observables(wobble, 256)
+    assert similarity <= 1e-12
 
 
 def _link_block_by_links(link_angles, potential, h):

@@ -256,6 +256,16 @@ def test_inertia_rejects_a_near_singular_pivot():
         inertia(standard(sp.diags([1.0, 1e-14, 2.0]).tocsr().astype(complex)), 0.0)
 
 
+def test_a_pencil_without_b_is_refused_before_any_factor():
+    # B None is the dense oracle's standard problem; the sparse routines need B
+    # and say so, rather than failing inside A - sigma*B with a TypeError
+    pen = HermitianPencil.make(sp.diags(np.arange(1.0, 33.0)).tocsc().astype(complex))
+    with pytest.raises(ValueError, match="needs the pencil's B"):
+        inertia(pen, 0.5)
+    with pytest.raises(ValueError, match="needs the pencil's B"):
+        shift_invert_smallest(pen, 2, [0.5])
+
+
 def test_shift_invert_moves_past_a_refused_factor():
     # a shift on an eigenvalue of diag(1..32) has an exactly singular factor: the
     # next shift is tried; when every shift is refused, the error says why

@@ -151,6 +151,20 @@ def test_only_checks_calls_a_check():
     assert calls == []
 
 
+def test_only_checks_defines_a_check():
+    # every comparison lives in the checks module: no other module defines a
+    # function named *_check
+    package = pathlib.Path(diracshell.__file__).parent
+    defined = []
+    for name in MODULES:
+        if name == "checks":
+            continue
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("_check"):
+                defined.append(f"{name}: {node.name}")
+    assert defined == []
+
+
 def test_cli_import_loads_only_the_scipy_it_uses():
     # every run pays its imports before it starts (the bench's setup_s):
     # scipy.optimize alone takes about 0.25-0.35 s to import on a 2-core x86-64

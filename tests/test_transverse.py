@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracshell import checks
 from diracshell.clifford import gamma
 from diracshell.transverse import (
-    boundary_residual,
     bracket,
     energy,
-    gauss_legendre,
     k1_series,
     level,
     mode,
-    mode_perturbation_check,
     normalization,
-    quadratic_form_identity_check,
     secular,
     solve_k,
     transverse_table,
@@ -127,12 +124,12 @@ def test_normalization_closed_forms():
 def test_modes_normalized_and_admissible(fam2, m, p, sign):
     # 64-node Gauss-Legendre quadrature oracle
     x = np.array([0.6, 0.8])
-    nodes, weights = gauss_legendre()
+    nodes, weights = checks._GL64
     md = mode(fam2, x, m, p, 1, sign)
     vals = md.profile(nodes)
     norm = weights @ np.sum(np.abs(vals) ** 2, axis=1)
     assert abs(norm - 1.0) <= 1e-10
-    assert boundary_residual(fam2, x, md.profile) <= 1e-10
+    assert checks._boundary_residual(fam2, x, md.profile) <= 1e-10
     assert md.E == energy(m, p)
 
 
@@ -161,7 +158,7 @@ def test_eigenspace_orthonormal_basis(fam3):
     # Gram matrix of the N modes of band p within 1e-10 of the identity
     x = np.array([1.0, 2.0, -0.5])
     x /= np.linalg.norm(x)
-    nodes, weights = gauss_legendre()
+    nodes, weights = checks._GL64
     mods = [mode(fam3, x, 0.3, 1, j, sgn) for sgn in (+1, -1) for j in (1, 2)]
     gram = np.zeros((4, 4), dtype=complex)
     for a, ma in enumerate(mods):
@@ -173,7 +170,7 @@ def test_eigenspace_orthonormal_basis(fam3):
 
 def test_plus_minus_orthogonality(fam2):
     x = np.array([0.0, 1.0])
-    nodes, weights = gauss_legendre()
+    nodes, weights = checks._GL64
     plus = mode(fam2, x, 0.0, 1, 1, +1).profile(nodes)
     minus = mode(fam2, x, 0.0, 1, 1, -1).profile(nodes)
     inner = weights @ np.sum(plus.conj() * minus, axis=1)
@@ -193,7 +190,7 @@ def test_form_identity_on_eigenmode(fam2):
     x = np.array([0.6, 0.8])
     m = 0.25
     md = mode(fam2, x, m, 1, 1, +1)
-    lhs, rhs = quadratic_form_identity_check(fam2, x, m, md.profile, md.derivative)
+    lhs, rhs = checks._form_identity_sides(fam2, x, m, md.profile, md.derivative)
     assert lhs == pytest.approx(md.E**2, abs=1e-12)
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + lhs)
 
@@ -201,7 +198,7 @@ def test_form_identity_on_eigenmode(fam2):
 def test_form_identity_zero_mass(fam2):
     x = np.array([0.6, 0.8])
     md = mode(fam2, x, 0.0, 1, 1, +1)
-    lhs, rhs = quadratic_form_identity_check(fam2, x, 0.0, md.profile, md.derivative)
+    lhs, rhs = checks._form_identity_sides(fam2, x, 0.0, md.profile, md.derivative)
     assert lhs == pytest.approx(math.pi**2 / 16.0, abs=1e-13)
     assert rhs == pytest.approx(math.pi**2 / 16.0, abs=1e-13)
 
@@ -214,7 +211,7 @@ def test_form_identity_random_combinations(fam2, rng):
         cs = rng.standard_normal(len(mods)) + 1j * rng.standard_normal(len(mods))
         f = lambda t: sum(c * md.profile(t) for c, md in zip(cs, mods))
         fp = lambda t: sum(c * md.derivative(t) for c, md in zip(cs, mods))
-        lhs, rhs = quadratic_form_identity_check(fam2, x, m, f, fp)
+        lhs, rhs = checks._form_identity_sides(fam2, x, m, f, fp)
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + lhs)
 
 
@@ -223,17 +220,15 @@ def test_form_identity_rejects_bad_boundary(fam2):
     f = lambda t: np.stack([np.cos(t), np.zeros_like(t)], axis=-1).astype(complex)
     fp = lambda t: np.stack([-np.sin(t), np.zeros_like(t)], axis=-1).astype(complex)
     with pytest.raises(ValueError):
-        quadratic_form_identity_check(fam2, x, 0.1, f, fp)
+        checks._form_identity_sides(fam2, x, 0.1, f, fp)
 
 
-def test_mode_perturbation_linear(fam2):
-    # dense t-sampling oracle (1001 points) and doubling-ratio oracle
-    x = np.array([0.0, 1.0])
-    rep = mode_perturbation_check(fam2, x, [0.0, 0.01, 0.02, 0.04])
-    assert rep["distances"][0] == 0.0
-    assert 0.95 <= rep["order"] <= 1.2
-    ratio = rep["distances"][2] / rep["distances"][1]
-    assert 1.8 <= ratio <= 2.2
+def test_mode_perturbation_linear():
+    # dense t-sampling oracle (1001 points) and doubling-ratio oracle, both
+    # in the registry entry, which passes iff 0.95 <= order <= 1.2 and the
+    # doubling ratio lies in [1.8, 2.2]
+    res = checks.check_mode_perturbation()
+    assert res.passed, res.detail
 
 
 def test_transverse_table_rows():
