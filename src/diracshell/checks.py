@@ -1,24 +1,27 @@
 """The criterion registry behind the ``check`` verb and the acceptance tests.
 
 Each entry of ``REGISTRY`` is a zero-argument function returning a
-CheckResult.  An entry owns its parameters (seeds, grids), its numeric
-bounds and, where it has one, its wall-time budget; ``run_all`` executes
-the registry in order for ``diracshell check``, and the acceptance tests
-run the same entries, both printing one ``format_result`` line each.  The
-entries cover the package's defining identities: exact anticommutators,
-secular root residuals, quadrature normalization, gauge equivalence of the
-effective operator, sandwich ordering of the bracketing forms, and the
-cross-check of the production shift-invert solver against the dense
-oracle.  The transverse spectra of the intertwining entry come from that
-same certified shift-invert solver, handed the one shift -1 (the
-transverse form is positive), with an inertia cut below the top returned
-value; a unit test checks them against the dense oracle.
+CheckResult, declared once: ``@_entry`` appends it to the registry where
+it is defined, so the registry runs in definition order.  An entry owns
+its parameters (seeds, grids), its numeric bounds and, where it has one,
+its wall-time budget; ``run_all`` executes the registry in order for
+``diracshell check``, and the acceptance tests run the same entries, both
+printing one ``format_result`` line each.  The entries cover the package's
+defining identities: exact anticommutators, secular root residuals,
+quadrature normalization, gauge equivalence of the effective operator,
+sandwich ordering of the bracketing forms, and the cross-check of the
+production shift-invert solver against the dense oracle.  The transverse
+spectra of the intertwining entry come from that same certified
+shift-invert solver, handed the one shift -1 (the transverse form is
+positive), and are certified from above by ``eigsolve.certify_cut``; a
+unit test checks them against the dense oracle.
 
 This is the one module that makes a comparison.  ``effective`` and
 ``transverse`` hold the operators, their discretizations and closed forms;
 the quadrature rule, the boundary residual, both sides of the transverse
 form identity and the gauge observables are private helpers here, read by
-the entries alone.
+the entries alone.  It reads no pivot: both inertia certificates are
+``eigsolve``'s.
 """
 
 from __future__ import annotations
@@ -56,8 +59,13 @@ def format_result(res: CheckResult) -> str:
     return f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}"
 
 
+# every entry in definition order, appended by ``_entry``; ``run_all`` reads
+# the list at call time, so a caller may replace it
+REGISTRY: list[Callable[[], CheckResult]] = []
+
+
 def _entry(name: str, budget_s: float | None = None):
-    """Make a function returning (passed, detail) the registry entry ``name``.
+    """Make a function returning (passed, detail) the registry entry ``name``, appended to ``REGISTRY``.
 
     The entry returns a CheckResult named ``name`` that carries its wall
     time in ``seconds``.  A function that raises
@@ -84,6 +92,7 @@ def _entry(name: str, budget_s: float | None = None):
             return CheckResult(name=name, passed=bool(passed), detail=detail, seconds=elapsed)
 
         entry.suite = name
+        REGISTRY.append(entry)
         return entry
 
     return wrap
@@ -278,23 +287,6 @@ def _transverse_pencil(fam, x, m: float):
     return (zh @ a_full @ z).tocsr(), (zh @ b_full @ z).tocsr()
 
 
-def _certify_cut(pencil, values: np.ndarray) -> None:
-    """Raise EigensolveError unless no eigenvalue below the top returned one is missing.
-
-    The cut c sits just below the largest returned value v, at
-    v - 1e-6 max(1, |v|); the inertia of A - c B counts the eigenvalues
-    below c, and they must be exactly the returned values below c.  A copy
-    of a multiple eigenvalue that the solver skipped has a higher value
-    returned in its place, so the count comes out one larger.
-    """
-    top = float(values[-1])
-    cut = top - 1e-6 * max(1.0, abs(top))
-    below = eigsolve.inertia(pencil, cut)[0]
-    returned = int(np.count_nonzero(values < cut))
-    if below != returned:
-        raise eigsolve.EigensolveError(f"{below} eigenvalues below the cut {cut:g}, {returned} returned")
-
-
 def discretized_transverse_energies(fam, x, m: float, count: int) -> np.ndarray:
     """Lowest eigenvalues of the squared transverse operator on (-1, 1).
 
@@ -302,14 +294,16 @@ def discretized_transverse_energies(fam, x, m: float, count: int) -> np.ndarray:
     over spinors with the boundary constraint eliminated against the
     +-1 eigenspaces of -i a_{n+1} Gamma(x), solved by the production
     shift-invert solver (seed 0) at the one shift -1 and certified from
-    both sides: no eigenvalue below the shift, none missing below the top
-    returned one.  Raises EigensolveError when either certificate or the
-    residual gate fails; an uncertified shift fails after one factorization.
+    both sides by ``eigsolve``: no eigenvalue below the shift
+    (``shift_invert_smallest``), none missing below the top returned one
+    (``certify_cut``).  Raises EigensolveError when either certificate or
+    the residual gate fails; an uncertified shift fails after one
+    factorization.
     """
     pencil = eigsolve.HermitianPencil.make(*_transverse_pencil(fam, x, m))
     # the form is positive for m >= 0, so the one shift -1 certifies at once
     res = eigsolve.shift_invert_smallest(pencil, count, [-1.0])
-    _certify_cut(pencil, res.eigenvalues)
+    eigsolve.certify_cut(pencil, res.eigenvalues)
     return res.eigenvalues
 
 
@@ -555,28 +549,6 @@ def check_eigensolver_agreement():
     production = shell.lowest_eigenvalues(asm, 6).eigenvalues
     worst = float(np.abs(production - dense.eigenvalues).max())
     return worst <= 1e-8, f"max difference {worst:g} (shift-invert)"
-
-
-REGISTRY: list[Callable[[], CheckResult]] = [
-    check_clifford_relations,
-    check_symbol_relations,
-    check_secular_roots,
-    check_series_order,
-    check_mode_normalization,
-    check_form_identity,
-    check_mode_perturbation,
-    check_intertwining,
-    check_total_curvature,
-    check_metric_identity,
-    check_metric_sandwich,
-    check_gauge_equivalence,
-    check_magnetic_circle,
-    check_effective_degeneracy,
-    check_effective_convergence,
-    check_flat_strip,
-    check_shell_sandwich,
-    check_eigensolver_agreement,
-]
 
 
 def run_all() -> list[CheckResult]:

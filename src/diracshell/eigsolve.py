@@ -10,11 +10,13 @@ lambda = sigma + 1/nu.  The inverse is applied through a symmetric,
 unpivoted sparse LU, and the signs of that factorization's pivots are the
 inertia of A - sigma B (spectrum slicing by Sylvester's law, Parlett):
 with none negative, no eigenvalue lies below sigma, so the eigenvalues
-nearest sigma are the lowest ones and none is skipped.  A dense path
-(LAPACK via scipy, with Cholesky reduction for generalized pencils) is the
-oracle the production route is tested against; it can return the lowest
-few pairs only.  Both return the same SpectrumResult record with per-pair
-residuals ||A x - mu B x|| / ||B x||.
+nearest sigma are the lowest ones.  ``certify_cut`` is the certificate
+from above: the inertia at a cut just below the top returned value shows
+that no copy of a multiple eigenvalue was skipped.  This is the one module
+that reads a pivot.  A dense path (LAPACK via scipy, with Cholesky
+reduction for generalized pencils) is the oracle the production route is
+tested against; it can return the lowest few pairs only.  Both return the
+same SpectrumResult record with per-pair residuals ||A x - mu B x|| / ||B x||.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "dense_hermitian_eig",
     "inertia",
     "shift_invert_smallest",
+    "certify_cut",
 ]
 
 DENSE_DIM_LIMIT = 8192
@@ -265,6 +268,25 @@ def shift_invert_smallest(pencil: HermitianPencil, count: int, shifts: list[floa
         factorizations=factorizations,
         factor_s=factor_s,
     )
+
+
+def certify_cut(pencil: HermitianPencil, values: np.ndarray) -> None:
+    """Raise EigensolveError unless no eigenvalue below the top returned one is missing.
+
+    The upper certificate of a solve, the lower one being the shift
+    ``shift_invert_smallest`` certifies.  The cut c sits just below the
+    largest returned value v, at v - 1e-6 max(1, |v|); the inertia of
+    A - c B counts the eigenvalues below c, and they must be exactly the
+    returned values below c.  A copy of a multiple eigenvalue that the
+    solver skipped has a higher value returned in its place, so the count
+    comes out one larger.
+    """
+    top = float(values[-1])
+    cut = top - 1e-6 * max(1.0, abs(top))
+    below = inertia(pencil, cut)[0]
+    returned = int(np.count_nonzero(values < cut))
+    if below != returned:
+        raise EigensolveError(f"{below} eigenvalues below the cut {cut:g}, {returned} returned")
 
 
 # Nothing calls this name.  Its only reader is bench/tracer.py, which wraps

@@ -188,20 +188,32 @@ def _wavenumber(key: str, value) -> int:
     return int(k)
 
 
-def make_curve(kind: str, **params) -> CurveSpec:
-    """Factory for test geometries: circle(r), ellipse(a, b), fourier(coeffs).
+# the parameters each curve kind takes
+_CURVE_KEYS = {"circle": {"r"}, "ellipse": {"a", "b"}, "fourier": {"coeffs"}, "strip": {"length"}}
 
-    All curves are reparametrized to unit speed and stored clockwise, so
-    convex curves carry non-positive curvature; circle and ellipse are so by
-    construction.  Fourier curves are given as z(theta) = sum c_k exp(i k
-    theta) by triples (k, re, im); one whose signed area pi sum_k k |c_k|^2
-    (c_k summed per k) is positive is stored with every k negated.  They
-    are rejected if the sampled polygon self-intersects.  Every parameter is a
-    finite real number and each k an integer (an integral float such as
-    2.0 is taken as 2); anything else, a bool or a string included, raises
-    CurveError naming it.
+
+def make_curve(kind: str, **params) -> CurveSpec:
+    """Factory for test geometries: circle(r), ellipse(a, b), fourier(coeffs), strip(length).
+
+    Each kind takes exactly its own parameters (``_CURVE_KEYS``): an unknown
+    kind, a key of another kind or a missing key raises CurveError naming
+    it.  A strip is ``flat_strip``.  The closed curves are reparametrized
+    to unit speed and stored clockwise, so convex curves carry non-positive
+    curvature; circle and ellipse are so by construction.  Fourier curves
+    are given as z(theta) = sum c_k exp(i k theta) by triples (k, re, im);
+    one whose signed area pi sum_k k |c_k|^2 (c_k summed per k) is positive
+    is stored with every k negated.  They are rejected if the sampled
+    polygon self-intersects.  Every parameter is a finite real number and
+    each k an integer (an integral float such as 2.0 is taken as 2);
+    anything else, a bool or a string included, raises CurveError naming it.
     """
-    kind = kind.lower()
+    if kind not in _CURVE_KEYS:
+        raise CurveError(f"unknown curve config kind {kind!r}")
+    for what, keys in (("unknown", set(params) - _CURVE_KEYS[kind]), ("missing", _CURVE_KEYS[kind] - set(params))):
+        if keys:
+            raise CurveError(f"{what} {kind} curve config keys: " + ", ".join(sorted(keys)))
+    if kind == "strip":
+        return flat_strip(params["length"])
     if kind in ("circle", "ellipse"):
         # the circle is the ellipse with a = b = r
         keys = ("r", "r") if kind == "circle" else ("a", "b")
@@ -215,38 +227,37 @@ def make_curve(kind: str, **params) -> CurveSpec:
             ddp=lambda th: np.stack([-a * np.cos(th), b * np.sin(th)], axis=-1),
         )
         return _curve_from_parametrization(name, par)
-    if kind == "fourier":
-        coeffs = [
-            (_wavenumber(f"coeffs[{i}] k", k), _real(f"coeffs[{i}] re", re), _real(f"coeffs[{i}] im", im))
-            for i, (k, re, im) in enumerate(params["coeffs"])
-        ]
-        if not coeffs:
-            raise CurveError("fourier curve needs at least one coefficient")
-        merged = {}  # the signed area needs c_k summed per k: a config may repeat one
+    # the one kind left: fourier
+    coeffs = [
+        (_wavenumber(f"coeffs[{i}] k", k), _real(f"coeffs[{i}] re", re), _real(f"coeffs[{i}] im", im))
+        for i, (k, re, im) in enumerate(params["coeffs"])
+    ]
+    if not coeffs:
+        raise CurveError("fourier curve needs at least one coefficient")
+    merged = {}  # the signed area needs c_k summed per k: a config may repeat one
+    for k, re, im in coeffs:
+        merged[k] = merged.get(k, 0.0) + complex(re, im)
+    if sum(k * abs(c) ** 2 for k, c in merged.items()) > 0.0:  # counterclockwise: take z(-theta)
+        coeffs = [(-k, re, im) for k, re, im in coeffs]
+
+    def z(th, order):
+        th = np.asarray(th, dtype=float)
+        out = np.zeros(th.shape, dtype=complex)
         for k, re, im in coeffs:
-            merged[k] = merged.get(k, 0.0) + complex(re, im)
-        if sum(k * abs(c) ** 2 for k, c in merged.items()) > 0.0:  # counterclockwise: take z(-theta)
-            coeffs = [(-k, re, im) for k, re, im in coeffs]
+            c = complex(re, im) * (1.0j * k) ** order
+            out = out + c * np.exp(1.0j * k * th)
+        return out
 
-        def z(th, order):
-            th = np.asarray(th, dtype=float)
-            out = np.zeros(th.shape, dtype=complex)
-            for k, re, im in coeffs:
-                c = complex(re, im) * (1.0j * k) ** order
-                out = out + c * np.exp(1.0j * k * th)
-            return out
+    def as_xy(w):
+        return np.stack([w.real, w.imag], axis=-1)
 
-        def as_xy(w):
-            return np.stack([w.real, w.imag], axis=-1)
-
-        par = _Parametrization(
-            p=lambda th: as_xy(z(th, 0)),
-            dp=lambda th: as_xy(z(th, 1)),
-            ddp=lambda th: as_xy(z(th, 2)),
-        )
-        _check_simple(par)
-        return _curve_from_parametrization("fourier", par)
-    raise CurveError(f"unknown curve kind {kind!r}")
+    par = _Parametrization(
+        p=lambda th: as_xy(z(th, 0)),
+        dp=lambda th: as_xy(z(th, 1)),
+        ddp=lambda th: as_xy(z(th, 2)),
+    )
+    _check_simple(par)
+    return _curve_from_parametrization("fourier", par)
 
 
 def flat_strip(length: float) -> CurveSpec:
@@ -279,33 +290,19 @@ def flat_strip(length: float) -> CurveSpec:
     )
 
 
-# the parameters each curve config kind takes, besides "kind"
-_CURVE_KEYS = {"circle": {"r"}, "ellipse": {"a", "b"}, "fourier": {"coeffs"}, "strip": {"length"}}
-
-
 def curve_from_json(config: dict) -> CurveSpec:
     """Build a curve from a parsed {"kind": "ellipse", "a": 2.0, "b": 1.0}-style config.
 
-    Each kind takes only its own parameters (``_CURVE_KEYS``).  A config it
-    cannot build, whatever the reason, an unknown key or a value that is not
-    a dict (JSON text included: ``cli`` parses it) included, raises CurveError.
+    ``make_curve`` applies the rules of each kind.  A config it cannot
+    build, whatever the reason, a value that is not a dict (JSON text
+    included: ``cli`` parses it) included, raises CurveError.
     """
+    if not isinstance(config, dict):
+        raise CurveError(f"curve config must be a JSON object, got {config!r}")
     try:
-        if not isinstance(config, dict):
-            raise CurveError(f"curve config must be a JSON object, got {config!r}")
-        kind = config.get("kind")
-        if kind not in _CURVE_KEYS:
-            raise CurveError(f"unknown curve config kind {kind!r}")
-        unknown = sorted(map(str, set(config) - _CURVE_KEYS[kind] - {"kind"}))
-        if unknown:
-            raise CurveError(f"unknown {kind} curve config keys: " + ", ".join(unknown))
-        if kind == "strip":
-            return flat_strip(config["length"])
-        return make_curve(kind, **{k: v for k, v in config.items() if k != "kind"})
+        return make_curve(config.get("kind"), **{k: v for k, v in config.items() if k != "kind"})
     except CurveError:
         raise
-    except KeyError as exc:
-        raise CurveError(f"curve config {config!r} lacks the parameter {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CurveError(f"bad curve config {config!r}: {exc}") from exc
 

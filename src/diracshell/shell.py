@@ -440,10 +440,13 @@ def flat_strip_levels(length: float, m: float, eps: float, count: int) -> np.nda
     """Separated reference spectrum on the zero-curvature strip.
 
     Levels (2 pi q / L)^2 + E_p(m*eps)^2/eps^2 with multiplicity two per
-    (q, p); the transverse level is ``transverse.level(m, eps, p)``.
+    (q, p); the transverse level is ``transverse.level(m, eps, p)``.  The
+    q = 0 levels of bands 1..ceil(count/2) are already ``count`` values, so
+    bands up to ceil(count/2) + 1 hold the ``count`` lowest, however short
+    the strip.
     """
     levels = []
-    for p in range(1, 6):
+    for p in range(1, math.ceil(count / 2) + 2):
         level_p = transverse.level(m, eps, p)
         for q in range(-count, count + 1):
             levels.extend([(2.0 * math.pi * q / length) ** 2 + level_p] * 2)

@@ -26,6 +26,13 @@ def test_registry_names_unique():
     assert tuple(names) == bench_names
 
 
+def test_an_entry_joins_the_registry_where_it_is_defined(monkeypatch):
+    monkeypatch.setattr(checks, "REGISTRY", [])
+    first = checks._entry("first")(lambda: (True, "first"))
+    second = checks._entry("second")(lambda: (True, "second"))
+    assert checks.REGISTRY == [first, second]
+
+
 def test_gauge_suite_negative_control():
     # tampering with the connection coefficient must break the equivalence
     tampered = check_gauge_equivalence(coupling=0.30, grids=(128,))
@@ -60,9 +67,9 @@ def test_cut_certificate_catches_a_dropped_value():
     x = next(_directions(3))
     pencil = eigsolve.HermitianPencil.make(*checks._transverse_pencil(fam, x, 0.3))
     vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
-    checks._certify_cut(pencil, vals)
+    eigsolve.certify_cut(pencil, vals)
     with pytest.raises(eigsolve.EigensolveError, match="below the cut"):
-        checks._certify_cut(pencil, vals[1:])
+        eigsolve.certify_cut(pencil, vals[1:])
 
 
 def test_intertwining_fails_when_the_solver_skips_a_value(monkeypatch):
@@ -177,7 +184,10 @@ def test_check_verb_fails_an_entry_that_raises_and_goes_on(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("error", [ValueError("B is not positive definite"), np.linalg.LinAlgError("no conv")])
-def test_an_entry_fails_on_an_oracle_refusal_and_propagates_other_errors(error):
+def test_an_entry_fails_on_an_oracle_refusal_and_propagates_other_errors(error, monkeypatch):
+    # each entry made here joins a throwaway registry, never the package's
+    monkeypatch.setattr(checks, "REGISTRY", [])
+
     def raising():
         raise error
 

@@ -62,6 +62,8 @@ def test_config_validation(monkeypatch, capsys):
         SweepConfig.from_dict({**SMALL, "count": MAX_COUNT + 1})
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({"m": 0.0})
+    with pytest.raises(ConfigError, match="a sweep config is a JSON object"):
+        SweepConfig.from_dict([SMALL])
     # a misspelled field is an error naming it, never a silent default
     with pytest.raises(ConfigError, match="counts, eff_n, n_s"):
         SweepConfig.from_dict({"curve": SMALL["curve"], "eff_n": 64, "n_s": 48, "counts": 8})

@@ -130,6 +130,8 @@ def test_theta_unitary_and_intertwines(n, rng):
 def test_theta_rejects_non_unit(fam2):
     with pytest.raises(ValueError):
         theta(fam2, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="y must have length n=2"):
+        theta(fam2, np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 def test_matrices_immutable(fam2):

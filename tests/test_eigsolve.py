@@ -352,6 +352,18 @@ def test_shift_invert_rejects_empty_shifts(monkeypatch):
     monkeypatch.setattr(eigsolve, "inertia", no_factor)
     with pytest.raises(ValueError, match="at least one shift"):
         shift_invert_smallest(standard(dirichlet_laplacian(128)), 2, [])
+    # so is a count ARPACK cannot take
+    for count in (0, 127):
+        with pytest.raises(ValueError, match=r"count must lie in 1\.\.dim-2"):
+            shift_invert_smallest(standard(dirichlet_laplacian(128)), count, [-0.01])
+
+
+def test_pencil_shapes_are_checked():
+    a = dirichlet_laplacian(8)
+    with pytest.raises(ValueError, match="A must be square"):
+        HermitianPencil.make(a[:, :7])
+    with pytest.raises(ValueError, match="B must match A"):
+        HermitianPencil.make(a, sp.identity(7, format="csr"))
 
 
 def test_shift_invert_badly_scaled_b_with_a_double_level(rng):

@@ -82,6 +82,9 @@ def test_shell_metric_values(circle):
 def test_shell_metric_guard(ellipse):
     with pytest.raises(ValueError):
         shell_metric(ellipse, 0.46)   # beyond 0.9/max|kappa| = 0.45
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            shell_metric(ellipse, eps)
     shell_metric(ellipse, 0.44)
 
 
@@ -153,6 +156,10 @@ def test_factory_rejections():
         make_curve("fourier", coeffs=[(0, 1.0, 0.0), (1, 1.0, 0.0), (2, 1.0, 0.0)])
     with pytest.raises(CurveError):
         make_curve("trefoil")
+    with pytest.raises(CurveError, match="at least one coefficient"):
+        make_curve("fourier", coeffs=[])
+    with pytest.raises(CurveError, match="vanishing speed"):
+        make_curve("fourier", coeffs=[(0, 1.0, 0.0)])   # a point, not a curve
     # every parameter is a finite real number, each wavenumber an integer; the error names it
     for kind, params, key in (
         ("circle", {"r": math.nan}, "r"),
@@ -251,6 +258,18 @@ def test_repeated_wavenumber_is_stored_clockwise(merged):
     assert abs(split.total_curvature() + TWO_PI) < 1e-9
     s = np.linspace(0.0, 20.0, 2001)
     assert np.array_equal(split.curvature(s), make_curve("fourier", coeffs=merged).curvature(s))
+
+
+def test_make_curve_applies_the_config_rules():
+    # the Python factory refuses what curve_from_json refuses, in the same words
+    for kind, params, message in (
+        ("circle", {"r": 1.0, "a": 5.0}, "unknown circle curve config keys: a$"),
+        ("circle", {}, "missing circle curve config keys: r$"),
+        ("Circle", {"r": 1.0}, "unknown curve config kind 'Circle'$"),
+    ):
+        with pytest.raises(CurveError, match=message):
+            make_curve(kind, **params)
+    assert make_curve("strip", length=6.0).name == flat_strip(6.0).name == "strip(6)"
 
 
 def test_curve_json_and_csv():

@@ -165,6 +165,22 @@ def test_only_checks_defines_a_check():
     assert defined == []
 
 
+def test_only_eigsolve_reads_inertia():
+    # both inertia certificates of a solve, the shift's and the cut's, are
+    # eigsolve's: no other module reads a pivot count
+    package = pathlib.Path(diracshell.__file__).parent
+    calls = []
+    for name in MODULES:
+        if name == "eigsolve":
+            continue
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called == "inertia":
+                    calls.append(f"{name}: {called}")
+    assert calls == []
+
+
 def test_cli_import_loads_only_the_scipy_it_uses():
     # every run pays its imports before it starts (the bench's setup_s):
     # scipy.optimize alone takes about 0.25-0.35 s to import on a 2-core x86-64

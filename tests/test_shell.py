@@ -90,6 +90,21 @@ def test_flat_strip_levels_within_an_ulp_of_the_separated_formula():
         assert np.all(np.abs(flat_strip_levels(length, m, eps, 8) - expected) <= np.spacing(expected))
 
 
+@pytest.mark.parametrize("length", [0.01, 2.0 * math.pi])
+def test_flat_strip_levels_match_a_sum_over_every_band(length):
+    # on a short strip the tangential levels (2 pi q / L)^2 lie above many
+    # transverse bands; the brute force takes every band p <= count
+    for m in (0.0, 0.3):
+        for count in range(1, 17):
+            expected = sorted(
+                (2.0 * math.pi * q / length) ** 2 + transverse.level(m, 0.2, p)
+                for p in range(1, count + 1)
+                for q in range(-count, count + 1)
+                for _ in range(2)
+            )[:count]
+            assert flat_strip_levels(length, m, 0.2, count).tolist() == expected
+
+
 def test_flat_strip_convergence_order(fam2):
     length, m, eps = 2.0 * math.pi, 0.3, 0.2
     met = shell_metric(flat_strip(length), eps)
@@ -587,8 +602,10 @@ def test_checked_grid_counts_the_assembled_dofs(fam2, circle):
         assemble_shell(fam2, met, 0.0, MAX_DOF, 8)
 
 
-def test_grid_and_guard_validation(fam2, circle, ellipse):
+def test_grid_and_guard_validation(fam2, fam3, circle, ellipse):
     met = shell_metric(circle, 0.1)
+    with pytest.raises(ValueError, match="implemented for n = 2"):
+        assemble_shell(fam3, met, 0.0, 32, 8)
     with pytest.raises(ValueError):
         assemble_shell(fam2, met, 0.0, 16, 8)
     with pytest.raises(ValueError):
