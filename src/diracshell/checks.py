@@ -10,18 +10,18 @@ printing one ``format_result`` line each.  The entries cover the package's
 defining identities: exact anticommutators, secular root residuals,
 quadrature normalization, gauge equivalence of the effective operator,
 sandwich ordering of the bracketing forms, and the cross-check of the
-production shift-invert solver against the dense oracle.  The transverse
-spectra of the intertwining entry come from that same certified
-shift-invert solver, handed the one shift -1 (the transverse form is
-positive), and are certified from above by ``eigsolve.certify_cut``; a
-unit test checks them against the dense oracle.
+production shift-invert solver against the dense oracle.  The intertwining
+entry takes its transverse spectra on 64 P2 cells from
+``shell.discretized_transverse_energies``, certified from both sides by
+``eigsolve``.  That pencil keeps its own reduced order, not the shell
+grid's: the shell's order moves the entry's pinned spectra distance.
 
-This is the one module that makes a comparison.  ``effective`` and
-``transverse`` hold the operators, their discretizations and closed forms;
-the quadrature rule, the boundary residual, both sides of the transverse
-form identity and the gauge observables are private helpers here, read by
-the entries alone.  It reads no pivot: both inertia certificates are
-``eigsolve``'s.
+This is the one module that makes a comparison, and it builds no pencil.
+``effective``, ``transverse`` and ``shell`` hold the operators, their
+discretizations and closed forms; the quadrature rule, the boundary
+residual, both sides of the transverse form identity and the gauge
+observables are private helpers here, read by the entries alone.  It reads
+no pivot: both inertia certificates are ``eigsolve``'s.
 """
 
 from __future__ import annotations
@@ -33,14 +33,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import clifford, effective, eigsolve, geometry, shell, transverse
 
 __all__ = ["CheckResult", "format_result", "run_all", "REGISTRY"]
 
-# P2 elements on (-1, 1) of the transverse pencils behind the intertwining entry
-_N_ELEM = 64
 # (nodes, weights) of the 64-node Gauss-Legendre rule on (-1, 1): the
 # transverse eigenmodes are trigonometric, so every integral over (-1, 1)
 # here uses this fixed rule
@@ -244,69 +241,6 @@ def check_mode_perturbation():
     return ok, f"order {order:.3f}, doubling ratio {ratio:.3f}"
 
 
-@functools.lru_cache(maxsize=8)
-def _p2_transverse_pencil(N: int, m: float):
-    """The x-independent P2 matrices on (-1, 1), N spinor components per node.
-
-    The stiffness and mass of the shell's P2 line (``shell.line_element``).
-
-    Returns the form ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2) and the
-    mass, both CSR over the full node set, before the boundary elimination.
-    """
-    h = 2.0 / _N_ELEM
-    n_nodes = 2 * _N_ELEM + 1
-    _, w, val, der, conn = shell.line_element(2, _N_ELEM, h)
-    # every cell has the same local stiffness and mass
-    k1d, m1d = (
-        shell.scatter(np.broadcast_to(np.einsum("q,aq,bq->ab", w * h, t, t), (_N_ELEM, 3, 3)), conn, n_nodes)
-        for t in (der, val)
-    )
-
-    boundary = np.zeros(n_nodes * N)
-    boundary[:N] = m
-    boundary[-N:] = m
-    a_full = sp.kron(k1d + m * m * m1d, sp.eye(N), format="csr").astype(complex) + sp.diags(boundary)
-    b_full = sp.kron(m1d, sp.eye(N), format="csr").astype(complex)
-    return a_full, b_full
-
-
-def _transverse_pencil(fam, x, m: float):
-    """The P2 pencil with the boundary constraint eliminated.
-
-    Node 0 is kept on the -1 and the last node on the +1 eigenspace of
-    -i a_{n+1} Gamma(x), N/2 components each.
-    """
-    a_full, b_full = _p2_transverse_pencil(fam.N, float(m))
-    vals_b, vecs_b = np.linalg.eigh(-1.0j * fam.alpha_last @ clifford.gamma(fam, x).gamma)
-    plus = vecs_b[:, np.abs(vals_b - 1) < 1e-10]
-    minus = vecs_b[:, np.abs(vals_b + 1) < 1e-10]
-    # rows: node 0, the interior nodes, the last node; columns: plus, minus, interior
-    interior = sp.identity((2 * _N_ELEM - 1) * fam.N)
-    z = sp.bmat([[None, minus, None], [None, None, interior], [plus, None, None]], format="csr")
-    zh = z.conj().T.tocsr()
-    return (zh @ a_full @ z).tocsr(), (zh @ b_full @ z).tocsr()
-
-
-def discretized_transverse_energies(fam, x, m: float, count: int) -> np.ndarray:
-    """Lowest eigenvalues of the squared transverse operator on (-1, 1).
-
-    Galerkin P2 discretization of ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2)
-    over spinors with the boundary constraint eliminated against the
-    +-1 eigenspaces of -i a_{n+1} Gamma(x), solved by the production
-    shift-invert solver (seed 0) at the one shift -1 and certified from
-    both sides by ``eigsolve``: no eigenvalue below the shift
-    (``shift_invert_smallest``), none missing below the top returned one
-    (``certify_cut``).  Raises EigensolveError when either certificate or
-    the residual gate fails; an uncertified shift fails after one
-    factorization.
-    """
-    pencil = eigsolve.HermitianPencil.make(*_transverse_pencil(fam, x, m))
-    # the form is positive for m >= 0, so the one shift -1 certifies at once
-    res = eigsolve.shift_invert_smallest(pencil, count, [-1.0])
-    eigsolve.certify_cut(pencil, res.eigenvalues)
-    return res.eigenvalues
-
-
 @_entry("intertwining", budget_s=30.0)
 def check_intertwining():
     worst_unitary = 0.0
@@ -322,8 +256,8 @@ def check_intertwining():
                 y /= np.linalg.norm(y)
                 u = clifford.theta(fam, x, y)
                 worst_unitary = max(worst_unitary, np.abs(u.conj().T @ u - np.eye(fam.N)).max())
-                ex = discretized_transverse_energies(fam, x, 0.3, 6)
-                ey = discretized_transverse_energies(fam, y, 0.3, 6)
+                # the six lowest levels on 64 P2 cells, at each direction
+                ex, ey = (shell.discretized_transverse_energies(fam, d, 0.3, 64, 6) for d in (x, y))
                 worst_spec = max(worst_spec, np.abs(ex - ey).max())
     ok = worst_unitary <= 1e-12 and worst_spec <= 1e-10
     return ok, f"unitarity {worst_unitary:g}, spectra {worst_spec:g} (seeds 0, 7)"

@@ -211,20 +211,22 @@ class AsymptoticsReport:
         """
         solved = [eps for eps in self.config.eps if eps in self.mu_shell]  # the keys of the corollary's lam too
         mu_eff, cor = self.mu_effective, self.corollary
-        _write_csv(os.path.join(out_dir, "sweep.csv"), ["eps", "j", "mu_shell", "residual", "mu_eff_ref"], [
-            [eps, j + 1, mu, self.residuals[eps][j], mu_eff[j]]
-            for eps in solved
-            for j, mu in enumerate(self.mu_shell[eps])
-        ])
+        with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
+            _write_csv(fh, ["eps", "j", "mu_shell", "residual", "mu_eff_ref"], [
+                [eps, j + 1, mu, self.residuals[eps][j], mu_eff[j]]
+                for eps in solved
+                for j, mu in enumerate(self.mu_shell[eps])
+            ])
         if cor is None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, "corollary.csv"))
         else:
-            _write_csv(os.path.join(out_dir, "corollary.csv"), ["eps", "p", "lambda", "linear_coeff_partial"], [
-                [eps, p, lam, excess / eps]
-                for eps in solved
-                for p, (lam, excess) in enumerate(zip(cor["lam"][eps], cor["excess"][eps]), start=1)
-            ])
+            with open(os.path.join(out_dir, "corollary.csv"), "w", newline="") as fh:
+                _write_csv(fh, ["eps", "p", "lambda", "linear_coeff_partial"], [
+                    [eps, p, lam, excess / eps]
+                    for eps in solved
+                    for p, (lam, excess) in enumerate(zip(cor["lam"][eps], cor["excess"][eps]), start=1)
+                ])
         with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
             json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
@@ -255,13 +257,12 @@ class AsymptoticsReport:
         }
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write one CSV table; every float cell, numpy's included, as ``repr(float(v))``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+def _write_csv(fh, header, rows) -> None:
+    """Write one CSV table to a file opened with ``newline=""``; each float cell, numpy's too, as ``repr(float(v))``."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
 def _affine_fit(xs: np.ndarray, ys: np.ndarray) -> dict:
@@ -568,7 +569,8 @@ def main(argv=None) -> int:
                 rows = transverse.transverse_table(ms, range(1, args.bands + 1))
             except ArithmeticError as exc:  # a normalization out of double range
                 raise ConfigError(f"--m: {exc}") from exc
-            _write_csv(args.out, ["m", "p", "k", "E", "N"], rows)
+            with open(args.out, "w", newline="") as fh:
+                _write_csv(fh, ["m", "p", "k", "E", "N"], rows)
             print(f"wrote {args.out}")
             return 0
         if args.verb == "effective-spectrum":
@@ -583,12 +585,13 @@ def main(argv=None) -> int:
             if abs(total + 2.0 * math.pi) > CLOSURE_TOL:  # the magnetic flux (pi-2)/L assumes -2*pi
                 raise ConfigError(f"effective-spectrum needs a closed curve of total curvature -2*pi; "
                                   f"{curve.name} has total curvature {total:.6g}")
-            blocks = [effective_eigenvalues(asm, (args.count + 1) // 2).eigenvalues
-                      for asm in (assemble_effective(curve, args.ns), assemble_magnetic(curve, args.ns))]
-            distance = float(np.abs(blocks[0] - blocks[1]).max())
-            doubled = np.repeat(blocks, 2, axis=1)[:, : args.count]
-            _write_csv(args.out, ["index", "mu_effective", "mu_magnetic_pair", "abs_diff"],
-                       [[i, a, b, abs(a - b)] for i, (a, b) in enumerate(doubled.T, start=1)])
+            with open(args.out, "w", newline="") as fh:  # a path that cannot be written fails before the solves
+                blocks = [effective_eigenvalues(asm, (args.count + 1) // 2).eigenvalues
+                          for asm in (assemble_effective(curve, args.ns), assemble_magnetic(curve, args.ns))]
+                distance = float(np.abs(blocks[0] - blocks[1]).max())
+                doubled = np.repeat(blocks, 2, axis=1)[:, : args.count]
+                _write_csv(fh, ["index", "mu_effective", "mu_magnetic_pair", "abs_diff"],
+                           [[i, a, b, abs(a - b)] for i, (a, b) in enumerate(doubled.T, start=1)])
             print(f"wrote {args.out}; spectral distance {distance:.3e}")
             return 0
         if args.verb == "dump-clifford":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -175,8 +176,8 @@ def _curve_from_parametrization(name: str, par: _Parametrization) -> CurveSpec:
 
 
 def _real(key: str, value) -> float:
-    """A numeric curve parameter: a finite real number, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """A numeric curve parameter: a finite real number (an int inside double range), never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
         raise CurveError(f"curve parameter {key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -196,18 +197,19 @@ def make_curve(kind: str, **params) -> CurveSpec:
     """Factory for test geometries: circle(r), ellipse(a, b), fourier(coeffs), strip(length).
 
     Each kind takes exactly its own parameters (``_CURVE_KEYS``): an unknown
-    kind, a key of another kind or a missing key raises CurveError naming
-    it.  A strip is ``flat_strip``.  The closed curves are reparametrized
-    to unit speed and stored clockwise, so convex curves carry non-positive
-    curvature; circle and ellipse are so by construction.  Fourier curves
-    are given as z(theta) = sum c_k exp(i k theta) by triples (k, re, im);
-    one whose signed area pi sum_k k |c_k|^2 (c_k summed per k) is positive
-    is stored with every k negated.  They are rejected if the sampled
-    polygon self-intersects.  Every parameter is a finite real number and
-    each k an integer (an integral float such as 2.0 is taken as 2);
+    kind (one that is not a string included), a key of another kind or a
+    missing key raises CurveError naming it.  A strip is ``flat_strip``.
+    The closed curves are reparametrized to unit speed and stored clockwise,
+    so convex curves carry non-positive curvature; circle and ellipse are
+    so by construction.  Fourier curves are given as z(theta) = sum c_k
+    exp(i k theta) by a list (or tuple) of triples (k, re, im); one whose
+    signed area pi sum_k k |c_k|^2 (c_k summed per k) is positive is stored
+    with every k negated.  They are rejected if the sampled polygon
+    self-intersects.  Every parameter is a finite real number and each k an
+    integer (an integral float such as 2.0 is taken as 2);
     anything else, a bool or a string included, raises CurveError naming it.
     """
-    if kind not in _CURVE_KEYS:
+    if not isinstance(kind, str) or kind not in _CURVE_KEYS:
         raise CurveError(f"unknown curve config kind {kind!r}")
     for what, keys in (("unknown", set(params) - _CURVE_KEYS[kind]), ("missing", _CURVE_KEYS[kind] - set(params))):
         if keys:
@@ -228,9 +230,12 @@ def make_curve(kind: str, **params) -> CurveSpec:
         )
         return _curve_from_parametrization(name, par)
     # the one kind left: fourier
+    coeffs = params["coeffs"]
+    if not isinstance(coeffs, (list, tuple)) or not all(isinstance(c, (list, tuple)) and len(c) == 3 for c in coeffs):
+        raise CurveError(f"curve parameter coeffs must be a list of (k, re, im) triples, got {coeffs!r}")
     coeffs = [
         (_wavenumber(f"coeffs[{i}] k", k), _real(f"coeffs[{i}] re", re), _real(f"coeffs[{i}] im", im))
-        for i, (k, re, im) in enumerate(params["coeffs"])
+        for i, (k, re, im) in enumerate(coeffs)
     ]
     if not coeffs:
         raise CurveError("fourier curve needs at least one coefficient")
@@ -293,18 +298,14 @@ def flat_strip(length: float) -> CurveSpec:
 def curve_from_json(config: dict) -> CurveSpec:
     """Build a curve from a parsed {"kind": "ellipse", "a": 2.0, "b": 1.0}-style config.
 
-    ``make_curve`` applies the rules of each kind.  A config it cannot
-    build, whatever the reason, a value that is not a dict (JSON text
-    included: ``cli`` parses it) included, raises CurveError.
+    ``make_curve`` applies the rules of each kind and refuses what it
+    cannot build with CurveError.  This adds one rule: the config is a
+    dict with string keys, as a JSON object is (JSON text is not: ``cli``
+    parses it).
     """
-    if not isinstance(config, dict):
+    if not isinstance(config, dict) or not all(isinstance(key, str) for key in config):
         raise CurveError(f"curve config must be a JSON object, got {config!r}")
-    try:
-        return make_curve(config.get("kind"), **{k: v for k, v in config.items() if k != "kind"})
-    except CurveError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise CurveError(f"bad curve config {config!r}: {exc}") from exc
+    return make_curve(config.get("kind"), **{k: v for k, v in config.items() if k != "kind"})
 
 
 @dataclass(frozen=True)

@@ -20,20 +20,27 @@ layout, and it is the only place that knows the order of the reduced DOFs.
 Discretization is a tensor-product Galerkin space, P1 (periodic) in s and
 quadratic Lagrange elements in t, with 2x3 Gauss quadrature per cell and all
 coefficients evaluated at quadrature points.  Both factors and the boundary
-lines come from one 1D element (``line_element``: Gauss rule, basis tables
-and cell-to-node map).  Each reduced matrix is assembled in one pass: a
-real product of the weighted coefficients with basis-pair tables gives the
-per-cell matrices, and each of their entries is added straight into the
-reduced CSR pattern, built once per assembly and shared by all matrices.
-The curvature is the only coefficient that varies in s; it is evaluated
-once per assembly, at the 2*n_s distinct s-abscissae (i + xi_q)*h_s, and
-broadcast over t and over every coefficient built from it.  The quadratic
-t-element keeps the transverse eigenvalue error far below the O(1)
-effective term even on the coarse sweep grids; convergence in the
-s-direction stays second order.  The shell form and the bracketing forms
-below share one covariant assembler, ``_covariant_pencil``: the same code
-builds each component c's form from its connection A_c in d_s + i*A_c
-((0, kappa) in the gauged frame), and B from the form's L^2 weight.
+lines come from one 1D element (``_line_element``: Gauss rule, basis tables
+and cell-to-node map), and no other module builds a line.  Each reduced
+matrix is assembled in one pass: a real product of the weighted coefficients
+with basis-pair tables gives the per-cell matrices, and each of their
+entries is added straight into the reduced CSR pattern, built once per
+assembly and shared by all matrices.  The curvature is the only coefficient
+that varies in s; it is evaluated once per assembly, at the 2*n_s distinct
+s-abscissae (i + xi_q)*h_s, and broadcast over t and over every coefficient
+built from it.  The quadratic t-element keeps the transverse eigenvalue
+error far below the O(1) effective term even on the coarse sweep grids;
+convergence in the s-direction stays second order.  The shell form and the
+bracketing forms below share one covariant assembler, ``_covariant_pencil``:
+the same code builds each component c's form from its connection A_c in
+d_s + i*A_c ((0, kappa) in the gauged frame), and B from the form's L^2 weight.
+
+The same P2 line gives criterion 4's transverse pencils
+(``discretized_transverse_energies``), N components per node, the boundary
+constraint eliminated against the +-1 eigenspaces of -i a_{n+1} Gamma(x),
+in their own reduced order [plus, minus, interior node-major]: the shell's
+order would move criterion 4's pinned spectra distance 1.03029e-13 (to
+9.23706e-14), and theirs every shell pencil.
 
 A bracketing form replaces the exact coefficients by their flat-metric
 bounds with a signed slack c:
@@ -58,6 +65,7 @@ predicted shift cannot be certified, the ladder down from ``ladder_shift``
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,9 +73,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import transverse
-from .clifford import CliffordFamily
+from .clifford import CliffordFamily, gamma
 # lobpcg_smallest is None; its only reader is bench/tracer.py, which wraps it here by name
-from .eigsolve import HermitianPencil, SpectrumResult, lobpcg_smallest, shift_invert_smallest  # noqa: F401
+from .eigsolve import HermitianPencil, SpectrumResult, certify_cut, lobpcg_smallest, shift_invert_smallest  # noqa: F401
 from .geometry import ShellMetric2D
 
 __all__ = [
@@ -79,8 +87,7 @@ __all__ = [
     "default_nt",
     "checked_grid",
     "flat_strip_levels",
-    "line_element",
-    "scatter",
+    "discretized_transverse_energies",
     "MAX_COUNT",
     "MIN_NS",
     "MIN_NT",
@@ -126,7 +133,7 @@ def checked_grid(eps: float, n_s: int, n_t: int | None = None) -> tuple[int, int
     return n_s, n_t
 
 
-def line_element(p: int, n: int, h: float, periodic: bool = False):
+def _line_element(p: int, n: int, h: float, periodic: bool = False):
     """The degree-p Lagrange element (p = 1 or 2) on n cells of width h.
 
     Returns ``(x, w, val, der, conn)``: the Gauss points x and weights w
@@ -149,7 +156,7 @@ def line_element(p: int, n: int, h: float, periodic: bool = False):
     return x, w, val, der / h, conn
 
 
-def scatter(local: np.ndarray, conn: np.ndarray, dim: int) -> sp.csr_matrix:
+def _scatter(local: np.ndarray, conn: np.ndarray, dim: int) -> sp.csr_matrix:
     """Sum the per-cell matrices local[e] into a dim x dim CSR matrix.
 
     Entry (a, b) of cell e's matrix is added at (conn[e, a], conn[e, b]).
@@ -157,6 +164,58 @@ def scatter(local: np.ndarray, conn: np.ndarray, dim: int) -> sp.csr_matrix:
     k = conn.shape[1]
     rows, cols = np.repeat(conn, k, axis=1).ravel(), np.tile(conn, (1, k)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+@functools.lru_cache(maxsize=8)
+def _p2_transverse_pencil(N: int, m: float, n_t: int):
+    """The x-independent P2 matrices on n_t cells of (-1, 1), N spinor components per node.
+
+    Returns the form ||f'||^2 + m^2||f||^2 + m(|f(1)|^2+|f(-1)|^2) and the
+    mass, both CSR over the full node set, before the boundary elimination.
+    """
+    h = 2.0 / n_t
+    n_nodes = 2 * n_t + 1
+    _, w, val, der, conn = _line_element(2, n_t, h)
+    # every cell has the same local stiffness and mass
+    k1d, m1d = (
+        _scatter(np.broadcast_to(np.einsum("q,aq,bq->ab", w * h, t, t), (n_t, 3, 3)), conn, n_nodes)
+        for t in (der, val)
+    )
+    boundary = np.concatenate([np.full(N, m), np.zeros((n_nodes - 2) * N), np.full(N, m)])
+    a_full = sp.kron(k1d + m * m * m1d, sp.eye(N), format="csr").astype(complex) + sp.diags(boundary)
+    b_full = sp.kron(m1d, sp.eye(N), format="csr").astype(complex)
+    return a_full, b_full
+
+
+def _transverse_pencil(fam: CliffordFamily, x, m: float, n_t: int):
+    """The P2 pencil with the boundary constraint eliminated.
+
+    Node 0 is kept on the -1 and the last node on the +1 eigenspace of
+    -i a_{n+1} Gamma(x), N/2 components each.
+    """
+    a_full, b_full = _p2_transverse_pencil(fam.N, float(m), n_t)
+    vals_b, vecs_b = np.linalg.eigh(-1.0j * fam.alpha_last @ gamma(fam, x).gamma)
+    plus = vecs_b[:, np.abs(vals_b - 1) < 1e-10]
+    minus = vecs_b[:, np.abs(vals_b + 1) < 1e-10]
+    # rows: node 0, the interior nodes, the last node; columns: plus, minus, interior
+    interior = sp.identity((2 * n_t - 1) * fam.N)
+    z = sp.bmat([[None, minus, None], [None, None, interior], [plus, None, None]], format="csr")
+    zh = z.conj().T.tocsr()
+    return (zh @ a_full @ z).tocsr(), (zh @ b_full @ z).tocsr()
+
+
+def discretized_transverse_energies(fam: CliffordFamily, x, m: float, n_t: int, count: int) -> np.ndarray:
+    """The count lowest eigenvalues of the squared transverse operator on n_t P2 cells of (-1, 1).
+
+    Solved at the one shift -1 (seed 0), which certifies that none lies
+    below it, and ``certify_cut`` certifies that none is missing below the
+    top returned one; EigensolveError when a certificate or the residual gate fails.
+    """
+    pencil = HermitianPencil.make(*_transverse_pencil(fam, x, m, n_t))
+    # the form is positive for m >= 0, so the one shift -1 certifies at once
+    res = shift_invert_smallest(pencil, count, [-1.0])
+    certify_cut(pencil, res.eigenvalues)
+    return res.eigenvalues
 
 
 @dataclass(frozen=True)
@@ -225,8 +284,8 @@ class _TensorGalerkin:
         self.n_t = n_t
         self.h_s = length / n_s
         self.h_t = 2.0 / n_t
-        xs, self.ws, self.val_s, der_s, self.conn_s = line_element(1, n_s, self.h_s, periodic=True)
-        xt, wt, val_t, der_t, self.conn_t = line_element(2, n_t, self.h_t)
+        xs, self.ws, self.val_s, der_s, self.conn_s = _line_element(1, n_s, self.h_s, periodic=True)
+        xt, wt, val_t, der_t, self.conn_t = _line_element(2, n_t, self.h_t)
         self.n_tn = int(self.conn_t.max()) + 1
         self.nq_t = xt.size  # Gauss points per cell in t
         self.dim = n_s * self.n_tn

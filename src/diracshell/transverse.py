@@ -88,9 +88,9 @@ def k1_series(m: float) -> float:
     return math.pi / 4.0 + (2.0 / math.pi) * m - (16.0 / math.pi**3) * m * m
 
 
-def energy(m: float, p: int) -> float:
-    """E_p(m) = sqrt(m^2 + k_p(m)^2)."""
-    return math.hypot(m, solve_k(m, p))
+def energy(m: float, p: int, k: float | None = None) -> float:
+    """E_p(m) = sqrt(m^2 + k_p(m)^2), at the root ``k`` when the caller has solved it (None: solve_k(m, p))."""
+    return math.hypot(m, solve_k(m, p) if k is None else k)
 
 
 def level(m: float, eps: float, p: int = 1) -> float:
@@ -105,16 +105,17 @@ def level(m: float, eps: float, p: int = 1) -> float:
     return (k * k + me * me) / eps**2
 
 
-def normalization(m: float, p: int) -> float:
+def normalization(m: float, p: int, k: float | None = None) -> float:
     """Positive constant N with 1 = 2 N^2 (2 E^2 - m^2 sin(4k)/(2k) + m sin(2k)^2).
 
     This closed form makes the explicit eigenmodes L^2-normalized on
     (-1, 1); at m = 0 it reduces to 1/(2 E_p), i.e. 2/pi for the first band.
-    Raises OverflowError where 2 N^-2, about 4 E_p(m)^2, leaves double range
-    (m from about 6.7e153 on): 1/sqrt would return 0.0 there in place of
-    N ~ 1/(2m).
+    ``k`` is the root k_p(m) when the caller has solved it (None:
+    ``solve_k(m, p)``).  Raises OverflowError where 2 N^-2, about
+    4 E_p(m)^2, leaves double range (m from about 6.7e153 on): 1/sqrt would
+    return 0.0 there in place of N ~ 1/(2m).
     """
-    k = solve_k(m, p)
+    k = solve_k(m, p) if k is None else k
     e2 = m * m + k * k
     val = 2.0 * e2 - m * m * math.sin(4.0 * k) / (2.0 * k) + m * math.sin(2.0 * k) ** 2
     if not math.isfinite(2.0 * val):
@@ -152,9 +153,9 @@ def mode(fam: CliffordFamily, x: np.ndarray, m: float, p: int, j: int, sign: int
     if abs(np.linalg.norm(x) - 1.0) > 1e-12:
         raise ValueError("x must be a unit vector")
     bx = gamma(fam, x).beta
-    k = solve_k(m, p)
-    E = energy(m, p)
-    Nc = normalization(m, p)
+    k = solve_k(m, p)  # the one root solve of the mode
+    E = energy(m, p, k)
+    Nc = normalization(m, p, k)
     ej = np.zeros(half, dtype=complex)
     ej[j - 1] = 1.0
     if sign == +1:
@@ -184,10 +185,11 @@ def mode(fam: CliffordFamily, x: np.ndarray, m: float, p: int, j: int, sign: int
 
 
 def transverse_table(ms, ps) -> list[tuple[float, int, float, float, float]]:
-    """Rows (m, p, k_p, E_p, N_{m,p}) for CSV export."""
+    """Rows (m, p, k_p, E_p, N_{m,p}) for CSV export, one root solve per row."""
     rows = []
     for m in ms:
         for p in ps:
-            rows.append((float(m), int(p), solve_k(m, p), energy(m, p), normalization(m, p)))
+            k = solve_k(m, p)
+            rows.append((float(m), int(p), k, energy(m, p, k), normalization(m, p, k)))
     return rows
 

@@ -52,11 +52,11 @@ def _directions(n, count=2):
 def test_transverse_energies_match_dense_oracle(n):
     fam = clifford.build_clifford(n)
     for x in _directions(n):
-        a, b = checks._transverse_pencil(fam, x, 0.3)
+        a, b = shell._transverse_pencil(fam, x, 0.3, 64)
         # the shift -1 is certified at once: nothing below it
         assert eigsolve.inertia(eigsolve.HermitianPencil.make(a, b), -1.0)[0] == 0
         dense = eigsolve.dense_hermitian_eig(a, b).eigenvalues
-        vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
+        vals = shell.discretized_transverse_energies(fam, x, 0.3, 64, 6)
         assert np.abs(vals - dense[:6]).max() <= 1e-10
         # every level is N-fold, so count = 6 cuts through a cluster when N = 4
         assert np.count_nonzero(np.abs(dense - dense[0]) <= 1e-8 * abs(dense[0])) == fam.N
@@ -65,22 +65,22 @@ def test_transverse_energies_match_dense_oracle(n):
 def test_cut_certificate_catches_a_dropped_value():
     fam = clifford.build_clifford(3)
     x = next(_directions(3))
-    pencil = eigsolve.HermitianPencil.make(*checks._transverse_pencil(fam, x, 0.3))
-    vals = checks.discretized_transverse_energies(fam, x, 0.3, 6)
+    pencil = eigsolve.HermitianPencil.make(*shell._transverse_pencil(fam, x, 0.3, 64))
+    vals = shell.discretized_transverse_energies(fam, x, 0.3, 64, 6)
     eigsolve.certify_cut(pencil, vals)
     with pytest.raises(eigsolve.EigensolveError, match="below the cut"):
         eigsolve.certify_cut(pencil, vals[1:])
 
 
 def test_intertwining_fails_when_the_solver_skips_a_value(monkeypatch):
-    solve = eigsolve.shift_invert_smallest
+    solve = shell.shift_invert_smallest
 
     def skipping(pencil, count, *args, **kwargs):
         # one copy of the lowest level skipped, the next value returned in its place
         res = solve(pencil, count + 1, *args, **kwargs)
         return dataclasses.replace(res, eigenvalues=res.eigenvalues[1:])
 
-    monkeypatch.setattr(eigsolve, "shift_invert_smallest", skipping)
+    monkeypatch.setattr(shell, "shift_invert_smallest", skipping)
     res = checks.check_intertwining()
     assert not res.passed
     assert "below the cut" in res.detail

@@ -834,6 +834,18 @@ def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+def test_effective_spectrum_opens_its_out_before_any_assembly(tmp_path, monkeypatch, capsys):
+    # an --out in a missing directory exits 2 before the dense block solves
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("effective-spectrum assembled before it opened --out")
+
+    monkeypatch.setattr(cli, "assemble_effective", no_assembly)
+    argv = ["effective-spectrum", "--curve", CIRCLE, "--ns", "64", "--out", str(tmp_path / "missing" / "eff.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "No such file or directory" in err
+
+
 def test_threads_flag_is_a_usage_error(capsys):
     # the eps points are solved one after another; there is no thread-count flag
     with pytest.raises(SystemExit) as exc:

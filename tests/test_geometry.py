@@ -272,6 +272,19 @@ def test_make_curve_applies_the_config_rules():
     assert make_curve("strip", length=6.0).name == flat_strip(6.0).name == "strip(6)"
 
 
+def test_make_curve_refuses_malformed_input_as_curve_error():
+    # the factory itself refuses what it cannot build, so a Python caller
+    # that catches CurveError sees every refusal
+    for args, params, message in (
+        (("fourier",), {"coeffs": 5}, r"coeffs must be a list of \(k, re, im\) triples, got 5$"),
+        (("fourier",), {"coeffs": [[1, 2]]}, r"coeffs must be a list of \(k, re, im\) triples"),
+        ((["circle"],), {}, r"unknown curve config kind \['circle'\]$"),
+        (("circle",), {"r": 10**400}, "curve parameter r must be a finite number"),
+    ):
+        with pytest.raises(CurveError, match=message):
+            make_curve(*args, **params)
+
+
 def test_curve_json_and_csv():
     crv = curve_from_json({"kind": "ellipse", "a": 2.0, "b": 1.0})
     assert abs(crv.kappa_max - 2.0) < 1e-9
@@ -301,11 +314,14 @@ def test_curve_json_and_csv():
         {"kind": "fourier", "coeffs": [[1.7, 1, 0]]},
         {"kind": "strip", "length": math.inf},
         {"kind": "strip", "length": "6"},
+        {"kind": ["circle"]},
+        {"kind": "circle", "r": 1.0, 1: 2},
     ],
     ids=[
         "missing-key", "not-an-object", "radius-not-a-number", "coeffs-not-a-list", "short-coeff",
         "empty-strip", "radius-nan", "radius-infinite", "radius-true", "radius-string",
         "coefficient-nan", "wavenumber-fractional", "strip-infinite", "strip-string",
+        "kind-not-a-string", "key-not-a-string",
     ],
 )
 def test_curve_from_json_rejects_what_it_cannot_build(config):

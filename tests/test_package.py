@@ -165,6 +165,25 @@ def test_only_checks_defines_a_check():
     assert defined == []
 
 
+def test_only_shell_and_eigsolve_import_sparse():
+    # shell builds every sparse pencil and eigsolve solves them; the other
+    # modules hand pencils on or compare eigenvalues, and import no scipy.sparse
+    package = pathlib.Path(diracshell.__file__).parent
+    imports = []
+    for name in MODULES:
+        if name in ("shell", "eigsolve"):
+            continue
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            imports += [f"{name}: {n}" for n in names if n == "scipy.sparse" or n.startswith("scipy.sparse.")]
+    assert imports == []
+
+
 def test_only_eigsolve_reads_inertia():
     # both inertia certificates of a solve, the shift's and the cut's, are
     # eigsolve's: no other module reads a pivot count

@@ -18,9 +18,9 @@ from diracshell.shell import (
     default_nt,
     flat_strip_levels,
     ladder_shift,
-    line_element,
+    _line_element,
     lowest_eigenvalues,
-    scatter,
+    _scatter,
 )
 from diracshell.transverse import solve_k
 
@@ -318,7 +318,7 @@ def _p2_closed_form(h):
 def test_line_element_matches_closed_forms(h):
     # the product rule reproduces the closed forms bit for bit
     for p, closed_form in ((1, _p1_closed_form), (2, _p2_closed_form)):
-        x, w, val, der, _ = line_element(p, 8, h)
+        x, w, val, der, _ = _line_element(p, 8, h)
         for got, ref in zip((x, val, der), closed_form(h)):
             assert np.array_equal(got, ref)
         assert w.sum() == pytest.approx(1.0, rel=1e-15)
@@ -329,11 +329,11 @@ def test_line_element_mass_and_stiffness(p, periodic, length):
     # the mass matrix sums to the length, the stiffness matrix sends constants to 0
     n = 16
     h = length / n
-    _, w, val, der, conn = line_element(p, n, h, periodic)
+    _, w, val, der, conn = _line_element(p, n, h, periodic)
     n_nodes = p * n + (0 if periodic else 1)
     assert conn.min() == 0 and conn.max() == n_nodes - 1
     mass, stiff = (
-        scatter(np.broadcast_to(np.einsum("q,aq,bq->ab", w * h, t, t), (n, p + 1, p + 1)), conn, n_nodes)
+        _scatter(np.broadcast_to(np.einsum("q,aq,bq->ab", w * h, t, t), (n, p + 1, p + 1)), conn, n_nodes)
         for t in (val, der)
     )
     assert mass.sum() == pytest.approx(length, rel=1e-14)
@@ -367,8 +367,8 @@ def test_tensor_grid_matches_per_node_loop(n_s, n_t):
     from diracshell.shell import _TensorGalerkin
 
     grid = _TensorGalerkin(5.0, n_s, n_t)
-    _, w_s, val_s, der_s, _ = line_element(1, n_s, grid.h_s, periodic=True)
-    x_t, w_t, val_t, der_t, _ = line_element(2, n_t, grid.h_t)
+    _, w_s, val_s, der_s, _ = _line_element(1, n_s, grid.h_s, periodic=True)
+    x_t, w_t, val_t, der_t, _ = _line_element(2, n_t, grid.h_t)
     elem_s, elem_t = (e.ravel() for e in np.meshgrid(np.arange(n_s), np.arange(n_t), indexing="ij"))
     for a, (a_s, a_t) in enumerate((a_s, a_t) for a_s in range(2) for a_t in range(3)):
         assert np.array_equal(grid.val[a], np.outer(val_s[a_s], val_t[a_t]).ravel())
@@ -430,14 +430,14 @@ def _volume_by_scatter(grid, c_tan, c_trans, c_mass, c_cross=None):
     if c_cross is not None:
         e_mat = np.einsum("eq,aq,bq->eab", np.broadcast_to(c_cross, shape) * grid.wq, grid.ds, grid.val)
         local += 1.0j * (e_mat - e_mat.swapaxes(1, 2))
-    return scatter(local, grid.conn, grid.dim)
+    return _scatter(local, grid.conn, grid.dim)
 
 
 def _boundary_by_scatter(grid, side, coef):
     # reference: the s-line mass on the t = side nodes
     cvals = np.broadcast_to(coef, grid.s_abscissae.shape) * (grid.ws[None, :] * grid.h_s)
     local = np.einsum("eq,aq,bq->eab", cvals, grid.val_s, grid.val_s)
-    return scatter(local, grid.conn_s * grid.n_tn + (0 if side < 0 else grid.n_tn - 1), grid.dim)
+    return _scatter(local, grid.conn_s * grid.n_tn + (0 if side < 0 else grid.n_tn - 1), grid.dim)
 
 
 def _reduce_by_product(grid, a_comp0, a_comp1):

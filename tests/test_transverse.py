@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracshell import checks
+from diracshell import checks, transverse
 from diracshell.clifford import gamma
 from diracshell.transverse import (
     bracket,
@@ -229,6 +229,23 @@ def test_mode_perturbation_linear():
     # doubling ratio lies in [1.8, 2.2]
     res = checks.check_mode_perturbation()
     assert res.passed, res.detail
+
+
+def test_each_mode_and_table_row_solves_its_root_once(fam2, monkeypatch):
+    # k_p(m) is solved once; E_p and N_{m,p} come from that root, bit for bit
+    expected = [(m, p, solve_k(m, p), energy(m, p), normalization(m, p)) for m in (0.0, 0.5) for p in (1, 2)]
+    calls = []
+
+    def counted(m, p):
+        calls.append((m, p))
+        return solve_k(m, p)
+
+    monkeypatch.setattr(transverse, "solve_k", counted)
+    md = mode(fam2, np.array([0.6, 0.8]), 0.5, 2, 1, +1)
+    assert calls == [(0.5, 2)] and md.E == expected[3][3]
+    calls.clear()
+    assert transverse_table([0.0, 0.5], [1, 2]) == expected
+    assert calls == [(m, p) for m, p, *_ in expected]
 
 
 def test_transverse_table_rows():
