@@ -1,8 +1,8 @@
 """Experiment driver: eigenvalue sweeps over shell width, asymptotic fits,
 and the property-check suite.
 
-The sweep subtracts the transverse ground level E_1(m eps)^2/eps^2
-(``transverse.level``) from each shell eigenvalue and fits the remaining
+The sweep subtracts the transverse ground level E_1(m eps)^2/eps^2 (its
+assembly's ``ground``) from each shell eigenvalue and fits the remaining
 residual affinely in eps; the fitted intercept is compared against the
 corresponding eigenvalue of the effective curve operator.  With an even
 count the same report carries the corollary: the square root of the
@@ -312,8 +312,8 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     is a ConfigError, and an ``out_dir`` that cannot be created an OSError,
     all raised before any solve.  The eps points are solved one after another.
     Each shell solve is given the lowest effective eigenvalue as its
-    predicted level above the transverse ground level (see
-    ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
+    predicted level above its assembly's ``ground``, which the residuals
+    subtract too (see ``shell.lowest_eigenvalues``).  With ``out_dir`` it writes ``sweep.csv``
     and the run record ``sweep.json``: the job as ``config`` (the resolved
     SweepConfig, which ``diracshell sweep --config`` runs again), per eps
     under ``solves`` the grid assembled (``ns``, ``nt``), the dof, the
@@ -379,7 +379,7 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
             "solve_s": time.perf_counter() - t1,
         }
         results[eps] = res.eigenvalues.tolist()
-        levels[eps] = transverse.level(cfg.m, eps)
+        levels[eps] = asm.ground
         residuals[eps] = [mu - levels[eps] for mu in results[eps]]
     fits, no_fit_reason = _eps_fits(cfg.eps, residuals, 3, "affine fit")
     report = AsymptoticsReport(

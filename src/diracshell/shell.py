@@ -52,14 +52,14 @@ c < 0 gives the lower form and c > 0 the upper one, so the shell form sits
 between the forms at -c and +c.  Every assembly holds one pencil, and a
 ``ShellFormAssembly`` records its slack (0.0 for the exact form).
 
-The lowest eigenvalues of every pencil sit O(1) above the transverse
-ground level E_1(m eps)^2/eps^2; for the shell pencil that O(1) term is,
-up to o(1), an eigenvalue of the effective curve operator.
-``lowest_eigenvalues`` alone chooses the shifts the certified shift-invert
-solver in ``eigsolve`` tries.  Given that predicted level, the first goes
-LEVEL_MARGIN below the predicted lowest eigenvalue, where ARPACK sees the
-wanted cluster well separated next to the shift; without one, or when the
-predicted shift cannot be certified, the ladder down from ``ladder_shift``
+The lowest eigenvalues of every pencil sit O(1) above the transverse ground
+level E_1(m eps)^2/eps^2, the assembly's ``ground``, evaluated once; for the
+shell pencil that O(1) term is, up to o(1), an eigenvalue of the effective
+curve operator.  ``lowest_eigenvalues`` alone chooses the shifts the certified
+shift-invert solver in ``eigsolve`` tries.  Given that predicted level, the
+first goes LEVEL_MARGIN below the predicted lowest eigenvalue, where ARPACK
+sees the wanted cluster well separated next to the shift; without one, or when
+the predicted shift cannot be certified, the ladder down from ``ladder_shift``
 (below the ground level, lowered by a curvature bound) follows.
 """
 
@@ -240,6 +240,11 @@ class ShellFormAssembly:
     @property
     def h_t(self) -> float:
         return 2.0 / self.n_t
+
+    @functools.cached_property
+    def ground(self) -> float:
+        """The transverse ground level E_1(m eps)^2/eps^2 the pencil's spectrum sits O(1) above."""
+        return transverse.level(self.m, self.metric.eps)
 
 
 # boundary spinors in the gauged frame diag(1, nu(s)): constant in s
@@ -452,7 +457,7 @@ MAX_SHIFTS = 8
 def ladder_shift(assembly: ShellFormAssembly) -> float:
     """A shift below the lowest eigenvalue of a shell or bracketing pencil.
 
-    The transverse ground level E_1(m eps)^2/eps^2, lowered by the largest
+    The assembly's ``ground`` E_1(m eps)^2/eps^2, lowered by the largest
     curvature potential kappa_max^2/4 plus one and by the slack 2 |c| eps
     (zero for the shell form).  It needs no knowledge of the effective
     operator, so it heads the ladder of shifts ``lowest_eigenvalues`` tries;
@@ -460,8 +465,7 @@ def ladder_shift(assembly: ShellFormAssembly) -> float:
     on ellipse(2, 1)), which costs ARPACK more applications.
     """
     eps = assembly.metric.eps
-    ground = transverse.level(assembly.m, eps)
-    return ground - assembly.metric.curve.kappa_max**2 / 4.0 - 1.0 - 2.0 * abs(assembly.c) * eps
+    return assembly.ground - assembly.metric.curve.kappa_max**2 / 4.0 - 1.0 - 2.0 * abs(assembly.c) * eps
 
 
 def lowest_eigenvalues(
@@ -473,8 +477,8 @@ def lowest_eigenvalues(
     vector from ``seed``; a count above MAX_COUNT raises ValueError.  It
     tries the ladder: MAX_SHIFTS shifts down from sigma = ``ladder_shift``,
     the first step 1e-2 max(1, |sigma|) and each step twice the last.
-    ``level`` predicts the lowest eigenvalue's height above the transverse
-    ground level E_1(m eps)^2/eps^2, as the lowest effective eigenvalue does
+    ``level`` predicts the lowest eigenvalue's height above the assembly's
+    ``ground`` E_1(m eps)^2/eps^2, as the lowest effective eigenvalue does
     for the shell pencil; the shift LEVEL_MARGIN below the predicted
     eigenvalue, when above the ladder, is tried before it.  The solver's
     ``SpectrumResult`` comes back as it is: its eigenvalues and residuals,
@@ -489,7 +493,7 @@ def lowest_eigenvalues(
     for k in range(MAX_SHIFTS - 1):
         shifts.append(shifts[-1] - step * 2.0**k)
     if level is not None:
-        predicted = transverse.level(assembly.m, assembly.metric.eps) + level - LEVEL_MARGIN
+        predicted = assembly.ground + level - LEVEL_MARGIN
         if predicted > shifts[0]:
             shifts.insert(0, predicted)
     return shift_invert_smallest(assembly.pencil, count, shifts, seed=seed)

@@ -1,12 +1,13 @@
 import ast
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracshell import checks, clifford, effective, eigsolve, shell
+from diracshell import checks, clifford, effective, eigsolve, shell, transverse
 from diracshell.checks import REGISTRY, CheckResult, check_gauge_equivalence
 from diracshell.cli import main
 
@@ -33,12 +34,30 @@ def test_an_entry_joins_the_registry_where_it_is_defined(monkeypatch):
     assert checks.REGISTRY == [first, second]
 
 
-def test_gauge_suite_negative_control():
-    # tampering with the connection coefficient must break the equivalence
-    tampered = check_gauge_equivalence(coupling=0.30, grids=(128,))
+def test_gauge_suite_negative_control(monkeypatch):
+    # tampering with the connection coefficient must break the equivalence; the
+    # entry takes no arguments, so the tamper goes through the observables it reads
+    monkeypatch.setattr(checks, "_gauge_observables", functools.partial(checks._gauge_observables, coupling=0.30))
+    tampered = check_gauge_equivalence()
     assert not tampered.passed
-    honest = check_gauge_equivalence(grids=(128,))
+    monkeypatch.undo()
+    honest = check_gauge_equivalence()
     assert honest.passed
+
+
+def test_shell_sandwich_solves_each_transverse_root_three_times_per_leg(monkeypatch):
+    # per leg: the shell assembly's ground level, read by its shift ladder and the
+    # tolerance, and the ladder of each bracketing form
+    calls = []
+    solve_k = transverse.solve_k
+
+    def counted(m, p):
+        calls.append((m, p))
+        return solve_k(m, p)
+
+    monkeypatch.setattr(transverse, "solve_k", counted)
+    assert checks.check_shell_sandwich().passed
+    assert len(calls) == 9
 
 
 def _directions(n, count=2):

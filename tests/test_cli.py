@@ -382,6 +382,22 @@ def test_sweep_json_config_reruns_the_job(tmp_path):
     assert SweepConfig.from_dict(config) == SweepConfig.from_dict(job)
 
 
+def test_a_sweep_solves_each_transverse_root_twice_per_eps(monkeypatch):
+    # once when the config checks the eps, once for the assembly's ground level,
+    # which the shift ladder, the predicted shift and the residuals all read
+    calls = []
+    solve_k = transverse.solve_k
+
+    def counted(m, p):
+        calls.append((m, p))
+        return solve_k(m, p)
+
+    monkeypatch.setattr(transverse, "solve_k", counted)
+    job = {**SMALL, "m": 0.5}
+    assert not run_sweep(job).partial
+    assert calls == [(0.5 * eps, 1) for eps in job["eps"]] * 2
+
+
 def test_sweep_residual_is_mu_less_the_transverse_level():
     report = run_sweep({**SMALL, "m": 0.5})
     for eps, mus in report.mu_shell.items():

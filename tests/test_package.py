@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -198,6 +199,18 @@ def test_only_eigsolve_reads_inertia():
                 if called == "inertia":
                     calls.append(f"{name}: {called}")
     assert calls == []
+
+
+def test_every_registry_entry_takes_no_arguments():
+    # an entry owns its parameters: neither the registry's wrapper nor the
+    # function behind it takes any, so every run of an entry is the check verb's
+    from diracshell import checks
+
+    named = [entry.suite for entry in checks.REGISTRY if inspect.signature(entry.__wrapped__).parameters]
+    assert named == []
+    passing_through = [entry.suite for entry in checks.REGISTRY
+                       if inspect.signature(entry, follow_wrapped=False).parameters]
+    assert passing_through == []
 
 
 def test_cli_import_loads_only_the_scipy_it_uses():

@@ -58,21 +58,34 @@ def test_flat_strip_separation(fam2):
 
 
 @pytest.mark.parametrize("curve_name", ["circle", "ellipse"])
-def test_ladder_shift_reads_the_transverse_level(fam2, curve_name, request):
+def test_ladder_shift_reads_the_transverse_level(fam2, curve_name, request, monkeypatch):
     # the shift is the ground level (k^2 + (m eps)^2)/eps^2 as the shell has
     # always evaluated it, so every shift, and every eigenvalue solved at it,
     # is the same float
     crv = request.getfixturevalue(curve_name)
+    calls = []
+    solve = transverse.solve_k
+    monkeypatch.setattr(transverse, "solve_k", lambda m, p: calls.append((m, p)) or solve(m, p))
     for m in (0.0, 0.5, 1.0):
         for eps in (0.1, 0.035):
             met = shell_metric(crv, eps)
             me = m * eps
             k1 = solve_k(me, 1)
             ground = (k1 * k1 + me * me) / eps**2 - crv.kappa_max**2 / 4.0 - 1.0
-            assert ladder_shift(assemble_shell(fam2, met, m, 32, 8)) == ground
+            asm = assemble_shell(fam2, met, m, 32, 8)
+            sandwiches = {c: assemble_sandwich(fam2, met, m, c, 32, 8) for c in (-2.0, 2.0)}
+            # each assembly's ground level is transverse.level, its root solved at the first read only
+            level = transverse.level(m, eps)
+            for each in (asm, *sandwiches.values()):
+                calls.clear()
+                assert each.ground == level and len(calls) == 1
+                assert each.ground == level and len(calls) == 1
+            assert ladder_shift(asm) == ground
             # either bracketing form lies 2|c| eps further down
             for c in (-2.0, 2.0):
-                assert ladder_shift(assemble_sandwich(fam2, met, m, c, 32, 8)) == ground - 2.0 * abs(c) * eps
+                assert ladder_shift(sandwiches[c]) == ground - 2.0 * abs(c) * eps
+            # the shifts read the cached levels: no root after the last first read
+            assert len(calls) == 1
 
 
 def test_flat_strip_levels_within_an_ulp_of_the_separated_formula():
