@@ -4,13 +4,14 @@ Each entry of ``REGISTRY`` is a zero-argument function returning a
 CheckResult, declared once: ``@_entry`` appends it to the registry where
 it is defined, so the registry runs in definition order.  An entry owns
 its parameters (seeds, grids), its numeric bounds and, where it has one,
-its wall-time budget; ``run_all`` executes the registry in order for
-``diracshell check``, and the acceptance tests run the same entries, both
-printing one ``format_result`` line each.  The entries cover the package's
-defining identities: exact anticommutators, secular root residuals,
-quadrature normalization, gauge equivalence of the effective operator,
-sandwich ordering of the bracketing forms, and the cross-check of the
-production shift-invert solver against the dense oracle.  The intertwining
+its wall-time budget; ``cli.run_checks`` executes the registry in order
+for ``diracshell check``, and the acceptance tests run the same entries,
+both printing one ``format_result`` line each, so this module only
+declares criteria.  The entries cover the package's defining
+identities: exact anticommutators, secular root residuals, quadrature
+normalization, gauge equivalence of the effective operator, sandwich
+ordering of the bracketing forms, and the cross-check of the production
+shift-invert solver against the dense oracle.  The intertwining
 entry takes its transverse spectra on 64 P2 cells from
 ``shell.discretized_transverse_energies``, certified from both sides by
 ``eigsolve``.  That pencil keeps its own reduced order, not the shell
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import clifford, effective, eigsolve, geometry, shell, transverse
 
-__all__ = ["CheckResult", "format_result", "run_all", "REGISTRY"]
+__all__ = ["CheckResult", "format_result", "REGISTRY"]
 
 # (nodes, weights) of the 64-node Gauss-Legendre rule on (-1, 1): the
 # transverse eigenmodes are trigonometric, so every integral over (-1, 1)
@@ -56,8 +57,8 @@ def format_result(res: CheckResult) -> str:
     return f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}"
 
 
-# every entry in definition order, appended by ``_entry``; ``run_all`` reads
-# the list at call time, so a caller may replace it
+# every entry in definition order, appended by ``_entry``; ``cli.run_checks``
+# reads the list at call time, so a caller may replace it
 REGISTRY: list[Callable[[], CheckResult]] = []
 
 
@@ -67,9 +68,9 @@ def _entry(name: str, budget_s: float | None = None):
     The entry returns a CheckResult named ``name`` that carries its wall
     time in ``seconds``.  A function that raises
     EigensolveError, ValueError (the dense oracle's refusals) or LinAlgError
-    fails the entry, with the exception as its detail, so ``run_all`` goes on
-    to the next entry; any other exception propagates.  With a budget the
-    entry also fails when the function takes ``budget_s`` seconds or more,
+    fails the entry, with the exception as its detail, so ``cli.run_checks``
+    goes on to the next entry; any other exception propagates.  With a budget
+    the entry also fails when the function takes ``budget_s`` seconds or more,
     and reports the time taken.  Neither the entry nor the function takes
     arguments: a negative control patches what the function reads.
     """
@@ -483,12 +484,3 @@ def check_eigensolver_agreement():
     production = shell.lowest_eigenvalues(asm, 6).eigenvalues
     worst = float(np.abs(production - dense.eigenvalues).max())
     return worst <= 1e-8, f"max difference {worst:g} (shift-invert)"
-
-
-def run_all() -> list[CheckResult]:
-    """Run every registry entry in order, printing its line as it finishes."""
-    results = []
-    for fn in REGISTRY:
-        results.append(fn())
-        print(format_result(results[-1]))
-    return results

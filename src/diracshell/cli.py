@@ -25,10 +25,11 @@ A sweep job is the ``--config`` file's keys with each flag
 given in place of its key; its ``SweepConfig`` is checked when it is built,
 each eps's transverse level and grid included; only the curve's injectivity
 guard and length rule wait for the curve, which ``run_sweep`` builds before any solve.
-Both the eps rule and the length rule are ``_finite_square``: a level the job
-puts on a pencil's diagonal must have a finite square.
-``run_sweep`` and ``run_checks`` set BLAS to one thread
-(``threads.set_blas_threads``) before their first solve, as ``main`` does.
+Both the eps rule and the length rule (``_check_length``, which ``effective-spectrum``
+applies at ``--ns`` too) are ``_finite_square``: a level the job puts on a pencil's
+diagonal must have a finite square.  ``run_checks`` runs ``checks.REGISTRY`` itself and,
+like ``run_sweep``, sets BLAS to one thread (``threads.set_blas_threads``) before its
+first solve, as ``main`` does.
 This is the one module that reads or writes a file format (JSON, and
 every CSV through ``_write_csv``, each float as ``repr(float(v))``).
 ``effective-spectrum`` refuses a curve whose total curvature misses -2*pi
@@ -53,8 +54,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import scipy
 
-from . import transverse
-from .checks import run_all
+from . import checks, transverse
 from .clifford import build_clifford
 from .effective import (AUTO_NS_CAP, ConvergedReference, assemble_effective, assemble_magnetic, checked_ns,
                         converged_eigenvalues, effective_eigenvalues)
@@ -83,9 +83,9 @@ class ConfigError(ValueError):
 class SweepConfig:
     """One sweep job; a value the sweep cannot run is a ConfigError at construction.
 
-    That includes each eps whose ``transverse.level`` fails ``_finite_square``,
-    or whose grid ``shell.checked_grid`` refuses.  Only the
-    curve's guards, eps < 0.9/max|kappa| and its length, wait for the curve.
+    That includes a mass or width that ``_is_real`` refuses, each eps whose
+    ``transverse.level`` fails ``_finite_square`` or whose grid ``shell.checked_grid``
+    refuses.  Only the curve's guards, eps < 0.9/max|kappa| and ``_check_length``, wait for it.
     """
 
     curve: dict
@@ -128,12 +128,12 @@ class SweepConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not _is_real(self.m) or not 0 <= self.m < math.inf:
+        if not _is_real(self.m) or not self.m >= 0:
             raise ConfigError(f"m must be finite and nonnegative, got {self.m!r}")
         if (
             not isinstance(self.eps, (tuple, list))
             or len(self.eps) < 1
-            or any(not _is_real(e) or not 0 < e < math.inf for e in self.eps)
+            or any(not _is_real(e) or not e > 0 for e in self.eps)
         ):
             raise ConfigError(f"eps must be a list of finite positive numbers, got {self.eps!r}")
         object.__setattr__(self, "m", float(self.m))
@@ -164,13 +164,25 @@ class SweepConfig:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real number (an int inside double range), never a bool: ``geometry._real``'s rule."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _finite_square(level: float) -> bool:
     """A level the job puts on a pencil's diagonal must have a finite square: the residual
     norm squares entries of order eps_mach*level, and an infinite norm is never certified."""
     return math.isfinite(level * level)
+
+
+def _check_length(curve, n_s: int) -> None:
+    """The length rule: refuse a curve so short that an effective block of Fourier size
+    ``n_s`` has a largest mode (pi*n_s/L)^2 that fails ``_finite_square``."""
+    mode = math.pi * n_s / curve.length
+    top = mode * mode  # the block's largest diagonal level
+    if not _finite_square(top):
+        which = f"= {top:.3g} squared is not a finite float" if math.isfinite(top) else "overflows"
+        raise ConfigError(f"curve length {curve.length!r} is too short: the effective reference's "
+                          f"largest mode (pi*{n_s}/L)^2 {which}")
 
 
 @dataclass
@@ -307,8 +319,8 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     failed or fewer than 3 points solved (no fit; ``no_fit_reason`` says how
     many solved).  A dict ``config`` is built into a ``SweepConfig``, whose
     own rules are checked then; a curve config it cannot build, a curve so
-    short that the reference's largest mode (pi*cap/L)^2 fails
-    ``_finite_square``, or an eps at or beyond the curve's injectivity guard
+    short that the reference's largest mode (pi*cap/L)^2 fails the length
+    rule ``_check_length``, or an eps at or beyond the curve's injectivity guard
     is a ConfigError, and an ``out_dir`` that cannot be created an OSError,
     all raised before any solve.  The eps points are solved one after another.
     Each shell solve is given the lowest effective eigenvalue as its
@@ -333,12 +345,7 @@ def run_sweep(config, out_dir=None) -> AsymptoticsReport:
     cfg = config if isinstance(config, SweepConfig) else SweepConfig.from_dict(config)
     curve = _curve(cfg.curve)
     cap = AUTO_NS_CAP if cfg.eff_ns == "auto" else cfg.eff_ns
-    mode = math.pi * cap / curve.length
-    top = mode * mode  # the reference block's largest diagonal level
-    if not _finite_square(top):
-        which = f"= {top:.3g} squared is not a finite float" if math.isfinite(top) else "overflows"
-        raise ConfigError(f"curve length {curve.length!r} is too short: the effective reference's "
-                          f"largest mode (pi*{cap}/L)^2 {which}")
+    _check_length(curve, cap)
     try:
         metrics = {eps: shell_metric(curve, eps) for eps in cfg.eps}
     except ValueError as exc:
@@ -438,16 +445,20 @@ def _corollary(cfg: SweepConfig, mu_shell: dict, levels: dict, mu_block: list, f
 
 
 def run_checks(out=None) -> int:
-    """Execute every property suite; returns 0 iff all pass.
+    """Execute every suite of ``checks.REGISTRY`` in order; returns 0 iff all pass.
 
-    With ``out`` it writes one JSON entry per suite: ``passed``, ``detail``
-    and the suite's wall time ``seconds``.  ``out`` is opened for writing
-    before the first suite runs, so a path that cannot be written fails
-    before any work.
+    The registry is read at call time, so a caller may replace it; each
+    suite's ``checks.format_result`` line is printed as it finishes.  With
+    ``out`` it writes one JSON entry per suite (``passed``, ``detail`` and
+    wall time ``seconds``), opening ``out`` before the first suite runs, so
+    a path that cannot be written fails before any work.
     """
     with open(out, "w") if out is not None else contextlib.nullcontext() as fh:
         set_blas_threads()
-        results = run_all()
+        results = []
+        for entry in checks.REGISTRY:
+            results.append(entry())
+            print(checks.format_result(results[-1]))
         if fh is not None:
             summary = {r.name: {"passed": r.passed, "detail": r.detail, "seconds": r.seconds} for r in results}
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -581,6 +592,7 @@ def main(argv=None) -> int:
             if not 1 <= args.count <= args.ns - 1:
                 raise ConfigError("--count must lie in 1..ns-1 (one spin block)")
             curve = _curve(_load_curve_arg(args.curve))
+            _check_length(curve, args.ns)
             total = curve.total_curvature()
             if abs(total + 2.0 * math.pi) > CLOSURE_TOL:  # the magnetic flux (pi-2)/L assumes -2*pi
                 raise ConfigError(f"effective-spectrum needs a closed curve of total curvature -2*pi; "

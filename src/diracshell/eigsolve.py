@@ -21,7 +21,6 @@ same SpectrumResult record with per-pair residuals ||A x - mu B x|| / ||B x||.
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass
 
@@ -229,17 +228,12 @@ def shift_invert_smallest(pencil: HermitianPencil, count: int, shifts: list[floa
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    # scipy's ARPACK wrapper keeps its operators in a reference cycle that
-    # only the cyclic collector frees; the LU is reached through ``factor``
-    # alone, so clearing it frees the factor at once, and a young-generation
-    # collection frees the ARPACK workspace before the next solve
-    factor = [lu]
     applied = 0
 
     def apply_op(x):
         nonlocal applied
         applied += 1
-        return factor[0].solve(pencil.b @ x)
+        return lu.solve(pencil.b @ x)
 
     op = spla.LinearOperator((dim, dim), matvec=apply_op, dtype=complex)
     try:
@@ -247,9 +241,7 @@ def shift_invert_smallest(pencil: HermitianPencil, count: int, shifts: list[floa
     except spla.ArpackError as exc:
         raise EigensolveError(f"ARPACK failed at shift {sigma:g}: {exc}") from exc
     finally:
-        del lu, op
-        factor.clear()
-        gc.collect(1)
+        del lu, op  # the factor and its L/U copies are freed before the residuals are formed
 
     vals = sigma + 1.0 / nu.real
     order = np.argsort(vals)

@@ -296,12 +296,11 @@ class _TensorGalerkin:
         self.dim = n_s * self.n_tn
         # the entries (a_s, a_t, b_s, b_t) of the per-cell matrices of both components, by cell (i, j)
         self.cell_shape = (2, n_s, n_t, *(len(self.val_s), len(val_t)) * 2)
-        # the node and point tables and the cell-to-node map of the product
+        # the node and point tables of the product
         self.val = np.kron(self.val_s, val_t)
         self.ds = np.kron(der_s, val_t)
         self.dt = np.kron(self.val_s, der_t)
         self.wq = np.kron(self.ws, wt) * self.h_s * self.h_t
-        self.conn = np.add.outer(self.conn_s * self.n_tn, self.conn_t).transpose(0, 2, 1, 3).reshape(n_s * n_t, -1)
         # basis-pair tables: the volume form's (ds ds, dt dt, val val), the mass,
         # and the covariant coupling E - E^T with E = ds val
         self.mass_pairs = _pairs(self.val, self.val)
@@ -379,9 +378,11 @@ def _line_pattern(keys: np.ndarray, n: int):
     return np.searchsorted(unique, np.arange(n + 1) * n), slot.reshape(keys.shape)
 
 
-def _grid(fam: CliffordFamily, metric: ShellMetric2D, n_s: int, n_t: int | None):
-    """The validated grid, the curvature (one call) at its s-abscissae and at
-    its quadrature points, and the gauged frame's connection there."""
+def _grid(fam: CliffordFamily, metric: ShellMetric2D, m: float, n_s: int, n_t: int | None):
+    """After refusing a negative or NaN mass m, the validated grid, the curvature (one call)
+    at its s-abscissae and at its quadrature points, and the gauged frame's connection there."""
+    if not m >= 0:
+        raise ValueError("mass must be nonnegative")
     if fam.n != 2:
         raise ValueError("shell assembly is implemented for n = 2")
     grid = _TensorGalerkin(metric.curve.length, *checked_grid(metric.eps, n_s, n_t))
@@ -414,9 +415,7 @@ def assemble_shell(
     n_t: int | None = None,
 ) -> ShellFormAssembly:
     """Pencil of the exact tubular-coordinate form with eliminated boundary DOFs."""
-    if not m >= 0:
-        raise ValueError("mass must be nonnegative")
-    grid, kap_s, kap, connection = _grid(fam, metric, n_s, n_t)
+    grid, kap_s, kap, connection = _grid(fam, metric, m, n_s, n_t)
     eps = metric.eps
     w = metric.stretch(grid.quad_t, kap)
     # (m + H/2)*h with the exact curvature H = side*kappa/(1+side*eps*kappa)
@@ -439,7 +438,7 @@ def assemble_sandwich(
     c < 0 gives the lower form and c > 0 the upper one; the shell form lies
     between the forms at -c and +c once |c| covers the metric's deviation.
     """
-    grid, _, kap, connection = _grid(fam, metric, n_s, n_t)
+    grid, _, kap, connection = _grid(fam, metric, m, n_s, n_t)
     eps = metric.eps
     bcoef = (m * eps + c * eps**3) / eps**2
     pencil = _covariant_pencil(grid, connection, 1.0 + c * eps, 1.0 / eps**2, m * m + c * eps - kap**2 / 4.0,

@@ -12,7 +12,7 @@ import pytest
 import scipy
 import scipy.sparse
 
-from diracshell import cli, effective, transverse
+from diracshell import checks, cli, effective, transverse
 from diracshell.cli import (
     EXIT_PARTIAL,
     ConfigError,
@@ -766,6 +766,31 @@ def test_strip_too_short_for_the_reference_is_a_config_error(length, eff_ns, tmp
     assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
 
 
+def test_effective_spectrum_applies_the_length_rule(tmp_path, monkeypatch, capsys):
+    # the sweep's length rule at --ns: a curve so short that (pi*ns/L)^2 squared overflows
+    # exits 2 on one line before --out is opened, with no overflowing assembly
+    monkeypatch.chdir(tmp_path)
+    assert main(["effective-spectrum", "--curve", '{"kind": "circle", "r": 1e-100}', "--out", "eff.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: curve length") and "(pi*512/L)^2" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["m", "eps"])
+def test_integer_beyond_double_range_is_a_config_error(key, tmp_path, monkeypatch, capsys):
+    # a mass or width written as 1 followed by 400 zeros is refused as geometry._real refuses
+    # a curve parameter, never left to fail in float(): exit 2, one line, nothing written
+    value = 10**400 if key == "m" else [10**400]
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        SweepConfig(curve=SMALL["curve"], **{key: value})
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "job.json").write_text(json.dumps({**SMALL, key: value}))
+    assert main(["sweep", "--config", "job.json", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--curve", "[1,2]", "--ns", "32"],
     ["effective-spectrum", "--curve", "[1,2]"],
@@ -838,7 +863,7 @@ def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("work was done before the output location was checked")
 
-    monkeypatch.setattr(cli, "run_all", no_work)
+    monkeypatch.setattr(checks, "REGISTRY", [no_work])
     monkeypatch.setattr(cli, "converged_eigenvalues", no_work)
     monkeypatch.setattr(cli, "lowest_eigenvalues", no_work)
     taken = tmp_path / "taken"

@@ -1,11 +1,13 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from diracshell import shell, transverse
+from diracshell import eigsolve, shell, transverse
 from diracshell.clifford import gamma
 from diracshell.eigsolve import dense_hermitian_eig, inertia
 from diracshell.geometry import flat_strip, shell_metric
@@ -155,6 +157,56 @@ def test_circle_leading_order(fam2, circle):
     assert 0.55 <= vals[0] * 0.05**2 <= 0.68
     # near-degenerate pair; the split closes like h_s^2 under s-refinement
     assert vals[1] == pytest.approx(vals[0], rel=1e-4)
+
+
+def test_shift_invert_frees_each_factor_without_the_cyclic_collector(fam2, circle, monkeypatch):
+    # with the cyclic collector off, reference counting alone frees every factor
+    # inertia returns: a rejected one before the next shift is factored, the
+    # certified one before the residuals are formed; nothing calls gc.collect
+    events = []
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+            weakref.finalize(self, events.append, "freed")
+
+        def solve(self, x):
+            return self.lu.solve(x)
+
+    real_inertia, real_residuals = eigsolve.inertia, eigsolve._residuals
+
+    def inertia(pencil, sigma):
+        below, lu = real_inertia(pencil, sigma)
+        events.append("factored")
+        return below, Factor(lu)
+
+    def residuals(*args):
+        events.append("residuals")
+        return real_residuals(*args)
+
+    monkeypatch.setattr(eigsolve, "inertia", inertia)
+    monkeypatch.setattr(eigsolve, "_residuals", residuals)
+    monkeypatch.setattr(gc, "collect", lambda *args: events.append("collect") or 0)
+    asm = assemble_shell(fam2, shell_metric(circle, 0.1), 0.5, 32, 8)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = lowest_eigenvalues(asm, 4)
+    finally:
+        if enabled:
+            gc.enable()
+    assert events == ["factored", "freed"] * res.factorizations + ["residuals"]
+
+
+@pytest.mark.parametrize("m", [-1.0, math.nan], ids=["negative", "nan"])
+def test_every_assembly_refuses_a_negative_or_nan_mass(fam2, circle, m):
+    # both assemblers build their grid through the one mass rule, before any work
+    met = shell_metric(circle, 0.1)
+    with pytest.raises(ValueError, match="mass must be nonnegative"):
+        assemble_shell(fam2, met, m, 32, 8)
+    for c in (-1.0, 1.0):
+        with pytest.raises(ValueError, match="mass must be nonnegative"):
+            assemble_sandwich(fam2, met, m, c, 32, 8)
 
 
 def test_lowest_eigenvalues_sorted_and_residuals(fam2, circle):
@@ -376,18 +428,17 @@ def test_tensor_grid_mass_and_stiffness():
 
 @pytest.mark.parametrize("n_s, n_t", [(32, 8), (48, 13)])
 def test_tensor_grid_matches_per_node_loop(n_s, n_t):
-    # reference: the product tables and the cell-to-node map built per local node (a_s, a_t)
+    # reference: the product tables built per local node (a_s, a_t)
     from diracshell.shell import _TensorGalerkin
 
     grid = _TensorGalerkin(5.0, n_s, n_t)
     _, w_s, val_s, der_s, _ = _line_element(1, n_s, grid.h_s, periodic=True)
     x_t, w_t, val_t, der_t, _ = _line_element(2, n_t, grid.h_t)
-    elem_s, elem_t = (e.ravel() for e in np.meshgrid(np.arange(n_s), np.arange(n_t), indexing="ij"))
+    elem_t = np.tile(np.arange(n_t), n_s)
     for a, (a_s, a_t) in enumerate((a_s, a_t) for a_s in range(2) for a_t in range(3)):
         assert np.array_equal(grid.val[a], np.outer(val_s[a_s], val_t[a_t]).ravel())
         assert np.array_equal(grid.ds[a], np.outer(der_s[a_s], val_t[a_t]).ravel())
         assert np.array_equal(grid.dt[a], np.outer(val_s[a_s], der_t[a_t]).ravel())
-        assert np.array_equal(grid.conn[:, a], ((elem_s + a_s) % n_s) * grid.n_tn + 2 * elem_t + a_t)
     assert np.array_equal(grid.wq, np.outer(w_s, w_t).ravel() * grid.h_s * grid.h_t)
     t_q = -1.0 + (elem_t[:, None] + x_t[None, :]) * grid.h_t
     assert np.array_equal(grid.quad_t, np.hstack([t_q, t_q]))
@@ -434,8 +485,11 @@ def test_constraint_basis_matches_node_loop(n_s, n_t):
 
 
 def _volume_by_scatter(grid, c_tan, c_trans, c_mass, c_cross=None):
-    # reference: each term's per-cell einsum, scattered into the full node space
-    shape, k = grid.quad_t.shape, grid.conn.shape[1]
+    # reference: each term's per-cell einsum, scattered into the full node space through the
+    # cell-to-node map, local node (a_s, a_t) of cell (i, j) at ((i + a_s) % n_s)*n_tn + 2j + a_t
+    i, j = np.divmod(np.arange(grid.n_s * grid.n_t), grid.n_t)
+    conn = np.stack([((i + a_s) % grid.n_s) * grid.n_tn + 2 * j + a_t for a_s in range(2) for a_t in range(3)], axis=1)
+    shape, k = grid.quad_t.shape, conn.shape[1]
     local = np.zeros((shape[0], k, k), dtype=complex)
     for coef, table in ((c_tan, grid.ds), (c_trans, grid.dt), (c_mass, grid.val)):
         if coef is not None:
@@ -443,7 +497,7 @@ def _volume_by_scatter(grid, c_tan, c_trans, c_mass, c_cross=None):
     if c_cross is not None:
         e_mat = np.einsum("eq,aq,bq->eab", np.broadcast_to(c_cross, shape) * grid.wq, grid.ds, grid.val)
         local += 1.0j * (e_mat - e_mat.swapaxes(1, 2))
-    return _scatter(local, grid.conn, grid.dim)
+    return _scatter(local, conn, grid.dim)
 
 
 def _boundary_by_scatter(grid, side, coef):
