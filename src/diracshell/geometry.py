@@ -334,9 +334,13 @@ class ShellMetric2D:
 
 
 def shell_metric(curve: CurveSpec, eps: float) -> ShellMetric2D:
-    """Shell metric with the injectivity-scale guard eps < GUARD/max|kappa|."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Shell metric of a finite width eps > 0 with the injectivity-scale guard eps < GUARD/max|kappa|.
+
+    A NaN or infinite width is refused on every curve, the strip included,
+    whose kappa_max = 0 skips the guard.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if curve.kappa_max > 0 and eps >= GUARD / curve.kappa_max:
         raise ValueError(
             f"eps={eps:g} violates the guard {GUARD:g}/max|kappa|={GUARD / curve.kappa_max:g}"

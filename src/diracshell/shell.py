@@ -437,9 +437,14 @@ def assemble_sandwich(
 
     c < 0 gives the lower form and c > 0 the upper one; the shell form lies
     between the forms at -c and +c once |c| covers the metric's deviation.
+    A slack with 1 + c*eps <= 0 (or NaN) is refused before any work: the
+    tangential coefficient 1 + c*eps would make the form unbounded below
+    as the grid refines, so no shift could certify its pencil.
     """
-    grid, _, kap, connection = _grid(fam, metric, m, n_s, n_t)
     eps = metric.eps
+    if not 1.0 + c * eps > 0:
+        raise ValueError(f"slack c={c!r} gives tangential coefficient 1 + c*eps <= 0 at eps={eps:g}")
+    grid, _, kap, connection = _grid(fam, metric, m, n_s, n_t)
     bcoef = (m * eps + c * eps**3) / eps**2
     pencil = _covariant_pencil(grid, connection, 1.0 + c * eps, 1.0 / eps**2, m * m + c * eps - kap**2 / 4.0,
                                (bcoef, bcoef), 1.0)

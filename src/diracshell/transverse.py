@@ -39,30 +39,30 @@ def secular(k: float, m: float) -> float:
     return m * math.sin(2.0 * k) + k * math.cos(2.0 * k)
 
 
-def _secular_prime(k: float, m: float) -> float:
-    return 2.0 * m * math.cos(2.0 * k) + math.cos(2.0 * k) - 2.0 * k * math.sin(2.0 * k)
-
-
 def bracket(p: int) -> tuple[float, float]:
     """Root bracket [(2p-1)pi/4, p*pi/2] of the p-th band."""
     return (2 * p - 1) * math.pi / 4.0, p * math.pi / 2.0
 
 
 def solve_k(m: float, p: int) -> float:
-    """The p-th transverse momentum k_p(m), by bisection and one Newton step.
+    """The p-th transverse momentum k_p(m), by bisection to adjacent floats.
 
-    The bracket endpoints have opposite secular signs for m > 0; at m = 0
-    the left endpoint is the root exactly.  Bisection halves the bracket
-    until its ends are adjacent floats.
+    At m = 0 the bracket's left end is the root exactly.  For m > 0, g is
+    (-1)^(p+1) m at the left end and (-1)^p p pi/2 at the right one, so
+    the left end's sign is read off p: g evaluated there in floats has a
+    sign of rounding noise for tiny m.  Bisection halves the bracket until
+    its ends are adjacent floats and returns the end with the smaller |g|,
+    so the root never leaves its bracket.  A negative or NaN mass raises
+    ValueError.
     """
-    if m < 0:
+    if not m >= 0:
         raise ValueError("mass must be nonnegative")
     if p < 1:
         raise ValueError("band index must be >= 1")
     lo, hi = bracket(p)
     if m == 0.0:
         return lo
-    lo_positive = secular(lo, m) > 0
+    lo_positive = p % 2 == 1
     k = 0.5 * (lo + hi)
     while lo < k < hi:
         if (secular(k, m) > 0) == lo_positive:
@@ -70,13 +70,7 @@ def solve_k(m: float, p: int) -> float:
         else:
             hi = k
         k = 0.5 * (lo + hi)
-    # one polish step pushes the residual to the rounding floor
-    df = _secular_prime(k, m)
-    if df != 0.0:
-        k_pol = k - secular(k, m) / df
-        if abs(secular(k_pol, m)) < abs(secular(k, m)):
-            k = k_pol
-    return k
+    return lo if abs(secular(lo, m)) <= abs(secular(hi, m)) else hi
 
 
 def k1_series(m: float) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracshell import checks, clifford, effective, eigsolve, shell, transverse
+from diracshell import checks, clifford, effective, eigsolve, geometry, shell, transverse
 from diracshell.checks import REGISTRY, CheckResult, check_gauge_equivalence
 from diracshell.cli import main
 
@@ -58,6 +58,22 @@ def test_shell_sandwich_solves_each_transverse_root_three_times_per_leg(monkeypa
     monkeypatch.setattr(transverse, "solve_k", counted)
     assert checks.check_shell_sandwich().passed
     assert len(calls) == 9
+
+
+def test_secular_roots_fails_on_a_root_outside_its_bracket(monkeypatch):
+    # solve_k keeps its root in the bracket by construction, so only a tampered
+    # solver can show that the criterion still fails
+    monkeypatch.setattr(transverse, "solve_k", lambda m, p: transverse.bracket(p)[1] + 0.1)
+    res = checks.check_secular_roots()
+    assert not res.passed and "root escaped bracket" in res.detail
+
+
+def test_metric_sandwich_fails_on_a_tampered_stretch(monkeypatch):
+    # twice the curvature term leaves the flat-metric sandwich at c = 3 max|kappa|
+    monkeypatch.setattr(geometry.ShellMetric2D, "stretch", lambda self, t, kappa: 1.0 + 2.0 * self.eps * t * kappa)
+    res = checks.check_metric_sandwich()
+    assert not res.passed
+    assert float(res.detail.split("worst excess ")[1].split()[0]) > 0.0
 
 
 def _directions(n, count=2):

@@ -12,7 +12,7 @@ import pytest
 import scipy
 import scipy.sparse
 
-from diracshell import checks, cli, effective, transverse
+from diracshell import checks, cli, effective, eigsolve, transverse
 from diracshell.cli import (
     EXIT_PARTIAL,
     ConfigError,
@@ -525,6 +525,33 @@ def test_main_partial_exit_code(tmp_path, monkeypatch, capsys):
     assert "partial" in capsys.readouterr().out
 
 
+def _arpack_fails_on_the_third_solve(monkeypatch):
+    # SMALL's eps are solved in order, so the third shift-invert solve is eps = 0.06
+    eigs = eigsolve.spla.eigs
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise eigsolve.spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(eigsolve.spla, "eigs", flaky)
+
+
+def test_arpack_failure_is_a_partial_report(tmp_path, monkeypatch):
+    _arpack_fails_on_the_third_solve(monkeypatch)
+    report = run_sweep(SMALL)
+    assert report.partial and list(report.failures) == [0.06] and list(report.solves) == [0.1, 0.08]
+    assert report.failures[0.06].startswith("ARPACK failed at shift ")
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(SMALL))
+    _arpack_fails_on_the_third_solve(monkeypatch)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == EXIT_PARTIAL
+    summary = json.loads((tmp_path / "s" / "sweep.json").read_text())
+    assert summary["partial"] is True and list(summary["failures"]) == ["0.06"]
+
+
 def test_corollary_needs_even_count(tmp_path):
     # the corollary pairs the spectrum 2p-1, 2p: an odd count gives no block and no corollary.csv
     report = run_sweep({**SMALL, "count": 3}, out_dir=tmp_path)
@@ -585,6 +612,18 @@ def test_main_transverse_table(tmp_path):
     assert len(rows) == 5
     first = rows[1].split(",")
     assert float(first[2]) == math.pi / 4.0
+
+
+def test_transverse_table_keeps_tiny_mass_roots_in_their_bands(tmp_path):
+    # band 7 used to read k = E = 1.0675904604795505e-12 at m = 1e-20
+    out = tmp_path / "tt.csv"
+    assert main(["transverse-table", "--m", "1e-20", "--bands", "8", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[7] == "1e-20,7,10.210176124166829,10.210176124166829,0.048970751720583176"
+    for row in rows[1:]:
+        _, p, k, _, _ = row.split(",")
+        lo, hi = transverse.bracket(int(p))
+        assert lo <= float(k) <= hi
 
 
 def test_transverse_table_normalization_out_of_double_range_is_a_config_error(tmp_path, capsys):

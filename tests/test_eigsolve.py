@@ -345,6 +345,15 @@ def test_shift_invert_uncertified_raises(monkeypatch):
         shift_invert_smallest(pen, 2, [-0.01])
 
 
+def test_arpack_failure_names_the_shift(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise eigsolve.spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((128, 0)))
+
+    monkeypatch.setattr(eigsolve.spla, "eigs", no_convergence)
+    with pytest.raises(EigensolveError, match=r"ARPACK failed at shift -0\.01"):
+        shift_invert_smallest(standard(dirichlet_laplacian(128)), 2, [-0.01])
+
+
 def test_shift_invert_rejects_empty_shifts(monkeypatch):
     def no_factor(*args):
         raise AssertionError("a shift was factored")

@@ -88,6 +88,22 @@ def test_shell_metric_guard(ellipse):
     shell_metric(ellipse, 0.44)
 
 
+def test_shell_metric_refuses_a_nan_or_infinite_width(circle):
+    # the strip's kappa_max = 0 skips the injectivity guard, so +inf reached it too
+    strip = flat_strip(TWO_PI)
+    for crv, eps in ((circle, math.nan), (strip, math.nan), (strip, math.inf)):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            shell_metric(crv, eps)
+
+
+def test_strip_tubular_map_is_the_scaled_product():
+    # the strip's embedding (s, t) -> (s, -eps t); no production path reads its position
+    met = shell_metric(flat_strip(3.0), 0.2)
+    s = np.linspace(0.0, 3.0, 7)
+    t = np.linspace(-1.0, 1.0, 7)
+    assert np.array_equal(met.tubular_map(s, t), np.stack([s, -0.2 * t], axis=-1))
+
+
 def test_det_g_matches_jacobian(circle, ellipse, rng):
     # finite-difference Jacobian oracle of the tubular map
     worst = 0.0

@@ -209,6 +209,19 @@ def test_every_assembly_refuses_a_negative_or_nan_mass(fam2, circle, m):
             assemble_sandwich(fam2, met, m, c, 32, 8)
 
 
+@pytest.mark.parametrize("c", [-6.0, -1.0 / 0.45, math.nan], ids=["below", "zero", "nan"])
+def test_sandwich_refuses_a_slack_that_leaves_the_lower_form_unbounded(fam2, circle, monkeypatch, c):
+    # 1 + c*eps <= 0 makes the tangential coefficient nonpositive; the refusal
+    # comes at assembly, before the shift ladder factors anything
+    def no_factor(*args):
+        raise AssertionError("a shift was factored")
+
+    monkeypatch.setattr(eigsolve, "inertia", no_factor)
+    met = shell_metric(circle, 0.45)
+    with pytest.raises(ValueError, match=r"1 \+ c\*eps <= 0"):
+        assemble_sandwich(fam2, met, 0.0, c, 32, 8)
+
+
 def test_lowest_eigenvalues_sorted_and_residuals(fam2, circle):
     met = shell_metric(circle, 0.1)
     asm = assemble_shell(fam2, met, 0.0, 32, 8)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracshell import checks, transverse
+from diracshell import checks, shell, transverse
 from diracshell.clifford import gamma
 from diracshell.transverse import (
     bracket,
@@ -57,10 +57,31 @@ def test_root_bracket_and_residual(m, p):
 
 
 def test_root_input_validation():
-    with pytest.raises(ValueError):
-        solve_k(-0.1, 1)
+    for m in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="mass must be nonnegative"):
+            solve_k(m, 1)
     with pytest.raises(ValueError):
         solve_k(0.1, 0)
+
+
+@pytest.mark.parametrize("m", [0.0, 5e-324, 1e-300, 1e-20, 1e-14, 0.3, 1e6, 1e16, 1e200])
+def test_every_root_stays_in_its_bracket_at_any_mass(m):
+    # the bracket's left end has g = (-1)^(p+1) m, whose float sign is rounding
+    # noise for tiny m; the root must still lie in its band, at the left end for m -> 0
+    for p in range(1, 41):
+        lo, hi = bracket(p)
+        k = solve_k(m, p)
+        assert lo <= k <= hi, p
+        if m <= 1e-13:
+            assert abs(k - lo) <= 1e-12, p
+
+
+def test_tiny_mass_levels_stay_in_their_bands():
+    # a root that left band 7 used to read k ~ 1e-12, so the level read ~ 3e-23
+    assert level(1e-15, 0.2, 7) == pytest.approx(level(0.0, 0.2, 7), rel=1e-12)
+    assert level(0.0, 0.2, 7) == pytest.approx((13.0 * math.pi / 4.0) ** 2 / 0.04, rel=1e-15)
+    strip = shell.flat_strip_levels(2.0 * math.pi, 1e-15, 0.2, 12)
+    assert np.allclose(strip, shell.flat_strip_levels(2.0 * math.pi, 0.0, 0.2, 12), rtol=1e-12, atol=0.0)
 
 
 def test_series_values_and_order():
